@@ -1,16 +1,23 @@
 """Associated graph, strongly connected components, and reachability.
 
 The associated graph of a non-negative matrix has an edge i -> j exactly
-when the entry (i, j) is strictly positive.  Its SCC partition is the
-canonical decomposition into irreducible blocks; components are returned
-in topological order of the condensation DAG.  The reachable set from a
-weight vector's support singles out the components that govern the
-growth of u^T A^n 1.
+when the entry (i, j) is stored in its CSR form (structural zeros are
+dropped, so the stored pattern is the strict positivity pattern).  Its
+SCC partition is the canonical decomposition into irreducible blocks.
+
+Components come from an iterative Tarjan pass that reads successors
+straight off ``csr.indptr`` / ``csr.indices``.  The order is a contract,
+because component ids appear in reports: roots are taken in index order,
+successors in CSR column order, and Tarjan's emission order (sinks
+first) is reversed, which gives a topological order of the condensation
+DAG.  Members of a component are listed in increasing index order.  The
+reachable set from a weight vector's support singles out the components
+that govern the growth of u^T A^n 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +27,11 @@ from .nonneg import NonnegMatrix
 
 @dataclass(frozen=True)
 class ComponentDecomposition:
-    """SCC partition with condensation edges and optional reachability."""
+    """SCC partition, topologically ordered, with condensation edges."""
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
     dag_edges: frozenset[tuple[int, int]]
-    reachable: frozenset[int] | None = None
 
     @property
     def n_components(self) -> int:
@@ -33,80 +39,82 @@ class ComponentDecomposition:
 
 
 def associated_graph(a: NonnegMatrix) -> list[list[int]]:
-    """Successor lists of the associated graph (strict positivity pattern)."""
-    adj: list[list[int]] = [[] for _ in range(a.dim)]
-    for i, j, _ in a.entries():
-        adj[i].append(j)
-    return adj
+    """Successor lists of the associated graph, in CSR column order."""
+    indptr = a.csr.indptr.tolist()
+    indices = a.csr.indices.tolist()
+    return [indices[indptr[i] : indptr[i + 1]] for i in range(a.dim)]
 
 
-def _tarjan(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan SCC; emits components in reverse topological order."""
-    n = len(adj)
+def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
+    """Canonical decomposition of the associated graph, topologically ordered.
+
+    Iterative Tarjan (R. Tarjan, SIAM J. Comput. 1, 1972) over the CSR
+    arrays; the condensation edges come from the stored entries whose
+    endpoints lie in different components.
+    """
+    n = a.dim
+    indptr = a.csr.indptr.tolist()
+    indices = a.csr.indices.tolist()
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    # emission number of a node's component; -1 for a visited node still on the stack
+    emitted = [-1] * n
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, indptr[root])]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, p = work[-1]
+            end = indptr[v + 1]
+            lv = low[v]
+            while p < end:
+                w = indices[p]
+                p += 1
+                iw = index[w]
+                if iw == -1:
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
+                if iw < lv and emitted[w] == -1:
+                    lv = iw
+            else:
+                # row exhausted: v is finished
+                work.pop()
+                if lv == index[v]:
+                    comp = []
+                    while True:
+                        x = stack.pop()
+                        emitted[x] = len(comps)
+                        comp.append(x)
+                        if x == v:
+                            break
+                    comps.append(sorted(comp))
+                if work:
+                    u = work[-1][0]
+                    if lv < low[u]:
+                        low[u] = lv
                 continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
-def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
-    """Canonical decomposition of the associated graph, topologically ordered."""
-    adj = associated_graph(a)
-    comps = _tarjan(adj)
+            # descend into the unvisited successor w
+            low[v] = lv
+            work[-1] = (v, p)
+            index[w] = low[w] = counter
+            counter += 1
+            stack.append(w)
+            work.append((w, indptr[w]))
     comps.reverse()  # Tarjan emits sinks first
-    component_of = [0] * a.dim
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            component_of[v] = cid
-    edges = set()
-    for i, j, _ in a.entries():
-        ci, cj = component_of[i], component_of[j]
-        if ci != cj:
-            edges.add((ci, cj))
+
+    comp_of = len(comps) - 1 - np.array(emitted, dtype=np.intp)
+    src = comp_of[np.repeat(np.arange(n), np.diff(a.csr.indptr))]
+    dst = comp_of[a.csr.indices]
+    cross = src != dst
     return ComponentDecomposition(
         components=tuple(tuple(c) for c in comps),
-        component_of=tuple(component_of),
-        dag_edges=frozenset(edges),
+        component_of=tuple(comp_of.tolist()),
+        dag_edges=frozenset(zip(src[cross].tolist(), dst[cross].tolist())),
     )
 
 
@@ -127,10 +135,6 @@ def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> froze
                 seen.add(d)
                 frontier.append(d)
     return frozenset(seen)
-
-
-def with_reachability(decomp: ComponentDecomposition, u: np.ndarray) -> ComponentDecomposition:
-    return replace(decomp, reachable=reachable_components(decomp, u))
 
 
 def component_submatrix(a: NonnegMatrix, nodes) -> NonnegMatrix:

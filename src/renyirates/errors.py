@@ -13,6 +13,10 @@ class NegativeEntry(RenyiError):
     """A probability matrix or vector contains a negative entry."""
 
 
+class NonFiniteEntry(RenyiError):
+    """A probability matrix or vector contains NaN or an infinity."""
+
+
 class NonStochasticRow(RenyiError):
     """A row of a transition/emission matrix does not sum to 1."""
 

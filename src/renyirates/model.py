@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     InvalidNoise,
     NegativeEntry,
+    NonFiniteEntry,
     NonStochasticRow,
     WrongAlphabet,
 )
@@ -28,6 +29,8 @@ STOCHASTIC_TOL = 1e-9
 
 def _clean_probabilities(a: np.ndarray, what: str) -> np.ndarray:
     a = np.array(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise NonFiniteEntry(f"non-finite entry in {what}")
     if a.min(initial=0.0) < -1e-12:
         raise NegativeEntry(f"negative entry in {what}: min = {a.min()}")
     a[a < 0] = 0.0

@@ -87,9 +87,13 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
         raise ModelFormatError(f"invalid hmm: {exc}") from exc
 
 
+def _reject_constant(name: str):
+    raise ModelFormatError(f"non-finite number {name} in model file")
+
+
 def load_model(path: str | Path) -> MarkovChain | HiddenMarkovModel:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     return parse_model(doc)

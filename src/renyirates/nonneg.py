@@ -46,15 +46,6 @@ class NonnegMatrix:
         c.sort_indices()
         return cls(c)
 
-    @classmethod
-    def from_entries(cls, dim: int, entries: dict[tuple[int, int], float]) -> "NonnegMatrix":
-        rows = [i for i, _ in entries]
-        cols = [j for _, j in entries]
-        vals = list(entries.values())
-        c = sparse.csr_array(sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)))
-        c.eliminate_zeros()
-        return cls(c)
-
     @property
     def dim(self) -> int:
         return self.csr.shape[0]

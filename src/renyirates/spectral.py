@@ -4,7 +4,10 @@ The rate of u^T A^n 1 equals the largest spectral radius among the
 components reachable from the support of u.  Radii are computed by power
 iteration on A + I: the shift makes every irreducible non-negative block
 primitive, so the Collatz-Wielandt bounds close geometrically even for
-periodic components.
+periodic components.  A sparse block (at most a quarter of its entries
+stored) is iterated in CSR form and never densified; a denser block is
+iterated as a dense array, which then needs at most four times the
+memory of its CSR form.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .components import (
     ComponentDecomposition,
@@ -51,22 +55,25 @@ def spectral_radius_irreducible(
     a: NonnegMatrix | np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
-    return_vector: bool = False,
-):
+) -> float:
     """Perron root of an irreducible non-negative matrix (or a 1x1 block).
 
     Power iteration on the shifted matrix A + I, stopping when the
     Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
-    is narrower than tol.
+    is narrower than tol.  B is a CSR array when A is a NonnegMatrix with
+    nnz <= m^2 // 4, and a dense array otherwise.
     """
-    dense = a.to_dense() if isinstance(a, NonnegMatrix) else np.asarray(a, dtype=float)
-    m = dense.shape[0]
-    if m == 0:
-        return (0.0, np.zeros(0)) if return_vector else 0.0
-    if m == 1:
-        rho = float(dense[0, 0])
-        return (rho, np.ones(1)) if return_vector else rho
-    shifted = dense + np.eye(m)
+    if isinstance(a, NonnegMatrix) and a.dim > 1 and a.nnz <= a.dim * a.dim // 4:
+        m = a.dim
+        shifted = a.csr + sparse.eye_array(m, format="csr")
+    else:
+        dense = a.to_dense() if isinstance(a, NonnegMatrix) else np.asarray(a, dtype=float)
+        m = dense.shape[0]
+        if m == 0:
+            return 0.0
+        if m == 1:
+            return float(dense[0, 0])
+        shifted = dense + np.eye(m)
     v = np.full(m, 1.0 / m)
     for _ in range(max_iter):
         w = shifted @ v
@@ -74,8 +81,7 @@ def spectral_radius_irreducible(
         lo, hi = ratios.min(), ratios.max()
         v = w / w.sum()
         if hi - lo <= tol:
-            rho = float((lo + hi) / 2.0 - 1.0)
-            return (rho, v) if return_vector else rho
+            return float((lo + hi) / 2.0 - 1.0)
     raise NoConvergence(
         f"power iteration did not reach tolerance {tol} in {max_iter} iterations"
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from renyirates import (
     NonnegMatrix,
@@ -9,9 +11,10 @@ from renyirates import (
     reachable_components,
     strongly_connected_components,
 )
-from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
+from renyirates.modelfile import load_model
+from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
 
-from conftest import RESTRICTED_EXAMPLE
+from conftest import FIXTURES, RESTRICTED_EXAMPLE
 
 # canonical index order of the example system: 11, 13, 31, 33, 22
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
@@ -76,6 +79,84 @@ class TestStronglyConnectedComponents:
             cond[x, y] = 1.0
         again = strongly_connected_components(NonnegMatrix.from_dense(cond))
         assert all(len(c) == 1 for c in again.components)
+
+
+def _random_graphs():
+    """Random reducible matrices and collision systems, as NonnegMatrix."""
+    rng = np.random.default_rng(2024)
+    mats = []
+    for _ in range(40):
+        n = int(rng.integers(1, 41))
+        a = random_nonneg_matrix(rng, n, zero_prob=float(rng.uniform(0.6, 0.97)))
+        mats.append(NonnegMatrix.from_dense(a))
+    for alpha in (2, 3):
+        hmm = random_hmm(rng, 4, 2, sparsity=0.4)
+        mats.append(collision_system(hmm, alpha).matrix)
+    return mats
+
+
+RANDOM_GRAPHS = _random_graphs()
+
+
+class TestSccAgainstReference:
+    @pytest.mark.parametrize("a", RANDOM_GRAPHS)
+    def test_partition_matches_csgraph(self, a):
+        decomp = strongly_connected_components(a)
+        n_ref, labels = csgraph.connected_components(a.csr, connection="strong")
+        assert decomp.n_components == n_ref
+        ours = {frozenset(c) for c in decomp.components}
+        ref = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(n_ref)}
+        assert ours == ref
+        for cid, comp in enumerate(decomp.components):
+            assert list(comp) == sorted(comp)
+            assert all(decomp.component_of[i] == cid for i in comp)
+
+    @pytest.mark.parametrize("a", RANDOM_GRAPHS)
+    def test_dag_edges_recomputed_by_hand(self, a):
+        decomp = strongly_connected_components(a)
+        dense = a.to_dense()
+        cof = decomp.component_of
+        expected = {
+            (cof[i], cof[j])
+            for i in range(a.dim)
+            for j in range(a.dim)
+            if dense[i, j] > 0 and cof[i] != cof[j]
+        }
+        assert decomp.dag_edges == expected
+        assert all(x < y for x, y in decomp.dag_edges)  # topological order
+        assert all(type(x) is int for edge in decomp.dag_edges for x in edge)
+
+    def test_fig2_order_pinned(self):
+        cs = collision_system(load_model(FIXTURES / "fig2.model"), 2)
+        decomp = strongly_connected_components(cs.matrix)
+        assert decomp.components == ((2,), (1,), (0,), (3, 4))
+
+    def test_random_order_pinned(self):
+        # A DFS over the condensation, roots and successors by smallest
+        # member, would give ((0, 7), (3, 4, 5, 6), (2,), (1,)) here;
+        # the Tarjan order over CSR rows is part of the report contract.
+        pattern = np.array(
+            [
+                [0, 0, 0, 1, 1, 0, 0, 1],
+                [0, 1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 1, 1, 0],
+                [0, 0, 1, 0, 0, 1, 0, 0],
+                [0, 0, 0, 1, 1, 0, 0, 0],
+                [0, 1, 0, 0, 1, 0, 0, 0],
+                [1, 0, 0, 0, 1, 0, 0, 0],
+            ],
+            dtype=float,
+        )
+        decomp = strongly_connected_components(NonnegMatrix.from_dense(pattern))
+        assert decomp.components == ((0, 7), (3, 4, 5, 6), (1,), (2,))
+        assert decomp.dag_edges == {(0, 1), (1, 2), (1, 3)}
+
+    def test_empty_matrix(self):
+        decomp = strongly_connected_components(NonnegMatrix.from_sparse(sparse.csr_array((0, 0))))
+        assert decomp.components == ()
+        assert decomp.component_of == ()
+        assert decomp.dag_edges == frozenset()
 
 
 class TestReachability:

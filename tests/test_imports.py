@@ -1,0 +1,29 @@
+"""Import cost: the package and its CLI load only numpy and scipy.sparse.
+
+scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg; on a
+2-core x86 box they add 0.10-0.15 s to an import that takes 0.32-0.38 s,
+so every CLI start-up would pay for them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import renyirates
+
+HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
+
+def test_import_does_not_load_heavy_scipy_modules():
+    src = str(Path(renyirates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import json, sys; import renyirates, renyirates.cli; "
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert json.loads(out.stdout) == []

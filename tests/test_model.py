@@ -13,6 +13,7 @@ from renyirates.errors import (
     DimensionMismatch,
     InvalidNoise,
     NegativeEntry,
+    NonFiniteEntry,
     NonStochasticRow,
     WrongAlphabet,
 )
@@ -43,6 +44,21 @@ class TestValidateChain:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_chain([[0.5, 0.5], [0.5, 0.5]], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_rejected(self, bad):
+        # |nan - 1| > tol is False, so a row sum check alone lets NaN through
+        with pytest.raises(NonFiniteEntry):
+            validate_chain([[bad, 0.5], [0.5, 0.5]], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            validate_chain([[0.5, 0.5], [0.5, 0.5]], [bad, 0.5])
+
+    def test_non_finite_emission_rejected(self, example_chain):
+        with pytest.raises(NonFiniteEntry):
+            validate_hmm(example_chain, [[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0]])
 
     def test_small_deviation_renormalized(self):
         chain = validate_chain([[0.5 + 1e-11, 0.5], [0.3, 0.7]], [0.5, 0.5])

@@ -59,6 +59,21 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             parse_model(doc)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_rejected(self, tmp_path, constant):
+        text = (FIXTURES / "markov142.model").read_text()
+        path = tmp_path / "bad.model"
+        path.write_text(text.replace("[0.9", f"[{constant}", 1))
+        assert path.read_text() != text
+        with pytest.raises(ModelFormatError, match=constant):
+            load_model(path)
+
+    def test_non_finite_entry_in_document_rejected(self):
+        doc = json.loads((FIXTURES / "markov142.model").read_text())
+        doc["transition"][0][0] = math.nan
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            parse_model(doc)
+
     def test_hmm_needs_one_channel_spec(self):
         doc = json.loads((FIXTURES / "fig2.model").read_text())
         doc["observations"] = ["a", "b"]
@@ -214,6 +229,18 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "rate", bad, "--order", "2")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
+    def test_nan_model_exits_with_validation_message(self, capsys, tmp_path, command):
+        text = (FIXTURES / "fig2.model").read_text()
+        path = tmp_path / "nan.model"
+        path.write_text(text.replace("[0.9, 0.1, 0.0]", "[NaN, 0.1, 0.0]"))
+        extra = ["--length", "5"] if command == "entropy" else []
+        code, doc, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert doc is None
+        assert "non-finite number NaN" in err
+        assert "did not reach tolerance" not in err
 
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "no-such-file.model", "--order", "2")

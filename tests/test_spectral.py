@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from renyirates import (
     NonnegMatrix,
@@ -56,6 +57,49 @@ class TestSpectralRadius:
     def test_no_convergence_budget(self):
         with pytest.raises(NoConvergence):
             spectral_radius_irreducible(np.ones((3, 3)), max_iter=0)
+
+
+def _sparse_irreducible(rng, m):
+    """m x m block with 3 stored entries per row; the cycle i -> i+1 makes it irreducible."""
+    rows = np.repeat(np.arange(m), 3)
+    cols = np.empty((m, 3), dtype=int)
+    for i in range(m):
+        others = rng.choice(np.setdiff1d(np.arange(m), [(i + 1) % m]), size=2, replace=False)
+        cols[i] = [(i + 1) % m, *others]
+    vals = rng.uniform(0.1, 1.0, size=3 * m)
+    return NonnegMatrix.from_sparse(sparse.coo_array((vals, (rows, cols.ravel())), shape=(m, m)))
+
+
+class TestSparseSpectralRadius:
+    """Blocks with nnz <= m^2 // 4 are iterated in CSR form, never densified."""
+
+    @pytest.fixture
+    def no_densify(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("sparse block was densified")
+
+        monkeypatch.setattr(NonnegMatrix, "to_dense", refuse)
+
+    @pytest.mark.parametrize("m", [50, 120, 300])
+    def test_matches_dense_eigensolver(self, m, no_densify):
+        a = _sparse_irreducible(np.random.default_rng(m), m)
+        assert a.nnz == 3 * m <= m * m // 4
+        eig = max(abs(np.linalg.eigvals(a.csr.toarray())))
+        assert spectral_radius_irreducible(a) == pytest.approx(eig, abs=1e-9)
+
+    @pytest.mark.parametrize("m", [4, 12, 40])
+    def test_periodic_cycle(self, m, no_densify):
+        # weighted m-cycle: period m, radius the geometric mean of the weights
+        rng = np.random.default_rng(m)
+        weights = rng.uniform(0.2, 2.0, size=m)
+        idx = np.arange(m)
+        a = NonnegMatrix.from_sparse(
+            sparse.coo_array((weights, (idx, (idx + 1) % m)), shape=(m, m))
+        )
+        eig = max(abs(np.linalg.eigvals(a.csr.toarray())))
+        rho = spectral_radius_irreducible(a)
+        assert rho == pytest.approx(eig, abs=1e-9)
+        assert rho == pytest.approx(np.exp(np.log(weights).mean()), abs=1e-9)
 
 
 class TestGrowthRate:
