@@ -43,7 +43,6 @@ from .tensor import (
     collision_system,
     hadamard_power,
     kronecker_power,
-    noiseless_collision_system,
 )
 
 __version__ = "0.1.0"

@@ -16,8 +16,15 @@ import sys
 
 from . import entropy as rates
 from . import oracle as bf
-from .errors import DimensionOverflow, InvalidOrder, RenyiError
-from .model import HiddenMarkovModel, MarkovChain, bsc_hmm, identity_observation
+from .errors import DimensionOverflow, RenyiError
+from .model import (
+    HiddenMarkovModel,
+    MarkovChain,
+    _chain_order,
+    _hmm_order,
+    bsc_hmm,
+    identity_observation,
+)
 from .modelfile import load_model
 from .nonneg import NonnegMatrix
 from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial, growth_rate
@@ -44,12 +51,6 @@ def _fmt(value):
 def _emit(doc: dict, summary: str) -> None:
     sys.stdout.write(json.dumps(_fmt(doc), indent=2) + "\n")
     sys.stderr.write(summary + "\n")
-
-
-def _integer_order(order: float) -> int:
-    if not float(order).is_integer() or order < 2:
-        raise InvalidOrder(f"hmm computations need an integer order >= 2, got {order}")
-    return int(order)
 
 
 def _load(args) -> MarkovChain | HiddenMarkovModel:
@@ -98,7 +99,7 @@ def cmd_entropy(args) -> None:
     model = _load(args)
     if isinstance(model, HiddenMarkovModel):
         rep = rates.finite_length_entropy(
-            model, _integer_order(args.order), args.length, max_dim=args.max_dim
+            model, args.order, args.length, max_dim=args.max_dim
         )
     else:
         rep = rates.markov_finite_length(model, args.order, args.length)
@@ -110,7 +111,7 @@ def cmd_rate(args) -> None:
     model = _load(args)
     if isinstance(model, HiddenMarkovModel):
         rep = rates.entropy_rate(
-            model, _integer_order(args.order), max_dim=args.max_dim, tol=args.tolerance
+            model, args.order, max_dim=args.max_dim, tol=args.tolerance
         )
     else:
         rep = rates.markov_rate(model, args.order, tol=args.tolerance)
@@ -125,10 +126,11 @@ def cmd_rate(args) -> None:
 def _analysis_matrix(model, args):
     """Collision system (hmm) or Hadamard power (markov), plus labels and weights."""
     if isinstance(model, HiddenMarkovModel):
-        cs = collision_system(model, _integer_order(args.order), max_dim=args.max_dim)
+        cs = collision_system(model, args.order, max_dim=args.max_dim)
         return cs.matrix, cs.labels(), cs.initial
-    a = hadamard_power(NonnegMatrix.from_dense(model.transition), args.order)
-    return a, model.states, model.initial**args.order
+    order = _chain_order(args.order)
+    a = hadamard_power(NonnegMatrix.from_dense(model.transition), order)
+    return a, model.states, model.initial**order
 
 
 def cmd_components(args) -> None:
@@ -169,7 +171,7 @@ def cmd_oracle(args) -> None:
     model = _load(args)
     if isinstance(model, MarkovChain):
         model = identity_observation(model)
-    order = _integer_order(args.order)
+    order = _hmm_order(args.order)
     cp = bf.brute_force_collision(model, order, args.length)
     value = bf.brute_force_entropy(model, order, args.length)
     doc = _report_head("oracle", model) | {

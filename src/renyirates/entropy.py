@@ -12,19 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from .errors import InvalidOrder
-from .model import HiddenMarkovModel, MarkovChain
+from .model import (
+    HiddenMarkovModel,
+    MarkovChain,
+    _chain_order,
+    deterministic_observation,
+)
 from .nonneg import NonnegMatrix
 from .spectral import GrowthAnalysis, growth_rate, log_weighted_power_sum
-from .tensor import (
-    DEFAULT_MAX_DIM,
-    CollisionSystem,
-    collision_system,
-    hadamard_power,
-    noiseless_collision_system,
-)
+from .tensor import DEFAULT_MAX_DIM, collision_system, hadamard_power
 
 _LN2 = math.log(2.0)
 
@@ -116,18 +112,11 @@ def entropy_rate(
     return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
 
 
-def _real_order(alpha: float) -> float:
-    alpha = float(alpha)
-    if not alpha > 0 or alpha == 1.0:
-        raise InvalidOrder(f"order must be positive and != 1, got {alpha}")
-    return alpha
-
-
 def markov_rate(
     chain: MarkovChain, alpha: float, tol: float = 1e-12
 ) -> EntropyReport:
     """Rate of a fully observed chain, any real order: Hadamard-power route."""
-    alpha = _real_order(alpha)
+    alpha = _chain_order(alpha)
     a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
     u = chain.initial**alpha
     ga = growth_rate(a, u, tol=tol)
@@ -136,7 +125,7 @@ def markov_rate(
 
 def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyReport:
     """Finite-length entropy of a fully observed chain, any real order."""
-    alpha = _real_order(alpha)
+    alpha = _chain_order(alpha)
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
     a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
@@ -152,7 +141,7 @@ def noiseless_rate(
     max_dim: int = DEFAULT_MAX_DIM,
     tol: float = 1e-12,
 ) -> EntropyReport:
-    """Rate of Z = T(X) via the sparse tuple-restricted tensor."""
-    cs = noiseless_collision_system(chain, observation_map, alpha, max_dim=max_dim)
-    ga = growth_rate(cs.matrix, cs.initial, tol=tol)
-    return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
+    """Rate of Z = T(X): the HMM rate of the deterministic observation of T."""
+    return entropy_rate(
+        deterministic_observation(chain, observation_map), alpha, max_dim, tol
+    )

@@ -16,9 +16,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidNoise,
+    InvalidOrder,
     NegativeEntry,
     NonFiniteEntry,
     NonStochasticRow,
+    UnknownSymbol,
     WrongAlphabet,
 )
 
@@ -75,12 +77,6 @@ class MarkovChain:
     def n_states(self) -> int:
         return len(self.states)
 
-    def state_index(self, label: str) -> int:
-        try:
-            return self.states.index(label)
-        except ValueError:
-            raise WrongAlphabet(f"unknown state label {label!r}") from None
-
 
 @dataclass(frozen=True)
 class HiddenMarkovModel:
@@ -102,8 +98,6 @@ class HiddenMarkovModel:
         try:
             return self.observations.index(label)
         except ValueError:
-            from .errors import UnknownSymbol
-
             raise UnknownSymbol(f"unknown observation symbol {label!r}") from None
 
 
@@ -157,6 +151,21 @@ def validate_hmm(
         observations=labels,
         emission=_validated_rows(e, "emission matrix"),
     )
+
+
+def _hmm_order(alpha) -> int:
+    """Entropy order of an HMM: an integer >= 2, the tensor power taken."""
+    if not (float(alpha).is_integer() and alpha >= 2):
+        raise InvalidOrder(f"order must be an integer >= 2, got {alpha}")
+    return int(alpha)
+
+
+def _chain_order(alpha) -> float:
+    """Entropy order of a fully observed chain: any real > 0 other than 1."""
+    alpha = float(alpha)
+    if not alpha > 0 or alpha == 1.0:
+        raise InvalidOrder(f"order must be positive and != 1, got {alpha}")
+    return alpha
 
 
 def joint_chain(hmm: HiddenMarkovModel) -> JointChain:

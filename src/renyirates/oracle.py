@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionOverflow, InvalidOrder
-from .model import HiddenMarkovModel
+from .errors import DimensionOverflow
+from .model import HiddenMarkovModel, _hmm_order
 
 MAX_SEQUENCES = 10**7
 
@@ -54,10 +54,9 @@ def all_sequence_probabilities(hmm: HiddenMarkovModel, n: int) -> np.ndarray:
 
 def brute_force_collision(hmm: HiddenMarkovModel, alpha: int, n: int) -> float:
     """CP_alpha(Z_1..Z_n) = sum over all strings of p(z)^alpha."""
-    if int(alpha) != alpha or alpha < 2:
-        raise InvalidOrder(f"collision order must be an integer >= 2, got {alpha}")
+    alpha = _hmm_order(alpha)
     probs = all_sequence_probabilities(hmm, n)
-    return math.fsum((probs ** int(alpha)).tolist())
+    return math.fsum((probs**alpha).tolist())
 
 
 def brute_force_entropy(hmm: HiddenMarkovModel, alpha: int, n: int) -> float:

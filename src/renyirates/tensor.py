@@ -13,15 +13,13 @@ initial weight and an all-zero column) are dropped at construction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
 
 import numpy as np
 
 from .errors import DimensionOverflow, InvalidOrder
-from .model import HiddenMarkovModel, MarkovChain, deterministic_observation
+from .model import HiddenMarkovModel, _hmm_order
 from .nonneg import NonnegMatrix
 
 DEFAULT_MAX_DIM = 10**6
@@ -53,15 +51,6 @@ class CollisionSystem:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(ix.label() for ix in self.indices)
-
-
-def _check_order(alpha) -> int:
-    if isinstance(alpha, float) and not alpha.is_integer():
-        raise InvalidOrder(f"order must be an integer >= 2, got {alpha}")
-    a = int(alpha)
-    if a < 2:
-        raise InvalidOrder(f"order must be an integer >= 2, got {alpha}")
-    return a
 
 
 def kronecker_power(a: NonnegMatrix, alpha: int, max_dim: int = DEFAULT_MAX_DIM) -> NonnegMatrix:
@@ -97,11 +86,11 @@ def collision_system(
     Entries: A[(xs,z),(xs',z')] = prod_j P[xs_j, xs'_j] * E[xs'_j, z'].
     Initial: nu[(xs,z)] = prod_j pi[xs_j] * E[xs_j, z].
     """
-    alpha = _check_order(alpha)
+    alpha = _hmm_order(alpha)
     p = hmm.chain.transition
     e = hmm.emission
     nx, nz = e.shape
-    if nx**alpha > max_dim or nx**alpha * nz > max_dim:
+    if nx**alpha * nz > max_dim:
         raise DimensionOverflow(
             f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"
         )
@@ -133,51 +122,6 @@ def collision_system(
     base = kron_p.submatrix(rows_sel)
     matrix = base.scale_columns(weights)
     nu = pi_kron[rows_sel] * weights
-    nu.setflags(write=False)
-    return CollisionSystem(
-        order=alpha, indices=tuple(indices), matrix=matrix, initial=nu
-    )
-
-
-def noiseless_collision_system(
-    chain: MarkovChain,
-    observation_map: Mapping[str, str],
-    alpha: int,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> CollisionSystem:
-    """Restricted tensor for a noiseless measurement Z = T(X).
-
-    Works over tuples of hidden states that collide under T, enumerated
-    per symbol; entries are pure transition products, and the index
-    (xs, T(xs_1)) identifies with the HMM collision index of the
-    corresponding deterministic-observation model.
-    """
-    alpha = _check_order(alpha)
-    hmm = deterministic_observation(chain, observation_map)
-    nx = chain.n_states
-    if nx**alpha > max_dim:
-        raise DimensionOverflow(
-            f"noiseless system dimension {nx}^{alpha} exceeds cap {max_dim}"
-        )
-    kron_p = kronecker_power(NonnegMatrix.from_dense(chain.transition), alpha, max_dim=max_dim)
-    pi_kron = _kron_vector(chain.initial, alpha)
-
-    radix = nx ** np.arange(alpha - 1, -1, -1)
-    rows: list[int] = []
-    indices: list[CollisionIndex] = []
-    for z in hmm.observations:
-        members = [i for i, s in enumerate(chain.states) if observation_map[s] == z]
-        for combo in itertools.product(members, repeat=alpha):
-            rows.append(int(np.dot(combo, radix)))
-            indices.append(
-                CollisionIndex(
-                    hidden_tuple=tuple(chain.states[i] for i in combo),
-                    symbol=z,
-                )
-            )
-    rows_arr = np.asarray(rows, dtype=int)
-    matrix = kron_p.submatrix(rows_arr)
-    nu = pi_kron[rows_arr].copy()
     nu.setflags(write=False)
     return CollisionSystem(
         order=alpha, indices=tuple(indices), matrix=matrix, initial=nu

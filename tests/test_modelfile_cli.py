@@ -178,6 +178,17 @@ class TestCmdComponents:
         assert doc["dimension"] == 8
         assert len(doc["characteristic_polynomial"]) == 9
 
+    @pytest.mark.parametrize("order", ["1", "0", "-1"])
+    def test_markov_order_checked_like_rate(self, capsys, order):
+        model = FIXTURES / "markov142.model"
+        code, doc, err = run_cli(capsys, "components", model, "--order", order)
+        assert code == 1
+        assert doc is None
+        rate_code, _, rate_err = run_cli(capsys, "rate", model, "--order", order)
+        assert rate_code == 1
+        assert err == rate_err
+        assert "order must be positive and != 1" in err
+
 
 class TestCmdOracle:
     def test_fig2_matches_entropy_command(self, capsys):
@@ -206,6 +217,14 @@ class TestCmdOracle:
         )
         assert code == 0
         assert doc["collision_probability"] == pytest.approx(1.0 / 8.0, rel=1e-12)
+
+    def test_non_integer_order_rejected(self, capsys):
+        code, doc, err = run_cli(
+            capsys, "oracle", FIXTURES / "fig2.model", "--order", "2.5", "--length", "3"
+        )
+        assert code == 1
+        assert doc is None
+        assert "integer" in err
 
     def test_refuses_huge_enumeration(self, capsys):
         code, _, err = run_cli(

@@ -10,7 +10,7 @@ from renyirates import (
     validate_chain,
     validate_hmm,
 )
-from renyirates.errors import DimensionOverflow, UnknownSymbol
+from renyirates.errors import DimensionOverflow, InvalidOrder, UnknownSymbol
 from renyirates.oracle import (
     all_sequence_probabilities,
     brute_force_collision,
@@ -102,3 +102,8 @@ class TestBruteForceCollision:
     def test_enumeration_guard(self, example_hmm):
         with pytest.raises(DimensionOverflow):
             brute_force_collision(example_hmm, 2, 30)
+
+    @pytest.mark.parametrize("alpha", [1, 2.5])
+    def test_invalid_order(self, example_hmm, alpha):
+        with pytest.raises(InvalidOrder):
+            brute_force_collision(example_hmm, alpha, 3)

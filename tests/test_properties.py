@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from renyirates import (
     NonnegMatrix,
     collision_system,
+    deterministic_observation,
     growth_rate,
     hadamard_power,
     joint_chain,
@@ -18,6 +19,7 @@ from renyirates import (
     strongly_connected_components,
 )
 from renyirates.random_models import (
+    random_chain,
     random_hmm,
     random_nonneg_matrix,
     random_nonneg_vector,
@@ -56,23 +58,29 @@ def test_collision_system_equals_restricted_full_tensor(seed, alpha):
     rng = np.random.default_rng(seed)
     nx = int(rng.integers(1, 3))
     nz = int(rng.integers(1, 5 - nx))
-    hmm = random_hmm(rng, nx, nz)
-    cs = collision_system(hmm, alpha)
-    jc = joint_chain(hmm)
-    full = NonnegMatrix.from_dense(jc.matrix)
-    power = kronecker_power(full, alpha).to_dense()
-    pairs = jc.pairs
-    flat = [
-        tup
-        for tup in np.ndindex(*(len(pairs),) * alpha)
-        if len({pairs[i][1] for i in tup}) == 1
-    ]
-    flat.sort(key=lambda tup: (pairs[tup[0]][1],) + tuple(pairs[i][0] for i in tup))
-    radix = len(pairs) ** np.arange(alpha - 1, -1, -1)
-    sel = [int(np.dot(tup, radix)) for tup in flat]
-    assert np.allclose(cs.matrix.to_dense(), power[np.ix_(sel, sel)], atol=1e-14)
-    nu = np.array([math.prod(jc.initial[i] for i in tup) for tup in flat])
-    assert np.allclose(cs.initial, nu, atol=1e-15)
+    noisy = random_hmm(rng, nx, nz)
+    # a noiseless measurement Z = T(X) under a random map T
+    chain = random_chain(rng, int(rng.integers(1, 4)))
+    T = {s: "ab"[int(rng.integers(0, 2))] for s in chain.states}
+    for hmm in (noisy, deterministic_observation(chain, T)):
+        cs = collision_system(hmm, alpha)
+        jc = joint_chain(hmm)
+        full = NonnegMatrix.from_dense(jc.matrix)
+        power = kronecker_power(full, alpha).to_dense()
+        pairs = jc.pairs
+        # pairs (x, z) with E[x, z] = 0 never carry mass and are not indexed
+        emits = hmm.emission.reshape(-1) > 0
+        flat = [
+            tup
+            for tup in np.ndindex(*(len(pairs),) * alpha)
+            if len({pairs[i][1] for i in tup}) == 1 and all(emits[i] for i in tup)
+        ]
+        flat.sort(key=lambda tup: (pairs[tup[0]][1],) + tuple(pairs[i][0] for i in tup))
+        radix = len(pairs) ** np.arange(alpha - 1, -1, -1)
+        sel = [int(np.dot(tup, radix)) for tup in flat]
+        assert np.allclose(cs.matrix.to_dense(), power[np.ix_(sel, sel)], atol=1e-14)
+        nu = np.array([math.prod(jc.initial[i] for i in tup) for tup in flat])
+        assert np.allclose(cs.initial, nu, atol=1e-15)
 
 
 @given(seeds)

@@ -11,14 +11,13 @@ from renyirates import (
     hadamard_power,
     joint_chain,
     kronecker_power,
-    noiseless_collision_system,
     validate_chain,
     validate_hmm,
 )
 from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.random_models import random_hmm
 
-from conftest import OBS_MAP, P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
+from conftest import P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
 
 
 class TestKroneckerPower:
@@ -160,16 +159,9 @@ class TestCollisionSystem:
 
 
 class TestNoiselessCollisionSystem:
-    def test_matches_hmm_route_on_example(self, example_chain, example_hmm):
-        direct = noiseless_collision_system(example_chain, OBS_MAP, 2)
-        via_hmm = collision_system(example_hmm, 2)
-        assert direct.labels() == via_hmm.labels()
-        assert np.allclose(direct.matrix.to_dense(), via_hmm.matrix.to_dense(), atol=0)
-        assert np.allclose(direct.initial, via_hmm.initial, atol=0)
-
     def test_injective_map_gives_hadamard_power(self, example_chain):
         T = {"1": "a", "2": "b", "3": "c"}
-        cs = noiseless_collision_system(example_chain, T, 2)
+        cs = collision_system(deterministic_observation(example_chain, T), 2)
         # colliding tuples are exactly the diagonal (x, x)
         assert cs.dimension == 3
         expected = P_EXAMPLE**2
@@ -178,7 +170,7 @@ class TestNoiselessCollisionSystem:
 
     def test_constant_map_gives_full_tensor(self, example_chain):
         T = {s: "o" for s in example_chain.states}
-        cs = noiseless_collision_system(example_chain, T, 2)
+        cs = collision_system(deterministic_observation(example_chain, T), 2)
         assert cs.dimension == 9
         assert np.allclose(
             cs.matrix.to_dense(), np.kron(P_EXAMPLE, P_EXAMPLE), atol=0
