@@ -20,15 +20,13 @@ from .errors import DimensionOverflow, RenyiError
 from .model import (
     HiddenMarkovModel,
     MarkovChain,
-    _chain_order,
     _hmm_order,
     bsc_hmm,
     identity_observation,
 )
 from .modelfile import load_model
-from .nonneg import NonnegMatrix
 from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial, growth_rate
-from .tensor import DEFAULT_MAX_DIM, collision_system, hadamard_power
+from .tensor import DEFAULT_MAX_DIM, collision_system
 
 REPORT_VERSION = 1
 
@@ -128,9 +126,8 @@ def _analysis_matrix(model, args):
     if isinstance(model, HiddenMarkovModel):
         cs = collision_system(model, args.order, max_dim=args.max_dim)
         return cs.matrix, cs.labels(), cs.initial
-    order = _chain_order(args.order)
-    a = hadamard_power(NonnegMatrix.from_dense(model.transition), order)
-    return a, model.states, model.initial**order
+    _, a, u = rates._hadamard_system(model, args.order)
+    return a, model.states, u
 
 
 def cmd_components(args) -> None:
@@ -173,7 +170,7 @@ def cmd_oracle(args) -> None:
         model = identity_observation(model)
     order = _hmm_order(args.order)
     cp = bf.brute_force_collision(model, order, args.length)
-    value = bf.brute_force_entropy(model, order, args.length)
+    value = bf.renyi_bits(cp, order)
     doc = _report_head("oracle", model) | {
         "order": order,
         "length": args.length,

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .model import (
     HiddenMarkovModel,
     MarkovChain,
@@ -112,24 +114,29 @@ def entropy_rate(
     return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
 
 
+def _hadamard_system(
+    chain: MarkovChain, alpha: float
+) -> tuple[float, NonnegMatrix, np.ndarray]:
+    """Checked order, P^(o alpha) and pi0^alpha: the collision system of a fully observed chain."""
+    alpha = _chain_order(alpha)
+    a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
+    return alpha, a, chain.initial**alpha
+
+
 def markov_rate(
     chain: MarkovChain, alpha: float, tol: float = 1e-12
 ) -> EntropyReport:
     """Rate of a fully observed chain, any real order: Hadamard-power route."""
-    alpha = _chain_order(alpha)
-    a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
-    u = chain.initial**alpha
+    alpha, a, u = _hadamard_system(chain, alpha)
     ga = growth_rate(a, u, tol=tol)
     return _rate_report(alpha, ga, chain.states, a.dim)
 
 
 def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyReport:
     """Finite-length entropy of a fully observed chain, any real order."""
-    alpha = _chain_order(alpha)
+    alpha, a, u = _hadamard_system(chain, alpha)
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
-    u = chain.initial**alpha
     log_cp = log_weighted_power_sum(a, u, n - 1)
     return _finite_report(alpha, n, log_cp, a.dim)
 

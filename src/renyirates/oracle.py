@@ -61,7 +61,11 @@ def brute_force_collision(hmm: HiddenMarkovModel, alpha: int, n: int) -> float:
 
 def brute_force_entropy(hmm: HiddenMarkovModel, alpha: int, n: int) -> float:
     """Renyi entropy in bits from the brute-force collision probability."""
-    cp = brute_force_collision(hmm, alpha, n)
+    return renyi_bits(brute_force_collision(hmm, alpha, n), alpha)
+
+
+def renyi_bits(cp: float, alpha: int) -> float:
+    """Renyi entropy in bits of a collision probability: log2(cp) / (1 - alpha)."""
     if cp == 0.0:
         return math.inf
     return (1.0 / (1.0 - alpha)) * math.log2(cp)

@@ -27,3 +27,24 @@ def test_import_does_not_load_heavy_scipy_modules():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert json.loads(out.stdout) == []
+
+
+def test_noda_hand_over_does_not_load_heavy_scipy_modules():
+    # a lazy import on the inverse-iteration path would slip past the import-time check
+    src = str(Path(renyirates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import json, sys; import renyirates, renyirates.cli; from renyirates import spectral; "
+        "solves = []; inner = spectral._noda; "
+        "spectral._noda = lambda *args: solves.append(1) or inner(*args); "
+        "chain = renyirates.validate_chain([[1 - 1e-6, 1e-6], [2e-6, 1 - 2e-6]], [0.5, 0.5]); "
+        "rate = renyirates.entropy_rate(renyirates.bsc_hmm(chain, 0.1), 2).value_bits; "
+        f"print(json.dumps([len(solves), rate, [m for m in {HEAVY!r} if m in sys.modules]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    hand_overs, rate, heavy = json.loads(out.stdout)
+    assert hand_overs >= 1
+    assert 0.0 < rate < 1.0
+    assert heavy == []

@@ -1,24 +1,30 @@
 import math
+import re
 
 import numpy as np
 import pytest
+import sympy
 from scipy import sparse
+from sympy.polys.matrices import DomainMatrix
 
 from renyirates import (
     NonnegMatrix,
     bsc_hmm,
     characteristic_polynomial,
     collision_system,
+    component_submatrix,
     empirical_growth_probe,
     growth_rate,
+    spectral,
     spectral_radius_irreducible,
     strongly_connected_components,
     validate_chain,
 )
 from renyirates.errors import DimensionOverflow, NoConvergence
+from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
-from conftest import RESTRICTED_EXAMPLE
+from conftest import FIXTURES, RESTRICTED_EXAMPLE
 
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 NU_EXAMPLE = np.full(5, 1.0 / 9.0)
@@ -102,6 +108,128 @@ class TestSparseSpectralRadius:
         assert rho == pytest.approx(np.exp(np.log(weights).mean()), abs=1e-9)
 
 
+def exact_perron_root(block) -> float:
+    """Largest real eigenvalue of a float matrix, from exact rational arithmetic.
+
+    Independent of the package: each float entry is read as the exact
+    rational it stores, sympy forms the characteristic polynomial over QQ,
+    isolates its real roots and refines the largest to 1e-20.  The Perron
+    root of an irreducible non-negative block is its largest real eigenvalue.
+    """
+    block = np.asarray(block, dtype=float)
+    entries = [[sympy.QQ(*x.as_integer_ratio()) for x in row] for row in block.tolist()]
+    charpoly = DomainMatrix(entries, block.shape, sympy.QQ).charpoly()
+    poly = sympy.Poly(charpoly, sympy.Symbol("x"), domain=sympy.QQ).sqf_part()
+    (lo, hi), _ = max(poly.intervals(), key=lambda interval: interval[0][1])
+    lo, hi = poly.refine_root(lo, hi, eps=sympy.Rational(1, 10**20))
+    return float((lo + hi) / 2)
+
+
+def _sticky(s):
+    """Two-regime chain that leaves regime 0 with probability s and regime 1 with 2s."""
+    return np.array([[1.0 - s, s], [2.0 * s, 1.0 - 2.0 * s]])
+
+
+STICKY_SWITCHES = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+# eigenvalues 2e-6 apart: power iteration on A + I would need millions of steps
+NEAR_REDUCIBLE = np.array([[0.9, 1e-6], [1e-6, 0.9 - 1e-9]])
+
+
+def _assert_radii_exact(a: NonnegMatrix, u):
+    ga = growth_rate(a, u)
+    dense = a.to_dense()
+    for comp, radius in zip(ga.decomposition.components, ga.component_radii):
+        assert abs(radius - exact_perron_root(dense[np.ix_(comp, comp)])) <= 1e-12
+
+
+class TestNodaHandOver:
+    """Dense blocks whose power iteration stalls finish with Noda's inverse iteration."""
+
+    @pytest.fixture
+    def noda_brackets(self, monkeypatch):
+        """Record the closed bracket of every hand-over."""
+        brackets = []
+        inner = spectral._noda
+
+        def spy(*args):
+            brackets.append(inner(*args))
+            return brackets[-1]
+
+        monkeypatch.setattr(spectral, "_noda", spy)
+        return brackets
+
+    def test_exact_oracle_on_known_roots(self):
+        assert exact_perron_root([[0.16, 0.36], [0.36, 0.16]]) == pytest.approx(0.52, abs=1e-15)
+        assert exact_perron_root(RESTRICTED_EXAMPLE) == pytest.approx(0.81, abs=1e-15)
+
+    def test_near_reducible_block_closes_through_hand_over(self, noda_brackets):
+        with pytest.raises(NoConvergence, match="power iteration"):
+            spectral_radius_irreducible(NEAR_REDUCIBLE, max_iter=1000)
+        rho = spectral_radius_irreducible(NEAR_REDUCIBLE)
+        assert len(noda_brackets) == 1
+        assert abs(rho - exact_perron_root(NEAR_REDUCIBLE)) <= 1e-12
+
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_hadamard_square_of_sticky_chain(self, s, noda_brackets):
+        a = _sticky(s) ** 2
+        rho = spectral_radius_irreducible(a)
+        assert len(noda_brackets) == 1
+        assert abs(rho - exact_perron_root(a)) <= 1e-12
+
+    def test_shift_on_the_root_returns_closed_midpoint(self, noda_brackets):
+        # s = 1e-6: after the first solve the upper bound equals rho(P o P + I)
+        # in floating point; Noda's update formula would leave a bracket of 4e-7
+        a = _sticky(1e-6) ** 2
+        rho = spectral_radius_irreducible(a)
+        ((lo, hi),) = noda_brackets
+        assert 0.0 <= hi - lo <= 1e-12
+        assert rho == (lo + hi) / 2.0 - 1.0
+        assert abs(rho - exact_perron_root(a)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_bsc_sticky_chain_radii(self, s, alpha):
+        chain = validate_chain(_sticky(s), [0.5, 0.5])
+        cs = collision_system(bsc_hmm(chain, 0.1), alpha)
+        _assert_radii_exact(cs.matrix, cs.initial)
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_bsc_sweep_radii(self, eps, alpha):
+        cs = collision_system(bsc_hmm(load_model(FIXTURES / "bsc.model"), eps), alpha)
+        _assert_radii_exact(cs.matrix, cs.initial)
+
+    def test_zero_budget_raises(self):
+        with pytest.raises(NoConvergence, match=r"power iteration .* after 0 steps"):
+            spectral_radius_irreducible(NEAR_REDUCIBLE, max_iter=0)
+
+    def test_exhausted_noda_budget_names_phase_and_bracket(self):
+        # this block needs two solves after its 1000 power steps
+        a = _sticky(1e-6) ** 2
+        with pytest.raises(NoConvergence, match="Noda") as info:
+            spectral_radius_irreducible(a, max_iter=1001)
+        lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups())
+        assert hi - lo > 1e-12
+        # computed Collatz-Wielandt bounds hold up to the rounding of the ratios
+        assert lo - 1e-15 <= exact_perron_root(a) <= hi + 1e-15
+
+    def test_sparse_near_degenerate_block_is_a_known_limit(self, monkeypatch):
+        # Not a pass: a block held in CSR stays with power iteration (no
+        # densifying; sparse LU fill-in made inverse iteration slower than
+        # power iteration on the largest benchmark block), so this 20-node
+        # ring with 1e-6 links still raises after the full budget.
+        monkeypatch.setattr(NonnegMatrix, "to_dense", lambda self: pytest.fail("densified"))
+        m = 20
+        i = np.arange(m)
+        values = np.r_[0.9 - 1e-9 * i, np.full(2 * m, 1e-6)]
+        ring = NonnegMatrix.from_sparse(
+            sparse.coo_array((values, (np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i])), shape=(m, m))
+        )
+        assert ring.nnz <= m * m // 4
+        with pytest.raises(NoConvergence, match=r"power iteration .* after 100000 steps"):
+            spectral_radius_irreducible(ring)
+
+
 class TestGrowthRate:
     def test_example_dominant_component(self):
         ga = growth_rate(A_EXAMPLE, NU_EXAMPLE)
@@ -136,6 +264,29 @@ class TestGrowthRate:
         ga2 = growth_rate(a, 7.5 * u)
         assert ga1.rho_plus == ga2.rho_plus
         assert ga1.reachable == ga2.reachable
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_block_slices_match_submatrix_radii(self, seed):
+        # growth_rate slices blocks out of one permuted copy of A; each radius
+        # must be the very float the block's own principal submatrix gives
+        rng = np.random.default_rng(seed)
+        sizes = [1, 3, 1, 12, 40, 2, 1, 25]
+        m = sum(sizes)
+        a = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.02), k=1)
+        start = 0
+        for k in sizes:
+            idx = np.arange(start, start + k)
+            # dense and sparse blocks: a k-cycle plus entries of density 0.9 or 0.1
+            block = rng.random((k, k)) * (rng.random((k, k)) < (0.9 if k < 20 else 0.1))
+            block[idx - start, (idx - start + 1) % k] += 0.5
+            a[start : start + k, start : start + k] = block
+            start += k
+        perm = rng.permutation(m)
+        a = NonnegMatrix.from_dense(a[np.ix_(perm, perm)])
+        ga = growth_rate(a, np.ones(m))
+        assert sorted(map(len, ga.decomposition.components)) == sorted(sizes)
+        for comp, radius in zip(ga.decomposition.components, ga.component_radii):
+            assert radius == spectral_radius_irreducible(component_submatrix(a, comp))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
