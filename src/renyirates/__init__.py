@@ -2,8 +2,6 @@
 
 from .components import (
     ComponentDecomposition,
-    associated_graph,
-    component_submatrix,
     reachable_components,
     strongly_connected_components,
 )
@@ -17,12 +15,10 @@ from .entropy import (
 )
 from .model import (
     HiddenMarkovModel,
-    JointChain,
     MarkovChain,
     bsc_hmm,
     deterministic_observation,
     identity_observation,
-    joint_chain,
     validate_chain,
     validate_hmm,
 )
@@ -32,7 +28,6 @@ from .oracle import brute_force_collision, brute_force_entropy, sequence_probabi
 from .spectral import (
     GrowthAnalysis,
     characteristic_polynomial,
-    empirical_growth_probe,
     growth_rate,
     log_weighted_power_sum,
     spectral_radius_irreducible,

@@ -38,13 +38,6 @@ class ComponentDecomposition:
         return len(self.components)
 
 
-def associated_graph(a: NonnegMatrix) -> list[list[int]]:
-    """Successor lists of the associated graph, in CSR column order."""
-    indptr = a.csr.indptr.tolist()
-    indices = a.csr.indices.tolist()
-    return [indices[indptr[i] : indptr[i + 1]] for i in range(a.dim)]
-
-
 def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
     """Canonical decomposition of the associated graph, topologically ordered.
 
@@ -135,8 +128,3 @@ def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> froze
                 seen.add(d)
                 frontier.append(d)
     return frozenset(seen)
-
-
-def component_submatrix(a: NonnegMatrix, nodes) -> NonnegMatrix:
-    """Principal submatrix on the given node set, in sorted index order."""
-    return a.submatrix(sorted(nodes))

@@ -1,13 +1,14 @@
-"""Markov chains, hidden Markov models, and the joint (state, symbol) chain.
+"""Markov chains, hidden Markov models, and their entropy orders.
 
-The joint chain is the entry point of the tensoring pipeline: for an HMM
-with transition P and emission E, the pair process (X_i, Z_i) is itself
-Markov with transition p(x',z' | x,z) = P[x,x'] * E[x',z'], independent
-of z.  Pair indices are ordered lexicographically, hidden state outer.
+A chain is a validated row-stochastic transition matrix P with an initial
+law; an HMM adds a memoryless emission kernel E.  `tensor` builds the
+collision system straight from (P, E); a fully observed chain takes the
+Hadamard power of P instead.  An HMM's order is an integer >= 2, a fully
+observed chain's any finite real > 0 other than 1.
 """
-
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -101,15 +102,6 @@ class HiddenMarkovModel:
             raise UnknownSymbol(f"unknown observation symbol {label!r}") from None
 
 
-@dataclass(frozen=True)
-class JointChain:
-    """The Markov pair process (X_i, Z_i) of an HMM."""
-
-    pairs: tuple[tuple[str, str], ...]
-    matrix: np.ndarray
-    initial: np.ndarray
-
-
 def validate_chain(
     transition,
     initial,
@@ -161,34 +153,15 @@ def _hmm_order(alpha) -> int:
 
 
 def _chain_order(alpha) -> float:
-    """Entropy order of a fully observed chain: any real > 0 other than 1."""
-    alpha = float(alpha)
-    if not alpha > 0 or alpha == 1.0:
-        raise InvalidOrder(f"order must be positive and != 1, got {alpha}")
-    return alpha
+    """Entropy order of a fully observed chain: any finite real > 0 other than 1.
 
-
-def joint_chain(hmm: HiddenMarkovModel) -> JointChain:
-    """Transition matrix and initial law of the pair process (X, Z).
-
-    M[(x,z),(x',z')] = P[x,x'] * E[x',z'] does not depend on z, so all
-    rows sharing the hidden component are identical.
+    An infinite order is refused: the Hadamard power P**inf zeroes every
+    transition probability below 1.
     """
-    p = hmm.chain.transition
-    e = hmm.emission
-    nx, nz = e.shape
-    m4 = np.broadcast_to(
-        p[:, np.newaxis, :, np.newaxis] * e[np.newaxis, np.newaxis, :, :],
-        (nx, nz, nx, nz),
-    )
-    matrix = m4.reshape(nx * nz, nx * nz).copy()
-    matrix.setflags(write=False)
-    mu = (hmm.chain.initial[:, np.newaxis] * e).reshape(-1)
-    mu.setflags(write=False)
-    pairs = tuple(
-        (x, z) for x in hmm.chain.states for z in hmm.observations
-    )
-    return JointChain(pairs=pairs, matrix=matrix, initial=mu)
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.inf or alpha == 1.0:
+        raise InvalidOrder(f"order must be positive and != 1 and finite, got {alpha}")
+    return alpha
 
 
 def identity_observation(chain: MarkovChain) -> HiddenMarkovModel:

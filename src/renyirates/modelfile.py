@@ -70,8 +70,8 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
     try:
         if has_map:
             omap = doc["observation_map"]
-            if not isinstance(omap, dict):
-                raise ModelFormatError("observation_map must be an object")
+            if not isinstance(omap, dict) or not all(isinstance(v, str) for v in omap.values()):
+                raise ModelFormatError("observation_map must be an object with string values")
             return deterministic_observation(chain, omap)
         if "observations" not in doc or "emission" not in doc:
             raise ModelFormatError("observations and emission must be given together")

@@ -9,7 +9,7 @@ dropped, so the sparsity pattern *is* the associated graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -54,20 +54,8 @@ class NonnegMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.csr[i, j])
-
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.csr.sum(axis=1)).ravel()
-
-    def entries(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate stored (row, col, value) triples, row-major."""
-        coo = self.csr.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            yield int(i), int(j), float(v)
 
     def submatrix(self, nodes: Sequence[int]) -> "NonnegMatrix":
         """Principal submatrix on the given indices, in the given order."""

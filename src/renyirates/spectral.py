@@ -61,9 +61,11 @@ class GrowthAnalysis:
     rho_plus: float
     dominant_component: int | None
 
-    @property
-    def empty(self) -> bool:
-        return self.dominant_component is None
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance no bracket can meet honestly: NaN, negative or infinite."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"radius tolerance must be finite and >= 0, got {tol}")
 
 
 def spectral_radius_irreducible(
@@ -82,6 +84,7 @@ def spectral_radius_irreducible(
     stays with power iteration.  Returns the midpoint of a closed bracket
     or raises NoConvergence.
     """
+    _check_tol(tol)
     if isinstance(a, NonnegMatrix) and a.dim > 1 and a.nnz <= a.dim * a.dim // 4:
         m = a.dim
         shifted = a.csr + sparse.eye_array(m, format="csr")
@@ -165,6 +168,7 @@ def growth_rate(
     max_iter: int = MAX_ITERATIONS,
 ) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components."""
+    _check_tol(tol)
     u = np.asarray(u, dtype=float)
     if u.shape[0] != a.dim:
         raise DimensionMismatch("weight vector length does not match matrix dimension")
@@ -206,27 +210,6 @@ def growth_rate(
         rho_plus=rho_plus,
         dominant_component=dominant,
     )
-
-
-def empirical_growth_probe(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) -> float:
-    """(u^T A^n 1)^(1/n), by n renormalized vector-matrix products."""
-    if n < 1:
-        raise ValueError(f"probe length must be >= 1, got {n}")
-    dense = a.to_dense() if isinstance(a, NonnegMatrix) else np.asarray(a, dtype=float)
-    w = np.asarray(u, dtype=float).copy()
-    total = w.sum()
-    if total == 0:
-        return 0.0
-    w /= total
-    log_acc = math.log(total)
-    for _ in range(n):
-        w = w @ dense
-        s = w.sum()
-        if s == 0:
-            return 0.0
-        w /= s
-        log_acc += math.log(s)
-    return math.exp(log_acc / n)
 
 
 def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:

@@ -5,9 +5,7 @@ from scipy.sparse import csgraph
 
 from renyirates import (
     NonnegMatrix,
-    associated_graph,
     collision_system,
-    component_submatrix,
     reachable_components,
     strongly_connected_components,
 )
@@ -20,21 +18,28 @@ from conftest import FIXTURES, RESTRICTED_EXAMPLE
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 
 
+def successors(a: NonnegMatrix) -> list[list[int]]:
+    """Associated graph read off the stored CSR pattern, in column order."""
+    indptr, indices = a.csr.indptr, a.csr.indices
+    return [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(a.dim)]
+
+
 class TestAssociatedGraph:
+    # the stored CSR pattern of a NonnegMatrix is its associated graph
     def test_example_edges(self):
-        adj = associated_graph(A_EXAMPLE)
+        adj = successors(A_EXAMPLE)
         assert adj[0] == [0, 4]  # (1,1) has a self-loop and feeds (2,2)
         assert adj[4] == [3, 4]
 
     def test_zero_matrix_is_edgeless(self):
-        adj = associated_graph(NonnegMatrix.from_dense(np.zeros((3, 3))))
+        adj = successors(NonnegMatrix.from_dense(np.zeros((3, 3))))
         assert adj == [[], [], []]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_edges_equal_stored_positions(self, seed):
         rng = np.random.default_rng(seed)
         a = random_nonneg_matrix(rng, 6, zero_prob=0.6)
-        adj = associated_graph(NonnegMatrix.from_dense(a))
+        adj = successors(NonnegMatrix.from_dense(a))
         edges = {(i, j) for i in range(6) for j in adj[i]}
         assert edges == {(i, j) for i in range(6) for j in range(6) if a[i, j] > 0}
 
@@ -204,16 +209,17 @@ class TestReachability:
 
 
 class TestComponentSubmatrix:
+    # a component's block is the principal submatrix on its sorted members
     def test_example_mixing_pair(self):
-        sub = component_submatrix(A_EXAMPLE, {3, 4})
+        sub = A_EXAMPLE.submatrix([3, 4])
         assert np.allclose(sub.to_dense(), [[0.16, 0.36], [0.36, 0.16]], atol=0)
 
     def test_all_nodes_is_identity_operation(self):
-        sub = component_submatrix(A_EXAMPLE, range(5))
+        sub = A_EXAMPLE.submatrix(range(5))
         assert np.array_equal(sub.to_dense(), A_EXAMPLE.to_dense())
 
     def test_singleton(self):
         rng = np.random.default_rng(9)
         a = NonnegMatrix.from_dense(rng.random((4, 4)))
-        sub = component_submatrix(a, {2})
-        assert np.allclose(sub.to_dense(), [[a.entry(2, 2)]], atol=1e-15)
+        sub = a.submatrix([2])
+        assert np.allclose(sub.to_dense(), [[a.to_dense()[2, 2]]], atol=1e-15)

@@ -128,6 +128,13 @@ class TestMarkovRate:
         with pytest.raises(InvalidOrder):
             markov_rate(example_chain, -2)
 
+    def test_infinite_order_rejected(self, example_chain):
+        # P**inf would zero every transition probability below 1
+        with pytest.raises(InvalidOrder, match="finite"):
+            markov_rate(example_chain, math.inf)
+        with pytest.raises(InvalidOrder, match="finite"):
+            markov_finite_length(example_chain, math.inf, 3)
+
 
 class TestMarkovFiniteLength:
     @pytest.mark.parametrize("seed", range(4))

@@ -5,7 +5,6 @@ from renyirates import (
     bsc_hmm,
     deterministic_observation,
     identity_observation,
-    joint_chain,
     validate_chain,
     validate_hmm,
 )
@@ -20,6 +19,7 @@ from renyirates.errors import (
 from renyirates.random_models import random_hmm
 
 from conftest import OBS_MAP, P_EXAMPLE, PI_UNIFORM3
+from independent import joint_chain
 
 
 class TestValidateChain:

@@ -81,6 +81,15 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             parse_model(doc)  # both map and channel given
 
+    @pytest.mark.parametrize(
+        "omap", [{"1": 0, "2": 1, "3": 0}, {"1": "a", "2": 1, "3": "a"}]
+    )
+    def test_non_string_observation_map_rejected(self, omap):
+        doc = json.loads((FIXTURES / "fig2.model").read_text())
+        doc["observation_map"] = omap
+        with pytest.raises(ModelFormatError, match="observation_map"):
+            parse_model(doc)
+
 
 class TestCmdEntropy:
     def test_fig2_matches_oracle(self, capsys):
@@ -178,7 +187,7 @@ class TestCmdComponents:
         assert doc["dimension"] == 8
         assert len(doc["characteristic_polynomial"]) == 9
 
-    @pytest.mark.parametrize("order", ["1", "0", "-1"])
+    @pytest.mark.parametrize("order", ["1", "0", "-1", "inf"])
     def test_markov_order_checked_like_rate(self, capsys, order):
         model = FIXTURES / "markov142.model"
         code, doc, err = run_cli(capsys, "components", model, "--order", order)
@@ -260,6 +269,41 @@ class TestCliContract:
         assert doc is None
         assert "non-finite number NaN" in err
         assert "did not reach tolerance" not in err
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy", "oracle"])
+    @pytest.mark.parametrize(
+        "omap", ['{"1": 0, "2": 1, "3": 0}', '{"1": "a", "2": 1, "3": "a"}']
+    )
+    def test_non_string_observation_map_exits_1(self, capsys, tmp_path, command, omap):
+        text = (FIXTURES / "fig2.model").read_text()
+        path = tmp_path / "map.model"
+        path.write_text(text.replace('{"1": "a", "2": "b", "3": "a"}', omap))
+        assert path.read_text() != text
+        extra = ["--length", "3"] if command in ("entropy", "oracle") else []
+        code, doc, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert doc is None
+        assert "observation_map must be an object with string values" in err
+
+    @pytest.mark.parametrize(
+        "model,command",
+        [("fig2.model", "rate"), ("fig2.model", "components"), ("bsc.model", "rate")],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_exits_1(self, capsys, model, command, tol):
+        code, doc, err = run_cli(
+            capsys, command, FIXTURES / model, "--order", "2", "--tolerance", tol
+        )
+        assert code == 1
+        assert doc is None
+        assert "radius tolerance must be finite and >= 0" in err
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "rate", FIXTURES / "fig2.model", "--order", "2", "--tolerance", "0"
+        )
+        assert code == 0
+        assert doc["rho_plus"] == pytest.approx(0.81, abs=1e-9)
 
     def test_missing_file_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "rate", "no-such-file.model", "--order", "2")

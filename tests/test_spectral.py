@@ -12,8 +12,6 @@ from renyirates import (
     bsc_hmm,
     characteristic_polynomial,
     collision_system,
-    component_submatrix,
-    empirical_growth_probe,
     growth_rate,
     spectral,
     spectral_radius_irreducible,
@@ -25,6 +23,7 @@ from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
+from independent import empirical_growth_probe
 
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 NU_EXAMPLE = np.full(5, 1.0 / 9.0)
@@ -230,6 +229,28 @@ class TestNodaHandOver:
             spectral_radius_irreducible(ring)
 
 
+class TestToleranceCheck:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_radius_rejects_bad_tolerance(self, tol):
+        block = NonnegMatrix.from_dense([[0.16, 0.36], [0.36, 0.16]])
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            spectral_radius_irreducible(block, tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_growth_rate_rejects_bad_tolerance_on_singletons(self, tol):
+        # only singleton components: no radius iteration runs at all
+        a = NonnegMatrix.from_dense([[0.5, 0.2], [0.0, 0.3]])
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            growth_rate(a, np.ones(2), tol=tol)
+
+    def test_zero_tolerance_is_valid(self):
+        ga = growth_rate(A_EXAMPLE, NU_EXAMPLE, tol=0.0)
+        assert ga.rho_plus == pytest.approx(0.81, abs=1e-12)
+        assert sorted(ga.component_radii) == pytest.approx(
+            [0.36, 0.36, 0.52, 0.81], abs=1e-12
+        )
+
+
 class TestGrowthRate:
     def test_example_dominant_component(self):
         ga = growth_rate(A_EXAMPLE, NU_EXAMPLE)
@@ -241,7 +262,7 @@ class TestGrowthRate:
 
     def test_zero_weight_vector(self):
         ga = growth_rate(A_EXAMPLE, np.zeros(5))
-        assert ga.empty
+        assert ga.dominant_component is None
         assert ga.rho_plus == 0.0
         assert ga.reachable == frozenset()
 
@@ -286,7 +307,7 @@ class TestGrowthRate:
         ga = growth_rate(a, np.ones(m))
         assert sorted(map(len, ga.decomposition.components)) == sorted(sizes)
         for comp, radius in zip(ga.decomposition.components, ga.component_radii):
-            assert radius == spectral_radius_irreducible(component_submatrix(a, comp))
+            assert radius == spectral_radius_irreducible(a.submatrix(sorted(comp)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
