@@ -122,18 +122,18 @@ def cmd_rate(args) -> None:
 
 
 def _analysis_matrix(model, args):
-    """Collision system (hmm) or Hadamard power (markov), plus labels and weights."""
+    """Collision system (hmm) or Hadamard power (markov): labels, weights, hidden tuples."""
     if isinstance(model, HiddenMarkovModel):
         cs = collision_system(model, args.order, max_dim=args.max_dim)
-        return cs.matrix, cs.labels(), cs.initial
+        return cs.matrix, cs.labels(), cs.initial, cs.hidden_tuples
     _, a, u = rates._hadamard_system(model, args.order)
-    return a, model.states, u
+    return a, model.states, u, None
 
 
 def cmd_components(args) -> None:
     model = _load(args)
-    matrix, labels, weights = _analysis_matrix(model, args)
-    ga = growth_rate(matrix, weights, tol=args.tolerance)
+    matrix, labels, weights, hidden_tuples = _analysis_matrix(model, args)
+    ga = growth_rate(matrix, weights, tol=args.tolerance, hidden_tuples=hidden_tuples)
     decomp = ga.decomposition
     if matrix.dim <= CHARPOLY_MAX_DIM:
         poly = characteristic_polynomial(matrix).tolist()

@@ -1,9 +1,12 @@
 """Top-level Renyi entropy formulas.
 
-Finite-length entropies come from powers of the restricted tensored
-matrix; rates from the maximal spectral radius over reachable irreducible
-components.  A length-n realization uses exponent n - 1, validated
-against the brute-force oracle.  All values are in bits (log base 2).
+Finite-length entropies of an HMM come from powers of the symbol-summed
+tuple matrix K, which gives the collision probabilities of the restricted
+tensored matrix A at up to nz times smaller dimension; rates from the
+maximal spectral radius over reachable irreducible components of A, each
+radius taken from K's block.  A length-n realization uses exponent n - 1,
+validated against the brute-force oracle.  All values are in bits (log
+base 2).
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from .model import (
 )
 from .nonneg import NonnegMatrix
 from .spectral import GrowthAnalysis, growth_rate, log_weighted_power_sum
-from .tensor import DEFAULT_MAX_DIM, collision_system, hadamard_power
+from .tensor import (
+    DEFAULT_MAX_DIM,
+    collision_system,
+    hadamard_power,
+    symbol_summed_system,
+)
 
 _LN2 = math.log(2.0)
 
@@ -97,9 +105,9 @@ def finite_length_entropy(
     """Renyi entropy of the first n observed symbols, H_alpha(Z_1..Z_n)."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    cs = collision_system(hmm, alpha, max_dim=max_dim)
-    log_cp = log_weighted_power_sum(cs.matrix, cs.initial, n - 1)
-    return _finite_report(float(cs.order), n, log_cp, cs.dimension)
+    alpha, k, weights, dimension = symbol_summed_system(hmm, alpha, max_dim=max_dim)
+    log_cp = log_weighted_power_sum(k, weights, n - 1)
+    return _finite_report(float(alpha), n, log_cp, dimension)
 
 
 def entropy_rate(
@@ -110,7 +118,7 @@ def entropy_rate(
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol."""
     cs = collision_system(hmm, alpha, max_dim=max_dim)
-    ga = growth_rate(cs.matrix, cs.initial, tol=tol)
+    ga = growth_rate(cs.matrix, cs.initial, tol=tol, hidden_tuples=cs.hidden_tuples)
     return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
 
 

@@ -41,6 +41,10 @@ class InvalidNoise(RenyiError):
     """Crossover probability outside [0, 1/2]."""
 
 
+class InvalidLabel(RenyiError):
+    """A state or observation label is not a string, or is not unique."""
+
+
 class WrongAlphabet(RenyiError):
     """The model alphabet does not fit the requested construction."""
 

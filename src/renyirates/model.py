@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidLabel,
     InvalidNoise,
     InvalidOrder,
     NegativeEntry,
@@ -62,8 +63,20 @@ def _validated_distribution(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i + 1) for i in range(n))
+def _checked_labels(labels, n: int, what: str) -> tuple[str, ...]:
+    """n distinct string labels; "1" .. "n" when none are given."""
+    if labels is None:
+        return tuple(str(i + 1) for i in range(n))
+    labels = tuple(labels)
+    if len(labels) != n:
+        raise DimensionMismatch(f"{len(labels)} {what} labels for {n} {what}s")
+    for label in labels:
+        if not isinstance(label, str):
+            raise InvalidLabel(f"{what} labels must be strings, got {label!r}")
+    if len(set(labels)) != n:
+        repeated = next(s for s in labels if labels.count(s) > 1)
+        raise InvalidLabel(f"{what} labels must be unique, {repeated!r} repeats")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,7 @@ def validate_chain(
         raise DimensionMismatch(
             f"initial distribution has length {pi.shape[0]}, expected {p.shape[0]}"
         )
-    labels = _default_labels(p.shape[0]) if states is None else tuple(states)
-    if len(labels) != p.shape[0]:
-        raise DimensionMismatch("state label count does not match matrix dimension")
+    labels = _checked_labels(states, p.shape[0], "state")
     return MarkovChain(
         states=labels,
         transition=_validated_rows(p, "transition matrix"),
@@ -135,9 +146,7 @@ def validate_hmm(
     e = np.asarray(emission, dtype=float)
     if e.ndim != 2 or e.shape[0] != chain.n_states:
         raise DimensionMismatch(f"emission matrix has shape {e.shape}")
-    labels = _default_labels(e.shape[1]) if observations is None else tuple(observations)
-    if len(labels) != e.shape[1]:
-        raise DimensionMismatch("observation label count does not match emission width")
+    labels = _checked_labels(observations, e.shape[1], "observation")
     return HiddenMarkovModel(
         chain=chain,
         observations=labels,
@@ -183,6 +192,11 @@ def deterministic_observation(
     missing = [s for s in chain.states if s not in observation_map]
     if missing:
         raise WrongAlphabet(f"observation map undefined on states {missing}")
+    for s in chain.states:
+        if not isinstance(observation_map[s], str):
+            raise InvalidLabel(
+                f"observation labels must be strings, got {observation_map[s]!r} for state {s!r}"
+            )
     symbols = tuple(sorted(set(observation_map[s] for s in chain.states)))
     e = np.zeros((chain.n_states, len(symbols)))
     for i, s in enumerate(chain.states):

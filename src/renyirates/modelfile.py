@@ -46,10 +46,8 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
     if missing:
         raise ModelFormatError(f"missing fields: {sorted(missing)}")
     states = doc["states"]
-    if not isinstance(states, list) or not all(isinstance(s, str) for s in states):
+    if not isinstance(states, list):
         raise ModelFormatError("states must be a list of strings")
-    if len(set(states)) != len(states):
-        raise ModelFormatError("state labels must be unique")
     try:
         chain = validate_chain(
             np.array(doc["transition"], dtype=float),
@@ -76,9 +74,7 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
         if "observations" not in doc or "emission" not in doc:
             raise ModelFormatError("observations and emission must be given together")
         observations = doc["observations"]
-        if not isinstance(observations, list) or not all(
-            isinstance(s, str) for s in observations
-        ):
+        if not isinstance(observations, list):
             raise ModelFormatError("observations must be a list of strings")
         return validate_hmm(chain, np.array(doc["emission"], dtype=float), observations)
     except ModelFormatError:

@@ -9,6 +9,7 @@ dropped, so the sparsity pattern *is* the associated graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +75,11 @@ class NonnegMatrix:
             raise DimensionMismatch("column weight length mismatch")
         return NonnegMatrix.from_sparse(self.csr.multiply(w[np.newaxis, :]))
 
+    @cached_property
+    def _transposed(self) -> sparse.csr_array:
+        # built on the first vecmat; a stepwise power sum reuses it every step
+        return self.csr.T.tocsr()
+
     def vecmat(self, u: np.ndarray) -> np.ndarray:
         """Row vector times matrix: u^T A."""
-        return self.csr.T @ np.asarray(u, dtype=float)
+        return self._transposed @ np.asarray(u, dtype=float)

@@ -17,6 +17,16 @@ block keeps power iteration for the whole budget and can still raise
 NoConvergence when it is near-degenerate: a sparse LU would densify it
 through fill-in.  A radius is the midpoint of a closed bracket, never of
 an open one.
+
+For an HMM collision system the components are found on A, so their ids
+and order are A's, but each multi-node component's radius comes from the
+symbol-summed tuple matrix K (see `tensor`): A's rows do not depend on
+the symbol, the nodes of one hidden tuple fall in one component, and
+summing their columns turns the block into K's block on the component's
+tuples, with the same non-zero spectrum and up to nz times fewer rows.
+A matrix without a tuple map, such as a Markov chain's, takes the same
+path with every node its own tuple, which slices out A's own blocks.
+Finite lengths of an HMM run on K as well.
 """
 
 from __future__ import annotations
@@ -166,27 +176,39 @@ def growth_rate(
     u: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
+    hidden_tuples: np.ndarray | None = None,
 ) -> GrowthAnalysis:
-    """Exact growth rate of u^T A^n 1: the maximum radius over reachable components."""
+    """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
+
+    hidden_tuples, given for an HMM collision system (one entry per node;
+    nodes that share an entry must have equal rows), lets each multi-node
+    component take its radius from the symbol-summed block K[T_C, T_C] of
+    its hidden tuples.  Without it every node is its own tuple and each
+    block is A's own.
+    """
     _check_tol(tol)
     u = np.asarray(u, dtype=float)
     if u.shape[0] != a.dim:
         raise DimensionMismatch("weight vector length does not match matrix dimension")
+    if hidden_tuples is None:
+        hidden_tuples = np.arange(a.dim)
+    elif len(hidden_tuples) != a.dim:
+        raise DimensionMismatch("hidden tuple map length does not match matrix dimension")
     decomp = strongly_connected_components(a)
-    # Permute A once into component order and slice out every block with
-    # more than one node; a block keeps its members and its CSR column
-    # indices in increasing order.  A singleton's radius is its diagonal entry.
+    # Collapse A once onto its hidden tuples, in component order, and slice
+    # out every block with more than one node; a block keeps its members and
+    # its CSR column indices in increasing order.  A singleton's radius is
+    # its diagonal entry in A.
     order = np.fromiter(
         (i for comp in decomp.components for i in comp), dtype=np.intp, count=a.dim
     )
-    permuted = a.csr[order][:, order]
-    permuted.sort_indices()
-    ends = np.cumsum([len(comp) for comp in decomp.components]).tolist()
+    sizes = np.array([len(comp) for comp in decomp.components], dtype=np.intp)
+    collapsed, starts, ends = _sum_symbols(a.csr, order, np.asarray(hidden_tuples), sizes)
     blocks = [
-        permuted[end - len(comp) : end, end - len(comp) : end] if len(comp) > 1 else None
-        for comp, end in zip(decomp.components, ends)
+        collapsed[start:end, start:end] if size > 1 else None
+        for size, start, end in zip(sizes.tolist(), starts.tolist(), ends.tolist())
     ]
-    del permuted  # the blocks hold their own copies
+    del collapsed  # the blocks hold their own copies
     diagonal = a.csr.diagonal()
     radii = tuple(
         float(diagonal[comp[0]])
@@ -210,6 +232,44 @@ def growth_rate(
         rho_plus=rho_plus,
         dominant_component=dominant,
     )
+
+
+def _sum_symbols(
+    csr: sparse.csr_array, order: np.ndarray, tuples: np.ndarray, sizes: np.ndarray
+) -> tuple[sparse.csr_array, np.ndarray, np.ndarray]:
+    """A collision matrix in component order, collapsed onto its hidden tuples.
+
+    `order` lists the nodes component by component, `sizes` the component
+    sizes.  Nodes with one hidden tuple have equal rows and, in a multi-node
+    component, lie in the same component, so summing their columns and
+    keeping one row per tuple turns the component's block into K[T_C, T_C],
+    whose non-zero spectrum is the block's.  Tuples are numbered in order
+    of first appearance along `order`, which keeps each component's tuples
+    contiguous; the returned bounds locate its block.  Without a repeated
+    tuple this is A permuted into `order`, float for float: each entry is
+    one product with 1.0.
+    """
+    _, first, inverse = np.unique(tuples[order], return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    # a tuple that touches a multi-node component must lie wholly inside it
+    comp = np.repeat(np.arange(sizes.size), sizes)
+    tuple_comp = comp[first][inverse]
+    if np.any((comp != tuple_comp) & ((sizes[comp] > 1) | (sizes[tuple_comp] > 1))):
+        raise ValueError("a hidden tuple spans more than one component")
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    # one stored 1 per row: node order[j] -> column rank[inverse[j]]
+    columns = np.empty_like(order)
+    columns[order] = rank[inverse]
+    collapse = sparse.csr_array(
+        (np.ones(order.size), columns, np.arange(order.size + 1)),
+        shape=(order.size, first.size),
+    )
+    first.sort()
+    k = csr[order[first]] @ collapse
+    k.sort_indices()
+    ends = np.cumsum(sizes)
+    return k, np.searchsorted(first, ends - sizes), np.searchsorted(first, ends)
 
 
 def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:

@@ -2,13 +2,21 @@
 
 For an HMM with joint-chain matrix M, the order-alpha pipeline restricts
 M^(tensor alpha) to tuples whose alpha observation components agree.  The
-restricted matrix is built directly in collision coordinates, indexed by
+restricted matrix A is built directly in collision coordinates, indexed by
 (hidden tuple, shared symbol); the unrestricted |X x Z|^alpha tensor is
 never materialized.
 
 Canonical collision-index order: symbol-major, then lexicographic in the
 hidden tuple.  Indices whose tuple cannot emit the shared symbol (zero
 initial weight and an all-zero column) are dropped at construction.
+
+Row (xs, z) of A does not depend on z, so A = L B with L copying a hidden
+tuple to each symbol it can emit, and the symbol-summed tuple matrix
+K = B L = P^(tensor alpha) diag(w), w(xs) = sum_z prod_j E[xs_j, z], gives
+the same collision probabilities, (pi^(tensor alpha) o w)^T K^(n-1) 1, and
+the same non-zero spectrum, component by component (Horn & Johnson,
+Matrix Analysis, Thm 1.3.22).  K is indexed by the hidden tuples with
+w > 0 and is up to nz times smaller than A; finite lengths run on it.
 """
 
 from __future__ import annotations
@@ -38,12 +46,17 @@ class CollisionIndex:
 
 @dataclass(frozen=True)
 class CollisionSystem:
-    """Restricted tensored matrix A, initial weights nu, and index map."""
+    """Restricted tensored matrix A, initial weights nu, and index map.
+
+    hidden_tuples[i] is the lexicographic index in X^alpha of node i's
+    hidden tuple; nodes that share it have equal rows.
+    """
 
     order: int
     indices: tuple[CollisionIndex, ...]
     matrix: NonnegMatrix
     initial: np.ndarray
+    hidden_tuples: np.ndarray
 
     @property
     def dimension(self) -> int:
@@ -78,6 +91,32 @@ def _kron_vector(v: np.ndarray, alpha: int) -> np.ndarray:
     return reduce(np.kron, [v] * alpha)
 
 
+def _tuple_transitions(
+    hmm: HiddenMarkovModel, alpha: int, max_dim: int
+) -> tuple[int, np.ndarray, np.ndarray, NonnegMatrix, np.ndarray]:
+    """P^(tensor alpha) and the hidden tuples that can share a symbol.
+
+    Returns the checked order, the kept tuples (lexicographic indices in
+    X^alpha), their emission products prod_j E[xs_j, z] (one row per
+    symbol z), the unrestricted transitions P^(tensor alpha) and the kept
+    tuples' initial weights pi^(tensor alpha).  A tuple is kept when some
+    symbol's product is positive, i.e. w(xs) > 0; each caller restricts
+    the transitions once, to the rows it needs.
+    """
+    alpha = _hmm_order(alpha)
+    e = hmm.emission
+    nx, nz = e.shape
+    if nx**alpha * nz > max_dim:
+        raise DimensionOverflow(
+            f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"
+        )
+    emit = np.stack([_kron_vector(e[:, z], alpha) for z in range(nz)])
+    tuples = np.flatnonzero(emit.any(axis=0))
+    kron_p = kronecker_power(NonnegMatrix.from_dense(hmm.chain.transition), alpha, max_dim)
+    pi_kron = _kron_vector(hmm.chain.initial, alpha)
+    return alpha, tuples, emit[:, tuples], kron_p, pi_kron[tuples]
+
+
 def collision_system(
     hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
 ) -> CollisionSystem:
@@ -86,43 +125,42 @@ def collision_system(
     Entries: A[(xs,z),(xs',z')] = prod_j P[xs_j, xs'_j] * E[xs'_j, z'].
     Initial: nu[(xs,z)] = prod_j pi[xs_j] * E[xs_j, z].
     """
-    alpha = _hmm_order(alpha)
-    p = hmm.chain.transition
-    e = hmm.emission
-    nx, nz = e.shape
-    if nx**alpha * nz > max_dim:
-        raise DimensionOverflow(
-            f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"
-        )
-
-    kron_p = kronecker_power(NonnegMatrix.from_dense(p), alpha, max_dim=max_dim)
-    pi_kron = _kron_vector(hmm.chain.initial, alpha)
-
-    # Per symbol z, the emission weight of a hidden tuple is the product of
-    # E[x_j, z]; tuples with zero weight can never occupy symbol z.
-    tuple_rows: list[np.ndarray] = []
-    emit_weights: list[np.ndarray] = []
-    indices: list[CollisionIndex] = []
-    for z in range(nz):
-        ez = _kron_vector(e[:, z], alpha)
-        rows = np.flatnonzero(ez > 0)
-        tuple_rows.append(rows)
-        emit_weights.append(ez[rows])
-        for flat in rows:
-            hidden = np.unravel_index(int(flat), (nx,) * alpha)
-            indices.append(
-                CollisionIndex(
-                    hidden_tuple=tuple(hmm.chain.states[i] for i in hidden),
-                    symbol=hmm.observations[z],
-                )
-            )
-
-    rows_sel = np.concatenate(tuple_rows) if indices else np.zeros(0, dtype=int)
-    weights = np.concatenate(emit_weights) if indices else np.zeros(0)
-    base = kron_p.submatrix(rows_sel)
-    matrix = base.scale_columns(weights)
-    nu = pi_kron[rows_sel] * weights
-    nu.setflags(write=False)
-    return CollisionSystem(
-        order=alpha, indices=tuple(indices), matrix=matrix, initial=nu
+    alpha, tuples, emit, kron_p, pi = _tuple_transitions(hmm, alpha, max_dim)
+    # node (xs, z) exists when the emission product of xs at z is positive;
+    # np.nonzero walks emit row by row, which is the symbol-major index order
+    symbols, rows = np.nonzero(emit)
+    weights = emit[symbols, rows]
+    states, observations = hmm.chain.states, hmm.observations
+    digits = np.unravel_index(tuples, (hmm.n_states,) * alpha)
+    hidden = [tuple(states[i] for i in tup) for tup in zip(*(d.tolist() for d in digits))]
+    indices = tuple(
+        CollisionIndex(hidden_tuple=hidden[r], symbol=observations[z])
+        for z, r in zip(symbols.tolist(), rows.tolist())
     )
+    hidden_tuples = tuples[rows]
+    matrix = kron_p.submatrix(hidden_tuples).scale_columns(weights)
+    nu = pi[rows] * weights
+    for vector in (nu, hidden_tuples):
+        vector.setflags(write=False)
+    return CollisionSystem(
+        order=alpha,
+        indices=indices,
+        matrix=matrix,
+        initial=nu,
+        hidden_tuples=hidden_tuples,
+    )
+
+
+def symbol_summed_system(
+    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
+) -> tuple[int, NonnegMatrix, np.ndarray, int]:
+    """K = P^(tensor alpha) diag(w) and its weights pi^(tensor alpha) o w.
+
+    Returns (order, K, weights, dimension of A): u^T K^(n-1) 1 equals
+    nu^T A^(n-1) 1 of `collision_system`, which refuses the same inputs.
+    A's dimension is the count of positive emission products,
+    sum_z |S_z|^alpha with S_z the states that can emit z.
+    """
+    alpha, tuples, emit, kron_p, pi = _tuple_transitions(hmm, alpha, max_dim)
+    w = emit.sum(axis=0)
+    return alpha, kron_p.submatrix(tuples).scale_columns(w), pi * w, int(np.count_nonzero(emit))

@@ -48,3 +48,26 @@ def test_noda_hand_over_does_not_load_heavy_scipy_modules():
     assert hand_overs >= 1
     assert 0.0 < rate < 1.0
     assert heavy == []
+
+
+def test_symbol_summed_paths_do_not_load_heavy_scipy_modules():
+    # the symbol collapse (a sparse product) and the K build run only on
+    # a model whose tuples emit more than one symbol
+    src = str(Path(renyirates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import json, sys; import numpy as np; import renyirates, renyirates.cli; "
+        "chain = renyirates.validate_chain([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]], np.ones(3) / 3); "
+        "hmm = renyirates.validate_hmm(chain, [[0.6, 0.4], [0.3, 0.7], [0.5, 0.5]]); "
+        "finite = renyirates.finite_length_entropy(hmm, 3, 1000); "
+        "rate = renyirates.entropy_rate(hmm, 3); "
+        f"print(json.dumps([finite.dimension, rate.dimension, rate.value_bits, "
+        f"[m for m in {HEAVY!r} if m in sys.modules]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    finite_dim, rate_dim, rate, heavy = json.loads(out.stdout)
+    assert finite_dim == rate_dim == 2 * 3**3
+    assert 0.0 < rate < 1.0
+    assert heavy == []

@@ -4,12 +4,15 @@ import pytest
 from renyirates import (
     bsc_hmm,
     deterministic_observation,
+    entropy_rate,
+    finite_length_entropy,
     identity_observation,
     validate_chain,
     validate_hmm,
 )
 from renyirates.errors import (
     DimensionMismatch,
+    InvalidLabel,
     InvalidNoise,
     NegativeEntry,
     NonFiniteEntry,
@@ -117,6 +120,44 @@ class TestObservations:
     def test_partial_map_rejected(self, example_chain):
         with pytest.raises(WrongAlphabet):
             deterministic_observation(example_chain, {"1": "a"})
+
+
+class TestLabels:
+    @pytest.mark.parametrize("states", [[1, 2, 3], ["1", 2, "3"], ["1", None, "3"]])
+    def test_non_string_states_rejected(self, states):
+        with pytest.raises(InvalidLabel, match="strings"):
+            validate_chain(P_EXAMPLE, PI_UNIFORM3, states=states)
+
+    def test_duplicate_states_rejected(self):
+        with pytest.raises(InvalidLabel, match="'a' repeats"):
+            validate_chain(P_EXAMPLE, PI_UNIFORM3, states=["a", "b", "a"])
+
+    @pytest.mark.parametrize("observations", [[1, 2, 3], ["1", "2", 3.0]])
+    def test_non_string_observations_rejected(self, example_chain, observations):
+        # such a model used to pass here and die in a collision-index label
+        with pytest.raises(InvalidLabel, match="strings"):
+            validate_hmm(example_chain, np.eye(3), observations=observations)
+
+    def test_duplicate_observations_rejected(self, example_chain):
+        with pytest.raises(InvalidLabel, match="'x' repeats"):
+            validate_hmm(example_chain, np.eye(3), observations=["x", "y", "x"])
+
+    @pytest.mark.parametrize("omap", [{"1": 1, "2": 2, "3": 1}, {"1": "a", "2": 2, "3": "a"}])
+    def test_non_string_observation_map_rejected(self, example_chain, omap):
+        with pytest.raises(InvalidLabel, match="strings"):
+            deterministic_observation(example_chain, omap)
+
+    def test_label_count_still_checked(self, example_chain):
+        with pytest.raises(DimensionMismatch):
+            validate_chain(P_EXAMPLE, PI_UNIFORM3, states=["a", "b"])
+        with pytest.raises(DimensionMismatch):
+            validate_hmm(example_chain, np.eye(3), observations=["x", "y"])
+
+    def test_valid_labels_kept(self, example_chain):
+        hmm = validate_hmm(example_chain, np.eye(3), observations=["x", "y", "z"])
+        assert hmm.observations == ("x", "y", "z")
+        assert entropy_rate(hmm, 2).finite
+        assert finite_length_entropy(hmm, 2, 3).finite
 
 
 class TestBscHmm:

@@ -91,6 +91,20 @@ class TestModelFile:
             parse_model(doc)
 
 
+    def test_duplicate_observations_rejected(self):
+        doc = json.loads((FIXTURES / "iid-uniform-2.model").read_text())
+        doc["observations"] = ["x", "x"]
+        with pytest.raises(ModelFormatError, match="'x' repeats"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize("states", [["1", "2", "1"], ["1", 2, "3"], "123"])
+    def test_bad_states_rejected(self, states):
+        doc = json.loads((FIXTURES / "markov142.model").read_text())
+        doc["states"] = states
+        with pytest.raises(ModelFormatError, match="state"):
+            parse_model(doc)
+
+
 class TestCmdEntropy:
     def test_fig2_matches_oracle(self, capsys):
         code, doc, _ = run_cli(
@@ -284,6 +298,18 @@ class TestCliContract:
         assert code == 1
         assert doc is None
         assert "observation_map must be an object with string values" in err
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy", "oracle"])
+    def test_duplicate_observations_exit_1(self, capsys, tmp_path, command):
+        text = (FIXTURES / "iid-uniform-2.model").read_text()
+        path = tmp_path / "dup.model"
+        path.write_text(text.replace('["0", "1"]', '["x", "x"]'))
+        assert path.read_text() != text
+        extra = ["--length", "3"] if command in ("entropy", "oracle") else []
+        code, doc, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert doc is None
+        assert "observation labels must be unique" in err
 
     @pytest.mark.parametrize(
         "model,command",

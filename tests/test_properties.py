@@ -1,22 +1,34 @@
 """Property-based checks over randomly drawn models and matrices."""
 
+import io
+import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renyirates.cli
 from renyirates import (
     NonnegMatrix,
     collision_system,
     deterministic_observation,
+    entropy_rate,
+    finite_length_entropy,
     growth_rate,
     hadamard_power,
     kronecker_power,
+    load_model,
+    log_weighted_power_sum,
     reachable_components,
+    serialize_model,
     strongly_connected_components,
 )
+from renyirates.errors import DimensionOverflow
 from renyirates.random_models import (
     random_chain,
     random_hmm,
@@ -136,3 +148,71 @@ def test_growth_rate_depends_only_on_weight_support(seed):
     u = random_nonneg_vector(rng, m)
     scaled = u * float(rng.uniform(0.1, 10.0))
     assert growth_rate(a, u).rho_plus == growth_rate(a, scaled).rho_plus
+
+
+def _rate_and_components_radii(hmm, alpha):
+    """Radii of `entropy_rate` and of `renyirates components` on one model file.
+
+    The components radii are caught on their way to JSON; both sides read
+    the file, whose rows are renormalised on loading.
+    """
+    seen = []
+    inner = renyirates.cli.growth_rate
+
+    def spy(*args, **kwargs):
+        seen.append(inner(*args, **kwargs))
+        return seen[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(serialize_model(hmm)))
+        renyirates.cli.growth_rate = spy
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert renyirates.cli.main(["components", str(path), "--order", str(alpha)]) == 0
+        finally:
+            renyirates.cli.growth_rate = inner
+        rate = entropy_rate(load_model(path), alpha)
+    (analysis,) = seen
+    return rate.component_radii, analysis.component_radii
+
+
+@given(seeds, st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_symbol_summed_matrix_matches_collision_system(seed, alpha):
+    """Finite lengths and radii computed on K agree with A, the matrix they stand for."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(1, 6))
+    if rng.random() < 0.3:
+        chain = random_chain(rng, nx, sparsity=float(rng.uniform(0, 0.5)))
+        hmm = deterministic_observation(chain, {s: "abc"[int(rng.integers(0, 3))] for s in chain.states})
+    else:
+        hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=float(rng.uniform(0, 0.5)))
+    cs = collision_system(hmm, alpha)
+    a = cs.matrix.to_dense()
+
+    for n in (1, 2, 5, 40):
+        rep = finite_length_entropy(hmm, alpha, n)
+        expected = log_weighted_power_sum(cs.matrix, cs.initial, n - 1) / math.log(2.0)
+        assert rep.log2_collision == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert rep.dimension == cs.dimension
+
+    rep = entropy_rate(hmm, alpha)
+    decomp = strongly_connected_components(cs.matrix)
+    assert len(rep.component_radii) == decomp.n_components
+    for comp, radius in zip(decomp.components, rep.component_radii):
+        block = a[np.ix_(comp, comp)]
+        assert radius == pytest.approx(np.abs(np.linalg.eigvals(block)).max(), abs=1e-9)
+    rate_radii, components_radii = _rate_and_components_radii(hmm, alpha)
+    assert rate_radii == components_radii
+
+    cap = hmm.n_states**alpha * hmm.n_symbols
+    for max_dim in (cap - 1, cap):
+        refused = []
+        for build in (collision_system, lambda h, al, max_dim: finite_length_entropy(h, al, 3, max_dim)):
+            try:
+                build(hmm, alpha, max_dim=max_dim)
+                refused.append(False)
+            except DimensionOverflow:
+                refused.append(True)
+        assert refused == [max_dim < cap] * 2

@@ -13,12 +13,13 @@ from renyirates import (
     characteristic_polynomial,
     collision_system,
     growth_rate,
+    log_weighted_power_sum,
     spectral,
     spectral_radius_irreducible,
     strongly_connected_components,
     validate_chain,
 )
-from renyirates.errors import DimensionOverflow, NoConvergence
+from renyirates.errors import DimensionMismatch, DimensionOverflow, NoConvergence
 from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
@@ -286,10 +287,33 @@ class TestGrowthRate:
         assert ga1.rho_plus == ga2.rho_plus
         assert ga1.reachable == ga2.reachable
 
+    def test_hidden_tuple_map_length_checked(self):
+        with pytest.raises(DimensionMismatch):
+            growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.arange(4))
+
+    def test_hidden_tuple_across_components_rejected(self):
+        # node 4 lies in the component {3, 4}, node 0 is a singleton
+        with pytest.raises(ValueError, match="spans more than one component"):
+            growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.array([0, 1, 2, 3, 0]))
+
+    def test_hidden_tuple_shared_by_singletons_allowed(self):
+        ga = growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.array([0, 0, 2, 3, 4]))
+        assert ga.component_radii == growth_rate(A_EXAMPLE, NU_EXAMPLE).component_radii
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_noiseless_system_keeps_its_own_blocks(self, order):
+        # no hidden tuple repeats under a deterministic observation, so
+        # every radius is the float A's own block gives
+        cs = collision_system(load_model(FIXTURES / "fig2.model"), order)
+        assert len(set(cs.hidden_tuples.tolist())) == cs.dimension
+        with_map = growth_rate(cs.matrix, cs.initial, hidden_tuples=cs.hidden_tuples)
+        assert with_map.component_radii == growth_rate(cs.matrix, cs.initial).component_radii
+
     @pytest.mark.parametrize("seed", range(6))
     def test_block_slices_match_submatrix_radii(self, seed):
-        # growth_rate slices blocks out of one permuted copy of A; each radius
-        # must be the very float the block's own principal submatrix gives
+        # growth_rate slices blocks out of one copy of A collapsed onto the
+        # identity tuple map, i.e. A in component order; each radius must be
+        # the very float the block's own principal submatrix gives
         rng = np.random.default_rng(seed)
         sizes = [1, 3, 1, 12, 40, 2, 1, 25]
         m = sum(sizes)
@@ -319,6 +343,24 @@ class TestGrowthRate:
         r1 = growth_rate(NonnegMatrix.from_dense(a), u).rho_plus
         r2 = growth_rate(NonnegMatrix.from_dense(ap), up).rho_plus
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+class TestStepwisePowerSum:
+    def test_vecmat_is_row_vector_times_matrix(self):
+        rng = np.random.default_rng(3)
+        a = NonnegMatrix.from_dense(random_nonneg_matrix(rng, 30, zero_prob=0.8))
+        for _ in range(2):  # the second call reuses the cached transpose
+            u = rng.random(30)
+            assert np.allclose(a.vecmat(u), u @ a.to_dense(), rtol=1e-14, atol=0.0)
+
+    def test_stepwise_matches_squaring_above_the_dense_limit(self):
+        rng = np.random.default_rng(4)
+        m = spectral._DENSE_POWER_LIMIT + 40
+        a = NonnegMatrix.from_dense(random_nonneg_matrix(rng, m, zero_prob=0.98))
+        u = random_nonneg_vector(rng, m)
+        stepwise = log_weighted_power_sum(a, u, 300)
+        squaring = spectral._log_power_sum_squaring(a.to_dense(), u, 300)
+        assert stepwise == pytest.approx(squaring, rel=1e-12)
 
 
 class TestEmpiricalGrowthProbe:
