@@ -1,8 +1,9 @@
 """Top-level Renyi entropy formulas.
 
 Finite-length entropies of an HMM come from powers of the symbol-summed
-tuple matrix K, which gives the collision probabilities of the restricted
-tensored matrix A at up to nz times smaller dimension; rates from the
+tuple matrix K lumped onto multisets of hidden states, which gives the
+collision probabilities of the restricted tensored matrix A at up to
+nz * alpha! times smaller dimension (see `tensor`); rates from the
 maximal spectral radius over reachable irreducible components of A, each
 radius taken from K's block.  A length-n realization uses exponent n - 1,
 validated against the brute-force oracle.  All values are in bits (log
@@ -29,7 +30,7 @@ from .tensor import (
     DEFAULT_MAX_DIM,
     collision_system,
     hadamard_power,
-    symbol_summed_system,
+    lumped_system,
 )
 
 _LN2 = math.log(2.0)
@@ -105,7 +106,7 @@ def finite_length_entropy(
     """Renyi entropy of the first n observed symbols, H_alpha(Z_1..Z_n)."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    alpha, k, weights, dimension = symbol_summed_system(hmm, alpha, max_dim=max_dim)
+    alpha, k, weights, dimension = lumped_system(hmm, alpha, max_dim=max_dim)
     log_cp = log_weighted_power_sum(k, weights, n - 1)
     return _finite_report(float(alpha), n, log_cp, dimension)
 
@@ -142,9 +143,9 @@ def markov_rate(
 
 def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyReport:
     """Finite-length entropy of a fully observed chain, any real order."""
-    alpha, a, u = _hadamard_system(chain, alpha)
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
+    alpha, a, u = _hadamard_system(chain, alpha)
     log_cp = log_weighted_power_sum(a, u, n - 1)
     return _finite_report(alpha, n, log_cp, a.dim)
 

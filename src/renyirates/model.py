@@ -27,8 +27,9 @@ from .errors import (
 )
 
 # Row sums farther than this from 1 are rejected; smaller deviations are
-# silently renormalized.
+# silently renormalized, unless they are within the rounding of the sum.
 STOCHASTIC_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def _clean_probabilities(a: np.ndarray, what: str) -> np.ndarray:
@@ -48,7 +49,11 @@ def _validated_rows(a: np.ndarray, what: str) -> np.ndarray:
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise NonStochasticRow(f"row {i} of {what} sums to {sums[i]!r}")
-    a = a / sums[:, np.newaxis]
+    # a row already within rounding of 1 is kept as given: dividing it again
+    # could move its last digits, so a validated row would not survive a
+    # second validation (a model file's round trip) unchanged
+    off = np.abs(sums - 1.0) > a.shape[1] * _EPS
+    a[off] /= sums[off, np.newaxis]
     a.setflags(write=False)
     return a
 
@@ -58,7 +63,8 @@ def _validated_distribution(v: np.ndarray, what: str) -> np.ndarray:
     s = v.sum()
     if abs(s - 1.0) > STOCHASTIC_TOL:
         raise NonStochasticRow(f"{what} sums to {s!r}")
-    v = v / s
+    if abs(s - 1.0) > v.size * _EPS:  # as in _validated_rows
+        v /= s
     v.setflags(write=False)
     return v
 

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from renyirates import (
+    brute_force_collision,
     bsc_hmm,
     deterministic_observation,
     entropy_rate,
@@ -15,6 +17,7 @@ from renyirates import (
     validate_chain,
     validate_hmm,
 )
+from renyirates import entropy, tensor
 from renyirates.errors import InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
@@ -70,6 +73,26 @@ class TestFiniteLengthEntropy:
             h3 = finite_length_entropy(example_hmm, 3, n).value_bits
             assert h3 <= h2 + 1e-12
             assert h3 >= 0.0
+
+    def test_never_forms_the_tensor_power(self, monkeypatch, example_hmm):
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite lengths formed P^(tensor alpha)")
+
+        monkeypatch.setattr(tensor, "kronecker_power", refuse)
+        hmm = random_hmm(np.random.default_rng(5), 4, 3)
+        for model, alpha in [(example_hmm, 2), (hmm, 3), (hmm, 4)]:
+            assert finite_length_entropy(model, alpha, 50).finite
+
+    def test_dense_order_four_model(self):
+        # K would be 4096-dim with 16.8M entries; the lumped matrix has 330 rows
+        hmm = random_hmm(np.random.default_rng(8), 8, 3)
+        start = time.perf_counter()
+        rep = finite_length_entropy(hmm, 4, 10**6)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0, f"took {elapsed:.3f}s"
+        assert rep.finite and rep.dimension == 3 * 8**4
+        expected = math.log2(brute_force_collision(hmm, 4, 5))
+        assert finite_length_entropy(hmm, 4, 5).log2_collision == pytest.approx(expected, rel=1e-12)
 
 
 class TestEntropyRate:
@@ -137,6 +160,14 @@ class TestMarkovRate:
 
 
 class TestMarkovFiniteLength:
+    def test_length_checked_before_build(self, monkeypatch, example_chain):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the Hadamard power for an invalid length")
+
+        monkeypatch.setattr(entropy, "hadamard_power", refuse)
+        with pytest.raises(ValueError, match="length"):
+            markov_finite_length(example_chain, 2.0, 0)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_integer_order_matches_identity_pipeline(self, seed):
         rng = np.random.default_rng(seed)

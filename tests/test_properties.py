@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import renyirates.cli
+import renyirates.entropy
 from renyirates import (
     NonnegMatrix,
     collision_system,
@@ -24,6 +25,7 @@ from renyirates import (
     kronecker_power,
     load_model,
     log_weighted_power_sum,
+    parse_model,
     reachable_components,
     serialize_model,
     strongly_connected_components,
@@ -216,3 +218,52 @@ def test_symbol_summed_matrix_matches_collision_system(seed, alpha):
             except DimensionOverflow:
                 refused.append(True)
         assert refused == [max_dim < cap] * 2
+
+
+@given(seeds, st.sampled_from([2, 3, 4]))
+@settings(max_examples=40, deadline=None)
+def test_lumped_matrix_matches_collision_system(seed, alpha):
+    """Finite lengths on the multiset-lumped matrix agree with A at up to C(nx+alpha-1, alpha) rows."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(1, 6 if alpha < 4 else 5))
+    if rng.random() < 0.3:
+        chain = random_chain(rng, nx, sparsity=float(rng.uniform(0, 0.5)))
+        hmm = deterministic_observation(chain, {s: "abc"[int(rng.integers(0, 3))] for s in chain.states})
+    else:
+        hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=float(rng.uniform(0, 0.5)))
+    cs = collision_system(hmm, alpha)
+    seen = []
+    inner = renyirates.entropy.log_weighted_power_sum
+
+    def spy(a, u, n):
+        seen.append(a.dim)
+        return inner(a, u, n)
+
+    renyirates.entropy.log_weighted_power_sum = spy
+    try:
+        for n in (1, 2, 5, 40):
+            rep = finite_length_entropy(hmm, alpha, n)
+            expected = log_weighted_power_sum(cs.matrix, cs.initial, n - 1) / math.log(2.0)
+            assert rep.log2_collision == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert rep.dimension == cs.dimension
+    finally:
+        renyirates.entropy.log_weighted_power_sum = inner
+    assert len(seen) == 4
+    assert seen[0] <= math.comb(nx + alpha - 1, alpha)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_model_file_round_trip_is_exact(seed):
+    rng = np.random.default_rng(seed)
+    hmm = random_hmm(
+        rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)), sparsity=float(rng.uniform(0, 0.5))
+    )
+    back = parse_model(json.loads(json.dumps(serialize_model(hmm))))
+    assert back.chain.states == hmm.chain.states and back.observations == hmm.observations
+    for got, want in [
+        (back.chain.transition, hmm.chain.transition),
+        (back.chain.initial, hmm.chain.initial),
+        (back.emission, hmm.emission),
+    ]:
+        assert got.tobytes() == want.tobytes()

@@ -353,14 +353,54 @@ class TestStepwisePowerSum:
             u = rng.random(30)
             assert np.allclose(a.vecmat(u), u @ a.to_dense(), rtol=1e-14, atol=0.0)
 
-    def test_stepwise_matches_squaring_above_the_dense_limit(self):
+    def test_stepwise_matches_squaring(self):
         rng = np.random.default_rng(4)
-        m = spectral._DENSE_POWER_LIMIT + 40
+        m = 552
         a = NonnegMatrix.from_dense(random_nonneg_matrix(rng, m, zero_prob=0.98))
         u = random_nonneg_vector(rng, m)
-        stepwise = log_weighted_power_sum(a, u, 300)
+        stepwise = spectral._log_power_sum_stepwise(a, u, 300)
         squaring = spectral._log_power_sum_squaring(a.to_dense(), u, 300)
         assert stepwise == pytest.approx(squaring, rel=1e-12)
+
+
+def _chain(rng, m, per_row):
+    """An m-state chain with per_row entries a row (all m when per_row is None)."""
+    if per_row is None:
+        p = rng.random((m, m))
+    else:
+        p = np.zeros((m, m))
+        for i in range(m):
+            p[i, rng.choice(m, size=per_row, replace=False)] = rng.random(per_row)
+    return NonnegMatrix.from_dense(p / p.sum(axis=1, keepdims=True))
+
+
+class TestPowerSumCostRule:
+    """The path log_weighted_power_sum takes at measured points on both sides of the rule."""
+
+    @pytest.mark.parametrize(
+        "m,per_row,n,path",
+        [
+            (2000, 6, 1000, "_log_power_sum_stepwise"),
+            (513, None, 100, "_log_power_sum_stepwise"),
+            (600, 12, 22000, "_log_power_sum_squaring"),
+        ],
+    )
+    def test_path_taken(self, monkeypatch, m, per_row, n, path):
+        rng = np.random.default_rng(m)
+        a = _chain(rng, m, per_row)
+        calls = []
+        for name in ("_log_power_sum_stepwise", "_log_power_sum_squaring"):
+            inner = getattr(spectral, name)
+            monkeypatch.setattr(
+                spectral, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args)
+            )
+        value = log_weighted_power_sum(a, np.full(m, 1.0 / m), n)
+        assert calls == [path]
+        assert value == pytest.approx(0.0, abs=1e-9)  # a stochastic matrix keeps the mass
+
+    def test_numpy_integer_exponent(self):
+        expected = log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, 1000)
+        assert log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, np.int64(1000)) == expected
 
 
 class TestEmpiricalGrowthProbe:
