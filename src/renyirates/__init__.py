@@ -37,7 +37,6 @@ from .tensor import (
     CollisionSystem,
     collision_system,
     hadamard_power,
-    kronecker_power,
 )
 
 __version__ = "0.1.0"

@@ -1,16 +1,15 @@
 """Sparse non-negative square matrices.
 
 This is the carrier type for every matrix in the pipeline: transition
-matrices, Kronecker tensor powers, their collision restrictions, and
-Hadamard powers.  Entries are stored in CSR form with structural zeros
-dropped, so the sparsity pattern *is* the associated graph.
+matrices, collision matrices and Hadamard powers.  Entries are stored in
+CSR form with structural zeros dropped, so the sparsity pattern *is* the
+associated graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -57,23 +56,6 @@ class NonnegMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self.csr.toarray()
-
-    def submatrix(self, nodes: Sequence[int]) -> "NonnegMatrix":
-        """Principal submatrix on the given indices, in the given order."""
-        idx = np.asarray(list(nodes), dtype=int)
-        if idx.size == 0:
-            return NonnegMatrix.from_dense(np.zeros((0, 0)))
-        sub = self.csr[idx][:, idx]
-        return NonnegMatrix.from_sparse(sub)
-
-    def kron(self, other: "NonnegMatrix") -> "NonnegMatrix":
-        return NonnegMatrix.from_sparse(sparse.kron(self.csr, other.csr, format="csr"))
-
-    def scale_columns(self, weights: np.ndarray) -> "NonnegMatrix":
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (self.dim,):
-            raise DimensionMismatch("column weight length mismatch")
-        return NonnegMatrix.from_sparse(self.csr.multiply(w[np.newaxis, :]))
 
     @cached_property
     def _transposed(self) -> sparse.csr_array:

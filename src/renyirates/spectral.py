@@ -5,18 +5,19 @@ components reachable from the support of u.  Radii are computed by power
 iteration on A + I: the shift makes every irreducible non-negative block
 primitive, so the Collatz-Wielandt bounds close geometrically even for
 periodic components.  A sparse block (at most a quarter of its entries
-stored) is iterated in CSR form and never densified; a denser block is
-iterated as a dense array, which then needs at most four times the
-memory of its CSR form.
+stored) is iterated in CSR form, densified only for the hand-over
+below; a denser block is iterated as a dense array, which then needs at
+most four times the memory of its CSR form.
 
 Power iteration needs about 1/gap steps, so it stalls on nearly
-decoupled blocks (sticky regimes, small-noise channels).  A dense block
-whose bracket is still open after max(1000, m) steps hands over to
-Noda's inverse iteration, which closes it in a few solves.  A sparse
-block keeps power iteration for the whole budget and can still raise
-NoConvergence when it is near-degenerate: a sparse LU would densify it
-through fill-in.  A radius is the midpoint of a closed bracket, never of
-an open one.
+decoupled blocks (sticky regimes, small-noise channels).  A block whose
+bracket is still open after max(1000, m) steps hands over to Noda's
+inverse iteration, which closes it in a few solves.  A sparse block is
+densified for the hand-over only then, and only up to 3300 nodes (about
+87 MB dense); a larger one keeps power iteration for the whole budget
+and can still raise NoConvergence when it is near-degenerate (a sparse
+LU would densify it through fill-in).  A radius is the midpoint of a
+closed bracket, never of an open one.
 
 For an HMM collision system the components are found on A, so their ids
 and order are A's, but each multi-node component's radius comes from the
@@ -57,7 +58,9 @@ CHARPOLY_MAX_DIM = 64
 # a 2-core x86 box; see its docstring.
 _STEP_COST = 22
 _STEP_OVERHEAD = 8000
-_SQUARING_MAX_DIM = 3300
+# The largest dimension densified by choice, for squaring or for a sparse
+# block's Noda hand-over: a dense 3300 x 3300 array takes about 87 MB.
+_DENSE_MAX_DIM = 3300
 
 # Power steps a dense block gets (at least its dimension) before Noda's
 # inverse iteration takes over.  Blocks of the fixtures close within 343
@@ -94,17 +97,18 @@ def spectral_radius_irreducible(
     Power iteration on the shifted matrix B = A + I, stopping when the
     Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
     is narrower than tol.  B is a CSR array when A is a NonnegMatrix with
-    nnz <= m^2 // 4, and a dense array otherwise.  A dense block whose
-    bracket is still open after max(1000, m) steps continues with Noda's
-    inverse iteration for the rest of the max_iter budget; a CSR block
-    stays with power iteration.  Returns the midpoint of a closed bracket
-    or raises NoConvergence.
+    nnz <= m^2 // 4, and a dense array otherwise.  A block whose bracket
+    is still open after max(1000, m) steps continues with Noda's inverse
+    iteration for the rest of the max_iter budget, a CSR block densified
+    first; a CSR block of more than 3300 nodes stays with power iteration
+    instead.  Returns the midpoint of a closed bracket or raises
+    NoConvergence.
     """
     _check_tol(tol)
-    if isinstance(a, NonnegMatrix) and a.dim > 1 and a.nnz <= a.dim * a.dim // 4:
+    csr_block = isinstance(a, NonnegMatrix) and a.dim > 1 and a.nnz <= a.dim * a.dim // 4
+    if csr_block:
         m = a.dim
         shifted = a.csr + sparse.eye_array(m, format="csr")
-        power_steps = max_iter
     else:
         # a private copy, shifted in place: one m x m array instead of three
         shifted = a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a, dtype=float)
@@ -114,7 +118,8 @@ def spectral_radius_irreducible(
         if m == 1:
             return float(shifted[0, 0])
         shifted[np.diag_indices(m)] += 1.0
-        power_steps = min(max_iter, max(_POWER_STEPS, m))
+    too_large = csr_block and m > _DENSE_MAX_DIM
+    power_steps = max_iter if too_large else min(max_iter, max(_POWER_STEPS, m))
     v = np.full(m, 1.0 / m)
     lo, hi = -math.inf, math.inf
     for _ in range(power_steps):
@@ -125,11 +130,19 @@ def spectral_radius_irreducible(
         if hi - lo <= tol:
             return float((lo + hi) / 2.0 - 1.0)
     if power_steps < max_iter:
+        if csr_block:
+            shifted = shifted.toarray()
         lo, hi = _noda(shifted, v, lo, hi, tol, max_iter - power_steps)
         return float((lo + hi) / 2.0 - 1.0)
+    why = (
+        f"; a {m}-node sparse block is too large to densify for Noda's inverse "
+        f"iteration (limit {_DENSE_MAX_DIM} nodes)"
+        if too_large
+        else ""
+    )
     raise NoConvergence(
         f"power iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {power_steps} steps (tolerance {tol})"
+        f"after {power_steps} steps (tolerance {tol}){why}"
     )
 
 
@@ -302,7 +315,7 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     if n == 0 or s == 0:
         return math.log(s) if s > 0 else -math.inf
     d = a.dim
-    if d <= _SQUARING_MAX_DIM and d**3 * int(n).bit_length() < _STEP_COST * n * (a.nnz + _STEP_OVERHEAD):
+    if d <= _DENSE_MAX_DIM and d**3 * int(n).bit_length() < _STEP_COST * n * (a.nnz + _STEP_OVERHEAD):
         return _log_power_sum_squaring(a.to_dense(), u, n)
     return _log_power_sum_stepwise(a, u, n)
 

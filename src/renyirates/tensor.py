@@ -1,10 +1,15 @@
-"""Kronecker tensor powers and their restriction to the collision set.
+"""The collision matrix of an HMM, built from P's sparse rows, and Hadamard powers.
 
 For an HMM with joint-chain matrix M, the order-alpha pipeline restricts
 M^(tensor alpha) to tuples whose alpha observation components agree.  The
-restricted matrix A is built directly in collision coordinates, indexed by
-(hidden tuple, shared symbol); the unrestricted |X x Z|^alpha tensor is
-never materialized.
+restricted matrix A is indexed by (hidden tuple, shared symbol) and is
+built straight from the product structure: neither M^(tensor alpha) nor
+P^(tensor alpha) is formed.  Each hidden tuple's successors come from P's
+CSR rows, restricted coordinate by coordinate to the states that can emit
+the successor's symbol, so every product enumerated is a stored entry of
+A.  Values multiply left to right, ((p_1 p_2) p_3)..., the order of a
+left-folded Kronecker power, so A is the restriction of that power float
+for float.
 
 Canonical collision-index order: symbol-major, then lexicographic in the
 hidden tuple.  Indices whose tuple cannot emit the shared symbol (zero
@@ -17,16 +22,18 @@ the same collision probabilities, (pi^(tensor alpha) o w)^T K^(n-1) 1, and
 the same non-zero spectrum, component by component (Horn & Johnson,
 Matrix Analysis, Thm 1.3.22).  K is indexed by the hidden tuples with
 w > 0 and is up to nz times smaller than A; Perron radii are taken from
-its blocks (see `spectral`).
+its blocks (see `spectral`).  `collision_system` writes each row of B
+once and gathers it for every symbol of its tuple.
 
 K, its weights and the all-ones vector are invariant under permuting the
 alpha tuple coordinates, so K lumps exactly onto multisets of hidden
 states (ordinary lumpability: Kemeny & Snell, Finite Markov Chains,
 1960; P. Buchholz, J. Appl. Probab. 31, 1994).  The lumped matrix has at
 most C(nx + alpha - 1, alpha) rows, about alpha! times fewer than K, and
-`lumped_system` builds it straight from the multisets; finite lengths
-run on it.  At 8 states, 3 symbols and alpha = 4 it has 330 rows where K
-has 4096 and 16.8M stored entries.
+`lumped_system` builds it straight from the multisets, enumerating
+successors the same way; finite lengths run on it.  At 8 states, 3
+symbols and alpha = 4 it has 330 rows where K has 4096 and 16.8M stored
+entries.
 """
 
 from __future__ import annotations
@@ -44,6 +51,14 @@ from .model import HiddenMarkovModel, _hmm_order
 from .nonneg import NonnegMatrix
 
 DEFAULT_MAX_DIM = 10**6
+
+# collision_system refuses a build predicted to hold more than this many
+# bytes: 12 for each stored entry of A (a float64 value and an int32
+# column) and at most 8 * alpha + 48 more for enumerating it (one
+# symbol's successors with their alpha int32 digits, rows, values and
+# ranks, then B's COO and CSR entries).  Measured build peaks stay under
+# 64 bytes an entry of A at alpha <= 5.
+_BUILD_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -79,18 +94,6 @@ class CollisionSystem:
         return tuple(ix.label() for ix in self.indices)
 
 
-def kronecker_power(a: NonnegMatrix, alpha: int, max_dim: int = DEFAULT_MAX_DIM) -> NonnegMatrix:
-    """alpha-fold Kronecker tensor power; tuple indices ordered lexicographically."""
-    if int(alpha) != alpha or alpha < 1:
-        raise InvalidOrder(f"Kronecker power needs an integer order >= 1, got {alpha}")
-    alpha = int(alpha)
-    if a.dim**alpha > max_dim:
-        raise DimensionOverflow(
-            f"Kronecker power dimension {a.dim}^{alpha} exceeds cap {max_dim}"
-        )
-    return reduce(lambda x, y: x.kron(y), [a] * alpha)
-
-
 def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
     """Entrywise power; structural zeros are preserved."""
     if not alpha > 0:
@@ -98,10 +101,6 @@ def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
     c = a.csr.copy()
     c.data = c.data**alpha
     return NonnegMatrix.from_sparse(c)
-
-
-def _kron_vector(v: np.ndarray, alpha: int) -> np.ndarray:
-    return reduce(np.kron, [v] * alpha)
 
 
 def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:
@@ -112,6 +111,72 @@ def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:
         )
 
 
+def _stored_entries(p: sparse.csr_array, emits: np.ndarray, alpha: int) -> int:
+    """Entries of A, in closed form, before any product underflows.
+
+    With S_z = {x : E[x, z] > 0} (emits[:, z]) and
+    c_z'(x) = |{x' in S_z' : P[x, x'] > 0}|, A stores
+    sum_{z, z'} (sum_{x in S_z} c_z'(x))^alpha entries; B, whose rows are
+    some of A's, at most as many.
+    """
+    structure = sparse.csr_array(
+        (np.ones(p.nnz, dtype=np.int64), p.indices, p.indptr), shape=p.shape
+    )
+    s = emits.astype(np.int64)
+    counts = s.T @ (structure @ s)
+    return sum(int(m) ** alpha for m in counts.ravel().tolist())
+
+
+def _successors(
+    p: sparse.csr_array, tuples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Successor tuples of each row of `tuples` under the tensor power of p.
+
+    p is a CSR array with sorted column indices and `tuples` has one tuple
+    of p's row indices per row.  Returns (rows, successors, values):
+    entry k is the successor tuple successors[k] of tuples[rows[k]], one
+    column index of p per coordinate, with value
+    prod_j p[tuples[rows[k], j], successors[k, j]] multiplied left to right.
+    Rows ascend and a row's successors are in lexicographic order.  The
+    entries number sum_t prod_j deg(t_j), deg(x) the stored entries of
+    p's row x.
+    """
+    degree = np.diff(p.indptr)
+    rows = np.arange(len(tuples))
+    successors = np.empty((len(tuples), 0), dtype=p.indices.dtype)
+    values = np.ones(len(tuples))
+    for j in range(tuples.shape[1]):
+        state = tuples[rows, j]
+        count = degree[state]
+        first = np.cumsum(count) - count
+        pos = np.repeat(p.indptr[state] - first, count) + np.arange(count.sum())
+        rows = np.repeat(rows, count)
+        successors = np.column_stack([np.repeat(successors, count, axis=0), p.indices[pos]])
+        values = np.repeat(values, count) * p.data[pos]
+    return rows, successors, values
+
+
+def _symbol_columns(
+    p: sparse.csr_array, digits: np.ndarray, node: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of B in one symbol z's columns: (rows, columns, values).
+
+    p holds P's columns of S_z, so successors come in digits local to S_z;
+    node maps a successor's rank in S_z^alpha to its node (or -1) and w
+    gives its emission product, 0 where it is no node.  Rows ascend and a
+    row's columns too.  Indices are int32: the byte budget of
+    `collision_system` keeps them far below 2^31.
+    """
+    rows, successors, values = _successors(p, digits)
+    rank = successors[:, 0].astype(np.intp)
+    for j in range(1, successors.shape[1]):
+        rank = rank * p.shape[1] + successors[:, j]
+    del successors
+    values *= w[rank]
+    kept = np.flatnonzero(values > 0)  # no node, or a product that underflows
+    return rows[kept].astype(np.int32), node[rank[kept]].astype(np.int32), values[kept]
+
+
 def collision_system(
     hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
 ) -> CollisionSystem:
@@ -119,31 +184,71 @@ def collision_system(
 
     Entries: A[(xs,z),(xs',z')] = prod_j P[xs_j, xs'_j] * E[xs'_j, z'].
     Initial: nu[(xs,z)] = prod_j pi[xs_j] * E[xs_j, z].
+
+    Products run left to right over the tuple coordinates, so A and nu
+    are float for float the restriction of the left-folded Kronecker
+    powers of P and pi.  Refused with DimensionOverflow when
+    nx^alpha * nz > max_dim, or at once when the build is predicted to
+    hold more than 1 GiB: 8 * alpha + 60 bytes for each entry of A,
+    counted in closed form (see `_stored_entries`).  The build holds A, B
+    (the rows of A's distinct hidden tuples) and one symbol's successor
+    enumeration; no nx^alpha x nx^alpha array is formed.
     """
     alpha = _hmm_order(alpha)
     e = hmm.emission
     nx, nz = e.shape
     _check_dimension(nx, nz, alpha, max_dim)
-    # emission products prod_j E[xs_j, z], one row per symbol, of the
-    # tuples that can emit some symbol
-    emit = np.stack([_kron_vector(e[:, z], alpha) for z in range(nz)])
-    tuples = np.flatnonzero(emit.any(axis=0))
-    emit = emit[:, tuples]
-    # node (xs, z) exists when the emission product of xs at z is positive;
-    # np.nonzero walks emit row by row, which is the symbol-major index order
-    symbols, rows = np.nonzero(emit)
-    weights = emit[symbols, rows]
+    p = sparse.csr_array(hmm.chain.transition)
+    p.eliminate_zeros()
+    emits = e > 0
+    entries = _stored_entries(p, emits, alpha)
+    predicted = entries * (8 * alpha + 60)
+    if predicted > _BUILD_BYTES:
+        raise DimensionOverflow(
+            f"collision system would store {entries} entries, about "
+            f"{predicted / 2**30:.1f} GiB to build, over the {_BUILD_BYTES / 2**30:.0f} GiB budget"
+        )
+
+    # Symbol z's candidate tuples are S_z^alpha in lexicographic order; a
+    # candidate is a node when its emission product is positive (it can
+    # underflow).  node maps a candidate's rank to its node or -1.
+    candidates, hidden, symbols, nu = [], [], [], []
+    dim = 0
+    for z in range(nz):
+        s = np.flatnonzero(emits[:, z])
+        grid = s[np.indices((s.size,) * alpha).reshape(alpha, -1)]
+        w = reduce(np.multiply, e[grid, z])
+        kept = np.flatnonzero(w > 0)
+        node = np.full(w.size, -1, dtype=np.intp)
+        node[kept] = dim + np.arange(kept.size)
+        dim += kept.size
+        candidates.append((s, node, w))
+        hidden.append(np.ravel_multi_index(grid[:, kept], (nx,) * alpha))
+        symbols.append(np.full(kept.size, z))
+        nu.append(reduce(np.multiply, hmm.chain.initial[grid[:, kept]]) * w[kept])
+    hidden_tuples = np.concatenate(hidden)
+    symbols = np.concatenate(symbols)
+    nu = np.concatenate(nu)
+    tuples, node_tuple = np.unique(hidden_tuples, return_inverse=True)
+    digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
+
+    # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
+    # every row sorted.  Each row of B is written once and gathered for
+    # every node of its tuple.
+    blocks = [_symbol_columns(p[:, s], digits, node, w) for s, node, w in candidates if s.size]
+    rows, cols, values = map(np.concatenate, zip(*blocks))
+    del blocks
+    b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, dim))
+    del rows, cols, values
+    matrix = NonnegMatrix.from_sparse(b[node_tuple])
+    del b
+
     states, observations = hmm.chain.states, hmm.observations
-    digits = np.unravel_index(tuples, (nx,) * alpha)
-    hidden = [tuple(states[i] for i in tup) for tup in zip(*(d.tolist() for d in digits))]
+    names = [tuple(states[i] for i in tup) for tup in digits.tolist()]
     indices = tuple(
-        CollisionIndex(hidden_tuple=hidden[r], symbol=observations[z])
-        for z, r in zip(symbols.tolist(), rows.tolist())
+        CollisionIndex(hidden_tuple=names[t], symbol=observations[z])
+        for t, z in zip(node_tuple.tolist(), symbols.tolist())
     )
-    hidden_tuples = tuples[rows]
-    kron_p = kronecker_power(NonnegMatrix.from_dense(hmm.chain.transition), alpha, max_dim)
-    matrix = kron_p.submatrix(hidden_tuples).scale_columns(weights)
-    nu = _kron_vector(hmm.chain.initial, alpha)[hidden_tuples] * weights
     for vector in (nu, hidden_tuples):
         vector.setflags(write=False)
     return CollisionSystem(
@@ -204,18 +309,7 @@ def lumped_system(
 
     p = sparse.csr_array(hmm.chain.transition)
     p.eliminate_zeros()
-    degree = np.diff(p.indptr)
-    rows = np.arange(kept.size)
-    successors = np.empty((kept.size, 0), dtype=np.intp)
-    values = np.ones(kept.size)
-    for j in range(alpha):
-        start = p.indptr[reps[rows, j]]
-        count = degree[reps[rows, j]]
-        first = np.cumsum(count) - count
-        pos = np.repeat(start - first, count) + np.arange(count.sum())
-        rows = np.repeat(rows, count)
-        successors = np.column_stack([np.repeat(successors, count, axis=0), p.indices[pos]])
-        values = np.repeat(values, count) * p.data[pos]
+    rows, successors, values = _successors(p, reps)
     successors.sort(axis=1)
     cols = index[_rank(successors, binom)]
     live = cols >= 0  # a multiset with w = 0 has a zero column

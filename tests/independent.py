@@ -1,11 +1,17 @@
 """Independent references the tests compare the package against.
 
-Neither is part of the pipeline, and each is written apart from the code
-it checks:
+None is part of the pipeline, and each is written apart from the code it
+checks:
 
 - ``joint_chain`` forms the Markov pair process (X, Z) of an HMM as a
   dense matrix; its full Kronecker power, restricted by hand to tuples
   with one shared symbol, checks ``collision_system``.
+- ``kronecker_power`` forms the tensor power of a matrix with
+  ``scipy.sparse.kron``, folded left; ``restricted_kronecker_power`` cuts
+  P's power down to the collision set and scales its columns, the route
+  ``collision_system`` once took, and checks it bit for bit.
+- ``submatrix`` slices a principal submatrix out of a CSR matrix; it
+  checks the blocks ``growth_rate`` takes its radii from.
 - ``empirical_growth_probe`` runs n renormalised vector-matrix products;
   ``(u^T A^n 1)^(1/n)`` checks the Perron root that ``growth_rate``
   reports.
@@ -15,10 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from renyirates import HiddenMarkovModel, NonnegMatrix
+from renyirates.errors import DimensionOverflow
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,50 @@ def joint_chain(hmm: HiddenMarkovModel) -> JointChain:
         (x, z) for x in hmm.chain.states for z in hmm.observations
     )
     return JointChain(pairs=pairs, matrix=matrix, initial=mu)
+
+
+def kronecker_power(a: NonnegMatrix, alpha: int, max_dim: int = 10**6) -> NonnegMatrix:
+    """alpha-fold Kronecker power ((a x a) x a)...; tuple indices ordered lexicographically."""
+    if a.dim**alpha > max_dim:
+        raise DimensionOverflow(f"Kronecker power dimension {a.dim}^{alpha} exceeds cap {max_dim}")
+    return NonnegMatrix.from_sparse(
+        reduce(lambda x, y: sparse.kron(x, y, format="csr"), [a.csr] * alpha)
+    )
+
+
+def submatrix(a: NonnegMatrix, nodes: Sequence[int]) -> NonnegMatrix:
+    """Principal submatrix on the given indices, in the given order."""
+    idx = np.asarray(list(nodes), dtype=int)
+    if idx.size == 0:
+        return NonnegMatrix.from_dense(np.zeros((0, 0)))
+    return NonnegMatrix.from_sparse(a.csr[idx][:, idx])
+
+
+def restricted_kronecker_power(
+    hmm: HiddenMarkovModel, alpha: int
+) -> tuple[NonnegMatrix, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The collision system by way of P^(tensor alpha): (A, nu, hidden tuples, labels).
+
+    Node (xs, z) exists when prod_j E[xs_j, z] > 0; nodes are ordered by
+    symbol, then lexicographically by hidden tuple.  A is P's Kronecker
+    power restricted to the nodes' hidden tuples, its columns scaled by
+    the nodes' emission products; nu is pi's Kronecker power on the same
+    tuples, scaled the same way.
+    """
+    e = hmm.emission
+    nx, nz = e.shape
+    emit = np.stack([reduce(np.kron, [e[:, z]] * alpha) for z in range(nz)])
+    symbols, hidden = np.nonzero(emit)
+    weights = emit[symbols, hidden]
+    power = kronecker_power(NonnegMatrix.from_dense(hmm.chain.transition), alpha)
+    matrix = NonnegMatrix.from_sparse(submatrix(power, hidden).csr.multiply(weights[np.newaxis, :]))
+    nu = reduce(np.kron, [hmm.chain.initial] * alpha)[hidden] * weights
+    digits = np.stack(np.unravel_index(hidden, (nx,) * alpha), axis=1)
+    labels = tuple(
+        ",".join(hmm.chain.states[i] for i in tup) + "|" + hmm.observations[z]
+        for tup, z in zip(digits.tolist(), symbols.tolist())
+    )
+    return matrix, nu, hidden, labels
 
 
 def empirical_growth_probe(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) -> float:

@@ -13,6 +13,7 @@ from renyirates.modelfile import load_model
 from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
+from independent import submatrix
 
 # canonical index order of the example system: 11, 13, 31, 33, 22
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
@@ -211,15 +212,15 @@ class TestReachability:
 class TestComponentSubmatrix:
     # a component's block is the principal submatrix on its sorted members
     def test_example_mixing_pair(self):
-        sub = A_EXAMPLE.submatrix([3, 4])
+        sub = submatrix(A_EXAMPLE, [3, 4])
         assert np.allclose(sub.to_dense(), [[0.16, 0.36], [0.36, 0.16]], atol=0)
 
     def test_all_nodes_is_identity_operation(self):
-        sub = A_EXAMPLE.submatrix(range(5))
+        sub = submatrix(A_EXAMPLE, range(5))
         assert np.array_equal(sub.to_dense(), A_EXAMPLE.to_dense())
 
     def test_singleton(self):
         rng = np.random.default_rng(9)
         a = NonnegMatrix.from_dense(rng.random((4, 4)))
-        sub = a.submatrix([2])
+        sub = submatrix(a, [2])
         assert np.allclose(sub.to_dense(), [[a.to_dense()[2, 2]]], atol=1e-15)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,18 +12,19 @@ from renyirates import (
     entropy_rate,
     finite_length_entropy,
     identity_observation,
+    load_model,
     markov_finite_length,
     markov_rate,
     noiseless_rate,
     validate_chain,
     validate_hmm,
 )
-from renyirates import entropy, tensor
+from renyirates import entropy
 from renyirates.errors import InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
 
-from conftest import OBS_MAP
+from conftest import FIXTURES, OBS_MAP
 
 RATE_EXAMPLE = -math.log2(0.81)  # 0.304006...
 
@@ -74,14 +76,26 @@ class TestFiniteLengthEntropy:
             assert h3 <= h2 + 1e-12
             assert h3 >= 0.0
 
-    def test_never_forms_the_tensor_power(self, monkeypatch, example_hmm):
-        def refuse(*args, **kwargs):
-            raise AssertionError("finite lengths formed P^(tensor alpha)")
-
-        monkeypatch.setattr(tensor, "kronecker_power", refuse)
-        hmm = random_hmm(np.random.default_rng(5), 4, 3)
-        for model, alpha in [(example_hmm, 2), (hmm, 3), (hmm, 4)]:
-            assert finite_length_entropy(model, alpha, 50).finite
+    def test_never_forms_the_tensor_power(self):
+        # P^(tensor alpha) alone would take 12 bytes a stored entry (20 MB for
+        # fig2 at alpha = 8, 117 MB for the 5-state chain at alpha = 5); finite
+        # lengths and rates both peak below that
+        chain = random_chain(np.random.default_rng(6), 5)
+        noiseless = deterministic_observation(chain, {s: "ab"[i % 2] for i, s in enumerate(chain.states)})
+        for model, alpha in [(load_model(FIXTURES / "fig2.model"), 8), (noiseless, 5)]:
+            tensor_bytes = 12 * np.count_nonzero(model.chain.transition) ** alpha
+            runs = {
+                "finite length": lambda: finite_length_entropy(model, alpha, 50),
+                "rate": lambda: entropy_rate(model, alpha),
+            }
+            for path, run in runs.items():
+                tracemalloc.start()
+                try:
+                    assert run().finite
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < tensor_bytes, f"{path} at alpha = {alpha}: peak {peak} bytes"
 
     def test_dense_order_four_model(self):
         # K would be 4096-dim with 16.8M entries; the lumped matrix has 330 rows

@@ -72,3 +72,26 @@ def test_symbol_summed_paths_do_not_load_heavy_scipy_modules():
     assert finite_dim == rate_dim == 2 * 3**3
     assert 0.0 < rate < 1.0
     assert heavy == []
+
+
+def test_cli_rate_and_components_do_not_load_heavy_scipy_modules():
+    # each call builds a collision system, splits it into components and
+    # takes their radii; a lazy import on that path would slip past the
+    # import-time check
+    src = str(Path(renyirates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    model = str(Path(__file__).resolve().parents[1] / "fixtures" / "fig2.model")
+    probe = (
+        "import contextlib, io, json, sys; import renyirates.cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    codes = [renyirates.cli.main([cmd, {model!r}, '--order', '8']) for cmd in ('rate', 'components')]\n"
+        f"print(json.dumps([codes, out.getvalue().count('\\n'), [m for m in {HEAVY!r} if m in sys.modules]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    codes, lines, heavy = json.loads(out.stdout)
+    assert codes == [0, 0]
+    assert lines >= 2
+    assert heavy == []

@@ -9,6 +9,7 @@ from renyirates.cli import main
 from renyirates.errors import ModelFormatError
 from renyirates.modelfile import load_model, parse_model, serialize_model
 from renyirates.oracle import brute_force_collision
+from renyirates.random_models import random_hmm
 
 from conftest import FIXTURES
 
@@ -342,6 +343,15 @@ class TestCliContract:
             "--order", "2", "--length", "2", "--max-dim", "3",
         )
         assert code == 2
+
+    def test_build_budget_exit_code(self, capsys, tmp_path):
+        # dense 16 states and 4 symbols pass --max-dim at order 3, but A would
+        # store 268M entries: refused before the build allocates
+        path = tmp_path / "dense.model"
+        path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), 16, 4))))
+        code, _, err = run_cli(capsys, "rate", path, "--order", "3")
+        assert code == 2
+        assert "budget" in err
 
     def test_non_integer_order_on_hmm_rejected(self, capsys):
         code, _, err = run_cli(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import renyirates.cli
 import renyirates.entropy
@@ -22,13 +23,14 @@ from renyirates import (
     finite_length_entropy,
     growth_rate,
     hadamard_power,
-    kronecker_power,
     load_model,
     log_weighted_power_sum,
     parse_model,
     reachable_components,
     serialize_model,
     strongly_connected_components,
+    tensor,
+    validate_hmm,
 )
 from renyirates.errors import DimensionOverflow
 from renyirates.random_models import (
@@ -38,7 +40,7 @@ from renyirates.random_models import (
     random_nonneg_vector,
 )
 
-from independent import joint_chain
+from independent import joint_chain, kronecker_power, restricted_kronecker_power
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -96,6 +98,35 @@ def test_collision_system_equals_restricted_full_tensor(seed, alpha):
         assert np.allclose(cs.matrix.to_dense(), power[np.ix_(sel, sel)], atol=1e-14)
         nu = np.array([math.prod(jc.initial[i] for i in tup) for tup in flat])
         assert np.allclose(cs.initial, nu, atol=1e-15)
+
+
+@given(seeds, st.sampled_from([2, 3, 4]), st.sampled_from(["noisy", "noiseless", "silent symbol"]))
+@settings(max_examples=60, deadline=None)
+def test_collision_system_is_the_restricted_kronecker_power_bit_for_bit(seed, alpha, kind):
+    """The direct build gives P^(tensor alpha)'s floats, restricted and column-scaled."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(1, 6 if alpha < 4 else 5))
+    sparsity = float(rng.uniform(0, 0.8))
+    if kind == "noiseless":
+        chain = random_chain(rng, nx, sparsity=sparsity)
+        hmm = deterministic_observation(chain, {s: "abc"[int(rng.integers(0, 3))] for s in chain.states})
+    else:
+        hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
+    if kind == "silent symbol":
+        emission = np.insert(hmm.emission, int(rng.integers(0, hmm.n_symbols + 1)), 0.0, axis=1)
+        hmm = validate_hmm(hmm.chain, emission)
+    cs = collision_system(hmm, alpha)
+    matrix, nu, hidden, labels = restricted_kronecker_power(hmm, alpha)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(cs.matrix.csr, name), getattr(matrix.csr, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert cs.initial.tobytes() == nu.tobytes()
+    assert cs.hidden_tuples.tobytes() == hidden.tobytes()
+    assert cs.labels() == labels
+    # the closed-form count the byte budget is checked on
+    p = sparse.csr_array(hmm.chain.transition)
+    p.eliminate_zeros()
+    assert tensor._stored_entries(p, hmm.emission > 0, alpha) == cs.matrix.nnz
 
 
 @given(seeds)

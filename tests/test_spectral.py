@@ -24,7 +24,7 @@ from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
-from independent import empirical_growth_probe
+from independent import empirical_growth_probe, submatrix
 
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 NU_EXAMPLE = np.full(5, 1.0 / 9.0)
@@ -142,6 +142,15 @@ def _assert_radii_exact(a: NonnegMatrix, u):
         assert abs(radius - exact_perron_root(dense[np.ix_(comp, comp)])) <= 1e-12
 
 
+def _sticky_ring(m):
+    """m-node ring of nearly decoupled states, linked both ways by 1e-6; held in CSR."""
+    i = np.arange(m)
+    values = np.r_[0.9 - 1e-9 * i, np.full(2 * m, 1e-6)]
+    return NonnegMatrix.from_sparse(
+        sparse.coo_array((values, (np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i])), shape=(m, m))
+    )
+
+
 class TestNodaHandOver:
     """Dense blocks whose power iteration stalls finish with Noda's inverse iteration."""
 
@@ -213,21 +222,26 @@ class TestNodaHandOver:
         # computed Collatz-Wielandt bounds hold up to the rounding of the ratios
         assert lo - 1e-15 <= exact_perron_root(a) <= hi + 1e-15
 
-    def test_sparse_near_degenerate_block_is_a_known_limit(self, monkeypatch):
-        # Not a pass: a block held in CSR stays with power iteration (no
-        # densifying; sparse LU fill-in made inverse iteration slower than
-        # power iteration on the largest benchmark block), so this 20-node
-        # ring with 1e-6 links still raises after the full budget.
+    def test_sparse_near_degenerate_block_closes_through_hand_over(self, monkeypatch, noda_brackets):
+        # a 20-node ring with 1e-6 links: power iteration alone would not
+        # close the bracket in 10^5 steps; the power phase runs in CSR form
+        # (NonnegMatrix.to_dense is never called) and only the hand-over
+        # gets a dense copy
         monkeypatch.setattr(NonnegMatrix, "to_dense", lambda self: pytest.fail("densified"))
         m = 20
-        i = np.arange(m)
-        values = np.r_[0.9 - 1e-9 * i, np.full(2 * m, 1e-6)]
-        ring = NonnegMatrix.from_sparse(
-            sparse.coo_array((values, (np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i])), shape=(m, m))
-        )
+        ring = _sticky_ring(m)
         assert ring.nnz <= m * m // 4
-        with pytest.raises(NoConvergence, match=r"power iteration .* after 100000 steps"):
-            spectral_radius_irreducible(ring)
+        rho = spectral_radius_irreducible(ring)
+        assert len(noda_brackets) == 1
+        assert abs(rho - exact_perron_root(ring.csr.toarray())) <= 1e-12
+
+    def test_large_stalled_sparse_block_names_its_size(self, monkeypatch):
+        # past 3300 nodes a stalled CSR block is not densified: it keeps power
+        # iteration for the whole budget and the error names its size
+        monkeypatch.setattr(spectral, "_noda", lambda *args: pytest.fail("handed over"))
+        ring = _sticky_ring(3301)
+        with pytest.raises(NoConvergence, match=r"after 3400 steps .* 3301-node sparse block"):
+            spectral_radius_irreducible(ring, max_iter=3400)
 
 
 class TestToleranceCheck:
@@ -331,7 +345,7 @@ class TestGrowthRate:
         ga = growth_rate(a, np.ones(m))
         assert sorted(map(len, ga.decomposition.components)) == sorted(sizes)
         for comp, radius in zip(ga.decomposition.components, ga.component_radii):
-            assert radius == spectral_radius_irreducible(a.submatrix(sorted(comp)))
+            assert radius == spectral_radius_irreducible(submatrix(a, sorted(comp)))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)

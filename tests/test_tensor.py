@@ -1,5 +1,7 @@
 import itertools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +11,15 @@ from renyirates import (
     collision_system,
     deterministic_observation,
     hadamard_power,
-    kronecker_power,
+    load_model,
     validate_chain,
     validate_hmm,
 )
 from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.random_models import random_hmm
 
-from conftest import P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
-from independent import joint_chain
+from conftest import FIXTURES, P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
+from independent import joint_chain, kronecker_power
 
 
 class TestKroneckerPower:
@@ -157,6 +159,34 @@ class TestCollisionSystem:
     def test_dimension_guard(self, example_hmm):
         with pytest.raises(DimensionOverflow):
             collision_system(example_hmm, 2, max_dim=3)
+
+    def test_build_never_holds_the_tensor_power(self):
+        # P^(tensor 8) has 6^8 = 1.7M stored entries, about 20 MB; A has 514
+        fig2 = load_model(FIXTURES / "fig2.model")
+        tracemalloc.start()
+        try:
+            cs = collision_system(fig2, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (cs.dimension, cs.matrix.nnz) == (257, 514)
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_byte_budget_refuses_before_allocating(self):
+        # dense 16 states, 4 symbols, alpha = 3: dimension 16384 passes the
+        # cap, but A would store 16 * 256^3 = 268M entries (3.2 GB as CSR)
+        hmm = random_hmm(np.random.default_rng(0), 16, 4)
+        assert 16**3 * 4 <= 10**6
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(DimensionOverflow, match="268435456 entries"):
+                collision_system(hmm, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestNoiselessCollisionSystem:
