@@ -19,6 +19,15 @@ and can still raise NoConvergence when it is near-degenerate (a sparse
 LU would densify it through fill-in).  A radius is the midpoint of a
 closed bracket, never of an open one.
 
+`growth_rate` takes all the radii of a call in one pass.  A CSR block
+iterates alone, but dense blocks of one size iterate in lockstep, as
+one (k, m, m) stack: a step is one stacked product, whose slices run the
+same gemv as a lone block, and row-wise ratios, bounds and sums, so each
+block closes at the same step with the same float as alone, at the
+interpreter cost of one block.  Closed blocks leave the stack when half
+of it has closed; the last open block goes on alone.  A 1x1 block is its
+entry, with no iteration.
+
 For an HMM collision system the components are found on A, so their ids
 and order are A's, but each multi-node component's radius comes from the
 symbol-summed tuple matrix K (see `tensor`): A's rows do not depend on
@@ -67,6 +76,8 @@ _DENSE_MAX_DIM = 3300
 # steps and the benchmark's blocks other than its sticky chains within
 # 665, so those radii keep the exact float power iteration gives them.
 _POWER_STEPS = 1000
+# Dense blocks of one size iterate in stacks of at most this many bytes.
+_STACK_BYTES = 2**23
 _EPS = float(np.finfo(float).eps)
 
 
@@ -102,47 +113,147 @@ def spectral_radius_irreducible(
     iteration for the rest of the max_iter budget, a CSR block densified
     first; a CSR block of more than 3300 nodes stays with power iteration
     instead.  Returns the midpoint of a closed bracket or raises
-    NoConvergence.
+    NoConvergence.  A 1x1 block is its entry.  This is the one-block case
+    of the routine `growth_rate` runs on all its blocks at once.
     """
     _check_tol(tol)
-    csr_block = isinstance(a, NonnegMatrix) and a.dim > 1 and a.nnz <= a.dim * a.dim // 4
-    if csr_block:
-        m = a.dim
-        shifted = a.csr + sparse.eye_array(m, format="csr")
-    else:
-        # a private copy, shifted in place: one m x m array instead of three
-        shifted = a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a, dtype=float)
-        m = shifted.shape[0]
-        if m == 0:
-            return 0.0
-        if m == 1:
-            return float(shifted[0, 0])
-        shifted[np.diag_indices(m)] += 1.0
-    too_large = csr_block and m > _DENSE_MAX_DIM
-    power_steps = max_iter if too_large else min(max_iter, max(_POWER_STEPS, m))
-    v = np.full(m, 1.0 / m)
-    lo, hi = -math.inf, math.inf
-    for _ in range(power_steps):
-        w = shifted @ v
+    if not isinstance(a, NonnegMatrix):
+        a = np.asarray(a, dtype=float)
+    return _perron_radii([a], tol, max_iter)[0]
+
+
+def _perron_radii(
+    blocks: list[NonnegMatrix | np.ndarray], tol: float, max_iter: int
+) -> list[float]:
+    """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
+
+    A CSR block iterates alone.  Dense blocks of one size iterate as one
+    (k, m, m) stack of shifted blocks, in stacks of at most 8 MB, in
+    lockstep: each stack slice takes the very gemv, ratios and sums its
+    block would take alone, so every radius is the same float.  A block
+    leaves the stack when its bracket closes; the stack is compacted once
+    half of it has left, and its last open block goes on alone.  Blocks
+    still open after their power steps finish in list order, so the
+    NoConvergence raised is the first failing block's.
+    """
+    # per block: its radius, or (B, v, lo, hi) once its power steps are
+    # spent with the bracket still open
+    states: list = [None] * len(blocks)
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(blocks):
+        m = a.dim if isinstance(a, NonnegMatrix) else a.shape[0]
+        if isinstance(a, NonnegMatrix) and m > 1 and a.nnz <= m * m // 4:
+            shifted = a.csr + sparse.eye_array(m, format="csr")
+            states[i] = _power_alone(shifted, _power_steps(shifted, max_iter), tol)
+        elif m <= 1:
+            states[i] = float(_dense(a)[0, 0]) if m else 0.0
+        else:
+            groups.setdefault(m, []).append(i)
+    for m, members in groups.items():
+        per_stack = max(1, _STACK_BYTES // (8 * m * m))
+        for first in range(0, len(members), per_stack):
+            stacked = members[first : first + per_stack]
+            lockstep = _power_lockstep([blocks[i] for i in stacked], m, max_iter, tol)
+            for i, state in zip(stacked, lockstep):
+                states[i] = state
+    return [_finish(state, tol, max_iter) for state in states]
+
+
+def _dense(a: NonnegMatrix | np.ndarray) -> np.ndarray:
+    """A private dense copy of a block, in the array's own memory order."""
+    return a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a)
+
+
+def _power_steps(b, max_iter: int) -> int:
+    """Power steps a shifted block gets before the hand-over to Noda's iteration."""
+    m = b.shape[0]
+    if sparse.issparse(b) and m > _DENSE_MAX_DIM:
+        return max_iter
+    return min(max_iter, max(_POWER_STEPS, m))
+
+
+def _power_alone(b, steps: int, tol: float, v=None, lo=-math.inf, hi=math.inf):
+    """Up to `steps` power steps on one shifted block from v (uniform when None).
+
+    Returns the radius once the bracket closes, else (b, v, lo, hi).
+    """
+    if v is None:
+        v = np.full(b.shape[0], 1.0 / b.shape[0])
+    for _ in range(steps):
+        w = b @ v
         ratios = w / v
         lo, hi = ratios.min(), ratios.max()
         v = w / w.sum()
         if hi - lo <= tol:
             return float((lo + hi) / 2.0 - 1.0)
-    if power_steps < max_iter:
-        if csr_block:
-            shifted = shifted.toarray()
-        lo, hi = _noda(shifted, v, lo, hi, tol, max_iter - power_steps)
+    return b, v, lo, hi
+
+
+def _power_lockstep(
+    blocks: list[NonnegMatrix | np.ndarray], m: int, max_iter: int, tol: float
+) -> list:
+    """`_power_alone` on dense m x m blocks, all iterated as one stack."""
+    if len(blocks) == 1:
+        b = _dense(blocks[0])
+        b[np.diag_indices(b.shape[0])] += 1.0
+        return [_power_alone(b, _power_steps(b, max_iter), tol)]
+    k = len(blocks)
+    stack = np.empty((k, m, m))
+    for j, a in enumerate(blocks):
+        stack[j] = a.to_dense() if isinstance(a, NonnegMatrix) else a
+    stack[:, np.arange(m), np.arange(m)] += 1.0
+    steps = _power_steps(stack[0], max_iter)
+    states: list = [None] * k
+    rows = np.arange(k)  # the block of each stack slice
+    live = np.ones(k, dtype=bool)  # slices whose bracket is still open
+    v = np.full((k, m), 1.0 / m)
+    lo, hi = np.full(k, -math.inf), np.full(k, math.inf)
+    for step in range(steps):
+        w = np.matmul(stack, v[:, :, None])[:, :, 0]
+        ratios = w / v
+        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+        v = w / w.sum(axis=1, keepdims=True)
+        closed = live & (hi - lo <= tol)
+        if not closed.any():
+            continue
+        for j in np.flatnonzero(closed).tolist():
+            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - 1.0)
+        live &= ~closed
+        open_count = np.count_nonzero(live)
+        if open_count == 1:
+            (j,) = np.flatnonzero(live)
+            rest = steps - step - 1
+            states[rows[j]] = _power_alone(stack[j].copy(), rest, tol, v[j], lo[j], hi[j])
+            return states
+        if 2 * open_count <= rows.size:
+            if open_count == 0:
+                return states
+            stack, v, lo, hi, rows = stack[live], v[live], lo[live], hi[live], rows[live]
+            live = np.ones(open_count, dtype=bool)
+    for j in np.flatnonzero(live).tolist():
+        states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j])
+    return states
+
+
+def _finish(state, tol: float, max_iter: int) -> float:
+    """A block's radius once its power steps are spent: hand an open bracket to Noda."""
+    if not isinstance(state, tuple):
+        return state
+    b, v, lo, hi = state
+    m = b.shape[0]
+    steps = _power_steps(b, max_iter)
+    if steps < max_iter:
+        lo, hi = _noda(b.toarray() if sparse.issparse(b) else b, v, lo, hi, tol, max_iter - steps)
         return float((lo + hi) / 2.0 - 1.0)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
         f"iteration (limit {_DENSE_MAX_DIM} nodes)"
-        if too_large
+        if sparse.issparse(b) and m > _DENSE_MAX_DIM
         else ""
     )
     raise NoConvergence(
         f"power iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {power_steps} steps (tolerance {tol}){why}"
+        f"after {steps} steps (tolerance {tol}){why}"
     )
 
 
@@ -228,11 +339,12 @@ def growth_rate(
         for size, start, end in zip(sizes.tolist(), starts.tolist(), ends.tolist())
     ]
     del collapsed  # the blocks hold their own copies
+    block_radii = iter(
+        _perron_radii([NonnegMatrix(b) for b in blocks if b is not None], tol, max_iter)
+    )
     diagonal = a.csr.diagonal()
     radii = tuple(
-        float(diagonal[comp[0]])
-        if block is None
-        else spectral_radius_irreducible(NonnegMatrix(block), tol=tol, max_iter=max_iter)
+        float(diagonal[comp[0]]) if block is None else next(block_radii)
         for comp, block in zip(decomp.components, blocks)
     )
     reachable = reachable_components(decomp, u)

@@ -57,7 +57,11 @@ DEFAULT_MAX_DIM = 10**6
 # column) and at most 8 * alpha + 48 more for enumerating it (one
 # symbol's successors with their alpha int32 digits, rows, values and
 # ranks, then B's COO and CSR entries).  Measured build peaks stay under
-# 64 bytes an entry of A at alpha <= 5.
+# 64 bytes an entry of A at alpha <= 5.  lumped_system refuses past the
+# same budget at 4 * alpha + 64 bytes for each successor entry it
+# enumerates (alpha int32 digits, their ranks, rows, values and the COO
+# and CSR copies); its measured build peaks, 67-94 bytes an entry at
+# alpha = 2-8, stay under that.
 _BUILD_BYTES = 2**30
 
 
@@ -108,6 +112,16 @@ def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:
     if nx**alpha * nz > max_dim:
         raise DimensionOverflow(
             f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"
+        )
+
+
+def _check_build_bytes(what: str, entries: int, bytes_per_entry: int) -> None:
+    """Refuse a build predicted to hold more than _BUILD_BYTES."""
+    predicted = entries * bytes_per_entry
+    if predicted > _BUILD_BYTES:
+        raise DimensionOverflow(
+            f"{what} {entries} entries, about {predicted / 2**30:.1f} GiB to build, "
+            f"over the {_BUILD_BYTES / 2**30:.0f} GiB budget"
         )
 
 
@@ -202,12 +216,7 @@ def collision_system(
     p.eliminate_zeros()
     emits = e > 0
     entries = _stored_entries(p, emits, alpha)
-    predicted = entries * (8 * alpha + 60)
-    if predicted > _BUILD_BYTES:
-        raise DimensionOverflow(
-            f"collision system would store {entries} entries, about "
-            f"{predicted / 2**30:.1f} GiB to build, over the {_BUILD_BYTES / 2**30:.0f} GiB budget"
-        )
+    _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
 
     # Symbol z's candidate tuples are S_z^alpha in lexicographic order; a
     # candidate is a node when its emission product is positive (it can
@@ -266,7 +275,7 @@ def lumped_system(
     """K lumped onto multisets of hidden states, and its weights.
 
     Returns (order, K~, u~, dimension of A): u~^T K~^(n-1) 1 equals
-    nu^T A^(n-1) 1 of `collision_system`, which refuses the same inputs.
+    nu^T A^(n-1) 1 of `collision_system`.
     K~ is indexed by the multisets M (sorted tuples, in lexicographic
     order) with w(M) > 0:
 
@@ -279,11 +288,19 @@ def lumped_system(
     stored entries of P^(tensor alpha) in K's rows; neither
     P^(tensor alpha) nor any nx^alpha x nx^alpha array is formed.  A's
     dimension is sum_z |S_z|^alpha, S_z the states that can emit z.
+    Refused with DimensionOverflow when nx^alpha * nz > max_dim, as
+    `collision_system` is, or at once when the build is predicted to hold
+    more than 1 GiB: 4 * alpha + 64 bytes for each entry, counted over
+    all multisets (see `_lumped_entries`).
     """
     alpha = _hmm_order(alpha)
     e = hmm.emission
     nx, nz = e.shape
     _check_dimension(nx, nz, alpha, max_dim)
+    p = sparse.csr_array(hmm.chain.transition)
+    p.eliminate_zeros()
+    entries = _lumped_entries(np.diff(p.indptr).tolist(), alpha)
+    _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
     reps = np.array(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
     ).reshape(-1, alpha)
@@ -307,8 +324,6 @@ def lumped_system(
         orbit = orbit * (j + 1) // run
     u = orbit * hmm.chain.initial[reps].prod(axis=1) * w
 
-    p = sparse.csr_array(hmm.chain.transition)
-    p.eliminate_zeros()
     rows, successors, values = _successors(p, reps)
     successors.sort(axis=1)
     cols = index[_rank(successors, binom)]
@@ -320,6 +335,21 @@ def lumped_system(
     k.sum_duplicates()
     dimension = sum(int(s) ** alpha for s in np.count_nonzero(e, axis=0))
     return alpha, NonnegMatrix.from_sparse(k), u, dimension
+
+
+def _lumped_entries(degree: list[int], alpha: int) -> int:
+    """Successor entries `lumped_system` may enumerate: sum_M prod_j deg(m_j).
+
+    The sum over all multisets M of alpha states is h_alpha(deg), the
+    complete homogeneous symmetric polynomial of P's row degrees, from
+    h_k(d_1..d_i) = h_k(d_1..d_(i-1)) + d_i h_(k-1)(d_1..d_i).  Multisets
+    with w = 0 are counted too, though the build skips them.
+    """
+    h = [1] + [0] * alpha
+    for d in degree:
+        for k in range(1, alpha + 1):
+            h[k] += d * h[k - 1]
+    return h[alpha]
 
 
 def _rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:

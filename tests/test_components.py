@@ -1,11 +1,17 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from renyirates import (
     NonnegMatrix,
     collision_system,
+    components,
     reachable_components,
     strongly_connected_components,
 )
@@ -163,6 +169,98 @@ class TestSccAgainstReference:
         assert decomp.components == ()
         assert decomp.component_of == ()
         assert decomp.dag_edges == frozenset()
+
+
+def _tarjan(a: NonnegMatrix):
+    """The decomposition with the irreducible shortcut turned off."""
+    with mock.patch.object(components, "_strongly_connected", return_value=False):
+        return strongly_connected_components(a)
+
+
+def _ring(m: int) -> NonnegMatrix:
+    """m-node ring linked both ways, with self-loops: one component of diameter m // 2.
+
+    The pattern of the sticky ring in test_spectral.py.
+    """
+    i = np.arange(m)
+    rows, cols = np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i]
+    return NonnegMatrix.from_sparse(sparse.coo_array((np.ones(3 * m), (rows, cols)), shape=(m, m)))
+
+
+class TestIrreducibleShortcut:
+    """A graph that is one strongly connected component skips Tarjan's pass."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["random", "cycle", "source", "collision"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decomposition_equals_tarjan(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "collision":
+            nx, nz, alpha = (int(rng.integers(lo, hi)) for lo, hi in [(1, 5), (1, 4), (2, 4)])
+            hmm = random_hmm(rng, nx, nz, sparsity=float(rng.uniform(0, 0.6)))
+            a = collision_system(hmm, alpha).matrix
+        else:
+            n = int(rng.integers(1, 61))
+            dense = random_nonneg_matrix(rng, n, zero_prob=float(rng.uniform(0.3, 0.99)))
+            if kind != "random":  # a Hamiltonian cycle makes it irreducible
+                dense[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+            if kind == "source":  # node 0 reaches every node, none reaches it
+                dense[0] += 0.5
+                dense[:, 0] = 0.0
+            a = NonnegMatrix.from_dense(dense)
+        assert strongly_connected_components(a) == _tarjan(a)
+
+    @pytest.mark.parametrize("loop", [0.0, 0.7])
+    def test_single_node(self, loop):
+        a = NonnegMatrix.from_dense([[loop]])
+        assert strongly_connected_components(a) == _tarjan(a)
+        assert strongly_connected_components(a).components == ((0,),)
+
+    def test_irreducible_collision_system_takes_the_shortcut(self):
+        cs = collision_system(random_hmm(np.random.default_rng(3), 5, 2), 2)
+        assert components._strongly_connected(cs.matrix.csr)
+        decomp = strongly_connected_components(cs.matrix)
+        assert decomp == _tarjan(cs.matrix)
+        assert decomp.components == (tuple(range(cs.dimension)),)
+
+    def test_long_ring_falls_back_within_the_level_bound(self, monkeypatch):
+        # the 3301-node ring needs about 1650 levels a sweep; both sweeps
+        # together get (n + nnz) // 128 of them before Tarjan takes over
+        ring = _ring(3301)
+        spent, decided = [], []
+        sweep, shortcut = components._sweep, components._strongly_connected
+
+        def counted_sweep(step, n, levels, cost):
+            return sweep(lambda frontier: spent.append(cost) or step(frontier), n, levels, cost)
+
+        monkeypatch.setattr(components, "_sweep", counted_sweep)
+        monkeypatch.setattr(
+            components, "_strongly_connected", lambda csr: decided.append(shortcut(csr)) or decided[-1]
+        )
+        decomp = strongly_connected_components(ring)
+        assert decided == [False]
+        assert sum(spent) == (ring.dim + ring.nnz) // 128 == 103
+        assert decomp.components == (tuple(range(3301)),)
+
+    def test_irreducible_pass_peaks_below_the_build(self):
+        # dense 4 states, 3 symbols, alpha = 4: 768 nodes, 589,824 entries;
+        # Tarjan's pass copied the CSR columns into a list and peaked at 26 MB
+        hmm = random_hmm(np.random.default_rng(0), 4, 3)
+        tracemalloc.start()
+        try:
+            cs = collision_system(hmm, 4)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            decomp = strongly_connected_components(cs.matrix)
+            scc_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert (cs.dimension, cs.matrix.nnz) == (768, 589824)
+        assert decomp.n_components == 1
+        assert scc_peak < build_peak, f"SCC {scc_peak / 2**20:.1f} MiB, build {build_peak / 2**20:.1f} MiB"
 
 
 class TestReachability:

@@ -74,24 +74,61 @@ def test_symbol_summed_paths_do_not_load_heavy_scipy_modules():
     assert heavy == []
 
 
-def test_cli_rate_and_components_do_not_load_heavy_scipy_modules():
+def _block_chain_model(path: Path, blocks: int) -> Path:
+    """Markov model of `blocks` 2-state recurrent blocks joined by transient states."""
+    nx = 3 * blocks - 1
+    p = [[0.0] * nx for _ in range(nx)]
+    for b in range(blocks):
+        targets = [3 * b, 3 * b + 1] + ([3 * b + 2] if b < blocks - 1 else [])
+        for s in (3 * b, 3 * b + 1):
+            for t in targets:
+                p[s][t] = 1.0 / len(targets)
+        if b < blocks - 1:
+            p[3 * b + 2][3 * b + 3] = p[3 * b + 2][3 * b + 4] = 0.5
+    doc = {
+        "format": 1, "kind": "markov", "states": [f"s{i}" for i in range(nx)],
+        "transition": p, "initial": [1.0 / nx] * nx,
+    }
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     # each call builds a collision system, splits it into components and
     # takes their radii; a lazy import on that path would slip past the
-    # import-time check
+    # import-time check.  The BSC system is irreducible, so the shortcut
+    # sweeps decide its components; the block chain's eight 2-node blocks
+    # iterate in one lockstep stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    model = str(Path(__file__).resolve().parents[1] / "fixtures" / "fig2.model")
+    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    argvs = [
+        [cmd, str(path), "--order", order, *extra]
+        for path, order, extra in [
+            (fixtures / "fig2.model", "8", []),
+            (fixtures / "bsc.model", "4", ["--epsilon", "0.1"]),
+            (_block_chain_model(tmp_path / "blocks.model", 8), "2", []),
+        ]
+        for cmd in ("rate", "components")
+    ]
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
+        "from renyirates import components, spectral\n"
+        "shortcut, lockstep, decided, stacks = components._strongly_connected, spectral._power_lockstep, [], []\n"
+        "components._strongly_connected = lambda csr: decided.append(shortcut(csr)) or decided[-1]\n"
+        "spectral._power_lockstep = lambda blocks, *rest: stacks.append(len(blocks)) or lockstep(blocks, *rest)\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        f"    codes = [renyirates.cli.main([cmd, {model!r}, '--order', '8']) for cmd in ('rate', 'components')]\n"
-        f"print(json.dumps([codes, out.getvalue().count('\\n'), [m for m in {HEAVY!r} if m in sys.modules]]))"
+        f"    codes = [renyirates.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, out.getvalue().count('\\n'), any(decided), max(stacks), "
+        f"[m for m in {HEAVY!r} if m in sys.modules]]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    codes, lines, heavy = json.loads(out.stdout)
-    assert codes == [0, 0]
-    assert lines >= 2
+    codes, lines, shortcut_taken, largest_stack, heavy = json.loads(out.stdout)
+    assert codes == [0] * 6
+    assert lines >= 6
+    assert shortcut_taken
+    assert largest_stack == 8
     assert heavy == []

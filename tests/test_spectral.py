@@ -12,12 +12,14 @@ from renyirates import (
     bsc_hmm,
     characteristic_polynomial,
     collision_system,
+    entropy_rate,
     growth_rate,
     log_weighted_power_sum,
     spectral,
     spectral_radius_irreducible,
     strongly_connected_components,
     validate_chain,
+    validate_hmm,
 )
 from renyirates.errors import DimensionMismatch, DimensionOverflow, NoConvergence
 from renyirates.modelfile import load_model
@@ -323,13 +325,19 @@ class TestGrowthRate:
         with_map = growth_rate(cs.matrix, cs.initial, hidden_tuples=cs.hidden_tuples)
         assert with_map.component_radii == growth_rate(cs.matrix, cs.initial).component_radii
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_block_slices_match_submatrix_radii(self, seed):
+    @pytest.mark.parametrize(
+        "seed,sizes,sticky",
+        [pytest.param(seed, [1, 3, 1, 12, 40, 2, 1, 25], False, id=str(seed)) for seed in range(6)]
+        # 24 dense 4-node blocks and 6 dense 2-node blocks iterate in two
+        # lockstep stacks, beside three CSR blocks; the last 2-node block is
+        # a sticky chain's Hadamard square, which hands over to Noda
+        + [pytest.param(6, [4] * 24 + [40, 2, 2, 30, 2, 2, 40, 2, 2], True, id="lockstep")],
+    )
+    def test_block_slices_match_submatrix_radii(self, monkeypatch, seed, sizes, sticky):
         # growth_rate slices blocks out of one copy of A collapsed onto the
         # identity tuple map, i.e. A in component order; each radius must be
         # the very float the block's own principal submatrix gives
         rng = np.random.default_rng(seed)
-        sizes = [1, 3, 1, 12, 40, 2, 1, 25]
         m = sum(sizes)
         a = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.02), k=1)
         start = 0
@@ -340,12 +348,31 @@ class TestGrowthRate:
             block[idx - start, (idx - start + 1) % k] += 0.5
             a[start : start + k, start : start + k] = block
             start += k
+        if sticky:
+            a[m - 2 :, m - 2 :] = _sticky(1e-6) ** 2
         perm = rng.permutation(m)
         a = NonnegMatrix.from_dense(a[np.ix_(perm, perm)])
+        hand_overs = []
+        noda = spectral._noda
+        monkeypatch.setattr(spectral, "_noda", lambda *args: hand_overs.append(1) or noda(*args))
         ga = growth_rate(a, np.ones(m))
+        assert len(hand_overs) == sticky
         assert sorted(map(len, ga.decomposition.components)) == sorted(sizes)
         for comp, radius in zip(ga.decomposition.components, ga.component_radii):
             assert radius == spectral_radius_irreducible(submatrix(a, sorted(comp)))
+
+    def test_one_node_collapsed_block_is_its_entry(self):
+        # one hidden state, three symbols: A is one 3-node component whose
+        # symbol-summed block is 1x1, so its radius is that entry itself; a
+        # shifted iteration would give (0.38 + 1) - 1 = 0.3799999999999999
+        hmm = validate_hmm(validate_chain([[1.0]], [1.0]), [[0.3, 0.5, 0.2]])
+        cs = collision_system(hmm, 2)
+        entry = sum(cs.matrix.to_dense()[0].tolist())  # a row of A summed in column order
+        assert (entry + 1.0) - 1.0 != entry
+        ga = growth_rate(cs.matrix, cs.initial, hidden_tuples=cs.hidden_tuples)
+        assert ga.decomposition.components == ((0, 1, 2),)
+        assert ga.component_radii == (entry,)
+        assert entropy_rate(hmm, 2).rho_plus == entry
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)

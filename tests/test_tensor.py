@@ -5,18 +5,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from renyirates import (
     NonnegMatrix,
     collision_system,
     deterministic_observation,
+    finite_length_entropy,
     hadamard_power,
     load_model,
+    tensor,
     validate_chain,
     validate_hmm,
 )
 from renyirates.errors import DimensionOverflow, InvalidOrder
-from renyirates.random_models import random_hmm
+from renyirates.random_models import random_chain, random_hmm
 
 from conftest import FIXTURES, P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
 from independent import joint_chain, kronecker_power
@@ -187,6 +190,34 @@ class TestCollisionSystem:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestLumpedBuildBudget:
+    def test_refuses_before_allocating(self):
+        # dense 12 states, 1 symbol, alpha = 5: dimension 12^5 = 248832 passes
+        # the cap, but the lumped build would enumerate C(16, 5) * 12^5 = 1.09e9
+        # successor entries, tens of GB
+        hmm = random_hmm(np.random.default_rng(0), 12, 1)
+        assert 12**5 <= 10**6
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(DimensionOverflow, match="1086898176 entries"):
+                finite_length_entropy(hmm, 5, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("nx,alpha,sparsity", [(3, 2, 0.0), (5, 3, 0.5), (6, 4, 0.7), (4, 6, 0.3)])
+    def test_count_is_the_enumeration(self, nx, alpha, sparsity):
+        # h_alpha of P's row degrees counts the successors of every multiset
+        p = sparse.csr_array(random_chain(np.random.default_rng(nx), nx, sparsity=sparsity).transition)
+        p.eliminate_zeros()
+        reps = np.array(list(itertools.combinations_with_replacement(range(nx), alpha)))
+        rows, _, _ = tensor._successors(p, reps)
+        assert tensor._lumped_entries(np.diff(p.indptr).tolist(), alpha) == rows.size
 
 
 class TestNoiselessCollisionSystem:
