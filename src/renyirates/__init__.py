@@ -33,7 +33,6 @@ from .spectral import (
     spectral_radius_irreducible,
 )
 from .tensor import (
-    CollisionIndex,
     CollisionSystem,
     collision_system,
     hadamard_power,

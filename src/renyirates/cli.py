@@ -122,18 +122,22 @@ def cmd_rate(args) -> None:
 
 
 def _analysis_matrix(model, args):
-    """Collision system (hmm) or Hadamard power (markov): labels, weights, hidden tuples."""
+    """Collision system (hmm) or Hadamard power (markov): labels, weights, radius matrix.
+
+    An HMM's radius matrix is its symbol-summed tuple matrix K with each
+    node's row; a chain takes its radii from its own matrix.
+    """
     if isinstance(model, HiddenMarkovModel):
         cs = collision_system(model, args.order, max_dim=args.max_dim)
-        return cs.matrix, cs.labels(), cs.initial, cs.hidden_tuples
+        return cs.matrix, cs.labels(), cs.initial, (cs.tuple_matrix, cs.node_tuple)
     _, a, u = rates._hadamard_system(model, args.order)
     return a, model.states, u, None
 
 
 def cmd_components(args) -> None:
     model = _load(args)
-    matrix, labels, weights, hidden_tuples = _analysis_matrix(model, args)
-    ga = growth_rate(matrix, weights, tol=args.tolerance, hidden_tuples=hidden_tuples)
+    matrix, labels, weights, radius_matrix = _analysis_matrix(model, args)
+    ga = growth_rate(matrix, weights, tol=args.tolerance, radius_matrix=radius_matrix)
     decomp = ga.decomposition
     if matrix.dim <= CHARPOLY_MAX_DIM:
         poly = characteristic_polynomial(matrix).tolist()

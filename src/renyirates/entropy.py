@@ -119,7 +119,9 @@ def entropy_rate(
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol."""
     cs = collision_system(hmm, alpha, max_dim=max_dim)
-    ga = growth_rate(cs.matrix, cs.initial, tol=tol, hidden_tuples=cs.hidden_tuples)
+    ga = growth_rate(
+        cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
+    )
     return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
 
 

@@ -8,13 +8,14 @@ associated graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionMismatch, NegativeEntry
+from .errors import DimensionMismatch, NegativeEntry, NonFiniteEntry
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,7 @@ class NonnegMatrix:
         m, n = self.csr.shape
         if m != n:
             raise DimensionMismatch(f"matrix is {m}x{n}, expected square")
-        if self.csr.nnz and self.csr.data.min() < 0:
-            raise NegativeEntry("negative entry in non-negative matrix")
+        _check_entries(self.csr.data, "non-negative matrix")
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "NonnegMatrix":
@@ -65,3 +65,14 @@ class NonnegMatrix:
     def vecmat(self, u: np.ndarray) -> np.ndarray:
         """Row vector times matrix: u^T A."""
         return self._transposed @ np.asarray(u, dtype=float)
+
+
+def _check_entries(values: np.ndarray, what: str) -> None:
+    """Refuse a NaN, an infinity or a negative value among `values`."""
+    if not values.size:
+        return
+    lo, hi = values.min(), values.max()  # NaN propagates into both
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteEntry(f"NaN or infinite entry in {what}")
+    if lo < 0:
+        raise NegativeEntry(f"negative entry in {what}")

@@ -28,15 +28,6 @@ interpreter cost of one block.  Closed blocks leave the stack when half
 of it has closed; the last open block goes on alone.  A 1x1 block is its
 entry, with no iteration.
 
-For an HMM collision system the components are found on A, so their ids
-and order are A's, but each multi-node component's radius comes from the
-symbol-summed tuple matrix K (see `tensor`): A's rows do not depend on
-the symbol, the nodes of one hidden tuple fall in one component, and
-summing their columns turns the block into K's block on the component's
-tuples, with the same non-zero spectrum and up to nz times fewer rows.
-A matrix without a tuple map, such as a Markov chain's, takes the same
-path with every node its own tuple, which slices out A's own blocks.
-
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`).  A weighted power sum u^T A^n 1 takes repeated squaring
 or stepwise vector iteration, whichever a cost rule fitted on measured
@@ -57,7 +48,7 @@ from .components import (
     strongly_connected_components,
 )
 from .errors import DimensionMismatch, DimensionOverflow, NoConvergence
-from .nonneg import NonnegMatrix
+from .nonneg import NonnegMatrix, _check_entries
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**5
@@ -306,46 +297,34 @@ def growth_rate(
     u: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = MAX_ITERATIONS,
-    hidden_tuples: np.ndarray | None = None,
+    radius_matrix: tuple[NonnegMatrix, np.ndarray] | None = None,
 ) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
 
-    hidden_tuples, given for an HMM collision system (one entry per node;
-    nodes that share an entry must have equal rows), lets each multi-node
-    component take its radius from the symbol-summed block K[T_C, T_C] of
-    its hidden tuples.  Without it every node is its own tuple and each
-    block is A's own.
+    Components are found on A, and a singleton's radius is its diagonal
+    entry.  radius_matrix, a pair (K, rows) with one row of K per node of
+    A, gives each multi-node component its radius from K's block on its
+    nodes' rows, which must have the component's Perron root, as the
+    symbol-summed tuple matrix of a collision system does (see `tensor`).
+    Nodes that share a row must lie in one component unless all of them
+    are singletons.  Without it, K is A and each node is its own row.
     """
     _check_tol(tol)
     u = np.asarray(u, dtype=float)
     if u.shape[0] != a.dim:
         raise DimensionMismatch("weight vector length does not match matrix dimension")
-    if hidden_tuples is None:
-        hidden_tuples = np.arange(a.dim)
-    elif len(hidden_tuples) != a.dim:
-        raise DimensionMismatch("hidden tuple map length does not match matrix dimension")
+    _check_entries(u, "weight vector")
+    k, rows = radius_matrix if radius_matrix is not None else (a, np.arange(a.dim))
+    rows = np.asarray(rows)
+    if len(rows) != a.dim or (rows.size and not 0 <= rows.min() <= rows.max() < k.dim):
+        raise DimensionMismatch("radius matrix rows must give each node one row of K")
     decomp = strongly_connected_components(a)
-    # Collapse A once onto its hidden tuples, in component order, and slice
-    # out every block with more than one node; a block keeps its members and
-    # its CSR column indices in increasing order.  A singleton's radius is
-    # its diagonal entry in A.
-    order = np.fromiter(
-        (i for comp in decomp.components for i in comp), dtype=np.intp, count=a.dim
-    )
-    sizes = np.array([len(comp) for comp in decomp.components], dtype=np.intp)
-    collapsed, starts, ends = _sum_symbols(a.csr, order, np.asarray(hidden_tuples), sizes)
-    blocks = [
-        collapsed[start:end, start:end] if size > 1 else None
-        for size, start, end in zip(sizes.tolist(), starts.tolist(), ends.tolist())
-    ]
-    del collapsed  # the blocks hold their own copies
-    block_radii = iter(
-        _perron_radii([NonnegMatrix(b) for b in blocks if b is not None], tol, max_iter)
-    )
+    blocks = _radius_blocks(k.csr, rows, decomp)
+    block_radii = iter(_perron_radii(blocks, tol, max_iter))
     diagonal = a.csr.diagonal()
     radii = tuple(
-        float(diagonal[comp[0]]) if block is None else next(block_radii)
-        for comp, block in zip(decomp.components, blocks)
+        float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
+        for comp in decomp.components
     )
     reachable = reachable_components(decomp, u)
     rho_plus = 0.0
@@ -365,42 +344,34 @@ def growth_rate(
     )
 
 
-def _sum_symbols(
-    csr: sparse.csr_array, order: np.ndarray, tuples: np.ndarray, sizes: np.ndarray
-) -> tuple[sparse.csr_array, np.ndarray, np.ndarray]:
-    """A collision matrix in component order, collapsed onto its hidden tuples.
+def _radius_blocks(
+    k: sparse.csr_array, rows: np.ndarray, decomp: ComponentDecomposition
+) -> list[NonnegMatrix]:
+    """K's block on each multi-node component's rows, in component order.
 
-    `order` lists the nodes component by component, `sizes` the component
-    sizes.  Nodes with one hidden tuple have equal rows and, in a multi-node
-    component, lie in the same component, so summing their columns and
-    keeping one row per tuple turns the component's block into K[T_C, T_C],
-    whose non-zero spectrum is the block's.  Tuples are numbered in order
-    of first appearance along `order`, which keeps each component's tuples
-    contiguous; the returned bounds locate its block.  Without a repeated
-    tuple this is A permuted into `order`, float for float: each entry is
-    one product with 1.0.
+    A component's rows are listed in order of first appearance among its
+    members.  K is permuted once by all these rows and cut into
+    contiguous blocks, each with its column indices in increasing order.
     """
-    _, first, inverse = np.unique(tuples[order], return_index=True, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    # a tuple that touches a multi-node component must lie wholly inside it
-    comp = np.repeat(np.arange(sizes.size), sizes)
-    tuple_comp = comp[first][inverse]
-    if np.any((comp != tuple_comp) & ((sizes[comp] > 1) | (sizes[tuple_comp] > 1))):
-        raise ValueError("a hidden tuple spans more than one component")
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    # one stored 1 per row: node order[j] -> column rank[inverse[j]]
-    columns = np.empty_like(order)
-    columns[order] = rank[inverse]
-    collapse = sparse.csr_array(
-        (np.ones(order.size), columns, np.arange(order.size + 1)),
-        shape=(order.size, first.size),
-    )
+    comps = [comp for comp in decomp.components if len(comp) > 1]
+    if not comps:
+        return []
+    members = np.fromiter((i for comp in comps for i in comp), dtype=np.intp)
+    sizes = np.array([len(comp) for comp in comps], dtype=np.intp)
+    # a row used by a multi-node component must be no other node's
+    node_comp = np.full(rows.size, -1, dtype=np.intp)
+    node_comp[members] = np.repeat(np.arange(sizes.size), sizes)
+    owner = np.full(k.shape[0], -1, dtype=np.intp)
+    owner[rows[members]] = node_comp[members]
+    if np.any((owner[rows] >= 0) & (owner[rows] != node_comp)):
+        raise ValueError("a radius matrix row spans more than one component")
+    _, first = np.unique(rows[members], return_index=True)
     first.sort()
-    k = csr[order[first]] @ collapse
-    k.sort_indices()
-    ends = np.cumsum(sizes)
-    return k, np.searchsorted(first, ends - sizes), np.searchsorted(first, ends)
+    order = rows[members[first]]
+    bounds = [0] + np.searchsorted(first, np.cumsum(sizes)).tolist()
+    permuted = k[order][:, order]
+    permuted.sort_indices()
+    return [NonnegMatrix(permuted[s:e, s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
 def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
@@ -421,6 +392,7 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape[0] != a.dim:
         raise DimensionMismatch("weight vector length does not match matrix dimension")
+    _check_entries(u, "weight vector")
     if n < 0:
         raise ValueError("exponent must be non-negative")
     s = u.sum()

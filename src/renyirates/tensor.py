@@ -15,15 +15,19 @@ Canonical collision-index order: symbol-major, then lexicographic in the
 hidden tuple.  Indices whose tuple cannot emit the shared symbol (zero
 initial weight and an all-zero column) are dropped at construction.
 
-Row (xs, z) of A does not depend on z, so A = L B with L copying a hidden
-tuple to each symbol it can emit, and the symbol-summed tuple matrix
-K = B L = P^(tensor alpha) diag(w), w(xs) = sum_z prod_j E[xs_j, z], gives
-the same collision probabilities, (pi^(tensor alpha) o w)^T K^(n-1) 1, and
-the same non-zero spectrum, component by component (Horn & Johnson,
-Matrix Analysis, Thm 1.3.22).  K is indexed by the hidden tuples with
-w > 0 and is up to nz times smaller than A; Perron radii are taken from
-its blocks (see `spectral`).  `collision_system` writes each row of B
-once and gathers it for every symbol of its tuple.
+Row (xs, z) of A does not depend on z, so A = L B with B holding one
+row per hidden tuple and L copying a hidden tuple to each of its nodes.
+The symbol-summed tuple matrix K = B L = P^(tensor alpha) diag(w),
+w(xs) = sum_z prod_j E[xs_j, z], gives the same collision
+probabilities, (pi^(tensor alpha) o w)^T K^(n-1) 1, and the same
+non-zero spectrum, component by component (Horn & Johnson, Matrix
+Analysis, Thm 1.3.22): the nodes of one hidden tuple have equal rows,
+so in a multi-node component of A they all lie in that component, and
+summing their columns turns its block into K's block on its tuples.  K
+is indexed by the hidden tuples with w > 0 and is up to nz times
+smaller than A; `collision_system` forms it from B while it builds A,
+and `growth_rate` takes each multi-node component's radius from its
+block.
 
 K, its weights and the all-ones vector are invariant under permuting the
 alpha tuple coordinates, so K lumps exactly onto multisets of hidden
@@ -66,36 +70,32 @@ _BUILD_BYTES = 2**30
 
 
 @dataclass(frozen=True)
-class CollisionIndex:
-    """One restricted-tensor coordinate: alpha hidden states, one symbol."""
-
-    hidden_tuple: tuple[str, ...]
-    symbol: str
-
-    def label(self) -> str:
-        return ",".join(self.hidden_tuple) + "|" + self.symbol
-
-
-@dataclass(frozen=True)
 class CollisionSystem:
-    """Restricted tensored matrix A, initial weights nu, and index map.
+    """Restricted tensored matrix A, initial weights nu, and the tuple matrix K.
 
-    hidden_tuples[i] is the lexicographic index in X^alpha of node i's
-    hidden tuple; nodes that share it have equal rows.
+    Node i of A is hidden tuple node_tuple[i] emitting node_symbols[i];
+    node_tuple[i] is also node i's row of K, whose rows are the hidden
+    tuples in lexicographic order, named by tuple_names.
     """
 
     order: int
-    indices: tuple[CollisionIndex, ...]
     matrix: NonnegMatrix
     initial: np.ndarray
-    hidden_tuples: np.ndarray
+    tuple_matrix: NonnegMatrix
+    node_tuple: np.ndarray
+    tuple_names: tuple[str, ...]
+    node_symbols: tuple[str, ...]
 
     @property
     def dimension(self) -> int:
         return self.matrix.dim
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(ix.label() for ix in self.indices)
+        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
+        names = self.tuple_names
+        return tuple(
+            names[t] + "|" + z for t, z in zip(self.node_tuple.tolist(), self.node_symbols)
+        )
 
 
 def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
@@ -205,7 +205,7 @@ def collision_system(
     nx^alpha * nz > max_dim, or at once when the build is predicted to
     hold more than 1 GiB: 8 * alpha + 60 bytes for each entry of A,
     counted in closed form (see `_stored_entries`).  The build holds A, B
-    (the rows of A's distinct hidden tuples) and one symbol's successor
+    (the rows of A's distinct hidden tuples), K and one symbol's successor
     enumeration; no nx^alpha x nx^alpha array is formed.
     """
     alpha = _hmm_order(alpha)
@@ -221,7 +221,7 @@ def collision_system(
     # Symbol z's candidate tuples are S_z^alpha in lexicographic order; a
     # candidate is a node when its emission product is positive (it can
     # underflow).  node maps a candidate's rank to its node or -1.
-    candidates, hidden, symbols, nu = [], [], [], []
+    candidates, hidden, node_symbols, nu = [], [], [], []
     dim = 0
     for z in range(nz):
         s = np.flatnonzero(emits[:, z])
@@ -233,39 +233,39 @@ def collision_system(
         dim += kept.size
         candidates.append((s, node, w))
         hidden.append(np.ravel_multi_index(grid[:, kept], (nx,) * alpha))
-        symbols.append(np.full(kept.size, z))
+        node_symbols += [hmm.observations[z]] * kept.size
         nu.append(reduce(np.multiply, hmm.chain.initial[grid[:, kept]]) * w[kept])
-    hidden_tuples = np.concatenate(hidden)
-    symbols = np.concatenate(symbols)
+    tuples, node_tuple = np.unique(np.concatenate(hidden), return_inverse=True)
     nu = np.concatenate(nu)
-    tuples, node_tuple = np.unique(hidden_tuples, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
 
     # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
     # every row sorted.  Each row of B is written once and gathered for
-    # every node of its tuple.
+    # every node of its tuple into A.  K = B L sums each row's columns
+    # over the nodes of a tuple in ascending node order.
     blocks = [_symbol_columns(p[:, s], digits, node, w) for s, node, w in candidates if s.size]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
     b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, dim))
     del rows, cols, values
+    collapse = sparse.csr_array(
+        (np.ones(dim), node_tuple, np.arange(dim + 1)), shape=(dim, tuples.size)
+    )
+    k = NonnegMatrix.from_sparse(b @ collapse)
     matrix = NonnegMatrix.from_sparse(b[node_tuple])
     del b
 
-    states, observations = hmm.chain.states, hmm.observations
-    names = [tuple(states[i] for i in tup) for tup in digits.tolist()]
-    indices = tuple(
-        CollisionIndex(hidden_tuple=names[t], symbol=observations[z])
-        for t, z in zip(node_tuple.tolist(), symbols.tolist())
-    )
-    for vector in (nu, hidden_tuples):
+    states = hmm.chain.states
+    for vector in (nu, node_tuple):
         vector.setflags(write=False)
     return CollisionSystem(
         order=alpha,
-        indices=indices,
         matrix=matrix,
         initial=nu,
-        hidden_tuples=hidden_tuples,
+        tuple_matrix=k,
+        node_tuple=node_tuple,
+        tuple_names=tuple(",".join(states[i] for i in tup) for tup in digits.tolist()),
+        node_symbols=tuple(node_symbols),
     )
 
 

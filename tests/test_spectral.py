@@ -21,7 +21,13 @@ from renyirates import (
     validate_chain,
     validate_hmm,
 )
-from renyirates.errors import DimensionMismatch, DimensionOverflow, NoConvergence
+from renyirates.errors import (
+    DimensionMismatch,
+    DimensionOverflow,
+    NegativeEntry,
+    NoConvergence,
+    NonFiniteEntry,
+)
 from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
@@ -268,6 +274,40 @@ class TestToleranceCheck:
         )
 
 
+BAD_WEIGHTS = [
+    pytest.param([math.nan, 1.0], NonFiniteEntry, id="nan"),
+    pytest.param([math.inf, 1.0], NonFiniteEntry, id="inf"),
+    pytest.param([-1.0, 1.0], NegativeEntry, id="negative"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_matrix_rejects_non_finite_entry(self, bad):
+        with pytest.raises(NonFiniteEntry):
+            NonnegMatrix.from_dense([[0.5, bad], [0.2, 0.3]])
+
+    def test_matrix_rejects_negative_entry(self):
+        with pytest.raises(NegativeEntry):
+            NonnegMatrix.from_dense([[0.5, -0.1], [0.2, 0.3]])
+
+    @pytest.mark.parametrize("u,error", BAD_WEIGHTS)
+    def test_growth_rate_rejects_bad_weights_before_any_work(self, monkeypatch, u, error):
+        a = NonnegMatrix.from_dense([[0.5, 0.5], [0.2, 0.3]])
+        calls = []
+        monkeypatch.setattr(spectral, "strongly_connected_components", calls.append)
+        with pytest.raises(error, match="weight vector"):
+            growth_rate(a, u)
+        assert calls == []
+
+    @pytest.mark.parametrize("u,error", BAD_WEIGHTS)
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_power_sum_rejects_bad_weights(self, u, error, n):
+        a = NonnegMatrix.from_dense([[0.5, 0.5], [0.2, 0.3]])
+        with pytest.raises(error, match="weight vector"):
+            log_weighted_power_sum(a, u, n)
+
+
 class TestGrowthRate:
     def test_example_dominant_component(self):
         ga = growth_rate(A_EXAMPLE, NU_EXAMPLE)
@@ -305,15 +345,28 @@ class TestGrowthRate:
 
     def test_hidden_tuple_map_length_checked(self):
         with pytest.raises(DimensionMismatch):
-            growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.arange(4))
+            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.arange(4)))
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, -1], [0, 1, 2, 3, 5]])
+    def test_hidden_tuple_map_rows_must_be_rows_of_k(self, rows):
+        with pytest.raises(DimensionMismatch):
+            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array(rows)))
 
     def test_hidden_tuple_across_components_rejected(self):
         # node 4 lies in the component {3, 4}, node 0 is a singleton
         with pytest.raises(ValueError, match="spans more than one component"):
-            growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.array([0, 1, 2, 3, 0]))
+            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array([0, 1, 2, 3, 0])))
+
+    def test_hidden_tuple_across_two_blocks_rejected(self):
+        # two 2-node components, {0, 1} and {2, 3}, share row 1
+        a = NonnegMatrix.from_dense(
+            [[0.2, 0.3, 0.1, 0.0], [0.4, 0.1, 0.0, 0.0], [0.0, 0.0, 0.3, 0.5], [0.0, 0.0, 0.6, 0.2]]
+        )
+        with pytest.raises(ValueError, match="spans more than one component"):
+            growth_rate(a, np.ones(4), radius_matrix=(a, np.array([0, 1, 1, 2])))
 
     def test_hidden_tuple_shared_by_singletons_allowed(self):
-        ga = growth_rate(A_EXAMPLE, NU_EXAMPLE, hidden_tuples=np.array([0, 0, 2, 3, 4]))
+        ga = growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array([0, 0, 2, 3, 4])))
         assert ga.component_radii == growth_rate(A_EXAMPLE, NU_EXAMPLE).component_radii
 
     @pytest.mark.parametrize("order", [2, 3, 5])
@@ -321,8 +374,8 @@ class TestGrowthRate:
         # no hidden tuple repeats under a deterministic observation, so
         # every radius is the float A's own block gives
         cs = collision_system(load_model(FIXTURES / "fig2.model"), order)
-        assert len(set(cs.hidden_tuples.tolist())) == cs.dimension
-        with_map = growth_rate(cs.matrix, cs.initial, hidden_tuples=cs.hidden_tuples)
+        assert len(set(cs.node_tuple.tolist())) == cs.dimension
+        with_map = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
         assert with_map.component_radii == growth_rate(cs.matrix, cs.initial).component_radii
 
     @pytest.mark.parametrize(
@@ -334,9 +387,9 @@ class TestGrowthRate:
         + [pytest.param(6, [4] * 24 + [40, 2, 2, 30, 2, 2, 40, 2, 2], True, id="lockstep")],
     )
     def test_block_slices_match_submatrix_radii(self, monkeypatch, seed, sizes, sticky):
-        # growth_rate slices blocks out of one copy of A collapsed onto the
-        # identity tuple map, i.e. A in component order; each radius must be
-        # the very float the block's own principal submatrix gives
+        # without a radius matrix, growth_rate slices blocks out of one copy
+        # of A permuted into component order; each radius must be the very
+        # float the block's own principal submatrix gives
         rng = np.random.default_rng(seed)
         m = sum(sizes)
         a = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.02), k=1)
@@ -369,7 +422,8 @@ class TestGrowthRate:
         cs = collision_system(hmm, 2)
         entry = sum(cs.matrix.to_dense()[0].tolist())  # a row of A summed in column order
         assert (entry + 1.0) - 1.0 != entry
-        ga = growth_rate(cs.matrix, cs.initial, hidden_tuples=cs.hidden_tuples)
+        assert cs.tuple_matrix.to_dense().tolist() == [[entry]]
+        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
         assert ga.decomposition.components == ((0, 1, 2),)
         assert ga.component_radii == (entry,)
         assert entropy_rate(hmm, 2).rho_plus == entry
