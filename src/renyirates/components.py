@@ -168,20 +168,24 @@ def _strongly_connected(csr: sparse.csr_array) -> bool:
     return levels >= 0 and _sweep(predecessors, n, levels, 1 + nnz // _LEVEL_COST**2) >= 0
 
 
-def _sweep(step, n: int, levels: int, cost: int) -> int:
-    """Budget left once a breadth-first sweep from node 0 reaches all n nodes.
+def _sweep(step, n: int, levels: int, cost: int, start: int = 0, absent=None) -> int:
+    """Budget left once a breadth-first sweep from `start` reaches all n nodes.
 
     step(frontier) marks the neighbours of the nodes first reached at the
-    level before; each level takes `cost` from `levels`.  Returns -1 when
-    the sweep stops short of a node or the budget runs out.
+    level before; each level takes `cost` from `levels`.  Indices marked
+    in the boolean array `absent` are no nodes: they count as reached and
+    are never a frontier.  Returns -1 when the sweep stops short of a node
+    and -2 when the budget runs out first.
     """
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    reached = 1
+    seen = np.zeros(n, dtype=bool) if absent is None else absent.copy()
+    seen[start] = True
+    frontier = np.array([start], dtype=np.intp)
+    reached = np.count_nonzero(seen)
     while reached < n:
-        if levels < cost or frontier.size == 0:
+        if frontier.size == 0:
             return -1
+        if levels < cost:
+            return -2
         levels -= cost
         fresh = step(frontier) & ~seen
         seen |= fresh

@@ -1,13 +1,15 @@
 """Top-level Renyi entropy formulas.
 
 Finite-length entropies of an HMM come from powers of the symbol-summed
-tuple matrix K lumped onto multisets of hidden states, which gives the
-collision probabilities of the restricted tensored matrix A at up to
-nz * alpha! times smaller dimension (see `tensor`); rates from the
-maximal spectral radius over reachable irreducible components of A, each
-radius taken from K's block.  A length-n realization uses exponent n - 1,
-validated against the brute-force oracle.  All values are in bits (log
-base 2).
+tuple matrix K lumped onto multisets of hidden states, K~, which gives
+the collision probabilities of the restricted tensored matrix A at up to
+nz * alpha! times smaller dimension (see `tensor`).  Rates come from the
+maximal spectral radius over reachable irreducible components of A.
+When A is irreducible, which `tensor.irreducible` decides from P's
+pattern without building A, that is rho(K~), reachable when nu has
+mass; otherwise A is built, split into components and each radius taken
+from K's block.  A length-n realization uses exponent n - 1, validated
+against the brute-force oracle.  All values are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -25,11 +27,17 @@ from .model import (
     deterministic_observation,
 )
 from .nonneg import NonnegMatrix
-from .spectral import GrowthAnalysis, growth_rate, log_weighted_power_sum
+from .spectral import (
+    GrowthAnalysis,
+    growth_rate,
+    irreducible_growth,
+    log_weighted_power_sum,
+)
 from .tensor import (
     DEFAULT_MAX_DIM,
     collision_system,
     hadamard_power,
+    irreducible,
     lumped_system,
 )
 
@@ -106,9 +114,9 @@ def finite_length_entropy(
     """Renyi entropy of the first n observed symbols, H_alpha(Z_1..Z_n)."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    alpha, k, weights, dimension = lumped_system(hmm, alpha, max_dim=max_dim)
-    log_cp = log_weighted_power_sum(k, weights, n - 1)
-    return _finite_report(float(alpha), n, log_cp, dimension)
+    lumped = lumped_system(hmm, alpha, max_dim=max_dim)
+    log_cp = log_weighted_power_sum(lumped.matrix, lumped.initial, n - 1)
+    return _finite_report(float(lumped.order), n, log_cp, lumped.dimension)
 
 
 def entropy_rate(
@@ -117,12 +125,26 @@ def entropy_rate(
     max_dim: int = DEFAULT_MAX_DIM,
     tol: float = 1e-12,
 ) -> EntropyReport:
-    """Asymptotic Renyi entropy per observed symbol."""
-    cs = collision_system(hmm, alpha, max_dim=max_dim)
-    ga = growth_rate(
-        cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
-    )
-    return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
+    """Asymptotic Renyi entropy per observed symbol.
+
+    When `tensor.irreducible` shows A irreducible, A is never built: the
+    report has one component, whose radius comes from K~ as
+    `growth_rate` takes it from a radius matrix (so `components` reports
+    the same float), reachable when nu has positive mass.
+    Otherwise A is built and `growth_rate` splits it into components,
+    each radius taken from K's block.  Either way `dimension` is A's node
+    count and `dominant_members` lists A's labels in A's node order.
+    """
+    if not irreducible(hmm, alpha, max_dim=max_dim):
+        cs = collision_system(hmm, alpha, max_dim=max_dim)
+        ga = growth_rate(
+            cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
+        )
+        return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
+    lumped = lumped_system(hmm, alpha, max_dim=max_dim)
+    nodes = lumped.nodes
+    ga = irreducible_growth(nodes.initial, (lumped.matrix, lumped.node_row), tol=tol)
+    return _rate_report(float(lumped.order), ga, nodes.labels(), nodes.dimension)
 
 
 def _hadamard_system(

@@ -28,6 +28,11 @@ interpreter cost of one block.  Closed blocks leave the stack when half
 of it has closed; the last open block goes on alone.  A 1x1 block is its
 entry, with no iteration.
 
+`irreducible_growth` gives what `growth_rate` would for an irreducible A
+that is never built: one component, its radius from the radius matrix
+alone.  An HMM's rate takes it with K lumped onto multisets of hidden
+states when `tensor.irreducible` shows A irreducible.
+
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`).  A weighted power sum u^T A^n 1 takes repeated squaring
 or stepwise vector iteration, whichever a cost rule fitted on measured
@@ -310,14 +315,8 @@ def growth_rate(
     are singletons.  Without it, K is A and each node is its own row.
     """
     _check_tol(tol)
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != a.dim:
-        raise DimensionMismatch("weight vector length does not match matrix dimension")
-    _check_entries(u, "weight vector")
     k, rows = radius_matrix if radius_matrix is not None else (a, np.arange(a.dim))
-    rows = np.asarray(rows)
-    if len(rows) != a.dim or (rows.size and not 0 <= rows.min() <= rows.max() < k.dim):
-        raise DimensionMismatch("radius matrix rows must give each node one row of K")
+    u, rows = _checked_weights(u, a.dim), _checked_rows(rows, a.dim, k)
     decomp = strongly_connected_components(a)
     blocks = _radius_blocks(k.csr, rows, decomp)
     block_radii = iter(_perron_radii(blocks, tol, max_iter))
@@ -326,6 +325,50 @@ def growth_rate(
         float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
         for comp in decomp.components
     )
+    return _analysis(decomp, radii, u)
+
+
+def irreducible_growth(
+    u: np.ndarray,
+    radius_matrix: tuple[NonnegMatrix, np.ndarray],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = MAX_ITERATIONS,
+) -> GrowthAnalysis:
+    """What `growth_rate` gives an irreducible A of len(u) > 1 nodes, without A.
+
+    A's decomposition is then one component of all its nodes, as
+    `strongly_connected_components` gives it, and its radius comes from
+    the pair (K, rows) exactly as `growth_rate` takes it, float for float.
+    The caller vouches for A's irreducibility (see `tensor.irreducible`).
+    """
+    _check_tol(tol)
+    k, rows = radius_matrix
+    n = np.shape(u)[0]
+    u, rows = _checked_weights(u, n), _checked_rows(rows, n, k)
+    decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
+    radii = _perron_radii(_radius_blocks(k.csr, rows, decomp), tol, max_iter)
+    return _analysis(decomp, tuple(radii), u)
+
+
+def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape[0] != n:
+        raise DimensionMismatch("weight vector length does not match matrix dimension")
+    _check_entries(u, "weight vector")
+    return u
+
+
+def _checked_rows(rows: np.ndarray, n: int, k: NonnegMatrix) -> np.ndarray:
+    rows = np.asarray(rows)
+    if len(rows) != n or (rows.size and not 0 <= rows.min() <= rows.max() < k.dim):
+        raise DimensionMismatch("radius matrix rows must give each node one row of K")
+    return rows
+
+
+def _analysis(
+    decomp: ComponentDecomposition, radii: tuple[float, ...], u: np.ndarray
+) -> GrowthAnalysis:
+    """The reachable components of a decomposition with radii, and the dominant one."""
     reachable = reachable_components(decomp, u)
     rho_plus = 0.0
     dominant = None

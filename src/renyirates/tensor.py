@@ -38,18 +38,26 @@ most C(nx + alpha - 1, alpha) rows, about alpha! times fewer than K, and
 successors the same way; finite lengths run on it.  At 8 states, 3
 symbols and alpha = 4 it has 330 rows where K has 4096 and 16.8M stored
 entries.
+
+Permuting the coordinates can map one component of K onto another, so
+K~'s components are not A's (a 3-cycle observed through one symbol has
+3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
+successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
+decide whether A is one component; when it is, its rate is rho(K~) and
+A is never built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy import sparse
 
+from .components import _LEVEL_COST, _sweep
 from .errors import DimensionOverflow, InvalidOrder
 from .model import HiddenMarkovModel, _hmm_order
 from .nonneg import NonnegMatrix
@@ -67,6 +75,15 @@ DEFAULT_MAX_DIM = 10**6
 # and CSR copies); its measured build peaks, 67-94 bytes an entry at
 # alpha = 2-8, stay under that.
 _BUILD_BYTES = 2**30
+
+# `irreducible` trusts patterns while every product of alpha entries of P
+# and alpha of E is at least 2^-1000, far from underflow (2^-1022 is the
+# smallest normal double).  Its levels count as those of
+# `components._sweep` (about 20 us each), one more for every 2^16
+# multiply-adds, and the collision build it saves as 32 at least.
+_SAFE_PRODUCT_LOG2 = -1000.0
+_PRODUCT_COST = 2**16
+_BUILD_LEVELS = 32
 
 
 @dataclass(frozen=True)
@@ -92,10 +109,80 @@ class CollisionSystem:
 
     def labels(self) -> tuple[str, ...]:
         """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
-        names = self.tuple_names
-        return tuple(
-            names[t] + "|" + z for t, z in zip(self.node_tuple.tolist(), self.node_symbols)
-        )
+        return _labels(self.tuple_names, self.node_tuple, self.node_symbols)
+
+
+@dataclass(frozen=True)
+class CollisionNodes:
+    """The nodes of A and their initial weights nu, without A's entries.
+
+    Node i is the hidden tuple of rank hidden[i] in X^alpha (lexicographic
+    order) emitting node_symbols[i]; nodes are in A's order.  candidates
+    holds, for each symbol z, the states S_z that can emit it, the node of
+    each candidate tuple of S_z^alpha by its rank (or -1) and the
+    candidate's emission product: what the collision build reads.
+    """
+
+    order: int
+    hidden: np.ndarray
+    node_symbols: tuple[str, ...]
+    initial: np.ndarray
+    states: tuple[str, ...]
+    candidates: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @property
+    def dimension(self) -> int:
+        return self.hidden.size
+
+    def labels(self) -> tuple[str, ...]:
+        """A's node labels, as `CollisionSystem.labels` gives them."""
+        tuples, node_tuple = np.unique(self.hidden, return_inverse=True)
+        digits = np.stack(np.unravel_index(tuples, (len(self.states),) * self.order), axis=1)
+        return _labels(_tuple_names(digits, self.states), node_tuple, self.node_symbols)
+
+
+@dataclass(frozen=True)
+class LumpedSystem:
+    """K lumped onto multisets of hidden states, its weights and A's dimension.
+
+    multiset_row maps the colexicographic rank of a multiset to its row of
+    K~, or -1 when its weight is 0.  A's nodes, listed only when asked
+    for, are those of `collision_system` on the same HMM.
+    """
+
+    order: int
+    matrix: NonnegMatrix
+    initial: np.ndarray
+    dimension: int
+    multiset_row: np.ndarray
+    hmm: HiddenMarkovModel
+
+    @cached_property
+    def nodes(self) -> CollisionNodes:
+        return _collision_nodes(self.hmm, self.order)
+
+    @cached_property
+    def node_row(self) -> np.ndarray:
+        """Each node's row of K~, the multiset of its hidden tuple (-1 where
+        that multiset's weight underflows to 0)."""
+        nx = len(self.nodes.states)
+        digits = np.stack(np.unravel_index(self.nodes.hidden, (nx,) * self.order), axis=1)
+        digits.sort(axis=1)
+        rows = self.multiset_row[_rank(digits, _binomials(nx, self.order))]
+        rows.setflags(write=False)
+        return rows
+
+
+def _tuple_names(digits: np.ndarray, states: tuple[str, ...]) -> tuple[str, ...]:
+    """Names "x1,...,xa" of hidden tuples given by their state digits, one tuple a row."""
+    return tuple(",".join(states[i] for i in tup) for tup in digits.tolist())
+
+
+def _labels(
+    tuple_names: tuple[str, ...], node_tuple: np.ndarray, node_symbols: tuple[str, ...]
+) -> tuple[str, ...]:
+    """Node labels "x1,...,xa|z": the name of the node's hidden tuple, then its symbol."""
+    return tuple(tuple_names[t] + "|" + z for t, z in zip(node_tuple.tolist(), node_symbols))
 
 
 def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
@@ -125,19 +212,16 @@ def _check_build_bytes(what: str, entries: int, bytes_per_entry: int) -> None:
         )
 
 
-def _stored_entries(p: sparse.csr_array, emits: np.ndarray, alpha: int) -> int:
+def _stored_entries(p, emits: np.ndarray, alpha: int) -> int:
     """Entries of A, in closed form, before any product underflows.
 
-    With S_z = {x : E[x, z] > 0} (emits[:, z]) and
-    c_z'(x) = |{x' in S_z' : P[x, x'] > 0}|, A stores
+    p is P as a dense or CSR array.  With S_z = {x : E[x, z] > 0}
+    (emits[:, z]) and c_z'(x) = |{x' in S_z' : P[x, x'] > 0}|, A stores
     sum_{z, z'} (sum_{x in S_z} c_z'(x))^alpha entries; B, whose rows are
     some of A's, at most as many.
     """
-    structure = sparse.csr_array(
-        (np.ones(p.nnz, dtype=np.int64), p.indices, p.indptr), shape=p.shape
-    )
     s = emits.astype(np.int64)
-    counts = s.T @ (structure @ s)
+    counts = s.T @ ((p > 0).astype(np.int64) @ s)
     return sum(int(m) ** alpha for m in counts.ravel().tolist())
 
 
@@ -214,36 +298,20 @@ def collision_system(
     _check_dimension(nx, nz, alpha, max_dim)
     p = sparse.csr_array(hmm.chain.transition)
     p.eliminate_zeros()
-    emits = e > 0
-    entries = _stored_entries(p, emits, alpha)
+    entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
     _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
-
-    # Symbol z's candidate tuples are S_z^alpha in lexicographic order; a
-    # candidate is a node when its emission product is positive (it can
-    # underflow).  node maps a candidate's rank to its node or -1.
-    candidates, hidden, node_symbols, nu = [], [], [], []
-    dim = 0
-    for z in range(nz):
-        s = np.flatnonzero(emits[:, z])
-        grid = s[np.indices((s.size,) * alpha).reshape(alpha, -1)]
-        w = reduce(np.multiply, e[grid, z])
-        kept = np.flatnonzero(w > 0)
-        node = np.full(w.size, -1, dtype=np.intp)
-        node[kept] = dim + np.arange(kept.size)
-        dim += kept.size
-        candidates.append((s, node, w))
-        hidden.append(np.ravel_multi_index(grid[:, kept], (nx,) * alpha))
-        node_symbols += [hmm.observations[z]] * kept.size
-        nu.append(reduce(np.multiply, hmm.chain.initial[grid[:, kept]]) * w[kept])
-    tuples, node_tuple = np.unique(np.concatenate(hidden), return_inverse=True)
-    nu = np.concatenate(nu)
+    nodes = _collision_nodes(hmm, alpha)
+    dim = nodes.dimension
+    tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
 
     # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
     # every row sorted.  Each row of B is written once and gathered for
     # every node of its tuple into A.  K = B L sums each row's columns
     # over the nodes of a tuple in ascending node order.
-    blocks = [_symbol_columns(p[:, s], digits, node, w) for s, node, w in candidates if s.size]
+    blocks = [
+        _symbol_columns(p[:, s], digits, node, w) for s, node, w in nodes.candidates if s.size
+    ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
     b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, dim))
@@ -255,43 +323,151 @@ def collision_system(
     matrix = NonnegMatrix.from_sparse(b[node_tuple])
     del b
 
-    states = hmm.chain.states
-    for vector in (nu, node_tuple):
-        vector.setflags(write=False)
+    node_tuple.setflags(write=False)
     return CollisionSystem(
         order=alpha,
         matrix=matrix,
-        initial=nu,
+        initial=nodes.initial,
         tuple_matrix=k,
         node_tuple=node_tuple,
-        tuple_names=tuple(",".join(states[i] for i in tup) for tup in digits.tolist()),
-        node_symbols=tuple(node_symbols),
+        tuple_names=_tuple_names(digits, hmm.chain.states),
+        node_symbols=nodes.node_symbols,
     )
+
+
+def _emission_products(e: np.ndarray, alpha: int):
+    """For each symbol z: S_z, the states that can emit it, and the emission
+    product prod_j E[x_j, z] of each candidate tuple of S_z^alpha.
+
+    Outer products list the candidates in lexicographic order and multiply
+    each one's factors left to right; a product can underflow to 0.
+    """
+    for z in range(e.shape[1]):
+        s = np.flatnonzero(e[:, z] > 0)
+        yield s, reduce(np.multiply.outer, [e[s, z]] * alpha).ravel()
+
+
+def _collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
+    """A's nodes, symbol by symbol, and nu: the candidate loop of the collision build.
+
+    A candidate of `_emission_products` is a node when its emission product
+    is positive.  Its initial weight is prod_j pi[x_j], multiplied left to
+    right, times that product.
+    """
+    nx = hmm.n_states
+    candidates, hidden, node_symbols, nu = [], [], [], []
+    dim = 0
+    for z, (s, w) in enumerate(_emission_products(hmm.emission, alpha)):
+        kept = np.flatnonzero(w > 0)
+        node = np.full(w.size, -1, dtype=np.intp)
+        node[kept] = dim + np.arange(kept.size)
+        dim += kept.size
+        candidates.append((s, node, w))
+        hidden.append(reduce(lambda rank, x: np.add.outer(rank * nx, x), [s] * alpha).ravel()[kept])
+        node_symbols += [hmm.observations[z]] * kept.size
+        nu.append(reduce(np.multiply.outer, [hmm.chain.initial[s]] * alpha).ravel()[kept] * w[kept])
+    nu = np.concatenate(nu)
+    nu.setflags(write=False)
+    return CollisionNodes(
+        order=alpha,
+        hidden=np.concatenate(hidden),
+        node_symbols=tuple(node_symbols),
+        initial=nu,
+        states=hmm.chain.states,
+        candidates=tuple(candidates),
+    )
+
+
+def irreducible(
+    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
+) -> bool | None:
+    """Whether the collision matrix A is irreducible, decided without building it.
+
+    Node (t, z) of A has the nodes of t's successors in K as its own, so
+    when K has more than one row, A is irreducible exactly when K is.  K's
+    reachability is swept matrix-free on a dense array over X^alpha, the
+    tensor-descriptor product of B. Fernandes, B. Plateau and W. J.
+    Stewart (J. ACM 45, 1998) on the pattern: one level is a mode product
+    with P's pattern along every axis (P's transposed pattern sweeping
+    backward), masked by w > 0.  Both sweeps start from the first tuple
+    with w > 0; A is irreducible when both reach every such tuple, and
+    reducible when one stops short.
+
+    None (undecided) when some product of alpha entries of P and alpha of
+    E could drop below 2^-1000, since the pattern stands for A only if no
+    product underflows; when K has at most one row; and once the sweeps
+    have spent about what the collision build and Tarjan's pass on A
+    would cost: the budget of `components._strongly_connected` on A's
+    nodes and entries, plus 32 levels for the build's fixed cost (about
+    0.7 ms).  A level costs one unit, about 20 us, plus one for every
+    2^16 multiply-adds of its products.  Refused with DimensionOverflow
+    as `collision_system` is when nx^alpha * nz > max_dim; a sweep over
+    more than 1 GiB gives up.
+    """
+    alpha = _hmm_order(alpha)
+    e = hmm.emission
+    nx, nz = e.shape
+    _check_dimension(nx, nz, alpha, max_dim)
+    pattern = hmm.chain.transition > 0
+    emits = e > 0
+    smallest = math.log2(hmm.chain.transition[pattern].min()) + math.log2(e[emits].min())
+    if alpha * smallest < _SAFE_PRODUCT_LOG2 or 32 * nx**alpha > _BUILD_BYTES:
+        return None
+    n = sum(int(s) ** alpha for s in np.count_nonzero(emits, axis=0))
+    levels = _BUILD_LEVELS + (n + _stored_entries(pattern, emits, alpha)) // _LEVEL_COST
+    cost = 1 + alpha * nx ** (alpha + 1) // _PRODUCT_COST
+    nodes = reduce(np.logical_or, [reduce(np.logical_and.outer, [s] * alpha) for s in emits.T])
+    nodes = nodes.ravel()
+    if np.count_nonzero(nodes) < 2:
+        return None
+
+    def image(step_pattern: np.ndarray):
+        def step(frontier: np.ndarray) -> np.ndarray:
+            x = np.zeros(nodes.size)
+            x[frontier] = 1.0
+            x = x.reshape(nx, -1)
+            for _ in range(alpha):  # contract the first axis, append the image last
+                x = (x.T @ step_pattern).reshape(nx, -1)
+            return x.ravel() > 0
+
+        return step
+
+    start, absent = int(np.argmax(nodes)), ~nodes
+    pattern = pattern.astype(float)
+    levels = _sweep(image(pattern), nodes.size, levels, cost, start, absent)
+    if levels >= 0:
+        levels = _sweep(image(pattern.T), nodes.size, levels, cost, start, absent)
+    return None if levels == -2 else levels >= 0
 
 
 def lumped_system(
     hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> tuple[int, NonnegMatrix, np.ndarray, int]:
-    """K lumped onto multisets of hidden states, and its weights.
+) -> LumpedSystem:
+    """K lumped onto multisets of hidden states, its weights, and A's nodes.
 
-    Returns (order, K~, u~, dimension of A): u~^T K~^(n-1) 1 equals
-    nu^T A^(n-1) 1 of `collision_system`.
-    K~ is indexed by the multisets M (sorted tuples, in lexicographic
-    order) with w(M) > 0:
+    u~^T K~^(n-1) 1 equals nu^T A^(n-1) 1 of `collision_system`.  K~ is
+    indexed by the multisets M (sorted tuples, in lexicographic order)
+    with w(M) > 0:
 
         K~[M, M'] = w(M') sum_{t' in orbit(M')} prod_j P[m_j, t'_j]
         u~(M)     = |orbit(M)| prod_j pi[m_j] w(M)
+
+    K~ has K's Perron root.  dimension counts the nodes of that A from
+    the collision build's own emission products; `nodes` lists them and
+    `node_row` gives each the row of its tuple's multiset, both built
+    only when asked for.
 
     Each representative's successor tuples come from P's CSR rows and are
     sorted into their multisets, whose duplicates are summed.  The entries
     before summing number sum_M prod_j deg(m_j), never more than the
     stored entries of P^(tensor alpha) in K's rows; neither
-    P^(tensor alpha) nor any nx^alpha x nx^alpha array is formed.  A's
-    dimension is sum_z |S_z|^alpha, S_z the states that can emit z.
+    P^(tensor alpha) nor any nx^alpha x nx^alpha array is formed.
     Refused with DimensionOverflow when nx^alpha * nz > max_dim, as
     `collision_system` is, or at once when the build is predicted to hold
-    more than 1 GiB: 4 * alpha + 64 bytes for each entry, counted over
-    all multisets (see `_lumped_entries`).
+    more than 1 GiB: 4 * alpha + 64 bytes for each entry, counted in
+    closed form.  A multiset with w(M) > 0 lies in some S_z, the states
+    that can emit z, so the count is the smaller of h_alpha over all
+    states and the sum over z of h_alpha over S_z (see `_lumped_entries`).
     """
     alpha = _hmm_order(alpha)
     e = hmm.emission
@@ -299,15 +475,18 @@ def lumped_system(
     _check_dimension(nx, nz, alpha, max_dim)
     p = sparse.csr_array(hmm.chain.transition)
     p.eliminate_zeros()
-    entries = _lumped_entries(np.diff(p.indptr).tolist(), alpha)
+    degree = np.diff(p.indptr)
+    entries = _lumped_entries(degree.tolist(), alpha)
+    if entries * (4 * alpha + 64) > _BUILD_BYTES:
+        entries = min(
+            entries,
+            sum(_lumped_entries(degree[e[:, z] > 0].tolist(), alpha) for z in range(nz)),
+        )
     _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
     reps = np.array(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
     ).reshape(-1, alpha)
-    # the colexicographic rank of a sorted tuple m is sum_j C(m_j + j, j + 1)
-    binom = np.array(
-        [[math.comb(m + j, j + 1) for j in range(alpha)] for m in range(nx)], dtype=np.intp
-    )
+    binom = _binomials(nx, alpha)
     index = np.full(math.comb(nx + alpha - 1, alpha), -1, dtype=np.intp)
     w = e[reps].prod(axis=1).sum(axis=1)
     kept = np.flatnonzero(w > 0)
@@ -333,23 +512,30 @@ def lumped_system(
         (values[live] * w[cols], (rows[live], cols)), shape=(kept.size, kept.size)
     )
     k.sum_duplicates()
-    dimension = sum(int(s) ** alpha for s in np.count_nonzero(e, axis=0))
-    return alpha, NonnegMatrix.from_sparse(k), u, dimension
+    dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
+    return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension, index, hmm)
 
 
 def _lumped_entries(degree: list[int], alpha: int) -> int:
-    """Successor entries `lumped_system` may enumerate: sum_M prod_j deg(m_j).
+    """Successor entries of all multisets M of alpha of the given states: sum_M prod_j deg(m_j).
 
-    The sum over all multisets M of alpha states is h_alpha(deg), the
-    complete homogeneous symmetric polynomial of P's row degrees, from
-    h_k(d_1..d_i) = h_k(d_1..d_(i-1)) + d_i h_(k-1)(d_1..d_i).  Multisets
-    with w = 0 are counted too, though the build skips them.
+    degree lists P's row degrees of those states.  The sum is
+    h_alpha(deg), the complete homogeneous symmetric polynomial, from
+    h_k(d_1..d_i) = h_k(d_1..d_(i-1)) + d_i h_(k-1)(d_1..d_i).
     """
     h = [1] + [0] * alpha
     for d in degree:
         for k in range(1, alpha + 1):
             h[k] += d * h[k - 1]
     return h[alpha]
+
+
+def _binomials(nx: int, alpha: int) -> np.ndarray:
+    """C(m + j, j + 1) for state m and place j: the colexicographic rank of a
+    sorted tuple m is sum_j C(m_j + j, j + 1)."""
+    return np.array(
+        [[math.comb(m + j, j + 1) for j in range(alpha)] for m in range(nx)], dtype=np.intp
+    )
 
 
 def _rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:

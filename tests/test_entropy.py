@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from renyirates import (
     brute_force_collision,
     bsc_hmm,
+    collision_system,
     deterministic_observation,
     entropy_rate,
     finite_length_entropy,
@@ -15,11 +18,12 @@ from renyirates import (
     load_model,
     markov_finite_length,
     markov_rate,
+    growth_rate,
     noiseless_rate,
     validate_chain,
     validate_hmm,
 )
-from renyirates import entropy
+from renyirates import entropy, tensor
 from renyirates.errors import InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
@@ -257,3 +261,64 @@ class TestBscPipeline:
             for eps in (1e-2, 1e-3, 1e-4)
         ]
         assert max(ratios) <= 3.0 * min(ratios)
+
+
+class TestLumpedRate:
+    """An irreducible A's rate comes from K~, and A is never built."""
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 4]))
+    @settings(max_examples=80, deadline=None)
+    def test_report_matches_growth_rate_on_collision_system(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        nx = int(rng.integers(2, {2: 7, 3: 5, 4: 4}[alpha]))
+        sparsity = float(rng.uniform(0, 0.6))
+        if rng.random() < 0.3:
+            chain = random_chain(rng, nx, sparsity=sparsity)
+            hmm = deterministic_observation(chain, {s: "ab"[int(rng.integers(0, 2))] for s in chain.states})
+        else:
+            hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
+        assume(tensor.irreducible(hmm, alpha))
+        rep = entropy_rate(hmm, alpha)
+        cs = collision_system(hmm, alpha)
+        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
+        ref = entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
+        assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
+        assert rep.value_bits == pytest.approx(ref.value_bits, rel=1e-12, abs=1e-14)
+        assert rep.dimension == ref.dimension
+        assert rep.reachable == ref.reachable
+        assert rep.dominant_component == ref.dominant_component
+        assert rep.dominant_members == ref.dominant_members
+        assert len(rep.component_radii) == len(ref.component_radii) == 1
+
+    def test_collision_system_is_never_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("collision_system ran")
+
+        monkeypatch.setattr(entropy, "collision_system", refuse)
+        rep = entropy_rate(random_hmm(np.random.default_rng(2), 5, 2), 3)
+        assert rep.dimension == 2 * 5**3 and rep.reachable == (0,)
+
+    def test_dense_order_four_rate_matches_the_finite_slope(self):
+        # A would store 151M entries and is refused; K~ has 330 rows
+        hmm = random_hmm(np.random.default_rng(8), 8, 3)
+        start = time.perf_counter()
+        rep = entropy_rate(hmm, 4)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 3.0, f"took {elapsed:.3f}s"
+        assert rep.dimension == 3 * 8**4 and len(rep.dominant_members) == rep.dimension
+        n = 10**6
+        slope = (
+            finite_length_entropy(hmm, 4, n + 1000).value_bits
+            - finite_length_entropy(hmm, 4, n).value_bits
+        ) / 1000
+        assert rep.value_bits == pytest.approx(slope, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha,dimension", [(2, 7), (3, 12)])
+    def test_one_dimension_when_emission_products_underflow(self, alpha, dimension):
+        # state 1 emits "2" with probability 1e-200, so (1, 1|2) has an
+        # emission product of 0 and is no node of A
+        chain = validate_chain([[0.6, 0.4], [0.3, 0.7]], [0.5, 0.5])
+        hmm = validate_hmm(chain, [[1 - 1e-200, 1e-200], [0.5, 0.5]])
+        assert entropy_rate(hmm, alpha).dimension == dimension
+        assert finite_length_entropy(hmm, alpha, 5).dimension == dimension
+        assert collision_system(hmm, alpha).dimension == dimension

@@ -94,11 +94,12 @@ def _block_chain_model(path: Path, blocks: int) -> Path:
 
 
 def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
-    # each call builds a collision system, splits it into components and
-    # takes their radii; a lazy import on that path would slip past the
-    # import-time check.  The BSC system is irreducible, so the shortcut
-    # sweeps decide its components; the block chain's eight 2-node blocks
-    # iterate in one lockstep stack
+    # each call builds a collision system (or, for an irreducible rate, the
+    # lumped matrix), splits it into components and takes their radii; a
+    # lazy import on that path would slip past the import-time check.  The
+    # BSC system is irreducible, so the shortcut sweeps decide its
+    # components; the block chain's eight 2-node blocks iterate in one
+    # lockstep stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
@@ -131,4 +132,36 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     assert lines >= 6
     assert shortcut_taken
     assert largest_stack == 8
+    assert heavy == []
+
+
+def test_lumped_rate_never_builds_the_collision_system():
+    # the BSC system is irreducible at order 4, so its rate comes from the
+    # sweep and the lumped matrix; a lazy import there would slip past the
+    # import-time check
+    src = str(Path(renyirates.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    bsc = Path(__file__).resolve().parents[1] / "fixtures" / "bsc.model"
+    argv = ["rate", str(bsc), "--order", "4", "--epsilon", "0.1"]
+    probe = (
+        "import contextlib, io, json, sys; import renyirates.cli\n"
+        "from renyirates import entropy, tensor\n"
+        "builds, decided, inner, sweep = [], [], tensor.collision_system, entropy.irreducible\n"
+        "entropy.collision_system = tensor.collision_system = lambda *a, **k: builds.append(1) or inner(*a, **k)\n"
+        "entropy.irreducible = lambda *a, **k: decided.append(sweep(*a, **k)) or decided[-1]\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = renyirates.cli.main({argv!r})\n"
+        "doc = json.loads(out.getvalue())\n"
+        "print(json.dumps([code, len(builds), decided, doc['dimension'], "
+        f"[m for m in {HEAVY!r} if m in sys.modules]]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    code, builds, decided, dimension, heavy = json.loads(out.stdout)
+    assert code == 0
+    assert decided == [True]
+    assert builds == 0
+    assert dimension == 2 * 2**4
     assert heavy == []

@@ -202,6 +202,24 @@ class TestCmdComponents:
         assert doc["dimension"] == 8
         assert len(doc["characteristic_polynomial"]) == 9
 
+    @pytest.mark.parametrize("order,dimension", [("2", 7), ("3", 12)])
+    def test_one_dimension_for_entropy_rate_and_components(self, capsys, tmp_path, order, dimension):
+        # an emission of 1e-200 makes some emission products underflow to 0;
+        # every command counts the nodes of A that remain
+        path = tmp_path / "tiny.model"
+        path.write_text(json.dumps({
+            "format": 1, "kind": "hmm", "states": ["1", "2"],
+            "transition": [[0.6, 0.4], [0.3, 0.7]], "initial": [0.5, 0.5],
+            "observations": ["a", "b"], "emission": [[1.0, 1e-200], [0.5, 0.5]],
+        }))
+        dims = []
+        for command, extra in [("entropy", ["--length", "5"]), ("rate", []), ("components", [])]:
+            code, doc, _ = run_cli(capsys, command, path, "--order", order, *extra)
+            assert code == 0
+            dims.append(doc["dimension"])
+        assert dims == [dimension] * 3
+        assert len(doc["nodes"]) == dimension
+
     @pytest.mark.parametrize("order", ["1", "0", "-1", "inf"])
     def test_markov_order_checked_like_rate(self, capsys, order):
         model = FIXTURES / "markov142.model"
@@ -346,12 +364,20 @@ class TestCliContract:
 
     def test_build_budget_exit_code(self, capsys, tmp_path):
         # dense 16 states and 4 symbols pass --max-dim at order 3, but A would
-        # store 268M entries: refused before the build allocates
+        # store 268M entries: `components` builds A, so it is refused before
+        # the build allocates (its rate runs on the lumped matrix instead)
         path = tmp_path / "dense.model"
         path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), 16, 4))))
-        code, _, err = run_cli(capsys, "rate", path, "--order", "3")
+        code, _, err = run_cli(capsys, "components", path, "--order", "3")
         assert code == 2
         assert "budget" in err
+        # dense 12 states and 1 symbol at order 5: A is irreducible, and the
+        # lumped build would enumerate 1.09e9 successor entries
+        path = tmp_path / "dense12.model"
+        path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), 12, 1))))
+        code, _, err = run_cli(capsys, "rate", path, "--order", "5")
+        assert code == 2
+        assert "budget" in err and "lumped system" in err
 
     def test_non_integer_order_on_hmm_rejected(self, capsys):
         code, _, err = run_cli(

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from renyirates import (
@@ -14,6 +16,7 @@ from renyirates import (
     finite_length_entropy,
     hadamard_power,
     load_model,
+    strongly_connected_components,
     tensor,
     validate_chain,
     validate_hmm,
@@ -210,6 +213,23 @@ class TestLumpedBuildBudget:
         assert time.perf_counter() - start < 1.0
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_count_skips_multisets_no_symbol_can_emit(self):
+        # 40 states with 4 entries a row, observed in 4 groups of 10, at
+        # alpha = 4: over all multisets h_4 counts 31.6M entries (2.35 GiB);
+        # only multisets inside one group have w > 0, 4 h_4 = 732k entries
+        rng = np.random.default_rng(4)
+        p = np.zeros((40, 40))
+        for i in range(40):
+            p[i, rng.choice(40, size=4, replace=False)] = rng.dirichlet(np.ones(4))
+        chain = validate_chain(p, np.full(40, 1 / 40))
+        hmm = deterministic_observation(chain, {s: f"g{i // 10}" for i, s in enumerate(chain.states)})
+        assert tensor._lumped_entries([4] * 40, 4) == 31_592_960
+        assert 4 * tensor._lumped_entries([4] * 10, 4) == 732_160
+        assert 31_592_960 * (4 * 4 + 64) > tensor._BUILD_BYTES > 732_160 * (4 * 4 + 64)
+        lumped = tensor.lumped_system(hmm, 4, max_dim=10**8)
+        assert lumped.matrix.dim == 4 * math.comb(13, 4)
+        assert lumped.nodes.dimension == 4 * 10**4
+
     @pytest.mark.parametrize("nx,alpha,sparsity", [(3, 2, 0.0), (5, 3, 0.5), (6, 4, 0.7), (4, 6, 0.3)])
     def test_count_is_the_enumeration(self, nx, alpha, sparsity):
         # h_alpha of P's row degrees counts the successors of every multiset
@@ -218,6 +238,98 @@ class TestLumpedBuildBudget:
         reps = np.array(list(itertools.combinations_with_replacement(range(nx), alpha)))
         rows, _, _ = tensor._successors(p, reps)
         assert tensor._lumped_entries(np.diff(p.indptr).tolist(), alpha) == rows.size
+
+
+def _three_cycle_hmm():
+    """A 3-cycle chain with one symbol: at alpha = 2, A has 3 components and K~ 2."""
+    chain = validate_chain(np.roll(np.eye(3), 1, axis=1), np.full(3, 1.0 / 3.0))
+    return validate_hmm(chain, np.ones((3, 1)))
+
+
+def _sweep_model(rng: np.random.Generator, kind: str, alpha: int):
+    nx = int(rng.integers(1, {2: 7, 3: 5, 4: 4}[alpha]))
+    sparsity = float(rng.uniform(0.3, 0.8))
+    if kind == "sparse":
+        return random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
+    if kind == "deterministic":
+        chain = random_chain(rng, nx, sparsity=sparsity)
+        return deterministic_observation(chain, {s: "abc"[int(rng.integers(0, 3))] for s in chain.states})
+    if kind == "silent":  # a last symbol that no state emits
+        hmm = random_hmm(rng, nx, int(rng.integers(1, 3)), sparsity=sparsity)
+        return validate_hmm(hmm.chain, np.hstack([hmm.emission, np.zeros((nx, 1))]))
+    if kind == "cycle":  # a random permutation, sometimes with a few chords
+        p = np.eye(nx)[rng.permutation(nx)]
+        if rng.random() < 0.5:
+            p = 0.8 * p + 0.2 * random_chain(rng, nx, sparsity=0.8).transition
+        chain = validate_chain(p, rng.dirichlet(np.ones(nx)))
+        return validate_hmm(chain, random_hmm(rng, nx, 2, sparsity=0.5).emission)
+    # underflow: P[0, 1] = 1e-170, so a product of two such entries is 0
+    p = random_chain(rng, max(nx, 2), sparsity=sparsity).transition.copy()
+    p[0, 0] += 1.0
+    p[0, 1] = 1e-170
+    p[0] /= p[0].sum()
+    chain = validate_chain(p, rng.dirichlet(np.ones(p.shape[0])))
+    return validate_hmm(chain, random_hmm(rng, p.shape[0], 2, sparsity=0.3).emission)
+
+
+class TestIrreducibleSweep:
+    """`tensor.irreducible` decides A's irreducibility on P's pattern, without A."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["sparse", "deterministic", "silent", "cycle", "underflow"]),
+        st.sampled_from([2, 3, 4]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_decision_equals_tarjan_on_a(self, seed, kind, alpha):
+        hmm = _sweep_model(np.random.default_rng(seed), kind, alpha)
+        decision = tensor.irreducible(hmm, alpha)
+        cs = collision_system(hmm, alpha)
+        if decision is not None:
+            assert decision == (strongly_connected_components(cs.matrix).n_components == 1)
+        if kind == "underflow":
+            assert decision is None  # a product of alpha entries of P can reach 0
+        elif cs.tuple_matrix.dim >= 2:
+            # a few levels settle these small systems, far inside the budget
+            assert decision is not None
+
+    def test_three_cycle_is_reducible_though_its_lumped_matrix_is_not(self):
+        hmm = _three_cycle_hmm()
+        cs = collision_system(hmm, 2)
+        lumped = tensor.lumped_system(hmm, 2)
+        assert strongly_connected_components(cs.matrix).n_components == 3
+        assert strongly_connected_components(lumped.matrix).n_components == 2
+        assert tensor.irreducible(hmm, 2) is False
+
+    def test_one_tuple_is_undecided(self):
+        chain = validate_chain([[1.0]], [1.0])
+        assert tensor.irreducible(validate_hmm(chain, [[0.5, 0.5]]), 3) is None
+
+    def test_refused_like_the_collision_build(self):
+        hmm = random_hmm(np.random.default_rng(0), 10, 2)
+        with pytest.raises(DimensionOverflow):
+            tensor.irreducible(hmm, 4, max_dim=10**4)
+        with pytest.raises(InvalidOrder):
+            tensor.irreducible(hmm, 1.5)
+
+    def test_long_diameter_gives_up_within_the_budget(self, monkeypatch):
+        # a 40-state ring with self-loops and one symbol: at alpha = 2 each
+        # sweep needs 39 levels of 2 units (2 * 40^3 multiply-adds), but both
+        # together get 32 + (n + nnz) // 128 = 32 + (1600 + 6400) // 128 = 94
+        # units, so the decision is left to the collision build
+        m = 40
+        p = 0.5 * np.eye(m) + 0.5 * np.roll(np.eye(m), 1, axis=1)
+        hmm = validate_hmm(validate_chain(p, np.full(m, 1.0 / m)), np.ones((m, 1)))
+        spent = []
+        sweep = tensor._sweep
+
+        def counted_sweep(step, n, levels, cost, *rest):
+            return sweep(lambda frontier: spent.append(cost) or step(frontier), n, levels, cost, *rest)
+
+        monkeypatch.setattr(tensor, "_sweep", counted_sweep)
+        assert tensor.irreducible(hmm, 2) is None
+        assert spent == [2] * 47
+        assert strongly_connected_components(collision_system(hmm, 2).matrix).n_components == 1
 
 
 class TestNoiselessCollisionSystem:
