@@ -26,7 +26,7 @@ from .model import (
 )
 from .modelfile import load_model
 from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial, growth_rate
-from .tensor import DEFAULT_MAX_DIM, collision_system, irreducible, lumped_system
+from .tensor import DEFAULT_MAX_DIM, collision_system, lumped_system, rate_on_lumped
 
 REPORT_VERSION = 1
 
@@ -125,14 +125,14 @@ def _analysis_matrix(model, args):
     """Collision system (hmm) or Hadamard power (markov): labels, weights, radius matrix.
 
     An HMM's radius matrix is its symbol-summed tuple matrix K with each
-    node's row, or K lumped onto multisets when `irreducible` shows the
-    collision system irreducible, as `entropy_rate` takes it then; a chain
-    takes its radii from its own matrix.
+    node's row, or K lumped onto multisets when `entropy_rate` takes its
+    rate from there (`rate_on_lumped`); a chain takes its radii from its
+    own matrix.
     """
     if isinstance(model, HiddenMarkovModel):
         cs = collision_system(model, args.order, max_dim=args.max_dim)
         radius_matrix = (cs.tuple_matrix, cs.node_tuple)
-        if irreducible(model, args.order, max_dim=args.max_dim):
+        if rate_on_lumped(model, args.order, max_dim=args.max_dim):
             lumped = lumped_system(model, args.order, max_dim=args.max_dim)
             radius_matrix = (lumped.matrix, lumped.node_row)
         return cs.matrix, cs.labels(), cs.initial, radius_matrix

@@ -7,9 +7,11 @@ nz * alpha! times smaller dimension (see `tensor`).  Rates come from the
 maximal spectral radius over reachable irreducible components of A.
 When A is irreducible, which `tensor.irreducible` decides from P's
 pattern without building A, that is rho(K~), reachable when nu has
-mass; otherwise A is built, split into components and each radius taken
-from K's block.  A length-n realization uses exponent n - 1, validated
-against the brute-force oracle.  All values are in bits (log base 2).
+mass; a rate is taken so whenever K~'s build is also no larger than A
+(`tensor.rate_on_lumped`; true under dense emissions).  Otherwise A is
+built, split into components and each radius taken from K's block.
+A length-n realization uses exponent n - 1, validated against the
+brute-force oracle.  All values are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .tensor import (
     DEFAULT_MAX_DIM,
     collision_system,
     hadamard_power,
-    irreducible,
     lumped_system,
+    rate_on_lumped,
 )
 
 _LN2 = math.log(2.0)
@@ -127,15 +129,16 @@ def entropy_rate(
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
-    When `tensor.irreducible` shows A irreducible, A is never built: the
-    report has one component, whose radius comes from K~ as
-    `growth_rate` takes it from a radius matrix (so `components` reports
-    the same float), reachable when nu has positive mass.
+    When `tensor.rate_on_lumped` finds A irreducible and K~'s build no
+    larger than A's, A is never built: the report has one component,
+    whose radius comes from K~ as `growth_rate` takes it from a radius
+    matrix (so `components` reports the same float), reachable when nu
+    has positive mass.
     Otherwise A is built and `growth_rate` splits it into components,
     each radius taken from K's block.  Either way `dimension` is A's node
     count and `dominant_members` lists A's labels in A's node order.
     """
-    if not irreducible(hmm, alpha, max_dim=max_dim):
+    if not rate_on_lumped(hmm, alpha, max_dim=max_dim):
         cs = collision_system(hmm, alpha, max_dim=max_dim)
         ga = growth_rate(
             cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)

@@ -43,8 +43,9 @@ Permuting the coordinates can map one component of K onto another, so
 K~'s components are not A's (a 3-cycle observed through one symbol has
 3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
 successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
-decide whether A is one component; when it is, its rate is rho(K~) and
-A is never built.
+decide whether A is one component; when it is, its rate is rho(K~).
+`rate_on_lumped` takes that path, which never builds A, when K~'s build
+also enumerates no more entries than A stores.
 """
 
 from __future__ import annotations
@@ -465,9 +466,7 @@ def lumped_system(
     Refused with DimensionOverflow when nx^alpha * nz > max_dim, as
     `collision_system` is, or at once when the build is predicted to hold
     more than 1 GiB: 4 * alpha + 64 bytes for each entry, counted in
-    closed form.  A multiset with w(M) > 0 lies in some S_z, the states
-    that can emit z, so the count is the smaller of h_alpha over all
-    states and the sum over z of h_alpha over S_z (see `_lumped_entries`).
+    closed form (see `_lumped_bound`).
     """
     alpha = _hmm_order(alpha)
     e = hmm.emission
@@ -477,11 +476,8 @@ def lumped_system(
     p.eliminate_zeros()
     degree = np.diff(p.indptr)
     entries = _lumped_entries(degree.tolist(), alpha)
-    if entries * (4 * alpha + 64) > _BUILD_BYTES:
-        entries = min(
-            entries,
-            sum(_lumped_entries(degree[e[:, z] > 0].tolist(), alpha) for z in range(nz)),
-        )
+    if entries * (4 * alpha + 64) > _BUILD_BYTES:  # the tighter count costs more
+        entries = _lumped_bound(degree, e > 0, alpha)
     _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
     reps = np.array(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
@@ -514,6 +510,49 @@ def lumped_system(
     k.sum_duplicates()
     dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
     return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension, index, hmm)
+
+
+def rate_on_lumped(
+    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
+) -> bool:
+    """Whether an HMM's rate is taken as rho(K~), without building A.
+
+    It is when K~'s build enumerates no more entries than A stores
+    (`_lumped_cheaper`, checked first since it needs no sweep) and
+    `irreducible` shows A irreducible.  Refused with DimensionOverflow as
+    `collision_system` is when nx^alpha * nz > max_dim.
+    """
+    alpha = _hmm_order(alpha)
+    _check_dimension(hmm.n_states, hmm.n_symbols, alpha, max_dim)
+    return _lumped_cheaper(hmm, alpha) and bool(irreducible(hmm, alpha, max_dim=max_dim))
+
+
+def _lumped_cheaper(hmm: HiddenMarkovModel, alpha: int) -> bool:
+    """Whether `lumped_system` enumerates no more entries than A stores.
+
+    Both counts are closed forms (`_lumped_bound`, `_stored_entries`) and
+    take O(nz * nx^2).  With dense emissions K~ is the smaller, by about
+    nz^2 * alpha!.  With sparse ones, as under deterministic observation,
+    each multiset enumerates P's full rows while A keeps only the columns
+    of states that can emit the next symbol, and A can be far smaller.
+    """
+    alpha = _hmm_order(alpha)
+    p, emits = hmm.chain.transition, hmm.emission > 0
+    lumped = _lumped_bound(np.count_nonzero(p, axis=1), emits, alpha)
+    return lumped <= _stored_entries(p, emits, alpha)
+
+
+def _lumped_bound(degree: np.ndarray, emits: np.ndarray, alpha: int) -> int:
+    """Successor entries `lumped_system` may enumerate, given P's row degrees.
+
+    A multiset M with w(M) > 0 lies in some S_z = {x : E[x, z] > 0}
+    (emits[:, z]), so the count is the smaller of h_alpha over all states
+    and the sum over z of h_alpha over S_z (see `_lumped_entries`).
+    """
+    return min(
+        _lumped_entries(degree.tolist(), alpha),
+        sum(_lumped_entries(degree[s].tolist(), alpha) for s in emits.T),
+    )
 
 
 def _lumped_entries(degree: list[int], alpha: int) -> int:

@@ -24,7 +24,7 @@ from renyirates import (
     validate_hmm,
 )
 from renyirates import entropy, tensor
-from renyirates.errors import InvalidOrder
+from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
 
@@ -277,7 +277,7 @@ class TestLumpedRate:
             hmm = deterministic_observation(chain, {s: "ab"[int(rng.integers(0, 2))] for s in chain.states})
         else:
             hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
-        assume(tensor.irreducible(hmm, alpha))
+        assume(tensor.rate_on_lumped(hmm, alpha))
         rep = entropy_rate(hmm, alpha)
         cs = collision_system(hmm, alpha)
         ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
@@ -312,6 +312,37 @@ class TestLumpedRate:
             - finite_length_entropy(hmm, 4, n).value_bits
         ) / 1000
         assert rep.value_bits == pytest.approx(slope, abs=1e-9)
+
+    def test_sparse_emissions_keep_the_collision_path(self, monkeypatch):
+        # dense 12 states observed in 6 groups of 2 at alpha = 4: A is
+        # irreducible, but the lumped build would enumerate 6 * 5 * 12^4 =
+        # 622,080 successor entries where A stores 36 * 4^4 = 9216
+        chain = random_chain(np.random.default_rng(12), 12)
+        hmm = deterministic_observation(chain, {s: f"g{i // 2}" for i, s in enumerate(chain.states)})
+        assert tensor.irreducible(hmm, 4) is True
+        assert tensor._lumped_cheaper(hmm, 4) is False
+        assert tensor.rate_on_lumped(hmm, 4) is False
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lumped_system ran")
+
+        monkeypatch.setattr(entropy, "lumped_system", refuse)
+        rep = entropy_rate(hmm, 4)
+        cs = collision_system(hmm, 4)
+        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
+        assert rep == entropy._rate_report(4.0, ga, cs.labels(), cs.dimension)
+
+    def test_deterministic_observation_beyond_the_lumped_budget(self):
+        # dense 44 states observed in 11 groups of 4 at alpha = 3: A stores
+        # 11^2 * 16^3 = 495,616 entries, while the lumped build would
+        # enumerate 11 * C(6, 3) * 44^3 = 18.7M and is refused; the rate
+        # still comes from A
+        chain = random_chain(np.random.default_rng(44), 44)
+        hmm = deterministic_observation(chain, {s: f"g{i // 4}" for i, s in enumerate(chain.states)})
+        with pytest.raises(DimensionOverflow, match="lumped system"):
+            tensor.lumped_system(hmm, 3)
+        rep = entropy_rate(hmm, 3)
+        assert rep.dimension == 11 * 4**3 and rep.finite
 
     @pytest.mark.parametrize("alpha,dimension", [(2, 7), (3, 12)])
     def test_one_dimension_when_emission_products_underflow(self, alpha, dimension):

@@ -146,9 +146,9 @@ def test_lumped_rate_never_builds_the_collision_system():
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
         "from renyirates import entropy, tensor\n"
-        "builds, decided, inner, sweep = [], [], tensor.collision_system, entropy.irreducible\n"
+        "builds, decided, inner, sweep = [], [], tensor.collision_system, tensor.irreducible\n"
         "entropy.collision_system = tensor.collision_system = lambda *a, **k: builds.append(1) or inner(*a, **k)\n"
-        "entropy.irreducible = lambda *a, **k: decided.append(sweep(*a, **k)) or decided[-1]\n"
+        "tensor.irreducible = lambda *a, **k: decided.append(sweep(*a, **k)) or decided[-1]\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = renyirates.cli.main({argv!r})\n"

@@ -220,6 +220,25 @@ class TestCmdComponents:
         assert dims == [dimension] * 3
         assert len(doc["nodes"]) == dimension
 
+    def test_deterministic_observation_rates_from_the_collision_system(self, capsys, tmp_path):
+        # dense 44 states observed in 11 groups of 4 at order 3: A is
+        # irreducible and stores 495,616 entries, but the lumped build would
+        # enumerate 18.7M and is refused, so both commands rate from A
+        chain = random_hmm(np.random.default_rng(44), 44, 1).chain
+        path = tmp_path / "groups.model"
+        path.write_text(json.dumps({
+            "format": 1, "kind": "hmm", "states": list(chain.states),
+            "transition": chain.transition.tolist(), "initial": chain.initial.tolist(),
+            "observations": [f"g{g}" for g in range(11)],
+            "emission": np.repeat(np.eye(11), 4, axis=0).tolist(),
+        }))
+        code, rate, _ = run_cli(capsys, "rate", path, "--order", "3")
+        assert code == 0
+        code, comps, _ = run_cli(capsys, "components", path, "--order", "3")
+        assert code == 0
+        assert rate["dimension"] == comps["dimension"] == 11 * 4**3
+        assert rate["rho_plus"] == max(c["radius"] for c in comps["components"])
+
     @pytest.mark.parametrize("order", ["1", "0", "-1", "inf"])
     def test_markov_order_checked_like_rate(self, capsys, order):
         model = FIXTURES / "markov142.model"

@@ -230,6 +230,25 @@ class TestLumpedBuildBudget:
         assert lumped.matrix.dim == 4 * math.comb(13, 4)
         assert lumped.nodes.dimension == 4 * 10**4
 
+    @pytest.mark.parametrize("groups,cheaper", [(1, True), (2, False), (3, False), (6, False)])
+    def test_lumped_cheaper_compares_the_two_counts(self, groups, cheaper):
+        # dense 6 states, observed deterministically in `groups` groups, at
+        # alpha = 3: the lumped build enumerates groups * C(6 / groups + 2, 3)
+        # * 6^3 entries and A stores groups^2 * (36 / groups^2)^3
+        chain = random_chain(np.random.default_rng(6), 6)
+        size = 6 // groups
+        hmm = deterministic_observation(chain, {s: f"g{i // size}" for i, s in enumerate(chain.states)})
+        lumped = groups * math.comb(size + 2, 3) * 6**3
+        stored = groups**2 * (size * size) ** 3
+        assert tensor._lumped_bound(np.full(6, 6), hmm.emission > 0, 3) == lumped
+        assert tensor._stored_entries(chain.transition, hmm.emission > 0, 3) == stored
+        assert (lumped <= stored) is cheaper
+        assert tensor._lumped_cheaper(hmm, 3) is cheaper
+
+    def test_lumped_cheaper_under_dense_emissions(self):
+        hmm = random_hmm(np.random.default_rng(3), 5, 3, sparsity=0.5)
+        assert all(tensor._lumped_cheaper(hmm, alpha) for alpha in (2, 3, 4))
+
     @pytest.mark.parametrize("nx,alpha,sparsity", [(3, 2, 0.0), (5, 3, 0.5), (6, 4, 0.7), (4, 6, 0.3)])
     def test_count_is_the_enumeration(self, nx, alpha, sparsity):
         # h_alpha of P's row degrees counts the successors of every multiset
