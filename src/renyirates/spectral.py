@@ -12,12 +12,22 @@ most four times the memory of its CSR form.
 Power iteration needs about 1/gap steps, so it stalls on nearly
 decoupled blocks (sticky regimes, small-noise channels).  A block whose
 bracket is still open after max(1000, m) steps hands over to Noda's
-inverse iteration, which closes it in a few solves.  A sparse block is
-densified for the hand-over only then, and only up to 3300 nodes (about
-87 MB dense); a larger one keeps power iteration for the whole budget
-and can still raise NoConvergence when it is near-degenerate (a sparse
-LU would densify it through fill-in).  A radius is the midpoint of a
-closed bracket, never of an open one.
+inverse iteration, which closes it in a few solves.  A block that cannot
+close within those steps hands over sooner: every 32 steps its bracket
+width is compared with the width 32 steps before, and when that
+contraction, kept up, would leave the bracket open, a look-ahead by
+repeated squaring reads the bracket the remaining steps would leave.  If
+that is still open by a margin, the block hands over at once (blocks of
+up to 128 nodes; sticky 2-state chains after 64 steps).  So a block that
+power iteration closes keeps its float, and Noda's budget is still
+max_iter - max(1000, m) solves.  Nothing hands over early where no Noda
+step would follow: tol = 0, a budget of max(1000, m) steps or fewer, or
+a sparse block past 3300 nodes.  A sparse block is densified for the
+hand-over only, and only up to 3300 nodes (about 87 MB dense); a larger
+one keeps power iteration for the whole budget and can still raise
+NoConvergence when it is near-degenerate (a sparse LU would densify it
+through fill-in).  A radius is the midpoint of a closed bracket, never
+of an open one.
 
 `growth_rate` takes all the radii of a call in one pass.  A CSR block
 iterates alone, but dense blocks of one size iterate in lockstep, as
@@ -71,7 +81,15 @@ _DENSE_MAX_DIM = 3300
 # inverse iteration takes over.  Blocks of the fixtures close within 343
 # steps and the benchmark's blocks other than its sticky chains within
 # 665, so those radii keep the exact float power iteration gives them.
+# A block whose bracket cannot close within them hands over sooner, at
+# the end of a window of _WINDOW steps (see `_slow` and `_stays_open`);
+# Noda still gets max_iter - max(1000, m) solves either way.
 _POWER_STEPS = 1000
+_WINDOW = 32
+# A look-ahead must find the bracket this many times tol wide to hand a
+# block over early, and runs on blocks of at most _LOOKAHEAD_MAX_DIM nodes.
+_STALL_MARGIN = 100.0
+_LOOKAHEAD_MAX_DIM = 128
 # Dense blocks of one size iterate in stacks of at most this many bytes.
 _STACK_BYTES = 2**23
 _EPS = float(np.finfo(float).eps)
@@ -108,8 +126,12 @@ def spectral_radius_irreducible(
     is still open after max(1000, m) steps continues with Noda's inverse
     iteration for the rest of the max_iter budget, a CSR block densified
     first; a CSR block of more than 3300 nodes stays with power iteration
-    instead.  Returns the midpoint of a closed bracket or raises
-    NoConvergence.  A 1x1 block is its entry.  This is the one-block case
+    instead.  A block of up to 128 nodes whose bracket a look-ahead shows
+    still open at the end of those steps hands over as soon as it is seen
+    (see the module docstring), with the same Noda budget; no block does
+    when tol = 0 or max_iter <= max(1000, m).  Returns the midpoint of a
+    closed bracket or raises NoConvergence, whose message gives the power
+    steps that ran.  A 1x1 block is its entry.  This is the one-block case
     of the routine `growth_rate` runs on all its blocks at once.
     """
     _check_tol(tol)
@@ -128,19 +150,22 @@ def _perron_radii(
     lockstep: each stack slice takes the very gemv, ratios and sums its
     block would take alone, so every radius is the same float.  A block
     leaves the stack when its bracket closes; the stack is compacted once
-    half of it has left, and its last open block goes on alone.  Blocks
-    still open after their power steps finish in list order, so the
-    NoConvergence raised is the first failing block's.
+    half of it has left, and its last open block goes on alone.  A block
+    also leaves, with its bracket open, when it stalls: its window
+    compares and look-ahead read only its own slice, so it leaves at the
+    step it would leave alone.  Blocks still open after their power steps
+    finish in list order, so the NoConvergence raised is the first failing
+    block's.
     """
-    # per block: its radius, or (B, v, lo, hi) once its power steps are
-    # spent with the bracket still open
+    # per block: its radius, or (B, v, lo, hi, steps run) once its power
+    # steps are spent or it stalls, with the bracket still open
     states: list = [None] * len(blocks)
     groups: dict[int, list[int]] = {}
     for i, a in enumerate(blocks):
         m = a.dim if isinstance(a, NonnegMatrix) else a.shape[0]
         if isinstance(a, NonnegMatrix) and m > 1 and a.nnz <= m * m // 4:
             shifted = a.csr + sparse.eye_array(m, format="csr")
-            states[i] = _power_alone(shifted, _power_steps(shifted, max_iter), tol)
+            states[i] = _power_alone(shifted, max_iter, tol)
         elif m <= 1:
             states[i] = float(_dense(a)[0, 0]) if m else 0.0
         else:
@@ -168,21 +193,88 @@ def _power_steps(b, max_iter: int) -> int:
     return min(max_iter, max(_POWER_STEPS, m))
 
 
-def _power_alone(b, steps: int, tol: float, v=None, lo=-math.inf, hi=math.inf):
-    """Up to `steps` power steps on one shifted block from v (uniform when None).
+def _power_alone(
+    b, max_iter: int, tol: float, v=None, lo=-math.inf, hi=math.inf, done=0, last=math.inf,
+    looked=False,
+):
+    """Power steps on one shifted block from step `done`, v uniform when None.
 
-    Returns the radius once the bracket closes, else (b, v, lo, hi).
+    Returns the radius once the bracket closes, else (b, v, lo, hi, steps
+    run) once the block's power steps are spent or it stalls.  `last` is
+    the bracket width at the last window mark; `looked` says whether the
+    block has had its look-ahead (see `_stays_open`).
     """
+    steps = _power_steps(b, max_iter)
+    may_stall = tol > 0 and steps < max_iter  # only where Noda takes over
     if v is None:
         v = np.full(b.shape[0], 1.0 / b.shape[0])
-    for _ in range(steps):
+    for step in range(done, steps):
         w = b @ v
         ratios = w / v
         lo, hi = ratios.min(), ratios.max()
         v = w / w.sum()
         if hi - lo <= tol:
             return float((lo + hi) / 2.0 - 1.0)
-    return b, v, lo, hi
+        if may_stall and not looked and (step + 1) % _WINDOW == 0:
+            left = steps - step - 1
+            if _slow(hi - lo, last, left, tol):
+                looked = True
+                if _stays_open(b, v, left, tol):
+                    return b, v, lo, hi, step + 1
+            last = hi - lo
+    return b, v, lo, hi, steps
+
+
+def _slow(width, last, left: int, tol: float):
+    """Whether a bracket `last` wide one window ago looks unable to close in `left` steps.
+
+    True when the width did not shrink over the window, or when shrinking
+    by the same factor in each window the `left` steps start still leaves
+    it above tol.  Takes floats or arrays alike and uses only products,
+    so a slice of a lockstep stack gets the answer its block gets alone.
+    """
+    ratio = np.minimum(width / last, 1.0)
+    final = width
+    windows = -(-left // _WINDOW)
+    while windows:
+        if windows & 1:
+            final = final * ratio
+        ratio = ratio * ratio
+        windows >>= 1
+    return (width >= last) | (final > tol)
+
+
+def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
+    """Whether b's bracket is still open, by a margin, after `left` more power steps from v.
+
+    A window's contraction can be far slower than the block's own, on a
+    plateau before the Perron vector takes over, so `_slow` only flags a
+    block.  The bracket never widens under power iteration (b >= 0 keeps
+    lo v <= b v <= hi v), so it is narrowest after the last step; this
+    reads it there from b^left v, formed by repeated squaring in about
+    2 log2(left) products of m x m arrays.  It must exceed _STALL_MARGIN
+    times tol, or the rounding of an m-term ratio, which covers the other
+    rounding of this route.  Past _LOOKAHEAD_MAX_DIM nodes, where the
+    products cost more than the steps they save, a block is never open.
+    """
+    m = b.shape[0]
+    if m > _LOOKAHEAD_MAX_DIM:
+        return False
+    b = b.toarray() if sparse.issparse(b) else b
+    power, w = b, v
+    while left:
+        if left & 1:
+            w = power @ w
+            w = w / w.sum()
+        left >>= 1
+        if left:
+            power = power @ power
+            power = power / power.max()
+    if not w.min() > 0.0:  # an underflow: the look-ahead cannot tell
+        return False
+    ratios = (b @ w) / w
+    hi = ratios.max()
+    return bool(hi - ratios.min() > _STALL_MARGIN * max(tol, m * _EPS * hi))
 
 
 def _power_lockstep(
@@ -192,54 +284,72 @@ def _power_lockstep(
     if len(blocks) == 1:
         b = _dense(blocks[0])
         b[np.diag_indices(b.shape[0])] += 1.0
-        return [_power_alone(b, _power_steps(b, max_iter), tol)]
+        return [_power_alone(b, max_iter, tol)]
     k = len(blocks)
     stack = np.empty((k, m, m))
     for j, a in enumerate(blocks):
         stack[j] = a.to_dense() if isinstance(a, NonnegMatrix) else a
     stack[:, np.arange(m), np.arange(m)] += 1.0
     steps = _power_steps(stack[0], max_iter)
+    may_stall = tol > 0 and steps < max_iter
     states: list = [None] * k
     rows = np.arange(k)  # the block of each stack slice
     live = np.ones(k, dtype=bool)  # slices whose bracket is still open
     v = np.full((k, m), 1.0 / m)
     lo, hi = np.full(k, -math.inf), np.full(k, math.inf)
+    last = np.full(k, math.inf)  # bracket widths at the last window mark
+    looked = np.zeros(k, dtype=bool)  # slices that have had their look-ahead
     for step in range(steps):
         w = np.matmul(stack, v[:, :, None])[:, :, 0]
         ratios = w / v
         lo, hi = ratios.min(axis=1), ratios.max(axis=1)
         v = w / w.sum(axis=1, keepdims=True)
         closed = live & (hi - lo <= tol)
-        if not closed.any():
+        stalled = []
+        if may_stall and (step + 1) % _WINDOW == 0:
+            left = steps - step - 1
+            width = hi - lo
+            unseen = np.flatnonzero(live & ~closed & ~looked)
+            for j in unseen[_slow(width[unseen], last[unseen], left, tol)].tolist():
+                looked[j] = True
+                if _stays_open(stack[j], v[j], left, tol):
+                    stalled.append(j)
+                    states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j], step + 1)
+            last = width
+        if not stalled and not closed.any():
             continue
         for j in np.flatnonzero(closed).tolist():
             states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - 1.0)
         live &= ~closed
+        live[stalled] = False
         open_count = np.count_nonzero(live)
         if open_count == 1:
             (j,) = np.flatnonzero(live)
-            rest = steps - step - 1
-            states[rows[j]] = _power_alone(stack[j].copy(), rest, tol, v[j], lo[j], hi[j])
+            states[rows[j]] = _power_alone(
+                stack[j].copy(), max_iter, tol, v[j], lo[j], hi[j], step + 1, last[j], looked[j]
+            )
             return states
         if 2 * open_count <= rows.size:
             if open_count == 0:
                 return states
-            stack, v, lo, hi, rows = stack[live], v[live], lo[live], hi[live], rows[live]
+            stack, v, lo, hi = stack[live], v[live], lo[live], hi[live]
+            rows, last, looked = rows[live], last[live], looked[live]
             live = np.ones(open_count, dtype=bool)
     for j in np.flatnonzero(live).tolist():
-        states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j])
+        states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j], steps)
     return states
 
 
 def _finish(state, tol: float, max_iter: int) -> float:
-    """A block's radius once its power steps are spent: hand an open bracket to Noda."""
+    """A block's radius once its power steps are spent or it stalls: open brackets go to Noda."""
     if not isinstance(state, tuple):
         return state
-    b, v, lo, hi = state
+    b, v, lo, hi, ran = state
     m = b.shape[0]
     steps = _power_steps(b, max_iter)
     if steps < max_iter:
-        lo, hi = _noda(b.toarray() if sparse.issparse(b) else b, v, lo, hi, tol, max_iter - steps)
+        dense = b.toarray() if sparse.issparse(b) else b
+        lo, hi = _noda(dense, v, lo, hi, tol, max_iter - steps, ran)
         return float((lo + hi) / 2.0 - 1.0)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
@@ -249,12 +359,12 @@ def _finish(state, tol: float, max_iter: int) -> float:
     )
     raise NoConvergence(
         f"power iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {steps} steps (tolerance {tol}){why}"
+        f"after {ran} steps (tolerance {tol}){why}"
     )
 
 
 def _noda(
-    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, budget: int
+    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, budget: int, ran: int
 ) -> tuple[float, float]:
     """Close the Perron bracket [lo, hi] of a dense irreducible b by inverse iteration.
 
@@ -263,7 +373,8 @@ def _noda(
     just above the upper Collatz-Wielandt bound and take v = z / sum(z).  The
     bracket is re-read from the ratios (b v) / v rather than from Noda's
     update theta - min(v / z), which loses the lower bound when the shift
-    lands on the root in floating point.  At most `budget` solves.
+    lands on the root in floating point.  At most `budget` solves; `ran`
+    is the count of power steps before them, for the error message.
     """
     m = b.shape[0]
     eye = np.eye(m)
@@ -293,7 +404,7 @@ def _noda(
         stop = f"{budget} solves"
     raise NoConvergence(
         f"Noda inverse iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {stop} (tolerance {tol})"
+        f"after {ran} power steps and {stop} (tolerance {tol})"
     )
 
 

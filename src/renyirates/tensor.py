@@ -242,16 +242,29 @@ def _successors(
     """
     degree = np.diff(p.indptr)
     rows = np.arange(len(tuples))
-    successors = np.empty((len(tuples), 0), dtype=p.indices.dtype)
     values = np.ones(len(tuples))
+    digits, counts = [], []  # per coordinate: its entries' columns, its parents' child counts
     for j in range(tuples.shape[1]):
         state = tuples[rows, j]
         count = degree[state]
         first = np.cumsum(count) - count
         pos = np.repeat(p.indptr[state] - first, count) + np.arange(count.sum())
         rows = np.repeat(rows, count)
-        successors = np.column_stack([np.repeat(successors, count, axis=0), p.indices[pos]])
         values = np.repeat(values, count) * p.data[pos]
+        digits.append(p.indices[pos])
+        counts.append(count)
+    # an entry's children are contiguous, so each digit is repeated once
+    # per final entry below it; spans counts those, last coordinate first
+    successors = np.empty((rows.size, len(digits)), dtype=p.indices.dtype)
+    spans = None  # one final entry per entry of the last coordinate
+    for j in range(len(digits) - 1, -1, -1):
+        successors[:, j] = digits[j] if spans is None else np.repeat(digits[j], spans)
+        if spans is None:
+            spans = counts[j]
+        elif j:
+            below = np.concatenate(([0], np.cumsum(spans)))
+            ends = np.cumsum(counts[j])
+            spans = below[ends] - below[ends - counts[j]]
     return rows, successors, values
 
 

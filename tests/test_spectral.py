@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from sympy.polys.matrices import DomainMatrix
 
@@ -159,6 +161,17 @@ def _sticky_ring(m):
     )
 
 
+def _power_bracket(b, steps):
+    """The bracket `steps` power steps on a shifted block leave, by the arithmetic of one step."""
+    v = np.full(b.shape[0], 1.0 / b.shape[0])
+    for _ in range(steps):
+        w = b @ v
+        ratios = w / v
+        lo, hi = ratios.min(), ratios.max()
+        v = w / w.sum()
+    return lo, hi
+
+
 class TestNodaHandOver:
     """Dense blocks whose power iteration stalls finish with Noda's inverse iteration."""
 
@@ -248,8 +261,114 @@ class TestNodaHandOver:
         # iteration for the whole budget and the error names its size
         monkeypatch.setattr(spectral, "_noda", lambda *args: pytest.fail("handed over"))
         ring = _sticky_ring(3301)
-        with pytest.raises(NoConvergence, match=r"after 3400 steps .* 3301-node sparse block"):
+        with pytest.raises(NoConvergence, match=r"after 3400 steps .* 3301-node sparse block") as info:
             spectral_radius_irreducible(ring, max_iter=3400)
+        # all 3400 steps ran: the message gives the bracket they leave
+        lo, hi = _power_bracket(ring.csr + sparse.eye_array(3301, format="csr"), 3400)
+        assert f"[{lo - 1.0:.17g}, {hi - 1.0:.17g}]" in str(info.value)
+
+
+def _stall_block(rng):
+    """An irreducible block, nearly decoupled at small coupling: dense, or CSR at 8 or 10 nodes."""
+    m = int(rng.choice([2, 2, 3, 4, 4, 6, 8, 10]))
+    coupling = 10.0 ** -int(rng.integers(0, 9))
+    idx = np.arange(m)
+    a = np.diag(0.5 + rng.choice([0.0, 1e-9, 1e-4, 0.3]) * rng.random(m))
+    a[idx, (idx + 1) % m] += coupling * rng.uniform(0.2, 1.0, size=m)
+    if m < 8:
+        a += coupling * rng.random((m, m)) * (rng.random((m, m)) < 0.7)
+    return NonnegMatrix.from_dense(a)
+
+
+def _radii_and_exits(blocks, **patches):
+    """Radii of `_perron_radii`, and per block the power steps before Noda (None: no hand-over)."""
+    exits = []
+    finish = spectral._finish
+
+    def spy(state, tol, max_iter):
+        exits.append(state[4] if isinstance(state, tuple) else None)
+        return finish(state, tol, max_iter)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_finish", spy)
+        for name, value in patches.items():
+            mp.setattr(spectral, name, value)
+        radii = spectral._perron_radii(blocks, spectral.DEFAULT_TOL, spectral.MAX_ITERATIONS)
+    return radii, exits
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+@settings(max_examples=20, deadline=None)
+def test_stall_exit_leaves_closing_radii_alone(seed, count):
+    # dense blocks of one size iterate in lockstep, beside CSR blocks; a
+    # window longer than any budget switches the stall exit off
+    rng = np.random.default_rng(seed)
+    blocks = [_stall_block(rng) for _ in range(count)]
+    radii, exits = _radii_and_exits(blocks)
+    radii_off, exits_off = _radii_and_exits(blocks, _WINDOW=10**9)
+    for block, rho, rho_off, ran, ran_off in zip(blocks, radii, radii_off, exits, exits_off):
+        assert (ran is None) == (ran_off is None)  # the same blocks hand over
+        if ran is None:
+            assert rho == rho_off
+        else:
+            assert ran <= ran_off == 1000
+            assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
+
+
+class TestStallExit:
+    """A block whose bracket cannot close in its power steps hands over to Noda early."""
+
+    @pytest.fixture
+    def noda_steps(self, monkeypatch):
+        """Record the power steps run before every hand-over."""
+        steps = []
+        inner = spectral._noda
+
+        def spy(*args):
+            steps.append(args[6])
+            return inner(*args)
+
+        monkeypatch.setattr(spectral, "_noda", spy)
+        return steps
+
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_hadamard_square_hands_over_after_two_windows(self, s, noda_steps):
+        spectral_radius_irreducible(_sticky(s) ** 2)
+        assert noda_steps == [2 * spectral._WINDOW]
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_bsc_sticky_system_hands_over_within_four_windows(self, s, alpha, noda_steps):
+        # the fast modes of these blocks die out first and leave a plateau
+        # (after about 100 steps at s = 1e-8), which the window compares
+        # see one window later
+        hmm = bsc_hmm(validate_chain(_sticky(s), [0.5, 0.5]), 0.1)
+        cs = collision_system(hmm, alpha)
+        growth_rate(cs.matrix, cs.initial)
+        entropy_rate(hmm, alpha)  # on the lumped matrix
+        assert len(noda_steps) == 2
+        assert max(noda_steps) <= 4 * spectral._WINDOW
+
+    def test_no_early_exit_when_the_budget_leaves_noda_nothing(self):
+        # max_iter = 1000 leaves no solve, so all 1000 steps run and the
+        # message gives the bracket they leave
+        with pytest.raises(NoConvergence, match=r"power iteration .* after 1000 steps") as info:
+            spectral_radius_irreducible(NEAR_REDUCIBLE, max_iter=1000)
+        lo, hi = _power_bracket(NEAR_REDUCIBLE + np.eye(2), 1000)
+        assert f"[{lo - 1.0:.17g}, {hi - 1.0:.17g}]" in str(info.value)
+
+    @pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-6])
+    def test_zero_tolerance_never_exits_early(self, s, noda_steps):
+        try:
+            spectral_radius_irreducible(_sticky(s) ** 2, tol=0.0, max_iter=1010)
+        except NoConvergence as error:
+            assert "after 1000 power steps" in str(error)
+        assert noda_steps == [1000]
+
+    def test_noda_failure_names_the_power_steps_run(self):
+        # two windows of power steps, then one solve where two are needed
+        with pytest.raises(NoConvergence, match=r"Noda .* after 64 power steps and 1 solves"):
+            spectral_radius_irreducible(_sticky(1e-6) ** 2, max_iter=1001)
 
 
 class TestToleranceCheck:

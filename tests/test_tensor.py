@@ -259,6 +259,31 @@ class TestLumpedBuildBudget:
         assert tensor._lumped_entries(np.diff(p.indptr).tolist(), alpha) == rows.size
 
 
+class TestSuccessors:
+    @pytest.mark.parametrize(
+        "nx,alpha,sparsity", [(4, 1, 0.3), (3, 2, 0.0), (5, 3, 0.6), (4, 4, 0.4), (3, 6, 0.5)]
+    )
+    def test_enumerates_the_tensor_power_in_order(self, nx, alpha, sparsity):
+        # every successor tuple of every row, rows ascending and each row's
+        # successors in lexicographic order, with the product of P's entries
+        # taken left to right
+        rng = np.random.default_rng(alpha)
+        p = sparse.csr_array(random_chain(rng, nx, sparsity=sparsity).transition)
+        p.eliminate_zeros()
+        tuples = rng.integers(0, nx, size=(7, alpha))
+        rows, successors, values = tensor._successors(p, tuples)
+        columns = [p.indices[p.indptr[x] : p.indptr[x + 1]].tolist() for x in range(nx)]
+        expected = [
+            (r, s, math.prod((p[x, y] for x, y in zip(t, s)), start=1.0))
+            for r, t in enumerate(tuples.tolist())
+            for s in itertools.product(*(columns[x] for x in t))
+        ]
+        assert rows.tolist() == [r for r, _, _ in expected]
+        assert successors.dtype == p.indices.dtype
+        assert [tuple(s) for s in successors.tolist()] == [s for _, s, _ in expected]
+        assert values.tolist() == [v for _, _, v in expected]
+
+
 def _three_cycle_hmm():
     """A 3-cycle chain with one symbol: at alpha = 2, A has 3 components and K~ 2."""
     chain = validate_chain(np.roll(np.eye(3), 1, axis=1), np.full(3, 1.0 / 3.0))
