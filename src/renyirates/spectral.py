@@ -46,12 +46,16 @@ states when `tensor.irreducible` shows A irreducible.
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`).  A weighted power sum u^T A^n 1 takes repeated squaring
 or stepwise vector iteration, whichever a cost rule fitted on measured
-times predicts cheaper (see `log_weighted_power_sum`).
+times predicts cheaper (see `log_weighted_power_sum`).  Stepwise
+iteration stops at the first exact repeat of its normalised iterate and
+adds the logs of the steps left one by one, so it returns the float all
+n steps give.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,11 @@ CHARPOLY_MAX_DIM = 64
 # a 2-core x86 box; see its docstring.
 _STEP_COST = 22
 _STEP_OVERHEAD = 8000
+# A stepwise power sum moves its checkpoint after 1, 2, 4, ... steps, at
+# most this many, so it finds cycles of up to this period and keeps at most
+# this many logs; the steps after a repeat are summed in chunks of at most
+# this many.
+_CYCLE_WINDOW = 2**16
 # The largest dimension densified by choice, for squaring or for a sparse
 # block's Noda hand-over: a dense 3300 x 3300 array takes about 87 MB.
 _DENSE_MAX_DIM = 3300
@@ -401,7 +410,7 @@ def _noda(
         if hi - lo <= tol:
             return lo, hi
     else:
-        stop = f"{budget} solves"
+        stop = "1 solve" if budget == 1 else f"{budget} solves"
     raise NoConvergence(
         f"Noda inverse iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
         f"after {ran} power steps and {stop} (tolerance {tol})"
@@ -538,10 +547,21 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     costs about n (nnz + 8000), the constant being the interpreter's share
     of one step.  Squaring runs when
     d^3 * n.bit_length() < 22 * n * (nnz + 8000) and d <= 3300, where its
-    three dense d x d arrays take about 260 MB.  Measured points: a
-    600-dim chain with 12 entries a row at n = 22000 takes 0.07 s squared
-    against 0.17 s stepwise, and squares; a dense 513-dim chain at
-    n = 100 and a 2000-dim chain with 6 entries a row at n = 1000 step.
+    three dense d x d arrays take about 260 MB.  Measured points when the
+    rule was fitted: a 600-dim chain with 12 entries a row at n = 22000
+    took 0.07 s squared against 0.17 s for all its steps, and squares; a
+    dense 513-dim chain at n = 100 and a 2000-dim chain with 6 entries a
+    row at n = 1000 step.
+
+    Stepwise iteration stops at the first exact repeat of its normalised
+    iterate (a step is a fixed function of its bytes; R. P. Brent's cycle
+    finding, BIT 20, 1980) and adds the logs of the remaining steps one by
+    one, so its float is that of all n steps.  In floating point the
+    iterate meets such a repeat soon after it has converged, after about
+    log(eps) / log(|lambda_2| / rho) steps: 144 for the 600-dim chain
+    above, which then takes 2 ms stepwise against 0.1 s squared, but about
+    10^7 for a sticky chain with switch probability 1e-6.  The cost rule
+    still prices all n steps, so it picks the same path as before.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != a.dim:
@@ -586,16 +606,49 @@ def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
 
 
 def _log_power_sum_stepwise(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
+    # Once the iterate's bytes repeat a checkpoint's, so do the logs since
+    # it (see log_weighted_power_sum).  The checkpoint's largest entry
+    # screens a step before the bytes are compared.
     w = u.astype(float).copy()
     log_acc = 0.0
-    for _ in range(n):
+    window = 1
+    period = array("d")  # the logs added since the checkpoint
+    mark, j = w.tobytes(), int(w.argmax())
+    peak = w[j]
+    for step in range(n):
         w = a.vecmat(w)
         s = w.sum()
         if s == 0:
             return -math.inf
         w /= s
-        log_acc += math.log(s)
+        inc = math.log(s)
+        log_acc += inc
+        period.append(inc)
+        if w[j] == peak and w.tobytes() == mark:
+            return _add_cycling(log_acc, np.frombuffer(period), n - step - 1)
+        if len(period) == window:
+            mark, j = w.tobytes(), int(w.argmax())
+            peak, period, window = w[j], array("d"), min(2 * window, _CYCLE_WINDOW)
     return log_acc
+
+
+def _add_cycling(acc: float, period: np.ndarray, count: int) -> float:
+    """acc plus `count` terms that cycle through `period`, added one by one.
+
+    `np.add.accumulate` adds left to right, so the sum is the float a loop
+    of `acc += term` gives.
+    """
+    m = len(period)
+    reps = min(max(1, _CYCLE_WINDOW // m), -(-count // m))
+    terms = np.empty(reps * m + 1)
+    terms[1:] = np.tile(period, reps)
+    out = np.empty_like(terms)
+    while count > 0:
+        k = min(count, reps * m)
+        terms[0] = acc
+        acc = float(np.add.accumulate(terms[: k + 1], out=out[: k + 1])[-1])
+        count -= k
+    return acc
 
 
 def characteristic_polynomial(

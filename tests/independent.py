@@ -15,6 +15,9 @@ checks:
 - ``empirical_growth_probe`` runs n renormalised vector-matrix products;
   ``(u^T A^n 1)^(1/n)`` checks the Perron root that ``growth_rate``
   reports.
+- ``stepwise_log_power_sum`` runs all n renormalised products of
+  ``log(u^T A^n 1)`` through A's transposed CSR form; it checks the
+  stepwise power sum, which may stop early, float for float.
 """
 
 from __future__ import annotations
@@ -127,3 +130,18 @@ def empirical_growth_probe(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
         w /= s
         log_acc += math.log(s)
     return math.exp(log_acc / n)
+
+
+def stepwise_log_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
+    """log(u^T A^n 1) by n renormalized CSR products, each log added in turn."""
+    transposed = a.csr.T.tocsr()
+    w = np.asarray(u, dtype=float).copy()
+    log_acc = 0.0
+    for _ in range(n):
+        w = transposed @ w
+        s = w.sum()
+        if s == 0:
+            return -math.inf
+        w /= s
+        log_acc += math.log(s)
+    return log_acc

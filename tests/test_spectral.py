@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
-from independent import empirical_growth_probe, submatrix
+from independent import empirical_growth_probe, stepwise_log_power_sum, submatrix
 
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 NU_EXAMPLE = np.full(5, 1.0 / 9.0)
@@ -234,9 +235,10 @@ class TestNodaHandOver:
             spectral_radius_irreducible(NEAR_REDUCIBLE, max_iter=0)
 
     def test_exhausted_noda_budget_names_phase_and_bracket(self):
-        # this block needs two solves after its 1000 power steps
+        # this block hands over after 64 power steps and needs two solves,
+        # where its budget leaves one
         a = _sticky(1e-6) ** 2
-        with pytest.raises(NoConvergence, match="Noda") as info:
+        with pytest.raises(NoConvergence, match="Noda .* after 64 power steps") as info:
             spectral_radius_irreducible(a, max_iter=1001)
         lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups())
         assert hi - lo > 1e-12
@@ -367,7 +369,7 @@ class TestStallExit:
 
     def test_noda_failure_names_the_power_steps_run(self):
         # two windows of power steps, then one solve where two are needed
-        with pytest.raises(NoConvergence, match=r"Noda .* after 64 power steps and 1 solves"):
+        with pytest.raises(NoConvergence, match=r"Noda .* after 64 power steps and 1 solve \("):
             spectral_radius_irreducible(_sticky(1e-6) ** 2, max_iter=1001)
 
 
@@ -575,6 +577,111 @@ class TestStepwisePowerSum:
         stepwise = spectral._log_power_sum_stepwise(a, u, 300)
         squaring = spectral._log_power_sum_squaring(a.to_dense(), u, 300)
         assert stepwise == pytest.approx(squaring, rel=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dense", "sparse", "reducible", "cycle", "nilpotent"]),
+        st.integers(1, 12),
+        st.one_of(
+            st.sampled_from([0, 1, 2]),
+            st.integers(1, 11).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
+            st.integers(0, 3000),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_float_as_every_step(self, seed, kind, m, n):
+        # the sum stops at the first repeat of its iterate, yet returns the
+        # float all n steps give, -inf at the same step included
+        rng = np.random.default_rng(seed)
+        a, u = _power_sum_system(rng, kind, m)
+        expected = stepwise_log_power_sum(a, u, n)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_vecmat(mp)
+            assert spectral._log_power_sum_stepwise(a, u, n) == expected
+        if kind == "nilpotent":
+            first_zero = next(k for k in range(m + 1) if stepwise_log_power_sum(a, u, k) == -math.inf)
+            assert calls == [min(n, first_zero)]
+        else:
+            assert calls[0] <= n
+
+    def test_cycle_of_period_m(self, monkeypatch):
+        # a weighted m-cycle: once rounding settles, the iterate repeats
+        # every m steps, and the sum stops with a period of m logs
+        m = 7
+        a, u = _power_sum_system(np.random.default_rng(1), "cycle", m)
+        periods = []
+        add = spectral._add_cycling
+        monkeypatch.setattr(
+            spectral, "_add_cycling", lambda acc, period, count: periods.append(len(period)) or add(acc, period, count)
+        )
+        calls = _count_vecmat(monkeypatch)
+        assert spectral._log_power_sum_stepwise(a, u, 10**4) == stepwise_log_power_sum(a, u, 10**4)
+        assert periods == [m]
+        assert calls[0] < 100
+
+    def test_benchmark_chain(self, monkeypatch):
+        # shaped like the finite-horizon benchmark's 800-node chain, at its length
+        rng = np.random.default_rng(7)
+        a = NonnegMatrix.from_dense(_chain(rng, 800, 12).to_dense() ** 1.5)
+        u = rng.dirichlet(np.ones(800))
+        n = 18000
+        expected = stepwise_log_power_sum(a, u, n)
+        calls = _count_vecmat(monkeypatch)
+        assert spectral._log_power_sum_stepwise(a, u, n) == expected
+        assert calls[0] < 2000
+
+    def test_long_length_costs_only_the_steps_to_the_cycle(self, monkeypatch):
+        # the steps after the repeat are added in chunks of bounded size
+        rng = np.random.default_rng(50)
+        a = NonnegMatrix.from_dense(rng.random((50, 50)))
+        u = rng.random(50)
+        n = 10**9
+        calls = _count_vecmat(monkeypatch)
+        tracemalloc.start()
+        try:
+            value = spectral._log_power_sum_stepwise(a, u, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls[0] <= 4096
+        assert peak < 4 * 2**20
+        # the n logs are added one by one, as every step would add them, so
+        # the sum carries their rounding, up to about n ulps (1.4e-8
+        # relative here); squaring adds about 30 logs
+        squaring = spectral._log_power_sum_squaring(a.to_dense(), u, n)
+        assert value == pytest.approx(squaring, rel=n * np.finfo(float).eps)
+
+
+def _power_sum_system(rng, kind, m):
+    """A matrix of the given kind, and weights with zero and -0.0 entries."""
+    if kind == "cycle":  # a weighted m-cycle: the iterate has period m
+        a = np.zeros((m, m))
+        a[np.arange(m), (np.arange(m) + 1) % m] = rng.uniform(0.5, 2.0, m)
+    elif kind == "nilpotent":
+        a = np.triu(rng.uniform(0.5, 1.0, (m, m)), 1)
+    else:
+        a = random_nonneg_matrix(rng, m, zero_prob=0.0 if kind == "dense" else 0.7)
+        if kind == "sparse":  # a cycle through every node keeps it irreducible
+            a[np.arange(m), (np.arange(m) + 1) % m] += rng.random(m)
+        else:  # reducible: nothing leads back from the second half
+            a[m // 2 :, : m // 2] = 0.0
+    u = rng.random(m)
+    u[rng.random(m) < 0.3] = 0.0
+    u[rng.random(m) < 0.2] = -0.0
+    return NonnegMatrix.from_dense(a), u
+
+
+def _count_vecmat(monkeypatch):
+    """A one-entry list that counts NonnegMatrix.vecmat calls from here on."""
+    calls = [0]
+    inner = NonnegMatrix.vecmat
+
+    def spy(self, w):
+        calls[0] += 1
+        return inner(self, w)
+
+    monkeypatch.setattr(NonnegMatrix, "vecmat", spy)
+    return calls
 
 
 def _chain(rng, m, per_row):
