@@ -214,7 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-dim",
             type=int,
             default=DEFAULT_MAX_DIM,
-            help="cap on constructed matrix dimension",
+            help=(
+                "HMMs: refuse an order whose states^order * symbols (the collision "
+                "system's index set) exceeds this, also where only the lumped matrix "
+                "is built; Markov models and the oracle ignore it"
+            ),
         )
         p.add_argument(
             "--tolerance",

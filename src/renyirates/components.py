@@ -14,14 +14,19 @@ DAG.  Members of a component are listed in increasing index order.  The
 reachable set from a weight vector's support singles out the components
 that govern the growth of u^T A^n 1.
 
-Most collision systems are irreducible, so two vectorised breadth-first
-sweeps from node 0, forward and backward, are tried first.  When both
-reach every node the graph is one component, and Tarjan's pass would
-give exactly ((0, ..., n-1),) with every node in component 0 and no
-condensation edge: with a single component there is no order left to
-choose, so the contract holds.  Otherwise, or once the sweeps have spent
-about what Tarjan's pass would cost (a long-diameter graph), the pass
-runs as before.
+Two vectorised breadth-first sweeps from node 0, forward and backward,
+are tried first.  When both reach every node the graph is one component,
+and Tarjan's pass would give exactly ((0, ..., n-1),) with every node in
+component 0 and no condensation edge: with a single component there is
+no order left to choose, so the contract holds.  Otherwise, or once the
+sweeps have spent about what Tarjan's pass would cost (a long-diameter
+graph), the pass runs as before.  That budget, (n + nnz) // 128 levels,
+is 0 below 128 nodes plus entries, so small graphs go straight to the
+pass.  Most irreducible HMM rates take the lumped matrix and never build
+A (see `tensor.rate_on_lumped`), so the sweeps serve large irreducible
+systems that still build A: Markov rates, HMM rates where A is the
+smaller build or `tensor.irreducible` is undecided, and
+`renyirates components`.
 """
 
 from __future__ import annotations

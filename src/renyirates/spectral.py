@@ -29,14 +29,15 @@ NoConvergence when it is near-degenerate (a sparse LU would densify it
 through fill-in).  A radius is the midpoint of a closed bracket, never
 of an open one.
 
-`growth_rate` takes all the radii of a call in one pass.  A CSR block
-iterates alone, but dense blocks of one size iterate in lockstep, as
-one (k, m, m) stack: a step is one stacked product, whose slices run the
-same gemv as a lone block, and row-wise ratios, bounds and sums, so each
-block closes at the same step with the same float as alone, at the
-interpreter cost of one block.  Closed blocks leave the stack when half
-of it has closed; the last open block goes on alone.  A 1x1 block is its
-entry, with no iteration.
+`growth_rate` takes all the radii of a call in one pass, and every power
+step runs in one loop, `_power`.  It iterates one block, CSR or dense,
+or dense blocks of one size in lockstep, as one (k, m, m) stack: a step
+is one stacked product, whose slices run the same gemv as a lone block,
+and row-wise ratios, bounds and sums, so each block closes or stalls at
+the same step with the same float as alone, at the interpreter cost of
+one block.  A block leaves the stack as soon as it closes or stalls, and
+the last open one goes on in the same loop as a lone block.  A 1x1 block
+is its entry, with no iteration.
 
 `irreducible_growth` gives what `growth_rate` would for an irreducible A
 that is never built: one component, its radius from the radius matrix
@@ -140,8 +141,9 @@ def spectral_radius_irreducible(
     (see the module docstring), with the same Noda budget; no block does
     when tol = 0 or max_iter <= max(1000, m).  Returns the midpoint of a
     closed bracket or raises NoConvergence, whose message gives the power
-    steps that ran.  A 1x1 block is its entry.  This is the one-block case
-    of the routine `growth_rate` runs on all its blocks at once.
+    steps that ran.  A 1x1 block is its entry.  The block runs alone
+    through the power loop that `growth_rate` runs on all its blocks at
+    once.
     """
     _check_tol(tol)
     if not isinstance(a, NonnegMatrix):
@@ -154,17 +156,13 @@ def _perron_radii(
 ) -> list[float]:
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
-    A CSR block iterates alone.  Dense blocks of one size iterate as one
-    (k, m, m) stack of shifted blocks, in stacks of at most 8 MB, in
-    lockstep: each stack slice takes the very gemv, ratios and sums its
-    block would take alone, so every radius is the same float.  A block
-    leaves the stack when its bracket closes; the stack is compacted once
-    half of it has left, and its last open block goes on alone.  A block
-    also leaves, with its bracket open, when it stalls: its window
-    compares and look-ahead read only its own slice, so it leaves at the
-    step it would leave alone.  Blocks still open after their power steps
-    finish in list order, so the NoConvergence raised is the first failing
-    block's.
+    A 1x1 block is its entry.  Every larger block is shifted by I and
+    iterated by `_power`: a CSR block alone, dense blocks of one size as
+    (k, m, m) stacks of at most 8 MB, and a dense block with no other of
+    its size alone, in its own memory order.  Each radius is the float its
+    block gives alone.  Blocks still open after their power steps, or
+    stalled, finish in list order, so the NoConvergence raised is the
+    first failing block's.
     """
     # per block: its radius, or (B, v, lo, hi, steps run) once its power
     # steps are spent or it stalls, with the bracket still open
@@ -173,8 +171,7 @@ def _perron_radii(
     for i, a in enumerate(blocks):
         m = a.dim if isinstance(a, NonnegMatrix) else a.shape[0]
         if isinstance(a, NonnegMatrix) and m > 1 and a.nnz <= m * m // 4:
-            shifted = a.csr + sparse.eye_array(m, format="csr")
-            states[i] = _power_alone(shifted, max_iter, tol)
+            _power(a.csr + sparse.eye_array(m, format="csr"), [i], states, max_iter, tol)
         elif m <= 1:
             states[i] = float(_dense(a)[0, 0]) if m else 0.0
         else:
@@ -182,10 +179,15 @@ def _perron_radii(
     for m, members in groups.items():
         per_stack = max(1, _STACK_BYTES // (8 * m * m))
         for first in range(0, len(members), per_stack):
-            stacked = members[first : first + per_stack]
-            lockstep = _power_lockstep([blocks[i] for i in stacked], m, max_iter, tol)
-            for i, state in zip(stacked, lockstep):
-                states[i] = state
+            rows = members[first : first + per_stack]
+            if len(rows) == 1:
+                b = _dense(blocks[rows[0]])
+            else:
+                b = np.empty((len(rows), m, m))
+                for j, i in enumerate(rows):
+                    b[j] = _dense(blocks[i])
+            b[..., np.arange(m), np.arange(m)] += 1.0
+            _power(b, rows, states, max_iter, tol)
     return [_finish(state, tol, max_iter) for state in states]
 
 
@@ -195,43 +197,81 @@ def _dense(a: NonnegMatrix | np.ndarray) -> np.ndarray:
 
 
 def _power_steps(b, max_iter: int) -> int:
-    """Power steps a shifted block gets before the hand-over to Noda's iteration."""
-    m = b.shape[0]
+    """Power steps a shifted block, or each block of a stack, gets before the hand-over to Noda."""
+    m = b.shape[-1]
     if sparse.issparse(b) and m > _DENSE_MAX_DIM:
         return max_iter
     return min(max_iter, max(_POWER_STEPS, m))
 
 
-def _power_alone(
-    b, max_iter: int, tol: float, v=None, lo=-math.inf, hi=math.inf, done=0, last=math.inf,
-    looked=False,
-):
-    """Power steps on one shifted block from step `done`, v uniform when None.
+def _power(b, rows: list[int], states: list, max_iter: int, tol: float) -> None:
+    """Power steps on a shifted block b, or in lockstep on a (k, m, m) stack of them.
 
-    Returns the radius once the bracket closes, else (b, v, lo, hi, steps
-    run) once the block's power steps are spent or it stalls.  `last` is
-    the bracket width at the last window mark; `looked` says whether the
-    block has had its look-ahead (see `_stays_open`).
+    A lone block, CSR or dense, iterates v of shape (m,).  A stack of
+    dense blocks iterates v of shape (k, m): a step is one stacked
+    product, whose slices run the same gemv as a lone block, and
+    row-wise ratios, bounds and sums.  The stall rule (`_slow`,
+    `_stays_open`) reads each slice alone, so each block closes or stalls
+    at the step, and with the float, it would alone.  states[rows[j]]
+    gets slice j's radius once its bracket closes, else (B, v, lo, hi,
+    steps run) once its power steps are spent or it stalls.  A block
+    leaves the stack as soon as it closes or stalls, and the last open
+    one goes on as a lone block.
     """
     steps = _power_steps(b, max_iter)
     may_stall = tol > 0 and steps < max_iter  # only where Noda takes over
-    if v is None:
-        v = np.full(b.shape[0], 1.0 / b.shape[0])
-    for step in range(done, steps):
-        w = b @ v
+    m, stacked = b.shape[-1], b.ndim == 3
+    # per slice: its iterate and bracket, its block, its bracket width at
+    # the last window mark, and whether its look-ahead is still to come;
+    # a lone block's values are scalars, and its slice index is ()
+    if stacked:
+        k = len(rows)
+        v, lo, hi = np.full((k, m), 1.0 / m), np.full(k, -math.inf), np.full(k, math.inf)
+        rows, fresh = np.array(rows), np.ones(k, dtype=bool)
+    else:
+        v, lo, hi = np.full(m, 1.0 / m), np.float64(-math.inf), np.float64(math.inf)
+        rows, fresh = np.int64(rows[0]), np.True_
+    last = hi
+
+    def picked(mask) -> list:
+        return np.flatnonzero(mask).tolist() if stacked else [()] * bool(mask)
+
+    def leave(j, ran: int) -> None:
+        states[rows[j]] = (b[j].copy() if stacked else b, v[j], lo[j], hi[j], ran)
+
+    for ran in range(1, steps + 1):
+        w = np.matmul(b, v[:, :, None])[:, :, 0] if stacked else b @ v
         ratios = w / v
-        lo, hi = ratios.min(), ratios.max()
-        v = w / w.sum()
-        if hi - lo <= tol:
-            return float((lo + hi) / 2.0 - 1.0)
-        if may_stall and not looked and (step + 1) % _WINDOW == 0:
-            left = steps - step - 1
-            if _slow(hi - lo, last, left, tol):
-                looked = True
-                if _stays_open(b, v, left, tol):
-                    return b, v, lo, hi, step + 1
-            last = hi - lo
-    return b, v, lo, hi, steps
+        lo, hi = np.minimum.reduce(ratios, -1), np.maximum.reduce(ratios, -1)
+        v = w / (w.sum(axis=1, keepdims=True) if stacked else w.sum())
+        closed = hi - lo <= tol
+        stalled = []
+        if may_stall and ran % _WINDOW == 0:
+            slow = fresh & _slow(hi - lo, last, steps - ran, tol)
+            fresh, last = fresh ^ slow, hi - lo
+            stalled = [
+                j
+                for j in picked(slow)
+                if not closed[j] and _stays_open(b[j] if stacked else b, v[j], steps - ran, tol)
+            ]
+        if not (stalled or (closed.any() if stacked else closed)):
+            continue
+        for j in picked(closed):
+            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - 1.0)
+        for j in stalled:
+            leave(j, ran)
+        if not stacked:
+            return
+        closed[stalled] = True
+        kept = np.flatnonzero(~closed)
+        if not kept.size:
+            return
+        stacked = kept.size > 1
+        b, v, lo, hi, rows, last, fresh = (
+            x.take(kept if stacked else kept[0], axis=0) for x in (b, v, lo, hi, rows, last, fresh)
+        )
+    for j in range(len(rows)) if stacked else [()]:
+        leave(j, steps)
 
 
 def _slow(width, last, left: int, tol: float):
@@ -284,69 +324,6 @@ def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
     ratios = (b @ w) / w
     hi = ratios.max()
     return bool(hi - ratios.min() > _STALL_MARGIN * max(tol, m * _EPS * hi))
-
-
-def _power_lockstep(
-    blocks: list[NonnegMatrix | np.ndarray], m: int, max_iter: int, tol: float
-) -> list:
-    """`_power_alone` on dense m x m blocks, all iterated as one stack."""
-    if len(blocks) == 1:
-        b = _dense(blocks[0])
-        b[np.diag_indices(b.shape[0])] += 1.0
-        return [_power_alone(b, max_iter, tol)]
-    k = len(blocks)
-    stack = np.empty((k, m, m))
-    for j, a in enumerate(blocks):
-        stack[j] = a.to_dense() if isinstance(a, NonnegMatrix) else a
-    stack[:, np.arange(m), np.arange(m)] += 1.0
-    steps = _power_steps(stack[0], max_iter)
-    may_stall = tol > 0 and steps < max_iter
-    states: list = [None] * k
-    rows = np.arange(k)  # the block of each stack slice
-    live = np.ones(k, dtype=bool)  # slices whose bracket is still open
-    v = np.full((k, m), 1.0 / m)
-    lo, hi = np.full(k, -math.inf), np.full(k, math.inf)
-    last = np.full(k, math.inf)  # bracket widths at the last window mark
-    looked = np.zeros(k, dtype=bool)  # slices that have had their look-ahead
-    for step in range(steps):
-        w = np.matmul(stack, v[:, :, None])[:, :, 0]
-        ratios = w / v
-        lo, hi = ratios.min(axis=1), ratios.max(axis=1)
-        v = w / w.sum(axis=1, keepdims=True)
-        closed = live & (hi - lo <= tol)
-        stalled = []
-        if may_stall and (step + 1) % _WINDOW == 0:
-            left = steps - step - 1
-            width = hi - lo
-            unseen = np.flatnonzero(live & ~closed & ~looked)
-            for j in unseen[_slow(width[unseen], last[unseen], left, tol)].tolist():
-                looked[j] = True
-                if _stays_open(stack[j], v[j], left, tol):
-                    stalled.append(j)
-                    states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j], step + 1)
-            last = width
-        if not stalled and not closed.any():
-            continue
-        for j in np.flatnonzero(closed).tolist():
-            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - 1.0)
-        live &= ~closed
-        live[stalled] = False
-        open_count = np.count_nonzero(live)
-        if open_count == 1:
-            (j,) = np.flatnonzero(live)
-            states[rows[j]] = _power_alone(
-                stack[j].copy(), max_iter, tol, v[j], lo[j], hi[j], step + 1, last[j], looked[j]
-            )
-            return states
-        if 2 * open_count <= rows.size:
-            if open_count == 0:
-                return states
-            stack, v, lo, hi = stack[live], v[live], lo[live], hi[live]
-            rows, last, looked = rows[live], last[live], looked[live]
-            live = np.ones(open_count, dtype=bool)
-    for j in np.flatnonzero(live).tolist():
-        states[rows[j]] = (stack[j].copy(), v[j], lo[j], hi[j], steps)
-    return states
 
 
 def _finish(state, tol: float, max_iter: int) -> float:
@@ -563,10 +540,7 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     10^7 for a sticky chain with switch probability 1e-6.  The cost rule
     still prices all n steps, so it picks the same path as before.
     """
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != a.dim:
-        raise DimensionMismatch("weight vector length does not match matrix dimension")
-    _check_entries(u, "weight vector")
+    u = _checked_weights(u, a.dim)
     if n < 0:
         raise ValueError("exponent must be non-negative")
     s = u.sum()
@@ -651,19 +625,17 @@ def _add_cycling(acc: float, period: np.ndarray, count: int) -> float:
     return acc
 
 
-def characteristic_polynomial(
-    a: NonnegMatrix | np.ndarray, max_dim: int = CHARPOLY_MAX_DIM
-) -> np.ndarray:
+def characteristic_polynomial(a: NonnegMatrix | np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients, highest degree first.
 
     Faddeev-LeVerrier recurrence: M_k = A (M_{k-1} + c_{k-1} I),
-    c_k = -tr(M_k) / k.
+    c_k = -tr(M_k) / k.  Refused with DimensionOverflow past 64 nodes.
     """
     dense = a.to_dense() if isinstance(a, NonnegMatrix) else np.asarray(a, dtype=float)
     m = dense.shape[0]
-    if m > max_dim:
+    if m > CHARPOLY_MAX_DIM:
         raise DimensionOverflow(
-            f"characteristic polynomial capped at dimension {max_dim}, got {m}"
+            f"characteristic polynomial capped at dimension {CHARPOLY_MAX_DIM}, got {m}"
         )
     coeffs = np.zeros(m + 1)
     coeffs[0] = 1.0

@@ -549,7 +549,6 @@ def _lumped_cheaper(hmm: HiddenMarkovModel, alpha: int) -> bool:
     each multiset enumerates P's full rows while A keeps only the columns
     of states that can emit the next symbol, and A can be far smaller.
     """
-    alpha = _hmm_order(alpha)
     p, emits = hmm.chain.transition, hmm.emission > 0
     lumped = _lumped_bound(np.count_nonzero(p, axis=1), emits, alpha)
     return lumped <= _stored_entries(p, emits, alpha)

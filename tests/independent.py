@@ -18,6 +18,10 @@ checks:
 - ``stepwise_log_power_sum`` runs all n renormalised products of
   ``log(u^T A^n 1)`` through A's transposed CSR form; it checks the
   stepwise power sum, which may stop early, float for float.
+- ``power_iteration_radius`` runs plain power iteration on one shifted
+  block, with no stall exit and no hand-over; it checks, float for
+  float, every radius the package closes by power iteration, whether
+  its block iterated alone or in a lockstep stack.
 """
 
 from __future__ import annotations
@@ -145,3 +149,28 @@ def stepwise_log_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
         w /= s
         log_acc += math.log(s)
     return log_acc
+
+
+def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:
+    """Perron root of an irreducible block by power iteration on B = A + I; None if still open.
+
+    From uniform v, each step forms w = B v, reads the Collatz-Wielandt
+    bracket [min_i w_i / v_i, max_i w_i / v_i] and renormalises
+    v = w / sum(w); the root is the bracket's midpoint minus 1 once the
+    bracket is at most tol wide.  B is a CSR array when at most a quarter
+    of A's entries are stored, else a dense one, as the package holds it.
+    """
+    m = a.dim
+    if a.nnz <= m * m // 4:
+        b = a.csr + sparse.eye_array(m, format="csr")
+    else:
+        b = a.to_dense() + np.eye(m)
+    v = np.full(m, 1.0 / m)
+    for _ in range(steps):
+        w = b @ v
+        ratios = w / v
+        lo, hi = ratios.min(), ratios.max()
+        v = w / w.sum()
+        if hi - lo <= tol:
+            return float((lo + hi) / 2.0 - 1.0)
+    return None

@@ -115,9 +115,9 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
         "from renyirates import components, spectral\n"
-        "shortcut, lockstep, decided, stacks = components._strongly_connected, spectral._power_lockstep, [], []\n"
+        "shortcut, power, decided, stacks = components._strongly_connected, spectral._power, [], []\n"
         "components._strongly_connected = lambda csr: decided.append(shortcut(csr)) or decided[-1]\n"
-        "spectral._power_lockstep = lambda blocks, *rest: stacks.append(len(blocks)) or lockstep(blocks, *rest)\n"
+        "spectral._power = lambda b, rows, *rest: stacks.append(len(rows)) or power(b, rows, *rest)\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    codes = [renyirates.cli.main(argv) for argv in {argvs!r}]\n"

@@ -35,7 +35,12 @@ from renyirates.modelfile import load_model
 from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
-from independent import empirical_growth_probe, stepwise_log_power_sum, submatrix
+from independent import (
+    empirical_growth_probe,
+    power_iteration_radius,
+    stepwise_log_power_sum,
+    submatrix,
+)
 
 A_EXAMPLE = NonnegMatrix.from_dense(RESTRICTED_EXAMPLE)
 NU_EXAMPLE = np.full(5, 1.0 / 9.0)
@@ -314,6 +319,44 @@ def test_stall_exit_leaves_closing_radii_alone(seed, count):
             assert rho == rho_off
         else:
             assert ran <= ran_off == 1000
+            assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
+
+
+def _mixed_block(rng, kind):
+    """A block for `_perron_radii`: CSR, dense of a few shared sizes, 1x1, or a sticky chain's square."""
+    if kind == "csr":
+        return _sparse_irreducible(rng, int(rng.integers(12, 30)))
+    if kind == "dense":
+        m = int(rng.choice([2, 3, 5]))
+        idx = np.arange(m)
+        a = rng.random((m, m)) * (rng.random((m, m)) < 0.8)
+        a[idx, (idx + 1) % m] += 0.5
+        return NonnegMatrix.from_dense(a)
+    if kind == "one":
+        return NonnegMatrix.from_dense([[rng.random()]])
+    return NonnegMatrix.from_dense(_sticky(10.0 ** -rng.uniform(2, 8)) ** 2)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(["csr", "dense", "one", "sticky"]), min_size=1, max_size=12),
+)
+@settings(max_examples=30, deadline=None)
+def test_radii_match_plain_power_iteration(seed, kinds):
+    # CSR blocks iterate alone, dense blocks of one size in lockstep
+    # stacks, sticky ones among them hand over to Noda, and a 1x1 block is
+    # its entry; plain power iteration on each block alone is the
+    # reference for every radius that closes without a hand-over
+    rng = np.random.default_rng(seed)
+    blocks = [_mixed_block(rng, kind) for kind in kinds]
+    radii, exits = _radii_and_exits(blocks)
+    for block, rho, ran in zip(blocks, radii, exits):
+        if block.dim == 1:
+            assert rho == block.to_dense()[0, 0]
+        elif ran is None:
+            reference = power_iteration_radius(block, spectral.DEFAULT_TOL, spectral.MAX_ITERATIONS)
+            assert reference is not None and rho.hex() == reference.hex()
+        else:
             assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
 
 
