@@ -6,8 +6,9 @@ iteration on A + I: the shift makes every irreducible non-negative block
 primitive, so the Collatz-Wielandt bounds close geometrically even for
 periodic components.  A sparse block (at most a quarter of its entries
 stored) is iterated in CSR form, densified only for the hand-over
-below; a denser block is iterated as a dense array, which then needs at
-most four times the memory of its CSR form.
+below; a denser block is iterated as a C-ordered dense copy, which then
+needs at most four times the memory of its CSR form, and whose radius
+does not depend on the caller's memory order.
 
 Power iteration needs about 1/gap steps, so it stalls on nearly
 decoupled blocks (sticky regimes, small-noise channels).  A block whose
@@ -45,18 +46,26 @@ alone.  An HMM's rate takes it with K lumped onto multisets of hidden
 states when `tensor.irreducible` shows A irreducible.
 
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
-(see `tensor`).  A weighted power sum u^T A^n 1 takes repeated squaring
-or stepwise vector iteration, whichever a cost rule fitted on measured
-times predicts cheaper (see `log_weighted_power_sum`).  Stepwise
-iteration stops at the first exact repeat of its normalised iterate and
-adds the logs of the steps left one by one, so it returns the float all
-n steps give.
+(see `tensor`).  A weighted power sum u^T A^n 1 takes renormalised
+steps w <- w^T A, or repeated squaring, as a cost rule fitted on
+measured times prices them (see `log_weighted_power_sum`).  A step is a
+dense gemv when the matrix is dense enough and at most 3300 nodes, the
+split radius blocks use, and a CSR product otherwise.  Steps stop at the
+first exact repeat of the normalised iterate, and the cycle adds the
+steps left in O(period).  Where squaring is cheaper than all n steps, a
+trial of as many steps as squaring would cost runs first when that is at
+least 128 steps; a trial that meets no repeat hands over to squaring,
+which then gives the float it gives alone.  Stepwise logs are summed
+with math.fsum, so a stepwise result is within 4 ulps of the exact sum
+of the n per-step logs, however large n is.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +84,17 @@ MAX_ITERATIONS = 10**5
 CHARPOLY_MAX_DIM = 64
 
 # The cost rule of log_weighted_power_sum, fitted with one BLAS thread on
-# a 2-core x86 box; see its docstring.
+# a 2-core x86 box: the cost of a CSR step and of a dense step per stored
+# entry, and the interpreter's share of a step in CSR entries, all in units
+# of one d^3 squaring product's cost / d^3; see its docstring.
 _STEP_COST = 22
+_DENSE_STEP_COST = 6
 _STEP_OVERHEAD = 8000
+# No stepwise trial runs before squaring on a budget of fewer steps.
+_MIN_TRIAL = 128
 # A stepwise power sum moves its checkpoint after 1, 2, 4, ... steps, at
 # most this many, so it finds cycles of up to this period and keeps at most
-# this many logs; the steps after a repeat are summed in chunks of at most
-# this many.
+# this many logs.
 _CYCLE_WINDOW = 2**16
 # The largest dimension densified by choice, for squaring or for a sparse
 # block's Noda hand-over: a dense 3300 x 3300 array takes about 87 MB.
@@ -159,7 +172,7 @@ def _perron_radii(
     A 1x1 block is its entry.  Every larger block is shifted by I and
     iterated by `_power`: a CSR block alone, dense blocks of one size as
     (k, m, m) stacks of at most 8 MB, and a dense block with no other of
-    its size alone, in its own memory order.  Each radius is the float its
+    its size alone, each as a C-ordered copy.  Each radius is the float its
     block gives alone.  Blocks still open after their power steps, or
     stalled, finish in list order, so the NoConvergence raised is the
     first failing block's.
@@ -192,8 +205,8 @@ def _perron_radii(
 
 
 def _dense(a: NonnegMatrix | np.ndarray) -> np.ndarray:
-    """A private dense copy of a block, in the array's own memory order."""
-    return a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a)
+    """A private C-ordered dense copy of a block, so its radius does not depend on memory order."""
+    return a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a, order="C")
 
 
 def _power_steps(b, max_iter: int) -> int:
@@ -517,28 +530,39 @@ def _radius_blocks(
 def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     """Natural log of u^T A^n 1, stabilized; -inf when the sum is exactly 0.
 
-    Two paths, picked by a cost rule fitted on measured times (one BLAS
+    Two paths, priced by a cost rule fitted on measured times (one BLAS
     thread, 2-core x86).  Repeated squaring with per-step rescaling
     (products of non-negative matrices involve no cancellation) costs
-    about d^3 log2 n and keeps n = 10^6 cheap; stepwise vector iteration
-    costs about n (nnz + 8000), the constant being the interpreter's share
-    of one step.  Squaring runs when
-    d^3 * n.bit_length() < 22 * n * (nnz + 8000) and d <= 3300, where its
-    three dense d x d arrays take about 260 MB.  Measured points when the
-    rule was fitted: a 600-dim chain with 12 entries a row at n = 22000
-    took 0.07 s squared against 0.17 s for all its steps, and squares; a
-    dense 513-dim chain at n = 100 and a 2000-dim chain with 6 entries a
-    row at n = 1000 step.
+    about d^3 log2 n and keeps n = 10^6 cheap.  A renormalised step
+    w <- w^T A (`_stepper`) costs about 22 (nnz + 8000) as a CSR product,
+    or 6 d^2 + 22 * 8000 as a dense gemv, which runs when more than a
+    quarter of A's entries are stored and d <= 3300, as for radius
+    blocks (at d = 512 a gemv took 58-68 us and a CSR product 210-240
+    us); 22 * 8000 is the interpreter's share of one step.  The budget
+    is the squaring cost d^3 * n.bit_length() over the cost of one step;
+    past 3300 nodes, where squaring's three dense d x d arrays would
+    take more than 260 MB, it is n.
+
+    A budget of at least n steps runs all of them.  Otherwise, when the
+    budget is at least 128 steps, a stepwise trial of at most that many
+    steps runs first, and the call squares from u, with the float
+    squaring gives alone, only if the trial meets no repeat and no zero
+    sum.  Below 128 steps no trial runs: small systems, such as lumped
+    HMMs of 28-120 rows, repeat only after 65-512 steps, so a trial
+    would only add its own cost.
 
     Stepwise iteration stops at the first exact repeat of its normalised
     iterate (a step is a fixed function of its bytes; R. P. Brent's cycle
-    finding, BIT 20, 1980) and adds the logs of the remaining steps one by
-    one, so its float is that of all n steps.  In floating point the
-    iterate meets such a repeat soon after it has converged, after about
-    log(eps) / log(|lambda_2| / rho) steps: 144 for the 600-dim chain
-    above, which then takes 2 ms stepwise against 0.1 s squared, but about
-    10^7 for a sticky chain with switch probability 1e-6.  The cost rule
-    still prices all n steps, so it picks the same path as before.
+    finding, BIT 20, 1980).  In floating point the iterate meets such a
+    repeat soon after it has converged, after about
+    log(eps) / log(|lambda_2| / rho) steps: 144 for a 600-dim chain with
+    12 entries a row, but about 10^7 for a sticky chain with switch
+    probability 1e-6.  The steps after the repeat cycle through the logs
+    since its checkpoint, so they cost O(period).  Logs are summed with
+    math.fsum (J. R. Shewchuk's adaptive-precision summation, DCG 18,
+    1997) a Brent window at a time, into a pair of floats, and the
+    cycle's multiple is formed exactly, so a stepwise result lies within
+    4 ulps of the exact sum of the n per-step logs however large n is.
     """
     u = _checked_weights(u, a.dim)
     if n < 0:
@@ -546,10 +570,33 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     s = u.sum()
     if n == 0 or s == 0:
         return math.log(s) if s > 0 else -math.inf
+    n = operator.index(n)
     d = a.dim
-    if d <= _DENSE_MAX_DIM and d**3 * int(n).bit_length() < _STEP_COST * n * (a.nnz + _STEP_OVERHEAD):
-        return _log_power_sum_squaring(a.to_dense(), u, n)
-    return _log_power_sum_stepwise(a, u, n)
+    dense, step = _stepper(a)
+    if d > _DENSE_MAX_DIM:
+        budget = n
+    else:
+        entries = _STEP_COST * a.nnz if dense is None else _DENSE_STEP_COST * d * d
+        budget = d**3 * n.bit_length() // (entries + _STEP_COST * _STEP_OVERHEAD)
+    if budget >= n or budget >= _MIN_TRIAL:
+        value = _log_power_sum_stepwise(step, u, n, min(n, budget))
+        if value is not None:
+            return value
+    return _log_power_sum_squaring(a.to_dense() if dense is None else dense, u, n)
+
+
+def _stepper(a: NonnegMatrix) -> tuple[np.ndarray | None, Callable[[np.ndarray], np.ndarray]]:
+    """A's dense copy when steps run on it, else None, and the step w -> w^T A.
+
+    A step is a dense gemv when more than a quarter of A's entries are
+    stored and d <= 3300, as for radius blocks, and a CSR product
+    (`NonnegMatrix.vecmat`) otherwise.
+    """
+    d = a.dim
+    if d <= _DENSE_MAX_DIM and a.nnz > d * d // 4:
+        b = a.to_dense()
+        return b, lambda w: w @ b
+    return None, a.vecmat
 
 
 def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
@@ -579,50 +626,58 @@ def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
     return log_w  # w is renormalized to unit sum after the last multiply
 
 
-def _log_power_sum_stepwise(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
-    # Once the iterate's bytes repeat a checkpoint's, so do the logs since
-    # it (see log_weighted_power_sum).  The checkpoint's largest entry
-    # screens a step before the bytes are compared.
-    w = u.astype(float).copy()
-    log_acc = 0.0
+def _log_power_sum_stepwise(
+    step: Callable[[np.ndarray], np.ndarray], u: np.ndarray, n: int, limit: int
+) -> float | None:
+    """log(u^T A^n 1) by renormalised steps w <- step(w); None if `limit` steps find no repeat.
+
+    -inf as soon as a step sums to 0.  Once the iterate's bytes repeat a
+    checkpoint's, so do the logs since it (see `log_weighted_power_sum`),
+    and the sum is complete in O(period): with P their sum and
+    (q, r) = divmod(steps left, period), it is acc + (q + 1) P plus the
+    first r logs.  The checkpoint's largest entry screens a step before
+    the bytes are compared.  When the checkpoint moves, its window's logs
+    are folded into acc, a pair of floats whose sum is the sum of all
+    logs so far to about eps^2 relative, and (q + 1) P is formed as
+    closely (`_multiple`), so only the last rounding shows even where
+    later logs cancel earlier ones.
+    """
+    w = u  # a step returns a new array, so u is never written
+    acc = [0.0, 0.0]
     window = 1
     period = array("d")  # the logs added since the checkpoint
     mark, j = w.tobytes(), int(w.argmax())
     peak = w[j]
-    for step in range(n):
-        w = a.vecmat(w)
+    for k in range(limit):
+        w = step(w)
         s = w.sum()
         if s == 0:
             return -math.inf
         w /= s
-        inc = math.log(s)
-        log_acc += inc
-        period.append(inc)
+        period.append(math.log(s))
         if w[j] == peak and w.tobytes() == mark:
-            return _add_cycling(log_acc, np.frombuffer(period), n - step - 1)
+            q, r = divmod(n - k - 1, len(period))
+            try:
+                return math.fsum([*acc, *_multiple(period, q + 1), *period[:r]])
+            except OverflowError:  # (q + 1) P reaches the edge of the float range
+                return math.copysign(math.inf, math.fsum(period))
         if len(period) == window:
+            total = math.fsum([*acc, *period])
+            acc = [total, math.fsum([*acc, *period, -total])]
             mark, j = w.tobytes(), int(w.argmax())
             peak, period, window = w[j], array("d"), min(2 * window, _CYCLE_WINDOW)
-    return log_acc
+    return math.fsum([*acc, *period]) if limit == n else None
 
 
-def _add_cycling(acc: float, period: np.ndarray, count: int) -> float:
-    """acc plus `count` terms that cycle through `period`, added one by one.
+def _multiple(terms: array, c: int) -> list[float]:
+    """Floats whose sum is c times the sum of `terms`, to about eps^2 relative.
 
-    `np.add.accumulate` adds left to right, so the sum is the float a loop
-    of `acc += term` gives.
+    The sum is split into two floats, hi = fsum(terms) and the rounded
+    remainder lo, and each is scaled by c's set bits, which is exact.
     """
-    m = len(period)
-    reps = min(max(1, _CYCLE_WINDOW // m), -(-count // m))
-    terms = np.empty(reps * m + 1)
-    terms[1:] = np.tile(period, reps)
-    out = np.empty_like(terms)
-    while count > 0:
-        k = min(count, reps * m)
-        terms[0] = acc
-        acc = float(np.add.accumulate(terms[: k + 1], out=out[: k + 1])[-1])
-        count -= k
-    return acc
+    hi = math.fsum(terms)
+    lo = math.fsum([*terms, -hi])
+    return [math.ldexp(x, e) for e in range(c.bit_length()) if c >> e & 1 for x in (hi, lo)]
 
 
 def characteristic_polynomial(a: NonnegMatrix | np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ checks:
 - ``empirical_growth_probe`` runs n renormalised vector-matrix products;
   ``(u^T A^n 1)^(1/n)`` checks the Perron root that ``growth_rate``
   reports.
-- ``stepwise_log_power_sum`` runs all n renormalised products of
-  ``log(u^T A^n 1)`` through A's transposed CSR form; it checks the
-  stepwise power sum, which may stop early, float for float.
+- ``stepwise_logs`` runs all n renormalised products of
+  ``log(u^T A^n 1)`` with the product the package steps with (A's
+  transposed CSR form, or A's dense array when A is dense) and returns
+  each step's log; ``math.fsum`` of them checks the stepwise power sum,
+  which may stop early, to a few ulps.
 - ``power_iteration_radius`` runs plain power iteration on one shifted
   block, with no stall exit and no hand-over; it checks, float for
   float, every radius the package closes by power iteration, whether
@@ -136,19 +138,26 @@ def empirical_growth_probe(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     return math.exp(log_acc / n)
 
 
-def stepwise_log_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
-    """log(u^T A^n 1) by n renormalized CSR products, each log added in turn."""
-    transposed = a.csr.T.tocsr()
+def stepwise_logs(a: NonnegMatrix, u: np.ndarray, n: int) -> list[float] | None:
+    """The n logs log(sum(w)) of renormalised products w <- w^T A from u; None if one sums to 0.
+
+    A dense step, w times A's dense array, runs when more than a quarter
+    of A's entries are stored and A has at most 3300 nodes; otherwise A's
+    transposed CSR form times w.  These are the package's products, so
+    each log is the float the package's step gives.
+    """
+    dense = a.dim <= 3300 and a.nnz > a.dim**2 // 4
+    b = a.to_dense() if dense else a.csr.T.tocsr()
     w = np.asarray(u, dtype=float).copy()
-    log_acc = 0.0
+    logs = []
     for _ in range(n):
-        w = transposed @ w
+        w = w @ b if dense else b @ w
         s = w.sum()
         if s == 0:
-            return -math.inf
+            return None
         w /= s
-        log_acc += math.log(s)
-    return log_acc
+        logs.append(math.log(s))
+    return logs
 
 
 def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:

@@ -38,7 +38,7 @@ from conftest import FIXTURES, RESTRICTED_EXAMPLE
 from independent import (
     empirical_growth_probe,
     power_iteration_radius,
-    stepwise_log_power_sum,
+    stepwise_logs,
     submatrix,
 )
 
@@ -79,6 +79,16 @@ class TestSpectralRadius:
     def test_no_convergence_budget(self):
         with pytest.raises(NoConvergence):
             spectral_radius_irreducible(np.ones((3, 3)), max_iter=0)
+
+    def test_radius_does_not_depend_on_memory_order(self):
+        # a Fortran-ordered block once iterated in its own order, whose
+        # gemv sums each row differently: 85 of these 200 radii moved
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = int(rng.integers(3, 30))
+            a = rng.random((m, m)) + 0.01
+            rho = spectral_radius_irreducible(a)
+            assert spectral_radius_irreducible(np.asfortranarray(a)).hex() == rho.hex()
 
 
 def _sparse_irreducible(rng, m):
@@ -617,7 +627,7 @@ class TestStepwisePowerSum:
         m = 552
         a = NonnegMatrix.from_dense(random_nonneg_matrix(rng, m, zero_prob=0.98))
         u = random_nonneg_vector(rng, m)
-        stepwise = spectral._log_power_sum_stepwise(a, u, 300)
+        stepwise = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, 300, 300)
         squaring = spectral._log_power_sum_squaring(a.to_dense(), u, 300)
         assert stepwise == pytest.approx(squaring, rel=1e-12)
 
@@ -632,67 +642,94 @@ class TestStepwisePowerSum:
         ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_same_float_as_every_step(self, seed, kind, m, n):
-        # the sum stops at the first repeat of its iterate, yet returns the
-        # float all n steps give, -inf at the same step included
+    def test_within_4_ulps_of_every_step(self, seed, kind, m, n):
+        # the sum stops at the first repeat of its iterate, yet lies within
+        # 4 ulps of the exact sum of all n steps' logs, and is -inf at the
+        # same step
         rng = np.random.default_rng(seed)
         a, u = _power_sum_system(rng, kind, m)
-        expected = stepwise_log_power_sum(a, u, n)
         with pytest.MonkeyPatch.context() as mp:
-            calls = _count_vecmat(mp)
-            assert spectral._log_power_sum_stepwise(a, u, n) == expected
+            calls = _count_steps(mp)
+            value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+        _assert_within_4_ulps(value, stepwise_logs(a, u, n))
         if kind == "nilpotent":
-            first_zero = next(k for k in range(m + 1) if stepwise_log_power_sum(a, u, k) == -math.inf)
+            first_zero = next(k for k in range(m + 1) if stepwise_logs(a, u, k) is None)
             assert calls == [min(n, first_zero)]
         else:
             assert calls[0] <= n
 
     def test_cycle_of_period_m(self, monkeypatch):
         # a weighted m-cycle: once rounding settles, the iterate repeats
-        # every m steps, and the sum stops with a period of m logs
+        # every m steps, and every remainder of the steps left after the
+        # repeat is added from the period's logs
         m = 7
         a, u = _power_sum_system(np.random.default_rng(1), "cycle", m)
-        periods = []
-        add = spectral._add_cycling
-        monkeypatch.setattr(
-            spectral, "_add_cycling", lambda acc, period, count: periods.append(len(period)) or add(acc, period, count)
-        )
-        calls = _count_vecmat(monkeypatch)
-        assert spectral._log_power_sum_stepwise(a, u, 10**4) == stepwise_log_power_sum(a, u, 10**4)
-        assert periods == [m]
-        assert calls[0] < 100
+        calls = _count_steps(monkeypatch)
+        for n in range(10**4, 10**4 + m):
+            calls[0] = 0
+            value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+            _assert_within_4_ulps(value, stepwise_logs(a, u, n))
+            assert calls[0] < 100
+
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.7])
+    def test_sum_that_cancels_near_zero(self, c):
+        # a large first log, then a cycle of negative ones: near n = k the
+        # sum cancels to about 0, where a rounded partial sum or a rounded
+        # q * P would be many ulps off
+        a = NonnegMatrix.from_dense([[c]])
+        for k in (50, 300):
+            u = np.array([c**-k])
+            for n in range(k - 2, k + 3):
+                value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+                _assert_within_4_ulps(value, stepwise_logs(a, u, n))
+
+    @pytest.mark.parametrize("c,expected", [(0.5, -math.inf), (2.0, math.inf)])
+    def test_length_past_the_float_range(self, c, expected):
+        # (q + 1) P overflows a float, as the log of the sum does
+        a = NonnegMatrix.from_dense([[c]])
+        n = 10**400
+        assert spectral._log_power_sum_stepwise(spectral._stepper(a)[1], np.ones(1), n, n) == expected
 
     def test_benchmark_chain(self, monkeypatch):
-        # shaped like the finite-horizon benchmark's 800-node chain, at its length
+        # shaped like the finite-horizon benchmark's 800-node chain, at its
+        # length; adding the logs in turn is 1309 ulps off here
         rng = np.random.default_rng(7)
         a = NonnegMatrix.from_dense(_chain(rng, 800, 12).to_dense() ** 1.5)
         u = rng.dirichlet(np.ones(800))
         n = 18000
-        expected = stepwise_log_power_sum(a, u, n)
-        calls = _count_vecmat(monkeypatch)
-        assert spectral._log_power_sum_stepwise(a, u, n) == expected
+        calls = _count_steps(monkeypatch)
+        value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+        _assert_within_4_ulps(value, stepwise_logs(a, u, n))
         assert calls[0] < 2000
 
     def test_long_length_costs_only_the_steps_to_the_cycle(self, monkeypatch):
-        # the steps after the repeat are added in chunks of bounded size
+        # the steps after the repeat cost O(period), and the sum carries no
+        # rounding that grows with n
         rng = np.random.default_rng(50)
         a = NonnegMatrix.from_dense(rng.random((50, 50)))
         u = rng.random(50)
         n = 10**9
-        calls = _count_vecmat(monkeypatch)
+        calls = _count_steps(monkeypatch)
+        step = spectral._stepper(a)[1]
         tracemalloc.start()
         try:
-            value = spectral._log_power_sum_stepwise(a, u, n)
+            value = spectral._log_power_sum_stepwise(step, u, n, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert calls[0] <= 4096
         assert peak < 4 * 2**20
-        # the n logs are added one by one, as every step would add them, so
-        # the sum carries their rounding, up to about n ulps (1.4e-8
-        # relative here); squaring adds about 30 logs
         squaring = spectral._log_power_sum_squaring(a.to_dense(), u, n)
-        assert value == pytest.approx(squaring, rel=n * np.finfo(float).eps)
+        assert abs(value - squaring) <= 4 * math.ulp(squaring)
+
+
+def _assert_within_4_ulps(value, logs):
+    """value is -inf where a step sums to 0, else within 4 ulps of math.fsum(logs)."""
+    if logs is None:
+        assert value == -math.inf
+    else:
+        exact = math.fsum(logs)
+        assert abs(value - exact) <= 4 * math.ulp(exact), (value, exact)
 
 
 def _power_sum_system(rng, kind, m):
@@ -712,6 +749,24 @@ def _power_sum_system(rng, kind, m):
     u[rng.random(m) < 0.3] = 0.0
     u[rng.random(m) < 0.2] = -0.0
     return NonnegMatrix.from_dense(a), u
+
+
+def _count_steps(monkeypatch):
+    """A one-entry list that counts the calls of every step `spectral._stepper` hands out from here on."""
+    calls = [0]
+    stepper = spectral._stepper
+
+    def counted(a):
+        dense, inner = stepper(a)
+
+        def step(w):
+            calls[0] += 1
+            return inner(w)
+
+        return dense, step
+
+    monkeypatch.setattr(spectral, "_stepper", counted)
+    return calls
 
 
 def _count_vecmat(monkeypatch):
@@ -738,6 +793,17 @@ def _chain(rng, m, per_row):
     return NonnegMatrix.from_dense(p / p.sum(axis=1, keepdims=True))
 
 
+def _spy_paths(monkeypatch):
+    """A list that records, in order, each path log_weighted_power_sum runs from here on."""
+    calls = []
+    for name in ("_log_power_sum_stepwise", "_log_power_sum_squaring"):
+        inner = getattr(spectral, name)
+        monkeypatch.setattr(
+            spectral, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args)
+        )
+    return calls
+
+
 class TestPowerSumCostRule:
     """The path log_weighted_power_sum takes at measured points on both sides of the rule."""
 
@@ -746,21 +812,42 @@ class TestPowerSumCostRule:
         [
             (2000, 6, 1000, "_log_power_sum_stepwise"),
             (513, None, 100, "_log_power_sum_stepwise"),
-            (600, 12, 22000, "_log_power_sum_squaring"),
+            # squaring would cost 9688 steps; the repeat comes after 144
+            (600, 12, 22000, "_log_power_sum_stepwise"),
         ],
     )
     def test_path_taken(self, monkeypatch, m, per_row, n, path):
         rng = np.random.default_rng(m)
         a = _chain(rng, m, per_row)
-        calls = []
-        for name in ("_log_power_sum_stepwise", "_log_power_sum_squaring"):
-            inner = getattr(spectral, name)
-            monkeypatch.setattr(
-                spectral, name, lambda *args, name=name, inner=inner: calls.append(name) or inner(*args)
-            )
+        calls = _spy_paths(monkeypatch)
         value = log_weighted_power_sum(a, np.full(m, 1.0 / m), n)
         assert calls == [path]
         assert value == pytest.approx(0.0, abs=1e-9)  # a stochastic matrix keeps the mass
+
+    def test_trial_without_repeat_squares_from_u(self, monkeypatch):
+        # a lazy chain mixes too slowly to repeat within the 384 steps its
+        # squaring costs: the trial spends them, then squaring runs alone
+        rng = np.random.default_rng(8)
+        m, n = 200, 10**6
+        p = 0.99 * np.eye(m) + 0.01 * _chain(rng, m, None).to_dense()
+        a = NonnegMatrix.from_dense(p**1.5)
+        u = rng.dirichlet(np.ones(m))
+        steps, calls = _count_steps(monkeypatch), _spy_paths(monkeypatch)
+        value = log_weighted_power_sum(a, u, n)
+        assert calls == ["_log_power_sum_stepwise", "_log_power_sum_squaring"]
+        # the squaring cost in dense steps: 200^3 * 20 // (6 * 200^2 + 22 * 8000)
+        assert steps[0] == 384
+        assert value.hex() == spectral._log_power_sum_squaring(a.to_dense(), u, n).hex()
+
+    def test_dense_chain_steps_on_its_dense_array(self, monkeypatch):
+        rng = np.random.default_rng(300)
+        m, n = 300, 10**4
+        a = NonnegMatrix.from_dense(_chain(rng, m, None).to_dense() ** 1.5)
+        u = rng.dirichlet(np.ones(m))
+        vecmat, calls = _count_vecmat(monkeypatch), _spy_paths(monkeypatch)
+        value = log_weighted_power_sum(a, u, n)
+        assert calls == ["_log_power_sum_stepwise"] and vecmat == [0]
+        assert value == pytest.approx(spectral._log_power_sum_squaring(a.to_dense(), u, n), rel=1e-12)
 
     def test_numpy_integer_exponent(self):
         expected = log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, 1000)
