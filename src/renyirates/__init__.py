@@ -11,7 +11,6 @@ from .entropy import (
     finite_length_entropy,
     markov_finite_length,
     markov_rate,
-    noiseless_rate,
 )
 from .model import (
     HiddenMarkovModel,

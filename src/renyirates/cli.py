@@ -4,7 +4,10 @@ Subcommands: entropy, rate, components, oracle.  Each invocation reads a
 model file, runs one computation, writes a versioned JSON report to
 stdout (floats at 12 significant digits, fixed field order) and a short
 human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error,
-2 dimension guard.
+2 dimension guard (or a usage error).  Each subcommand takes only the
+options it reads.  `components` reports the analysis `rate` computes
+(`entropy._growth`), and builds the collision matrix A beyond that only
+for the characteristic polynomial of an A of at most 64 nodes.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .model import (
     identity_observation,
 )
 from .modelfile import load_model
-from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial, growth_rate
-from .tensor import DEFAULT_MAX_DIM, collision_system, lumped_system, rate_on_lumped
+from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial
+from .tensor import DEFAULT_MAX_DIM, collision_system
 
 REPORT_VERSION = 1
 
@@ -121,37 +124,19 @@ def cmd_rate(args) -> None:
     )
 
 
-def _analysis_matrix(model, args):
-    """Collision system (hmm) or Hadamard power (markov): labels, weights, radius matrix.
-
-    An HMM's radius matrix is its symbol-summed tuple matrix K with each
-    node's row, or K lumped onto multisets when `entropy_rate` takes its
-    rate from there (`rate_on_lumped`); a chain takes its radii from its
-    own matrix.
-    """
-    if isinstance(model, HiddenMarkovModel):
-        cs = collision_system(model, args.order, max_dim=args.max_dim)
-        radius_matrix = (cs.tuple_matrix, cs.node_tuple)
-        if rate_on_lumped(model, args.order, max_dim=args.max_dim):
-            lumped = lumped_system(model, args.order, max_dim=args.max_dim)
-            radius_matrix = (lumped.matrix, lumped.node_row)
-        return cs.matrix, cs.labels(), cs.initial, radius_matrix
-    _, a, u = rates._hadamard_system(model, args.order)
-    return a, model.states, u, None
-
-
 def cmd_components(args) -> None:
     model = _load(args)
-    matrix, labels, weights, radius_matrix = _analysis_matrix(model, args)
-    ga = growth_rate(matrix, weights, tol=args.tolerance, radius_matrix=radius_matrix)
+    order, ga, labels, matrix = rates._growth(model, args.order, args.max_dim, args.tolerance)
     decomp = ga.decomposition
-    if matrix.dim <= CHARPOLY_MAX_DIM:
+    if len(labels) <= CHARPOLY_MAX_DIM:
+        if matrix is None:
+            matrix = collision_system(model, order, max_dim=args.max_dim).matrix
         poly = characteristic_polynomial(matrix).tolist()
     else:
         poly = None
     doc = _report_head("components", model) | {
-        "order": float(args.order),
-        "dimension": matrix.dim,
+        "order": order,
+        "dimension": len(labels),
         "nodes": list(labels),
         "components": [
             {
@@ -169,7 +154,7 @@ def cmd_components(args) -> None:
     }
     _emit(
         doc,
-        f"{matrix.dim} nodes, {decomp.n_components} components, "
+        f"{len(labels)} nodes, {decomp.n_components} components, "
         f"rho+ = {ga.rho_plus:.6g}",
     )
 
@@ -197,10 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_length: bool):
+    def command(name, help_text, func, length=False, max_dim=True, tolerance=False):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a model file (JSON)")
         p.add_argument("--order", type=float, required=True, help="entropy order alpha")
-        if with_length:
+        if length:
             p.add_argument(
                 "--length", type=int, required=True, help="number of observed symbols"
             )
@@ -210,38 +196,32 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="observe a 2-state markov model through a BSC with this crossover",
         )
-        p.add_argument(
-            "--max-dim",
-            type=int,
-            default=DEFAULT_MAX_DIM,
-            help=(
-                "HMMs: refuse an order whose states^order * symbols (the collision "
-                "system's index set) exceeds this, also where only the lumped matrix "
-                "is built; Markov models and the oracle ignore it"
-            ),
-        )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-12,
-            help="spectral radius tolerance",
-        )
+        if max_dim:
+            p.add_argument(
+                "--max-dim",
+                type=int,
+                default=DEFAULT_MAX_DIM,
+                help=(
+                    "HMMs: refuse an order whose states^order * symbols (the collision "
+                    "system's index set) exceeds this, also where only the lumped matrix "
+                    "is built; Markov models ignore it"
+                ),
+            )
+        if tolerance:
+            p.add_argument(
+                "--tolerance",
+                type=float,
+                default=1e-12,
+                help="spectral radius tolerance",
+            )
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("entropy", help="finite-length Renyi entropy")
-    common(p, with_length=True)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("rate", help="asymptotic Renyi entropy rate")
-    common(p, with_length=False)
-    p.set_defaults(func=cmd_rate)
-
-    p = sub.add_parser("components", help="irreducible components and radii")
-    common(p, with_length=False)
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("oracle", help="brute-force collision probability")
-    common(p, with_length=True)
-    p.set_defaults(func=cmd_oracle)
+    command("entropy", "finite-length Renyi entropy", cmd_entropy, length=True)
+    command("rate", "asymptotic Renyi entropy rate", cmd_rate, tolerance=True)
+    command("components", "irreducible components and radii", cmd_components, tolerance=True)
+    command(
+        "oracle", "brute-force collision probability", cmd_oracle, length=True, max_dim=False
+    )
     return parser
 
 

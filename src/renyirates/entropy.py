@@ -10,24 +10,21 @@ pattern without building A, that is rho(K~), reachable when nu has
 mass; a rate is taken so whenever K~'s build is also no larger than A
 (`tensor.rate_on_lumped`; true under dense emissions).  Otherwise A is
 built, split into components and each radius taken from K's block.
-A length-n realization uses exponent n - 1, validated against the
-brute-force oracle.  All values are in bits (log base 2).
+One routine, `_growth`, makes that choice; `entropy_rate`, `markov_rate`
+and `renyirates components` all take their analysis from it, so the
+report and the rate agree float for float.  A length-n realization uses
+exponent n - 1, validated against the brute-force oracle.  All values
+are in bits (log base 2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .model import (
-    HiddenMarkovModel,
-    MarkovChain,
-    _chain_order,
-    deterministic_observation,
-)
+from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import (
     GrowthAnalysis,
@@ -121,6 +118,38 @@ def finite_length_entropy(
     return _finite_report(float(lumped.order), n, log_cp, lumped.dimension)
 
 
+def _growth(
+    model: MarkovChain | HiddenMarkovModel,
+    alpha: float,
+    max_dim: int = DEFAULT_MAX_DIM,
+    tol: float = 1e-12,
+) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | None]:
+    """The rate's analysis: checked order, growth analysis, A's labels and A if built.
+
+    The one place that chooses a rate path.  A chain's A is P^(o alpha),
+    split into components.  An HMM's A is not built when
+    `tensor.rate_on_lumped` finds it irreducible and K~'s build no larger
+    than A's: the analysis then has one component of all A's nodes, whose
+    radius comes from K~ (`irreducible_growth`), reachable when nu has
+    mass.  Otherwise A is built and `growth_rate` splits it, each radius
+    taken from K's block.  The labels are A's, in A's node order, on every
+    path; max_dim applies to HMMs only.
+    """
+    if isinstance(model, MarkovChain):
+        alpha, a, u = _hadamard_system(model, alpha)
+        return alpha, growth_rate(a, u, tol=tol), model.states, a
+    if rate_on_lumped(model, alpha, max_dim=max_dim):
+        lumped = lumped_system(model, alpha, max_dim=max_dim)
+        nodes = lumped.nodes
+        ga = irreducible_growth(nodes.initial, (lumped.matrix, lumped.node_row), tol=tol)
+        return float(lumped.order), ga, nodes.labels(), None
+    cs = collision_system(model, alpha, max_dim=max_dim)
+    ga = growth_rate(
+        cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
+    )
+    return float(cs.order), ga, cs.labels(), cs.matrix
+
+
 def entropy_rate(
     hmm: HiddenMarkovModel,
     alpha: int,
@@ -129,25 +158,13 @@ def entropy_rate(
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
-    When `tensor.rate_on_lumped` finds A irreducible and K~'s build no
-    larger than A's, A is never built: the report has one component,
-    whose radius comes from K~ as `growth_rate` takes it from a radius
-    matrix (so `components` reports the same float), reachable when nu
-    has positive mass.
-    Otherwise A is built and `growth_rate` splits it into components,
-    each radius taken from K's block.  Either way `dimension` is A's node
-    count and `dominant_members` lists A's labels in A's node order.
+    Taken from the rate path `_growth` chooses: K~ when A is irreducible
+    and K~'s build no larger than A's, else A split into components.
+    Either way `dimension` is A's node count and `dominant_members` lists
+    A's labels in A's node order.
     """
-    if not rate_on_lumped(hmm, alpha, max_dim=max_dim):
-        cs = collision_system(hmm, alpha, max_dim=max_dim)
-        ga = growth_rate(
-            cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
-        )
-        return _rate_report(float(cs.order), ga, cs.labels(), cs.dimension)
-    lumped = lumped_system(hmm, alpha, max_dim=max_dim)
-    nodes = lumped.nodes
-    ga = irreducible_growth(nodes.initial, (lumped.matrix, lumped.node_row), tol=tol)
-    return _rate_report(float(lumped.order), ga, nodes.labels(), nodes.dimension)
+    order, ga, labels, _ = _growth(hmm, alpha, max_dim, tol)
+    return _rate_report(order, ga, labels, len(labels))
 
 
 def _hadamard_system(
@@ -163,9 +180,8 @@ def markov_rate(
     chain: MarkovChain, alpha: float, tol: float = 1e-12
 ) -> EntropyReport:
     """Rate of a fully observed chain, any real order: Hadamard-power route."""
-    alpha, a, u = _hadamard_system(chain, alpha)
-    ga = growth_rate(a, u, tol=tol)
-    return _rate_report(alpha, ga, chain.states, a.dim)
+    order, ga, labels, _ = _growth(chain, alpha, tol=tol)
+    return _rate_report(order, ga, labels, len(labels))
 
 
 def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyReport:
@@ -176,15 +192,3 @@ def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyRep
     log_cp = log_weighted_power_sum(a, u, n - 1)
     return _finite_report(alpha, n, log_cp, a.dim)
 
-
-def noiseless_rate(
-    chain: MarkovChain,
-    observation_map: Mapping[str, str],
-    alpha: int,
-    max_dim: int = DEFAULT_MAX_DIM,
-    tol: float = 1e-12,
-) -> EntropyReport:
-    """Rate of Z = T(X): the HMM rate of the deterministic observation of T."""
-    return entropy_rate(
-        deterministic_observation(chain, observation_map), alpha, max_dim, tol
-    )

@@ -323,15 +323,7 @@ def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
     if m > _LOOKAHEAD_MAX_DIM:
         return False
     b = b.toarray() if sparse.issparse(b) else b
-    power, w = b, v
-    while left:
-        if left & 1:
-            w = power @ w
-            w = w / w.sum()
-        left >>= 1
-        if left:
-            power = power @ power
-            power = power / power.max()
+    w, _ = _squaring(b.T, v, left)  # v^T (b^T)^left = (b^left v)^T
     if not w.min() > 0.0:  # an underflow: the look-ahead cannot tell
         return False
     ratios = (b @ w) / w
@@ -600,21 +592,30 @@ def _stepper(a: NonnegMatrix) -> tuple[np.ndarray | None, Callable[[np.ndarray],
 
 
 def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
-    w = u.astype(float).copy()
+    return _squaring(b, u, n)[1]
+
+
+def _squaring(b: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """w^T b^n by repeated squaring: its direction, at unit sum, and the log of its sum.
+
+    The iterate is rescaled to unit sum after each product and the power
+    to unit maximum after each squaring, their logs kept aside.  The log
+    is -inf, and the direction the zero iterate, once the iterate sums to
+    0.  w itself is never written; with n = 0 it is returned as it is.
+    """
     log_w = 0.0
     log_b = 0.0
-    e = n
     while True:
-        if e & 1:
+        if n & 1:
             w = w @ b
             s = w.sum()
             if s == 0:
-                return -math.inf
+                return w, -math.inf
             w /= s
             log_w += log_b + math.log(s)
-        e >>= 1
-        if e == 0:
-            break
+        n >>= 1
+        if n == 0:
+            return w, log_w  # w is renormalized to unit sum after the last multiply
         b = b @ b
         peak = b.max()
         if peak == 0:
@@ -623,7 +624,6 @@ def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
         else:
             b /= peak
             log_b = 2.0 * log_b + math.log(peak)
-    return log_w  # w is renormalized to unit sum after the last multiply
 
 
 def _log_power_sum_stepwise(

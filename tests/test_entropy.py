@@ -19,7 +19,6 @@ from renyirates import (
     markov_finite_length,
     markov_rate,
     growth_rate,
-    noiseless_rate,
     validate_chain,
     validate_hmm,
 )
@@ -142,6 +141,27 @@ class TestEntropyRate:
         with pytest.raises(InvalidOrder):
             entropy_rate(example_hmm, 1)
 
+    @pytest.mark.parametrize("order", [65, 10**6, 10**12])
+    @pytest.mark.parametrize("fixture", ["unit", "iid-uniform-2", "fig2"])
+    def test_orders_past_64_refused_at_once(self, fixture, order):
+        # the builds hold X^alpha as arrays with alpha axes; numpy allows 64,
+        # so a larger order is refused before nx^alpha is formed
+        hmm = load_model(FIXTURES / f"{fixture}.model")
+        for build in (
+            lambda: entropy_rate(hmm, order),
+            lambda: finite_length_entropy(hmm, order, 3),
+            lambda: collision_system(hmm, order),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(DimensionOverflow, match="exceeds 64"):
+                build()
+            assert time.perf_counter() - start < 1.0
+
+    def test_order_64_still_reports(self):
+        hmm = load_model(FIXTURES / "iid-uniform-2.model")
+        assert entropy_rate(hmm, 64).value_bits == pytest.approx(1.0, abs=1e-12)
+        assert finite_length_entropy(hmm, 64, 3).value_bits == pytest.approx(3.0, abs=1e-12)
+
 
 class TestMarkovRate:
     def test_visible_example_dominated_by_transient_state(self, example_chain):
@@ -215,20 +235,18 @@ class TestMarkovFiniteLength:
 
 class TestNoiselessRate:
     def test_example(self, example_chain):
-        rep = noiseless_rate(example_chain, OBS_MAP, 2)
+        rep = entropy_rate(deterministic_observation(example_chain, OBS_MAP), 2)
         assert rep.value_bits == pytest.approx(0.30401, abs=1e-4)
 
     def test_injective_map_equals_markov_rate(self, example_chain):
         T = {"1": "x", "2": "y", "3": "z"}
-        assert noiseless_rate(example_chain, T, 2).value_bits == pytest.approx(
-            markov_rate(example_chain, 2).value_bits, abs=1e-12
-        )
+        rep = entropy_rate(deterministic_observation(example_chain, T), 2)
+        assert rep.value_bits == pytest.approx(markov_rate(example_chain, 2).value_bits, abs=1e-12)
 
     def test_constant_map_rate_zero(self, example_chain):
         T = {s: "o" for s in example_chain.states}
-        assert noiseless_rate(example_chain, T, 2).value_bits == pytest.approx(
-            0.0, abs=1e-12
-        )
+        rep = entropy_rate(deterministic_observation(example_chain, T), 2)
+        assert rep.value_bits == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_deterministic_observation_pipeline(self, seed):
@@ -236,7 +254,7 @@ class TestNoiselessRate:
         chain = random_chain(rng, int(rng.integers(2, 5)))
         symbols = ["a", "b"]
         T = {s: symbols[int(rng.integers(0, 2))] for s in chain.states}
-        direct = noiseless_rate(chain, T, 2).value_bits
+        direct = entropy_rate(deterministic_observation(chain, T), 2).value_bits
         via_hmm = entropy_rate(deterministic_observation(chain, T), 2).value_bits
         assert abs(direct - via_hmm) <= 1e-9
 

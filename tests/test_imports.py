@@ -11,7 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import renyirates
+from renyirates.modelfile import serialize_model
+from renyirates.random_models import random_chain
 
 HEAVY = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 
@@ -97,12 +101,15 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     # each call builds a collision system (or, for an irreducible rate, the
     # lumped matrix), splits it into components and takes their radii; a
     # lazy import on that path would slip past the import-time check.  The
-    # BSC system is irreducible, so the shortcut sweeps decide its
-    # components; the block chain's eight 2-node blocks iterate in one
-    # lockstep stack
+    # dense 16-state chain's Hadamard power is irreducible, so the shortcut
+    # sweeps decide its components (the BSC system's rate takes the lumped
+    # matrix and never builds A); the block chain's eight 2-node blocks
+    # iterate in one lockstep stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
+    dense = tmp_path / "dense16.model"
+    dense.write_text(json.dumps(serialize_model(random_chain(np.random.default_rng(0), 16))))
     argvs = [
         [cmd, str(path), "--order", order, *extra]
         for path, order, extra in [
@@ -111,7 +118,7 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
             (_block_chain_model(tmp_path / "blocks.model", 8), "2", []),
         ]
         for cmd in ("rate", "components")
-    ]
+    ] + [["rate", str(dense), "--order", "2"]]
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
         "from renyirates import components, spectral\n"
@@ -128,8 +135,8 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     codes, lines, shortcut_taken, largest_stack, heavy = json.loads(out.stdout)
-    assert codes == [0] * 6
-    assert lines >= 6
+    assert codes == [0] * 7
+    assert lines >= 7
     assert shortcut_taken
     assert largest_stack == 8
     assert heavy == []

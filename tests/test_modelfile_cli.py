@@ -1,10 +1,12 @@
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from renyirates import HiddenMarkovModel, MarkovChain, markov_rate
+from renyirates import HiddenMarkovModel, MarkovChain, bsc_hmm, cli, entropy, markov_rate, tensor
 from renyirates.cli import main
 from renyirates.errors import ModelFormatError
 from renyirates.modelfile import load_model, parse_model, serialize_model
@@ -239,6 +241,48 @@ class TestCmdComponents:
         assert rate["dimension"] == comps["dimension"] == 11 * 4**3
         assert rate["rho_plus"] == max(c["radius"] for c in comps["components"])
 
+    @pytest.mark.parametrize("nx,nz,order", [(8, 3, "4"), (16, 4, "3")])
+    def test_dense_model_reports_the_rate_analysis(self, capsys, tmp_path, monkeypatch, nx, nz, order):
+        # A would store 151M entries (8 x 3 at order 4) or 268M (16 x 4 at
+        # order 3), past the build budget; it is irreducible, so both
+        # commands take the lumped matrix and A is never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("collision_system ran")
+
+        for module in (tensor, entropy, cli):
+            monkeypatch.setattr(module, "collision_system", refuse)
+        path = tmp_path / "dense.model"
+        path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), nx, nz))))
+        code, rate, _ = run_cli(capsys, "rate", path, "--order", order)
+        assert code == 0
+        code, comps, _ = run_cli(capsys, "components", path, "--order", order)
+        assert code == 0
+        assert comps["rho_plus"] == rate["rho_plus"]
+        assert comps["dimension"] == rate["dimension"] == nz * nx ** int(order)
+        assert len(comps["components"]) == 1 and comps["characteristic_polynomial"] is None
+
+    def test_lumped_rate_builds_a_once_for_the_polynomial(self, capsys, monkeypatch):
+        # bsc at epsilon = 0.1 and order 4 rates on the lumped matrix; its
+        # 32-node A is built once, only for the characteristic polynomial
+        builds, inner = [], tensor.collision_system
+
+        def spy(*args, **kwargs):
+            builds.append(1)
+            return inner(*args, **kwargs)
+
+        for module in (tensor, entropy, cli):
+            monkeypatch.setattr(module, "collision_system", spy)
+        bsc = FIXTURES / "bsc.model"
+        assert tensor.rate_on_lumped(bsc_hmm(load_model(bsc), 0.1), 4)
+        builds.clear()
+        argv = ["components", str(bsc), "--order", "4", "--epsilon", "0.1"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert builds == [1]
+        assert json.loads(out)["dimension"] == 32
+        golden = Path(__file__).resolve().parent / "golden" / "components-bsc-order4-epsilon0.1.json"
+        assert out.encode() == golden.read_bytes()
+
     @pytest.mark.parametrize("order", ["1", "0", "-1", "inf"])
     def test_markov_order_checked_like_rate(self, capsys, order):
         model = FIXTURES / "markov142.model"
@@ -382,11 +426,17 @@ class TestCliContract:
         assert code == 2
 
     def test_build_budget_exit_code(self, capsys, tmp_path):
-        # dense 16 states and 4 symbols pass --max-dim at order 3, but A would
-        # store 268M entries: `components` builds A, so it is refused before
-        # the build allocates (its rate runs on the lumped matrix instead)
-        path = tmp_path / "dense.model"
-        path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), 16, 4))))
+        # 16 states and 4 symbols pass --max-dim at order 3; with no way
+        # into state 0, A is reducible, so `components` builds it, and A
+        # would store 221M entries: refused before the build allocates
+        hmm = random_hmm(np.random.default_rng(0), 16, 4)
+        p = hmm.chain.transition.copy()
+        p[:, 0] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        doc = serialize_model(hmm)
+        doc["transition"] = p.tolist()
+        path = tmp_path / "reducible.model"
+        path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "components", path, "--order", "3")
         assert code == 2
         assert "budget" in err
@@ -397,6 +447,37 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "rate", path, "--order", "5")
         assert code == 2
         assert "budget" in err and "lumped system" in err
+
+    @pytest.mark.parametrize("order", ["65", "1e6", "1e12"])
+    @pytest.mark.parametrize("fixture", ["unit", "iid-uniform-2", "fig2"])
+    def test_orders_past_64_exit_2_at_once(self, capsys, fixture, order):
+        for command, extra in [("rate", []), ("components", []), ("entropy", ["--length", "3"])]:
+            start = time.perf_counter()
+            code, doc, err = run_cli(
+                capsys, command, FIXTURES / f"{fixture}.model", "--order", order, *extra
+            )
+            assert time.perf_counter() - start < 1.0
+            assert code == 2
+            assert doc is None
+            assert "exceeds 64" in err
+
+    def test_order_64_still_reports(self, capsys):
+        model = FIXTURES / "iid-uniform-2.model"
+        for command, extra in [("rate", []), ("components", []), ("entropy", ["--length", "3"])]:
+            code, doc, _ = run_cli(capsys, command, model, "--order", "64", *extra)
+            assert code == 0
+            assert doc["order"] == 64
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [("entropy", "--tolerance"), ("oracle", "--tolerance"), ("oracle", "--max-dim")],
+    )
+    def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, command, option):
+        argv = [command, str(FIXTURES / "fig2.model"), "--order", "2", "--length", "5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     def test_non_integer_order_on_hmm_rejected(self, capsys):
         code, _, err = run_cli(

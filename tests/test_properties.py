@@ -204,7 +204,7 @@ def _rate_and_components_radii(hmm, alpha):
     the file, whose rows are renormalised on loading.
     """
     seen = []
-    inner = renyirates.cli.growth_rate
+    inner = renyirates.entropy._growth
 
     def spy(*args, **kwargs):
         seen.append(inner(*args, **kwargs))
@@ -213,14 +213,14 @@ def _rate_and_components_radii(hmm, alpha):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_text(json.dumps(serialize_model(hmm)))
-        renyirates.cli.growth_rate = spy
+        renyirates.entropy._growth = spy
         try:
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert renyirates.cli.main(["components", str(path), "--order", str(alpha)]) == 0
         finally:
-            renyirates.cli.growth_rate = inner
+            renyirates.entropy._growth = inner
         rate = entropy_rate(load_model(path), alpha)
-    (analysis,) = seen
+    ((_, analysis, _, _),) = seen
     return rate.component_radii, analysis.component_radii
 
 
