@@ -225,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once at import: parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         args.func(args)
     except DimensionOverflow as exc:

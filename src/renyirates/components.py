@@ -24,9 +24,11 @@ graph), the pass runs as before.  That budget, (n + nnz) // 128 levels,
 is 0 below 128 nodes plus entries, so small graphs go straight to the
 pass.  Most irreducible HMM rates take the lumped matrix and never build
 A (see `tensor.rate_on_lumped`), so the sweeps serve large irreducible
-systems that still build A: Markov rates, HMM rates where A is the
-smaller build or `tensor.irreducible` is undecided, and
-`renyirates components`.
+systems that still build A: Markov rates, and HMM rates where A is the
+smaller build or `tensor.irreducible` is undecided.  No call of the
+benchmark in `bench/` takes this shortcut at seeds 1-3; it is kept for
+large irreducible Markov chains, where Tarjan's pass costs several
+times what the sweeps do.
 """
 
 from __future__ import annotations

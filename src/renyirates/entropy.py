@@ -6,15 +6,15 @@ the collision probabilities of the restricted tensored matrix A at up to
 nz * alpha! times smaller dimension (see `tensor`).  Rates come from the
 maximal spectral radius over reachable irreducible components of A.
 When A is irreducible, which `tensor.irreducible` decides from P's
-pattern without building A, that is rho(K~), reachable when nu has
-mass; a rate is taken so whenever K~'s build is also no larger than A
-(`tensor.rate_on_lumped`; true under dense emissions).  Otherwise A is
-built, split into components and each radius taken from K's block.
-One routine, `_growth`, makes that choice; `entropy_rate`, `markov_rate`
-and `renyirates components` all take their analysis from it, so the
-report and the rate agree float for float.  A length-n realization uses
-exponent n - 1, validated against the brute-force oracle.  All values
-are in bits (log base 2).
+pattern without building A, that is rho(K~), taken on K~ as built and
+reachable when nu has mass; a rate is taken so whenever K~'s build is
+also no larger than A (`tensor.rate_on_lumped`; true under dense
+emissions).  Otherwise A is built, split into components and each
+radius taken from K's block.  One routine, `_growth`, makes that
+choice; `entropy_rate`, `markov_rate` and `renyirates components` all
+take their analysis from it, so the report and the rate agree float for
+float.  A length-n realization uses exponent n - 1, validated against
+the brute-force oracle.  All values are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .spectral import (
 )
 from .tensor import (
     DEFAULT_MAX_DIM,
+    collision_nodes,
     collision_system,
     hadamard_power,
     lumped_system,
@@ -130,18 +131,19 @@ def _growth(
     split into components.  An HMM's A is not built when
     `tensor.rate_on_lumped` finds it irreducible and K~'s build no larger
     than A's: the analysis then has one component of all A's nodes, whose
-    radius comes from K~ (`irreducible_growth`), reachable when nu has
-    mass.  Otherwise A is built and `growth_rate` splits it, each radius
-    taken from K's block.  The labels are A's, in A's node order, on every
-    path; max_dim applies to HMMs only.
+    radius is rho(K~) (`irreducible_growth`), reachable when nu has mass;
+    A's nodes, nu and labels come from `tensor.collision_nodes`, which
+    finite lengths never call.  Otherwise A is built and `growth_rate`
+    splits it, each radius taken from K's block.  The labels are A's, in
+    A's node order, on every path; max_dim applies to HMMs only.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
         return alpha, growth_rate(a, u, tol=tol), model.states, a
     if rate_on_lumped(model, alpha, max_dim=max_dim):
         lumped = lumped_system(model, alpha, max_dim=max_dim)
-        nodes = lumped.nodes
-        ga = irreducible_growth(nodes.initial, (lumped.matrix, lumped.node_row), tol=tol)
+        nodes = collision_nodes(model, lumped.order)
+        ga = irreducible_growth(nodes.initial, lumped.matrix, tol=tol)
         return float(lumped.order), ga, nodes.labels(), None
     cs = collision_system(model, alpha, max_dim=max_dim)
     ga = growth_rate(

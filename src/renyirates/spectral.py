@@ -40,10 +40,11 @@ one block.  A block leaves the stack as soon as it closes or stalls, and
 the last open one goes on in the same loop as a lone block.  A 1x1 block
 is its entry, with no iteration.
 
-`irreducible_growth` gives what `growth_rate` would for an irreducible A
-that is never built: one component, its radius from the radius matrix
-alone.  An HMM's rate takes it with K lumped onto multisets of hidden
-states when `tensor.irreducible` shows A irreducible.
+`irreducible_growth` gives the growth of an irreducible A that is never
+built: one component, whose radius is the Perron root of a matrix with
+A's root, iterated as given.  An HMM's rate takes it with K lumped onto
+multisets of hidden states, K~, when `tensor.irreducible` shows A
+irreducible.
 
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`).  A weighted power sum u^T A^n 1 takes renormalised
@@ -403,7 +404,6 @@ def growth_rate(
     a: NonnegMatrix,
     u: np.ndarray,
     tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
     radius_matrix: tuple[NonnegMatrix, np.ndarray] | None = None,
 ) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
@@ -421,7 +421,7 @@ def growth_rate(
     u, rows = _checked_weights(u, a.dim), _checked_rows(rows, a.dim, k)
     decomp = strongly_connected_components(a)
     blocks = _radius_blocks(k.csr, rows, decomp)
-    block_radii = iter(_perron_radii(blocks, tol, max_iter))
+    block_radii = iter(_perron_radii(blocks, tol, MAX_ITERATIONS))
     diagonal = a.csr.diagonal()
     radii = tuple(
         float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
@@ -431,25 +431,20 @@ def growth_rate(
 
 
 def irreducible_growth(
-    u: np.ndarray,
-    radius_matrix: tuple[NonnegMatrix, np.ndarray],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
+    u: np.ndarray, k: NonnegMatrix, tol: float = DEFAULT_TOL
 ) -> GrowthAnalysis:
-    """What `growth_rate` gives an irreducible A of len(u) > 1 nodes, without A.
+    """The growth of an irreducible A of len(u) nodes, without A: rho(A) is rho(k).
 
     A's decomposition is then one component of all its nodes, as
-    `strongly_connected_components` gives it, and its radius comes from
-    the pair (K, rows) exactly as `growth_rate` takes it, float for float.
-    The caller vouches for A's irreducibility (see `tensor.irreducible`).
+    `strongly_connected_components` gives it, and its radius is k's
+    Perron root, taken on k as given.  The caller vouches for A's
+    irreducibility and for k's root (see `tensor.irreducible`).
     """
     _check_tol(tol)
-    k, rows = radius_matrix
     n = np.shape(u)[0]
-    u, rows = _checked_weights(u, n), _checked_rows(rows, n, k)
+    u = _checked_weights(u, n)
     decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
-    radii = _perron_radii(_radius_blocks(k.csr, rows, decomp), tol, max_iter)
-    return _analysis(decomp, tuple(radii), u)
+    return _analysis(decomp, tuple(_perron_radii([k], tol, MAX_ITERATIONS)), u)
 
 
 def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:

@@ -43,16 +43,18 @@ Permuting the coordinates can map one component of K onto another, so
 K~'s components are not A's (a 3-cycle observed through one symbol has
 3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
 successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
-decide whether A is one component; when it is, its rate is rho(K~).
-`rate_on_lumped` takes that path, which never builds A, when K~'s build
-also enumerates no more entries than A stores.
+decide whether A is one component; when it is, its rate is rho(K~), and
+no node needs a row of K~.  `rate_on_lumped` takes that path, which
+never builds A, when K~'s build also enumerates no more entries than A
+stores; `collision_nodes` then lists A's nodes, labels and nu without
+A's entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -88,32 +90,6 @@ _BUILD_LEVELS = 32
 
 
 @dataclass(frozen=True)
-class CollisionSystem:
-    """Restricted tensored matrix A, initial weights nu, and the tuple matrix K.
-
-    Node i of A is hidden tuple node_tuple[i] emitting node_symbols[i];
-    node_tuple[i] is also node i's row of K, whose rows are the hidden
-    tuples in lexicographic order, named by tuple_names.
-    """
-
-    order: int
-    matrix: NonnegMatrix
-    initial: np.ndarray
-    tuple_matrix: NonnegMatrix
-    node_tuple: np.ndarray
-    tuple_names: tuple[str, ...]
-    node_symbols: tuple[str, ...]
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.dim
-
-    def labels(self) -> tuple[str, ...]:
-        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
-        return _labels(self.tuple_names, self.node_tuple, self.node_symbols)
-
-
-@dataclass(frozen=True)
 class CollisionNodes:
     """The nodes of A and their initial weights nu, without A's entries.
 
@@ -136,54 +112,50 @@ class CollisionNodes:
         return self.hidden.size
 
     def labels(self) -> tuple[str, ...]:
-        """A's node labels, as `CollisionSystem.labels` gives them."""
+        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
         tuples, node_tuple = np.unique(self.hidden, return_inverse=True)
         digits = np.stack(np.unravel_index(tuples, (len(self.states),) * self.order), axis=1)
-        return _labels(_tuple_names(digits, self.states), node_tuple, self.node_symbols)
+        names = [",".join(self.states[i] for i in tup) for tup in digits.tolist()]
+        return tuple(names[t] + "|" + z for t, z in zip(node_tuple.tolist(), self.node_symbols))
+
+
+@dataclass(frozen=True)
+class CollisionSystem:
+    """Restricted tensored matrix A on its nodes, and the tuple matrix K.
+
+    Node i of A is node i of `nodes`; node_tuple[i] is its row of K, whose
+    rows are the hidden tuples of A's nodes in lexicographic order.
+    """
+
+    matrix: NonnegMatrix
+    tuple_matrix: NonnegMatrix
+    node_tuple: np.ndarray
+    nodes: CollisionNodes
+
+    @property
+    def order(self) -> int:
+        return self.nodes.order
+
+    @property
+    def initial(self) -> np.ndarray:
+        return self.nodes.initial
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.dim
+
+    def labels(self) -> tuple[str, ...]:
+        return self.nodes.labels()
 
 
 @dataclass(frozen=True)
 class LumpedSystem:
-    """K lumped onto multisets of hidden states, its weights and A's dimension.
-
-    multiset_row maps the colexicographic rank of a multiset to its row of
-    K~, or -1 when its weight is 0.  A's nodes, listed only when asked
-    for, are those of `collision_system` on the same HMM.
-    """
+    """K lumped onto multisets of hidden states, its weights and A's dimension."""
 
     order: int
     matrix: NonnegMatrix
     initial: np.ndarray
     dimension: int
-    multiset_row: np.ndarray
-    hmm: HiddenMarkovModel
-
-    @cached_property
-    def nodes(self) -> CollisionNodes:
-        return _collision_nodes(self.hmm, self.order)
-
-    @cached_property
-    def node_row(self) -> np.ndarray:
-        """Each node's row of K~, the multiset of its hidden tuple (-1 where
-        that multiset's weight underflows to 0)."""
-        nx = len(self.nodes.states)
-        digits = np.stack(np.unravel_index(self.nodes.hidden, (nx,) * self.order), axis=1)
-        digits.sort(axis=1)
-        rows = self.multiset_row[_rank(digits, _binomials(nx, self.order))]
-        rows.setflags(write=False)
-        return rows
-
-
-def _tuple_names(digits: np.ndarray, states: tuple[str, ...]) -> tuple[str, ...]:
-    """Names "x1,...,xa" of hidden tuples given by their state digits, one tuple a row."""
-    return tuple(",".join(states[i] for i in tup) for tup in digits.tolist())
-
-
-def _labels(
-    tuple_names: tuple[str, ...], node_tuple: np.ndarray, node_symbols: tuple[str, ...]
-) -> tuple[str, ...]:
-    """Node labels "x1,...,xa|z": the name of the node's hidden tuple, then its symbol."""
-    return tuple(tuple_names[t] + "|" + z for t, z in zip(node_tuple.tolist(), node_symbols))
 
 
 def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
@@ -322,7 +294,7 @@ def collision_system(
     p.eliminate_zeros()
     entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
     _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
-    nodes = _collision_nodes(hmm, alpha)
+    nodes = collision_nodes(hmm, alpha)
     dim = nodes.dimension
     tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
@@ -346,15 +318,7 @@ def collision_system(
     del b
 
     node_tuple.setflags(write=False)
-    return CollisionSystem(
-        order=alpha,
-        matrix=matrix,
-        initial=nodes.initial,
-        tuple_matrix=k,
-        node_tuple=node_tuple,
-        tuple_names=_tuple_names(digits, hmm.chain.states),
-        node_symbols=nodes.node_symbols,
-    )
+    return CollisionSystem(matrix=matrix, tuple_matrix=k, node_tuple=node_tuple, nodes=nodes)
 
 
 def _emission_products(e: np.ndarray, alpha: int):
@@ -369,13 +333,15 @@ def _emission_products(e: np.ndarray, alpha: int):
         yield s, reduce(np.multiply.outer, [e[s, z]] * alpha).ravel()
 
 
-def _collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
+def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     """A's nodes, symbol by symbol, and nu: the candidate loop of the collision build.
 
     A candidate of `_emission_products` is a node when its emission product
     is positive.  Its initial weight is prod_j pi[x_j], multiplied left to
-    right, times that product.
+    right, times that product.  The lumped rate lists A's nodes with it
+    and never builds A.
     """
+    alpha = _hmm_order(alpha)
     nx = hmm.n_states
     candidates, hidden, node_symbols, nu = [], [], [], []
     dim = 0
@@ -465,7 +431,7 @@ def irreducible(
 def lumped_system(
     hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
 ) -> LumpedSystem:
-    """K lumped onto multisets of hidden states, its weights, and A's nodes.
+    """K lumped onto multisets of hidden states, its weights, and A's dimension.
 
     u~^T K~^(n-1) 1 equals nu^T A^(n-1) 1 of `collision_system`.  K~ is
     indexed by the multisets M (sorted tuples, in lexicographic order)
@@ -475,9 +441,8 @@ def lumped_system(
         u~(M)     = |orbit(M)| prod_j pi[m_j] w(M)
 
     K~ has K's Perron root.  dimension counts the nodes of that A from
-    the collision build's own emission products; `nodes` lists them and
-    `node_row` gives each the row of its tuple's multiset, both built
-    only when asked for.
+    the collision build's own emission products, without listing them
+    (`collision_nodes` does).
 
     Each representative's successor tuples come from P's CSR rows and are
     sorted into their multisets, whose duplicates are summed.  The entries
@@ -530,7 +495,7 @@ def lumped_system(
     )
     k.sum_duplicates()
     dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
-    return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension, index, hmm)
+    return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension)
 
 
 def rate_on_lumped(

@@ -19,6 +19,7 @@ from renyirates import (
     markov_finite_length,
     markov_rate,
     growth_rate,
+    spectral_radius_irreducible,
     validate_chain,
     validate_hmm,
 )
@@ -307,6 +308,16 @@ class TestLumpedRate:
         assert rep.dominant_component == ref.dominant_component
         assert rep.dominant_members == ref.dominant_members
         assert len(rep.component_radii) == len(ref.component_radii) == 1
+
+    @pytest.mark.parametrize("seed,nx,nz,alpha", [(1, 3, 2, 2), (0, 4, 2, 2), (7, 4, 3, 3)])
+    def test_sparse_emission_radius_is_taken_on_the_lumped_matrix(self, seed, nx, nz, alpha):
+        # with zeros in E, A's symbol-major node order meets the multisets
+        # out of K~'s order; the radius is still K~'s own, iterated as built
+        hmm = random_hmm(np.random.default_rng(seed), nx, nz, sparsity=0.4)
+        assert (hmm.emission == 0).any() and tensor.rate_on_lumped(hmm, alpha)
+        lumped = tensor.lumped_system(hmm, alpha)
+        rho = entropy_rate(hmm, alpha).rho_plus
+        assert rho.hex() == spectral_radius_irreducible(lumped.matrix).hex()
 
     def test_collision_system_is_never_built(self, monkeypatch):
         def refuse(*args, **kwargs):

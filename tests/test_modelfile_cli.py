@@ -1,5 +1,9 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -478,6 +482,45 @@ class TestCliContract:
             main(argv + [option, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        fig2 = str(FIXTURES / "fig2.model")
+        calls = [
+            ["rate", fig2, "--order", "2"],
+            ["entropy", fig2, "--order", "2", "--length", "5", "--tolerance", "1"],
+            ["components", fig2, "--order", "3"],
+            ["rate", fig2, "--order", "3", "--tolerance", "1e-10"],
+        ]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def alone(argv):
+            proc = subprocess.run(
+                [sys.executable, "-m", "renyirates.cli", *argv],
+                env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        expected = [alone(argv) for argv in calls]
+        assert [code for code, _, _ in expected] == [0, 2, 0, 0]
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv, want in zip(calls, expected):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == want
+        assert built == []
 
     def test_non_integer_order_on_hmm_rejected(self, capsys):
         code, _, err = run_cli(

@@ -228,7 +228,7 @@ class TestLumpedBuildBudget:
         assert 31_592_960 * (4 * 4 + 64) > tensor._BUILD_BYTES > 732_160 * (4 * 4 + 64)
         lumped = tensor.lumped_system(hmm, 4, max_dim=10**8)
         assert lumped.matrix.dim == 4 * math.comb(13, 4)
-        assert lumped.nodes.dimension == 4 * 10**4
+        assert lumped.dimension == 4 * 10**4
 
     @pytest.mark.parametrize("groups,cheaper", [(1, True), (2, False), (3, False), (6, False)])
     def test_lumped_cheaper_compares_the_two_counts(self, groups, cheaper):
