@@ -22,10 +22,10 @@ no order left to choose, so the contract holds.  Otherwise, or once the
 sweeps have spent about what Tarjan's pass would cost (a long-diameter
 graph), the pass runs as before.  That budget, (n + nnz) // 128 levels,
 is 0 below 128 nodes plus entries, so small graphs go straight to the
-pass.  Most irreducible HMM rates take the lumped matrix and never build
-A (see `tensor.rate_on_lumped`), so the sweeps serve large irreducible
-systems that still build A: Markov rates, and HMM rates where A is the
-smaller build or `tensor.irreducible` is undecided.  No call of the
+pass.  Irreducible HMM rates take the lumped matrix and never build A
+whenever `tensor.irreducible` decides (see `entropy._growth`), so the
+sweeps serve large irreducible systems that still build A: Markov rates,
+and HMM rates where `tensor.irreducible` is undecided.  No call of the
 benchmark in `bench/` takes this shortcut at seeds 1-3; it is kept for
 large irreducible Markov chains, where Tarjan's pass costs several
 times what the sweeps do.

@@ -7,13 +7,12 @@ nz * alpha! times smaller dimension (see `tensor`).  Rates come from the
 maximal spectral radius over reachable irreducible components of A.
 When A is irreducible, which `tensor.irreducible` decides from P's
 pattern without building A, that is rho(K~), taken on K~ as built and
-reachable when nu has mass; a rate is taken so whenever K~'s build is
-also no larger than A (`tensor.rate_on_lumped`; true under dense
-emissions).  Otherwise A is built, split into components and each
-radius taken from K's block.  One routine, `_growth`, makes that
-choice; `entropy_rate`, `markov_rate` and `renyirates components` all
-take their analysis from it, so the report and the rate agree float for
-float.  A length-n realization uses exponent n - 1, validated against
+reachable when nu has mass; K~'s build is never larger than A's (see
+`tensor._lumped_count`).  Otherwise A is built, split into components
+and each radius taken from K's block.  One routine, `_growth`, makes
+that choice; `entropy_rate`, `markov_rate` and `renyirates components`
+all take their analysis from it, so the report and the rate agree float
+for float.  A length-n realization uses exponent n - 1, validated against
 the brute-force oracle.  All values are in bits (log base 2).
 """
 
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidOrder
 from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import (
@@ -37,8 +37,8 @@ from .tensor import (
     collision_nodes,
     collision_system,
     hadamard_power,
+    irreducible,
     lumped_system,
-    rate_on_lumped,
 )
 
 _LN2 = math.log(2.0)
@@ -129,18 +129,18 @@ def _growth(
 
     The one place that chooses a rate path.  A chain's A is P^(o alpha),
     split into components.  An HMM's A is not built when
-    `tensor.rate_on_lumped` finds it irreducible and K~'s build no larger
-    than A's: the analysis then has one component of all A's nodes, whose
-    radius is rho(K~) (`irreducible_growth`), reachable when nu has mass;
-    A's nodes, nu and labels come from `tensor.collision_nodes`, which
-    finite lengths never call.  Otherwise A is built and `growth_rate`
-    splits it, each radius taken from K's block.  The labels are A's, in
-    A's node order, on every path; max_dim applies to HMMs only.
+    `tensor.irreducible` finds it irreducible: the analysis then has one
+    component of all A's nodes, whose radius is rho(K~)
+    (`irreducible_growth`), reachable when nu has mass; A's nodes, nu and
+    labels come from `tensor.collision_nodes`, which finite lengths never
+    call.  Otherwise A is built and `growth_rate` splits it, each radius
+    taken from K's block.  The labels are A's, in A's node order, on
+    every path; max_dim applies to HMMs only.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
         return alpha, growth_rate(a, u, tol=tol), model.states, a
-    if rate_on_lumped(model, alpha, max_dim=max_dim):
+    if irreducible(model, alpha, max_dim=max_dim):
         lumped = lumped_system(model, alpha, max_dim=max_dim)
         nodes = collision_nodes(model, lumped.order)
         ga = irreducible_growth(nodes.initial, lumped.matrix, tol=tol)
@@ -160,10 +160,9 @@ def entropy_rate(
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
-    Taken from the rate path `_growth` chooses: K~ when A is irreducible
-    and K~'s build no larger than A's, else A split into components.
-    Either way `dimension` is A's node count and `dominant_members` lists
-    A's labels in A's node order.
+    Taken from the rate path `_growth` chooses: K~ when A is irreducible,
+    else A split into components.  Either way `dimension` is A's node
+    count and `dominant_members` lists A's labels in A's node order.
     """
     order, ga, labels, _ = _growth(hmm, alpha, max_dim, tol)
     return _rate_report(order, ga, labels, len(labels))
@@ -172,10 +171,14 @@ def entropy_rate(
 def _hadamard_system(
     chain: MarkovChain, alpha: float
 ) -> tuple[float, NonnegMatrix, np.ndarray]:
-    """Checked order, P^(o alpha) and pi0^alpha: the collision system of a fully observed chain."""
+    """Checked order, P^(o alpha) and pi0^alpha of a fully observed chain; none may underflow."""
     alpha = _chain_order(alpha)
     a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
-    return alpha, a, chain.initial**alpha
+    u = chain.initial**alpha
+    positive = (np.count_nonzero(chain.transition), np.count_nonzero(chain.initial))
+    if (a.nnz, np.count_nonzero(u)) != positive:
+        raise InvalidOrder(f"order {alpha} underflows positive entries of P or pi0 to 0")
+    return alpha, a, u
 
 
 def markov_rate(

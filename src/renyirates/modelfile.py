@@ -28,6 +28,7 @@ FORMAT_VERSION = 1
 
 _COMMON_KEYS = {"format", "kind", "states", "transition", "initial"}
 _HMM_KEYS = _COMMON_KEYS | {"observations", "emission", "observation_map"}
+_NUMBER = {int, float}  # JSON numbers; bool, a subclass of int, is not one
 
 
 def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
@@ -50,11 +51,9 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
         raise ModelFormatError("states must be a list of strings")
     try:
         chain = validate_chain(
-            np.array(doc["transition"], dtype=float),
-            np.array(doc["initial"], dtype=float),
-            states=states,
+            _numbers(doc, "transition", 2), _numbers(doc, "initial", 1), states=states
         )
-    except (RenyiError, ValueError) as exc:
+    except (RenyiError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid chain: {exc}") from exc
     if kind == "markov":
         return chain
@@ -76,11 +75,22 @@ def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
         observations = doc["observations"]
         if not isinstance(observations, list):
             raise ModelFormatError("observations must be a list of strings")
-        return validate_hmm(chain, np.array(doc["emission"], dtype=float), observations)
+        return validate_hmm(chain, _numbers(doc, "emission", 2), observations)
     except ModelFormatError:
         raise
-    except (RenyiError, ValueError) as exc:
+    except (RenyiError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"invalid hmm: {exc}") from exc
+
+
+def _numbers(doc: dict, field: str, depth: int) -> np.ndarray:
+    """doc[field] as floats, if `depth` (1 or 2) nested lists of JSON ints and floats.
+
+    Types match exactly: numpy would also take true, false and "0.5".
+    """
+    rows = [doc[field]] if depth == 1 else doc[field]
+    if type(rows) is list and all(type(r) is list and {*map(type, r)} <= _NUMBER for r in rows):
+        return np.array(doc[field], dtype=float)
+    raise ModelFormatError(f"{field} must be a list of {'lists of ' * (depth - 1)}numbers")
 
 
 def _reject_constant(name: str):

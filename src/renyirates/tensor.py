@@ -44,10 +44,9 @@ K~'s components are not A's (a 3-cycle observed through one symbol has
 3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
 successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
 decide whether A is one component; when it is, its rate is rho(K~), and
-no node needs a row of K~.  `rate_on_lumped` takes that path, which
-never builds A, when K~'s build also enumerates no more entries than A
-stores; `collision_nodes` then lists A's nodes, labels and nu without
-A's entries.
+no node needs a row of K~.  K~'s build is never larger than A's
+(`_lumped_count`), so that path, which never builds A, is always taken;
+`collision_nodes` lists A's nodes, labels and nu without A's entries.
 """
 
 from __future__ import annotations
@@ -444,15 +443,15 @@ def lumped_system(
     the collision build's own emission products, without listing them
     (`collision_nodes` does).
 
-    Each representative's successor tuples come from P's CSR rows and are
-    sorted into their multisets, whose duplicates are summed.  The entries
-    before summing number sum_M prod_j deg(m_j), never more than the
-    stored entries of P^(tensor alpha) in K's rows; neither
-    P^(tensor alpha) nor any nx^alpha x nx^alpha array is formed.
-    Refused with DimensionOverflow when nx^alpha * nz > max_dim, as
-    `collision_system` is, or at once when the build is predicted to hold
-    more than 1 GiB: 4 * alpha + 64 bytes for each entry, counted in
-    closed form (see `_lumped_bound`).
+    A multiset M' with w(M') > 0 lies in a maximal emission support
+    (`_maximal_supports`), so each pass takes P's CSR rows restricted to
+    one support's columns, sorts the successor tuples into multisets and
+    keeps those whose first maximal support it is; duplicates are summed.
+    With one support, as under dense emissions, the one pass runs on P.
+    No nx^alpha x nx^alpha array is formed.  Refused with
+    DimensionOverflow when nx^alpha * nz > max_dim, as `collision_system`
+    is, or at once when the build is predicted to hold more than 1 GiB:
+    4 * alpha + 64 bytes for each entry, counted by `_lumped_count`.
     """
     alpha = _hmm_order(alpha)
     e = hmm.emission
@@ -460,10 +459,8 @@ def lumped_system(
     _check_dimension(nx, nz, alpha, max_dim)
     p = sparse.csr_array(hmm.chain.transition)
     p.eliminate_zeros()
-    degree = np.diff(p.indptr)
-    entries = _lumped_entries(degree.tolist(), alpha)
-    if entries * (4 * alpha + 64) > _BUILD_BYTES:  # the tighter count costs more
-        entries = _lumped_bound(degree, e > 0, alpha)
+    supports = _maximal_supports(e > 0)
+    entries = _lumped_count(hmm.chain.transition, supports, alpha)
     _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
     reps = np.array(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
@@ -485,65 +482,54 @@ def lumped_system(
         orbit = orbit * (j + 1) // run
     u = orbit * hmm.chain.initial[reps].prod(axis=1) * w
 
-    rows, successors, values = _successors(p, reps)
-    successors.sort(axis=1)
-    cols = index[_rank(successors, binom)]
-    live = cols >= 0  # a multiset with w = 0 has a zero column
-    cols = cols[live]
-    k = sparse.csr_array(
-        (values[live] * w[cols], (rows[live], cols)), shape=(kept.size, kept.size)
-    )
+    single = len(supports) == 1  # then S holds every state: no slice, no owner
+    owner = None if single else np.argmax(supports[:, reps].all(axis=2), axis=0)
+    blocks = []
+    for i, s in enumerate(supports):
+        states = np.flatnonzero(s)
+        rows, successors, values = _successors(p if single else p[:, states], reps)
+        successors.sort(axis=1)  # S ascends, so its digits sort as its states
+        cols = index[_rank(successors if single else states[successors], binom)]
+        del successors
+        live = cols >= 0 if single else (cols >= 0) & (owner[cols] == i)  # w = 0 or not owned
+        cols = cols[live]
+        blocks.append((rows[live], cols, values[live] * w[cols]))
+    rows, cols, values = blocks[0] if single else map(np.concatenate, zip(*blocks))
+    k = sparse.csr_array((values, (rows, cols)), shape=(kept.size, kept.size))
     k.sum_duplicates()
     dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
     return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension)
 
 
-def rate_on_lumped(
-    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> bool:
-    """Whether an HMM's rate is taken as rho(K~), without building A.
+def _maximal_supports(emits: np.ndarray) -> np.ndarray:
+    """Masks of the distinct S_z = {x : E[x, z] > 0} (emits[:, z]) no other contains, by first z."""
+    s = emits.T
+    count = s.astype(np.int64)
+    inside = count @ count.T == count.sum(axis=1)[:, None]  # inside[z, z']: S_z within S_z'
+    covered = inside & (~inside.T | np.tri(len(s), k=-1, dtype=bool))  # or repeats an earlier one
+    return s[~covered.any(axis=1)]
 
-    It is when K~'s build enumerates no more entries than A stores
-    (`_lumped_cheaper`, checked first since it needs no sweep) and
-    `irreducible` shows A irreducible.  Refused with DimensionOverflow as
-    `collision_system` is when nx^alpha * nz > max_dim.
+
+def _lumped_count(p, supports: np.ndarray, alpha: int) -> int:
+    """Successor entries `lumped_system` may enumerate, in closed form.
+
+    The pass over a maximal support S (a row of `supports`) enumerates
+    prod_j c_S(m_j) successors of a multiset M, c_S(x) = |{x' in S :
+    P[x, x'] > 0}|, and M lies in some maximal T, so the count is
+    sum_{S, T} h_alpha({c_S(x) : x in T}) (`_lumped_entries`).  As
+    h_alpha(c) <= (sum c)^alpha and the pairs (S, T) are some of the
+    symbol pairs, it never exceeds `_stored_entries`: K~ can be built
+    wherever A can.  With one support it is h_alpha of P's row degrees.
     """
-    alpha = _hmm_order(alpha)
-    _check_dimension(hmm.n_states, hmm.n_symbols, alpha, max_dim)
-    return _lumped_cheaper(hmm, alpha) and bool(irreducible(hmm, alpha, max_dim=max_dim))
-
-
-def _lumped_cheaper(hmm: HiddenMarkovModel, alpha: int) -> bool:
-    """Whether `lumped_system` enumerates no more entries than A stores.
-
-    Both counts are closed forms (`_lumped_bound`, `_stored_entries`) and
-    take O(nz * nx^2).  With dense emissions K~ is the smaller, by about
-    nz^2 * alpha!.  With sparse ones, as under deterministic observation,
-    each multiset enumerates P's full rows while A keeps only the columns
-    of states that can emit the next symbol, and A can be far smaller.
-    """
-    p, emits = hmm.chain.transition, hmm.emission > 0
-    lumped = _lumped_bound(np.count_nonzero(p, axis=1), emits, alpha)
-    return lumped <= _stored_entries(p, emits, alpha)
-
-
-def _lumped_bound(degree: np.ndarray, emits: np.ndarray, alpha: int) -> int:
-    """Successor entries `lumped_system` may enumerate, given P's row degrees.
-
-    A multiset M with w(M) > 0 lies in some S_z = {x : E[x, z] > 0}
-    (emits[:, z]), so the count is the smaller of h_alpha over all states
-    and the sum over z of h_alpha over S_z (see `_lumped_entries`).
-    """
-    return min(
-        _lumped_entries(degree.tolist(), alpha),
-        sum(_lumped_entries(degree[s].tolist(), alpha) for s in emits.T),
-    )
+    counts = (p > 0).astype(np.int64) @ supports.T.astype(np.int64)  # column i: c_S of row i
+    return sum(_lumped_entries(c[t].tolist(), alpha) for c in counts.T for t in supports)
 
 
 def _lumped_entries(degree: list[int], alpha: int) -> int:
     """Successor entries of all multisets M of alpha of the given states: sum_M prod_j deg(m_j).
 
-    degree lists P's row degrees of those states.  The sum is
+    degree lists each state's successor count: its row degree in P, or
+    in P's columns of one emission support.  The sum is
     h_alpha(deg), the complete homogeneous symmetric polynomial, from
     h_k(d_1..d_i) = h_k(d_1..d_(i-1)) + d_i h_(k-1)(d_1..d_i).
     """

@@ -190,6 +190,17 @@ class TestMarkovRate:
         with pytest.raises(InvalidOrder):
             markov_rate(example_chain, -2)
 
+    @pytest.mark.parametrize("order", [1000.0, 5000.0])
+    def test_order_that_underflows_rejected(self, order):
+        # P o 1000 loses the entries 0.1 and 0.2, and pi^5000 all of pi;
+        # the pattern would no longer be P's, so no value is reported
+        chain = validate_chain([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5])
+        with pytest.raises(InvalidOrder, match="underflows"):
+            markov_rate(chain, order)
+        with pytest.raises(InvalidOrder, match="underflows"):
+            markov_finite_length(chain, order, 50)
+        assert markov_rate(chain, 300.0).finite
+
     def test_infinite_order_rejected(self, example_chain):
         # P**inf would zero every transition probability below 1
         with pytest.raises(InvalidOrder, match="finite"):
@@ -296,10 +307,15 @@ class TestLumpedRate:
             hmm = deterministic_observation(chain, {s: "ab"[int(rng.integers(0, 2))] for s in chain.states})
         else:
             hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
-        assume(tensor.rate_on_lumped(hmm, alpha))
-        rep = entropy_rate(hmm, alpha)
+        assume(tensor.irreducible(hmm, alpha))
+        # two radii closed to the default 1e-12 bracket can differ by that
+        # much (seed 1432 at alpha = 4 does, by 2e-13 relative); closed to
+        # 1e-14 they agree within the 1e-13 asserted
+        rep = entropy_rate(hmm, alpha, tol=1e-14)
         cs = collision_system(hmm, alpha)
-        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
+        ga = growth_rate(
+            cs.matrix, cs.initial, tol=1e-14, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
+        )
         ref = entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
         assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
         assert rep.value_bits == pytest.approx(ref.value_bits, rel=1e-12, abs=1e-14)
@@ -314,7 +330,7 @@ class TestLumpedRate:
         # with zeros in E, A's symbol-major node order meets the multisets
         # out of K~'s order; the radius is still K~'s own, iterated as built
         hmm = random_hmm(np.random.default_rng(seed), nx, nz, sparsity=0.4)
-        assert (hmm.emission == 0).any() and tensor.rate_on_lumped(hmm, alpha)
+        assert (hmm.emission == 0).any() and tensor.irreducible(hmm, alpha)
         lumped = tensor.lumped_system(hmm, alpha)
         rho = entropy_rate(hmm, alpha).rho_plus
         assert rho.hex() == spectral_radius_irreducible(lumped.matrix).hex()
@@ -342,36 +358,68 @@ class TestLumpedRate:
         ) / 1000
         assert rep.value_bits == pytest.approx(slope, abs=1e-9)
 
-    def test_sparse_emissions_keep_the_collision_path(self, monkeypatch):
+    @staticmethod
+    def _rate_from_collision_system(hmm, alpha):
+        cs = collision_system(hmm, alpha)
+        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
+        return entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
+
+    def test_sparse_emissions_take_the_lumped_matrix(self, monkeypatch):
         # dense 12 states observed in 6 groups of 2 at alpha = 4: A is
-        # irreducible, but the lumped build would enumerate 6 * 5 * 12^4 =
-        # 622,080 successor entries where A stores 36 * 4^4 = 9216
+        # irreducible and stores 36 * 4^4 = 9216 entries; the lumped build
+        # enumerates one group's columns a pass, 36 * C(5, 4) * 2^4 = 2880
         chain = random_chain(np.random.default_rng(12), 12)
         hmm = deterministic_observation(chain, {s: f"g{i // 2}" for i, s in enumerate(chain.states)})
         assert tensor.irreducible(hmm, 4) is True
-        assert tensor._lumped_cheaper(hmm, 4) is False
-        assert tensor.rate_on_lumped(hmm, 4) is False
+        supports = tensor._maximal_supports(hmm.emission > 0)
+        assert tensor._lumped_count(chain.transition, supports, 4) == 2880
 
         def refuse(*args, **kwargs):
-            raise AssertionError("lumped_system ran")
+            raise AssertionError("collision_system ran")
 
-        monkeypatch.setattr(entropy, "lumped_system", refuse)
+        monkeypatch.setattr(entropy, "collision_system", refuse)
         rep = entropy_rate(hmm, 4)
-        cs = collision_system(hmm, 4)
-        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
-        assert rep == entropy._rate_report(4.0, ga, cs.labels(), cs.dimension)
+        monkeypatch.undo()
+        ref = self._rate_from_collision_system(hmm, 4)
+        assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
+        assert (rep.dimension, rep.reachable, rep.dominant_members) == (
+            ref.dimension, ref.reachable, ref.dominant_members
+        )
 
-    def test_deterministic_observation_beyond_the_lumped_budget(self):
+    def test_deterministic_observation_within_the_lumped_budget(self, monkeypatch):
         # dense 44 states observed in 11 groups of 4 at alpha = 3: A stores
-        # 11^2 * 16^3 = 495,616 entries, while the lumped build would
-        # enumerate 11 * C(6, 3) * 44^3 = 18.7M and is refused; the rate
-        # still comes from A
+        # 11^2 * 16^3 = 495,616 entries; over P's full rows the lumped build
+        # would enumerate 11 * C(6, 3) * 44^3 = 18.7M, over one group's
+        # columns a pass 11^2 * C(6, 3) * 4^3 = 154,880
         chain = random_chain(np.random.default_rng(44), 44)
         hmm = deterministic_observation(chain, {s: f"g{i // 4}" for i, s in enumerate(chain.states)})
-        with pytest.raises(DimensionOverflow, match="lumped system"):
-            tensor.lumped_system(hmm, 3)
+        supports = tensor._maximal_supports(hmm.emission > 0)
+        assert tensor._lumped_count(chain.transition, supports, 3) == 154_880
+        assert tensor.lumped_system(hmm, 3).matrix.dim == 11 * math.comb(6, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("collision_system ran")
+
+        monkeypatch.setattr(entropy, "collision_system", refuse)
         rep = entropy_rate(hmm, 3)
+        monkeypatch.undo()
         assert rep.dimension == 11 * 4**3 and rep.finite
+        ref = self._rate_from_collision_system(hmm, 3)
+        assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_overlapping_supports_match_the_oracle(self, alpha):
+        # states 0 and 1 emit "a", states 1 and 2 emit "b": two maximal
+        # supports that share state 1, whose multisets one pass keeps
+        chain = random_chain(np.random.default_rng(alpha), 3)
+        hmm = validate_hmm(chain, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+        assert sorted(tensor._maximal_supports(hmm.emission > 0).tolist()) == [
+            [False, True, True], [True, True, False]
+        ]
+        for n in range(1, 10):
+            assert finite_length_entropy(hmm, alpha, n).value_bits == pytest.approx(
+                brute_force_entropy(hmm, alpha, n), rel=1e-12, abs=1e-12
+            )
 
     @pytest.mark.parametrize("alpha,dimension", [(2, 7), (3, 12)])
     def test_one_dimension_when_emission_products_underflow(self, alpha, dimension):

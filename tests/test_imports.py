@@ -155,7 +155,7 @@ def test_lumped_rate_never_builds_the_collision_system():
         "from renyirates import entropy, tensor\n"
         "builds, decided, inner, sweep = [], [], tensor.collision_system, tensor.irreducible\n"
         "entropy.collision_system = tensor.collision_system = lambda *a, **k: builds.append(1) or inner(*a, **k)\n"
-        "tensor.irreducible = lambda *a, **k: decided.append(sweep(*a, **k)) or decided[-1]\n"
+        "entropy.irreducible = lambda *a, **k: decided.append(sweep(*a, **k)) or decided[-1]\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    code = renyirates.cli.main({argv!r})\n"

@@ -98,6 +98,43 @@ class TestModelFile:
             parse_model(doc)
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("initial", {"a": 1}),
+            ("initial", ["0.3", 0.3, 0.4]),
+            ("initial", [True, False, False]),
+            ("initial", [None, 0.5, 0.5]),
+            ("initial", 1.0),
+            ("transition", [[0.9, 0.1, 0.0], [0.0, 0.4, 0.6], "row"]),
+            ("transition", [[1, 0, 0], [0, True, 0], [0, 0, 1]]),
+            ("transition", [0.9, 0.1, 0.0]),
+            ("emission", [[0.5, "0.5"]]),
+            ("emission", [[False, True]]),
+            ("emission", [{"0": 0.5, "1": 0.5}]),
+        ],
+    )
+    def test_non_number_entries_rejected(self, field, value):
+        # numpy would turn "0.5" and true into numbers, and a dict into a
+        # TypeError; each is refused as a format error naming its field
+        name = "iid-uniform-2.model" if field == "emission" else "markov142.model"
+        doc = json.loads((FIXTURES / name).read_text())
+        doc[field] = value
+        with pytest.raises(ModelFormatError, match=f"{field} must be a list"):
+            parse_model(doc)
+
+    def test_int_past_the_float_range_rejected(self):
+        doc = json.loads((FIXTURES / "markov142.model").read_text())
+        doc["initial"] = [10**400, 0, 0]
+        with pytest.raises(ModelFormatError, match="int too large to convert to float"):
+            parse_model(doc)
+
+    def test_int_entries_accepted(self):
+        doc = json.loads((FIXTURES / "markov142.model").read_text())
+        doc["transition"] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        doc["initial"] = [1, 0, 0]
+        assert parse_model(doc).transition.tolist() == np.eye(3).tolist()
+
     def test_duplicate_observations_rejected(self):
         doc = json.loads((FIXTURES / "iid-uniform-2.model").read_text())
         doc["observations"] = ["x", "x"]
@@ -228,8 +265,9 @@ class TestCmdComponents:
 
     def test_deterministic_observation_rates_from_the_collision_system(self, capsys, tmp_path):
         # dense 44 states observed in 11 groups of 4 at order 3: A is
-        # irreducible and stores 495,616 entries, but the lumped build would
-        # enumerate 18.7M and is refused, so both commands rate from A
+        # irreducible and stores 495,616 entries, and the lumped build, one
+        # group's columns a pass, enumerates 154,880; both commands rate
+        # from that lumped collision system and agree
         chain = random_hmm(np.random.default_rng(44), 44, 1).chain
         path = tmp_path / "groups.model"
         path.write_text(json.dumps({
@@ -277,7 +315,7 @@ class TestCmdComponents:
         for module in (tensor, entropy, cli):
             monkeypatch.setattr(module, "collision_system", spy)
         bsc = FIXTURES / "bsc.model"
-        assert tensor.rate_on_lumped(bsc_hmm(load_model(bsc), 0.1), 4)
+        assert tensor.irreducible(bsc_hmm(load_model(bsc), 0.1), 4) is True
         builds.clear()
         argv = ["components", str(bsc), "--order", "4", "--epsilon", "0.1"]
         assert main(argv) == 0
@@ -384,6 +422,35 @@ class TestCliContract:
         assert code == 1
         assert doc is None
         assert "observation_map must be an object with string values" in err
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
+    def test_non_number_entry_exits_1(self, capsys, tmp_path, command):
+        doc = json.loads((FIXTURES / "markov142.model").read_text())
+        doc["initial"] = {"a": 1}
+        path = tmp_path / "dict.model"
+        path.write_text(json.dumps(doc))
+        extra = ["--length", "3"] if command == "entropy" else []
+        code, out, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert out is None
+        assert err == "error: invalid chain: initial must be a list of numbers\n"
+
+    @pytest.mark.parametrize(
+        "command,order,extra",
+        [("rate", "5000", []), ("entropy", "1000", ["--length", "50"]), ("components", "1000", [])],
+    )
+    def test_markov_order_that_underflows_exits_1(self, capsys, tmp_path, command, order, extra):
+        # 0.1^1000 underflows to 0: P's Hadamard power would lose its
+        # off-diagonal entries, and pi^5000 all of pi
+        path = tmp_path / "two.model"
+        path.write_text(json.dumps({
+            "format": 1, "kind": "markov", "states": ["a", "b"],
+            "transition": [[0.9, 0.1], [0.2, 0.8]], "initial": [0.5, 0.5],
+        }))
+        code, out, err = run_cli(capsys, command, path, "--order", order, *extra)
+        assert code == 1
+        assert out is None
+        assert err == f"error: order {float(order)} underflows positive entries of P or pi0 to 0\n"
 
     @pytest.mark.parametrize("command", ["rate", "components", "entropy", "oracle"])
     def test_duplicate_observations_exit_1(self, capsys, tmp_path, command):

@@ -216,7 +216,8 @@ class TestLumpedBuildBudget:
     def test_count_skips_multisets_no_symbol_can_emit(self):
         # 40 states with 4 entries a row, observed in 4 groups of 10, at
         # alpha = 4: over all multisets h_4 counts 31.6M entries (2.35 GiB);
-        # only multisets inside one group have w > 0, 4 h_4 = 732k entries
+        # only multisets inside one group have w > 0, and each pass keeps
+        # one group's columns, fewer than 4 h_4 = 732k entries
         rng = np.random.default_rng(4)
         p = np.zeros((40, 40))
         for i in range(40):
@@ -226,28 +227,67 @@ class TestLumpedBuildBudget:
         assert tensor._lumped_entries([4] * 40, 4) == 31_592_960
         assert 4 * tensor._lumped_entries([4] * 10, 4) == 732_160
         assert 31_592_960 * (4 * 4 + 64) > tensor._BUILD_BYTES > 732_160 * (4 * 4 + 64)
+        assert tensor._lumped_count(p, tensor._maximal_supports(hmm.emission > 0), 4) < 732_160
         lumped = tensor.lumped_system(hmm, 4, max_dim=10**8)
         assert lumped.matrix.dim == 4 * math.comb(13, 4)
         assert lumped.dimension == 4 * 10**4
 
-    @pytest.mark.parametrize("groups,cheaper", [(1, True), (2, False), (3, False), (6, False)])
-    def test_lumped_cheaper_compares_the_two_counts(self, groups, cheaper):
+    @pytest.mark.parametrize("groups", [1, 2, 3, 6])
+    def test_lumped_count_stays_below_the_stored_entries(self, groups):
         # dense 6 states, observed deterministically in `groups` groups, at
-        # alpha = 3: the lumped build enumerates groups * C(6 / groups + 2, 3)
-        # * 6^3 entries and A stores groups^2 * (36 / groups^2)^3
+        # alpha = 3: each group is a maximal support, so the lumped build
+        # enumerates groups^2 * C(6 / groups + 2, 3) * (6 / groups)^3 entries
+        # where A stores groups^2 * (36 / groups^2)^3
         chain = random_chain(np.random.default_rng(6), 6)
         size = 6 // groups
         hmm = deterministic_observation(chain, {s: f"g{i // size}" for i, s in enumerate(chain.states)})
-        lumped = groups * math.comb(size + 2, 3) * 6**3
+        supports = tensor._maximal_supports(hmm.emission > 0)
+        lumped = groups**2 * math.comb(size + 2, 3) * size**3
         stored = groups**2 * (size * size) ** 3
-        assert tensor._lumped_bound(np.full(6, 6), hmm.emission > 0, 3) == lumped
+        groups_masks = np.repeat(np.eye(groups, dtype=bool), size, axis=0).T
+        assert sorted(supports.tolist()) == sorted(groups_masks.tolist())
+        assert tensor._lumped_count(chain.transition, supports, 3) == lumped
         assert tensor._stored_entries(chain.transition, hmm.emission > 0, 3) == stored
-        assert (lumped <= stored) is cheaper
-        assert tensor._lumped_cheaper(hmm, 3) is cheaper
+        assert lumped <= stored
 
     def test_lumped_cheaper_under_dense_emissions(self):
-        hmm = random_hmm(np.random.default_rng(3), 5, 3, sparsity=0.5)
-        assert all(tensor._lumped_cheaper(hmm, alpha) for alpha in (2, 3, 4))
+        # a sparse P with a dense E has one maximal support, and the count
+        # is h_alpha of P's row degrees
+        rng = np.random.default_rng(3)
+        p = random_chain(rng, 5, sparsity=0.5).transition
+        emits = random_hmm(rng, 5, 3).emission > 0
+        supports = tensor._maximal_supports(emits)
+        assert supports.tolist() == [[True] * 5]
+        for alpha in (2, 3, 4):
+            count = tensor._lumped_count(p, supports, alpha)
+            assert count == tensor._lumped_entries(np.count_nonzero(p, axis=1).tolist(), alpha)
+            assert count <= tensor._stored_entries(p, emits, alpha)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_count_bounds_the_enumeration_and_stays_below_the_stored_entries(self, seed, alpha):
+        # random patterns of P and E, every state emitting something: the
+        # passes enumerate sum_S sum_M prod_j c_S(m_j) over the multisets M
+        # inside some support, which the count bounds, and A stores more
+        rng = np.random.default_rng(seed)
+        nx, nz = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        p = rng.random((nx, nx)) < rng.uniform(0.1, 1.0)
+        emits = rng.random((nx, nz)) < rng.uniform(0.1, 1.0)
+        emits[np.arange(nx), rng.integers(0, nz, size=nx)] = True
+        supports = tensor._maximal_supports(emits)
+        sets = [set(np.flatnonzero(s).tolist()) for s in supports]
+        assert len(set(map(frozenset, sets))) == len(sets)
+        assert not any(a < b for a in sets for b in sets)
+        assert all(any(set(np.flatnonzero(s)) <= t for t in sets) for s in emits.T)
+        successors = p.astype(int) @ supports.T.astype(int)
+        multisets = [
+            m
+            for m in itertools.combinations_with_replacement(range(nx), alpha)
+            if any(set(m) <= t for t in sets)
+        ]
+        enumerated = sum(math.prod(successors[m, i].tolist()) for m in multisets for i in range(len(sets)))
+        count = tensor._lumped_count(p, supports, alpha)
+        assert enumerated <= count <= tensor._stored_entries(p, emits, alpha)
 
     @pytest.mark.parametrize("nx,alpha,sparsity", [(3, 2, 0.0), (5, 3, 0.5), (6, 4, 0.7), (4, 6, 0.3)])
     def test_count_is_the_enumeration(self, nx, alpha, sparsity):
