@@ -31,10 +31,6 @@ from .spectral import (
     log_weighted_power_sum,
     spectral_radius_irreducible,
 )
-from .tensor import (
-    CollisionSystem,
-    collision_system,
-    hadamard_power,
-)
+from .tensor import CollisionSystem, collision_system
 
 __version__ = "0.1.0"

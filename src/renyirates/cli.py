@@ -4,8 +4,9 @@ Subcommands: entropy, rate, components, oracle.  Each invocation reads a
 model file, runs one computation, writes a versioned JSON report to
 stdout (floats at 12 significant digits, fixed field order) and a short
 human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error,
-2 dimension guard (or a usage error).  Each subcommand takes only the
-options it reads.  `components` reports the analysis `rate` computes
+2 usage error (argparse's own), 3 dimension guard, so a script can tell
+a model too large from a wrong command line.  Each subcommand takes only
+the options it reads.  `components` reports the analysis `rate` computes
 (`entropy._growth`), and builds the collision matrix A beyond that only
 for the characteristic polynomial of an A of at most 64 nodes.
 """
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
         args.func(args)
     except DimensionOverflow as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3
     except (RenyiError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -12,8 +12,12 @@ reachable when nu has mass; K~'s build is never larger than A's (see
 and each radius taken from K's block.  One routine, `_growth`, makes
 that choice; `entropy_rate`, `markov_rate` and `renyirates components`
 all take their analysis from it, so the report and the rate agree float
-for float.  A length-n realization uses exponent n - 1, validated against
-the brute-force oracle.  All values are in bits (log base 2).
+for float.  A fully observed chain's system is the Hadamard power
+P^(o alpha), formed as a dense array (`_hadamard_system`): its finite
+lengths pass that array to the power sum, and its rates wrap it once in
+CSR for the component split.  A length-n realization uses exponent
+n - 1, validated against the brute-force oracle.  All values are in bits
+(log base 2).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .tensor import (
     DEFAULT_MAX_DIM,
     collision_nodes,
     collision_system,
-    hadamard_power,
     irreducible,
     lumped_system,
 )
@@ -139,6 +142,7 @@ def _growth(
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
+        a = NonnegMatrix.from_dense(a)
         return alpha, growth_rate(a, u, tol=tol), model.states, a
     if irreducible(model, alpha, max_dim=max_dim):
         lumped = lumped_system(model, alpha, max_dim=max_dim)
@@ -170,13 +174,20 @@ def entropy_rate(
 
 def _hadamard_system(
     chain: MarkovChain, alpha: float
-) -> tuple[float, NonnegMatrix, np.ndarray]:
-    """Checked order, P^(o alpha) and pi0^alpha of a fully observed chain; none may underflow."""
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Checked order, P^(o alpha) as a dense array and pi0^alpha of a fully observed chain.
+
+    Only P's positive entries are powered, so its zeros stay zeros; the
+    powered array is C-ordered whatever P's memory order.  No positive
+    entry of P or pi0 may underflow to 0.
+    """
     alpha = _chain_order(alpha)
-    a = hadamard_power(NonnegMatrix.from_dense(chain.transition), alpha)
+    p = chain.transition
+    stored = p > 0
+    a = np.power(p, alpha, out=np.zeros(p.shape), where=stored)
     u = chain.initial**alpha
-    positive = (np.count_nonzero(chain.transition), np.count_nonzero(chain.initial))
-    if (a.nnz, np.count_nonzero(u)) != positive:
+    positive = (np.count_nonzero(stored), np.count_nonzero(chain.initial))
+    if (np.count_nonzero(a), np.count_nonzero(u)) != positive:
         raise InvalidOrder(f"order {alpha} underflows positive entries of P or pi0 to 0")
     return alpha, a, u
 
@@ -195,5 +206,5 @@ def markov_finite_length(chain: MarkovChain, alpha: float, n: int) -> EntropyRep
         raise ValueError(f"length must be >= 1, got {n}")
     alpha, a, u = _hadamard_system(chain, alpha)
     log_cp = log_weighted_power_sum(a, u, n - 1)
-    return _finite_report(alpha, n, log_cp, a.dim)
+    return _finite_report(alpha, n, log_cp, chain.n_states)
 

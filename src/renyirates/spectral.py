@@ -47,11 +47,14 @@ multisets of hidden states, K~, when `tensor.irreducible` shows A
 irreducible.
 
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
-(see `tensor`).  A weighted power sum u^T A^n 1 takes renormalised
+(see `tensor`); a fully observed chain's run on P^(o alpha), passed as a
+dense array.  A weighted power sum u^T A^n 1 takes renormalised
 steps w <- w^T A, or repeated squaring, as a cost rule fitted on
 measured times prices them (see `log_weighted_power_sum`).  A step is a
 dense gemv when the matrix is dense enough and at most 3300 nodes, the
-split radius blocks use, and a CSR product otherwise.  Steps stop at the
+split radius blocks use, and a CSR product otherwise; `_stepper` is the
+one place that chooses.  A dense enough array is stepped and squared as
+it is, with no copy, and a sparse one becomes CSR once.  Steps stop at the
 first exact repeat of the normalised iterate, and the cycle adds the
 steps left in O(period).  Where squaring is cheaper than all n steps, a
 trial of as many steps as squaring would cost runs first when that is at
@@ -78,7 +81,7 @@ from .components import (
     strongly_connected_components,
 )
 from .errors import DimensionMismatch, DimensionOverflow, NoConvergence
-from .nonneg import NonnegMatrix, _check_entries
+from .nonneg import NonnegMatrix, _check_entries, _square
 
 DEFAULT_TOL = 1e-12
 MAX_ITERATIONS = 10**5
@@ -514,8 +517,13 @@ def _radius_blocks(
     return [NonnegMatrix(permuted[s:e, s:e]) for s, e in zip(bounds, bounds[1:])]
 
 
-def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
+def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) -> float:
     """Natural log of u^T A^n 1, stabilized; -inf when the sum is exactly 0.
+
+    A is a NonnegMatrix or a dense array, which must be square, finite and
+    non-negative; `_stepper` steps on a dense enough array as it is and
+    turns a sparse one into CSR once, so the float does not depend on
+    which form A comes in.
 
     Two paths, priced by a cost rule fitted on measured times (one BLAS
     thread, 2-core x86).  Repeated squaring with per-step rescaling
@@ -551,39 +559,53 @@ def log_weighted_power_sum(a: NonnegMatrix, u: np.ndarray, n: int) -> float:
     cycle's multiple is formed exactly, so a stepwise result lies within
     4 ulps of the exact sum of the n per-step logs however large n is.
     """
-    u = _checked_weights(u, a.dim)
+    if isinstance(a, NonnegMatrix):
+        d = a.dim
+    else:
+        a = _square(a)
+        _check_entries(a, "non-negative matrix")
+        d = a.shape[0]
+    u = _checked_weights(u, d)
     if n < 0:
         raise ValueError("exponent must be non-negative")
     s = u.sum()
     if n == 0 or s == 0:
         return math.log(s) if s > 0 else -math.inf
     n = operator.index(n)
-    d = a.dim
-    dense, step = _stepper(a)
+    b, step = _stepper(a)
+    dense = isinstance(b, np.ndarray)
     if d > _DENSE_MAX_DIM:
         budget = n
     else:
-        entries = _STEP_COST * a.nnz if dense is None else _DENSE_STEP_COST * d * d
+        entries = _DENSE_STEP_COST * d * d if dense else _STEP_COST * b.nnz
         budget = d**3 * n.bit_length() // (entries + _STEP_COST * _STEP_OVERHEAD)
     if budget >= n or budget >= _MIN_TRIAL:
         value = _log_power_sum_stepwise(step, u, n, min(n, budget))
         if value is not None:
             return value
-    return _log_power_sum_squaring(a.to_dense() if dense is None else dense, u, n)
+    return _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
 
 
-def _stepper(a: NonnegMatrix) -> tuple[np.ndarray | None, Callable[[np.ndarray], np.ndarray]]:
-    """A's dense copy when steps run on it, else None, and the step w -> w^T A.
+def _stepper(
+    a: NonnegMatrix | np.ndarray,
+) -> tuple[np.ndarray | NonnegMatrix, Callable[[np.ndarray], np.ndarray]]:
+    """The form of A that steps run on, and the step w -> w^T A.
 
-    A step is a dense gemv when more than a quarter of A's entries are
-    stored and d <= 3300, as for radius blocks, and a CSR product
-    (`NonnegMatrix.vecmat`) otherwise.
+    The one rule that chooses it: a step is a dense gemv on a C-ordered
+    array when more than a quarter of A's entries are stored and
+    d <= 3300, as for radius blocks, and a CSR product
+    (`NonnegMatrix.vecmat`) otherwise.  A dense array is used as it is
+    (copied only when not C-ordered) and a sparse one becomes CSR once; a
+    NonnegMatrix is densified when dense enough.
     """
-    d = a.dim
-    if d <= _DENSE_MAX_DIM and a.nnz > d * d // 4:
-        b = a.to_dense()
+    csr = isinstance(a, NonnegMatrix)
+    d = a.dim if csr else a.shape[0]
+    if d <= _DENSE_MAX_DIM and (a.nnz if csr else np.count_nonzero(a)) > d * d // 4:
+        b = a.to_dense() if csr else np.ascontiguousarray(a)
         return b, lambda w: w @ b
-    return None, a.vecmat
+    if not csr:
+        a = NonnegMatrix.from_dense(a)
+    return a, a.vecmat
 
 
 def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:

@@ -1,4 +1,4 @@
-"""The collision matrix of an HMM, built from P's sparse rows, and Hadamard powers.
+"""The collision matrix of an HMM, built from P's sparse rows.
 
 For an HMM with joint-chain matrix M, the order-alpha pipeline restricts
 M^(tensor alpha) to tuples whose alpha observation components agree.  The
@@ -60,7 +60,7 @@ import numpy as np
 from scipy import sparse
 
 from .components import _LEVEL_COST, _sweep
-from .errors import DimensionOverflow, InvalidOrder
+from .errors import DimensionOverflow
 from .model import HiddenMarkovModel, _hmm_order
 from .nonneg import NonnegMatrix
 
@@ -155,15 +155,6 @@ class LumpedSystem:
     matrix: NonnegMatrix
     initial: np.ndarray
     dimension: int
-
-
-def hadamard_power(a: NonnegMatrix, alpha: float) -> NonnegMatrix:
-    """Entrywise power; structural zeros are preserved."""
-    if not alpha > 0:
-        raise InvalidOrder(f"Hadamard power needs a positive order, got {alpha}")
-    c = a.csr.copy()
-    c.data = c.data**alpha
-    return NonnegMatrix.from_sparse(c)
 
 
 def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from renyirates import (
+    NonnegMatrix,
     brute_force_collision,
     bsc_hmm,
     collision_system,
@@ -16,6 +18,7 @@ from renyirates import (
     finite_length_entropy,
     identity_observation,
     load_model,
+    log_weighted_power_sum,
     markov_finite_length,
     markov_rate,
     growth_rate,
@@ -23,7 +26,7 @@ from renyirates import (
     validate_chain,
     validate_hmm,
 )
-from renyirates import entropy, tensor
+from renyirates import entropy, nonneg, tensor
 from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
@@ -214,7 +217,7 @@ class TestMarkovFiniteLength:
         def refuse(*args, **kwargs):
             raise AssertionError("built the Hadamard power for an invalid length")
 
-        monkeypatch.setattr(entropy, "hadamard_power", refuse)
+        monkeypatch.setattr(entropy, "_hadamard_system", refuse)
         with pytest.raises(ValueError, match="length"):
             markov_finite_length(example_chain, 2.0, 0)
 
@@ -243,6 +246,75 @@ class TestMarkovFiniteLength:
         assert markov_finite_length(chain, alpha, n).value_bits == pytest.approx(
             expected, rel=1e-12
         )
+
+
+def _csr_route(chain, alpha):
+    """P^(o alpha) as a CSR matrix powered on its stored entries, and pi0^alpha."""
+    c = sparse.csr_array(chain.transition)
+    c.eliminate_zeros()
+    c.data = c.data**alpha
+    c.eliminate_zeros()
+    c.sort_indices()
+    return NonnegMatrix(c), chain.initial**alpha
+
+
+def _sparse_chain(rng, m, per_row):
+    p = np.zeros((m, m))
+    for i in range(m):
+        p[i, rng.choice(m, size=per_row, replace=False)] = rng.random(per_row)
+    return validate_chain(p / p.sum(axis=1, keepdims=True), rng.dirichlet(np.ones(m)))
+
+
+def _chain_with_exact_zeros(rng, m):
+    p = rng.random((m, m))
+    p[rng.random((m, m)) < 0.4] = 0.0
+    p[np.arange(m), np.arange(m)] += 0.5
+    return validate_chain(p / p.sum(axis=1, keepdims=True), rng.dirichlet(np.ones(m)))
+
+
+HADAMARD_CHAINS = {
+    "dense": lambda rng: random_chain(rng, 120),
+    "sparse": lambda rng: _sparse_chain(rng, 150, 6),
+    "exact-zeros": lambda rng: _chain_with_exact_zeros(rng, 60),
+    "example": lambda rng: validate_chain(
+        [[0.9, 0.1, 0.0], [0.0, 0.4, 0.6], [0.0, 0.6, 0.4]], [0.5, 0.5, 0.0]
+    ),
+}
+
+
+class TestHadamardRoute:
+    """A chain's P^(o alpha) as a dense array gives the floats of the CSR route it replaced."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 2, 2.5, 3, 300])
+    @pytest.mark.parametrize("kind", sorted(HADAMARD_CHAINS))
+    def test_bit_identical_to_the_csr_route(self, kind, alpha):
+        chain = HADAMARD_CHAINS[kind](np.random.default_rng(len(kind)))
+        a, u = _csr_route(chain, alpha)
+        if a.nnz < np.count_nonzero(chain.transition):  # an entry underflows to 0
+            assert kind != "example"  # its least entry, 0.1^300, is still a normal float
+            with pytest.raises(InvalidOrder, match="underflows"):
+                markov_rate(chain, alpha)
+            with pytest.raises(InvalidOrder, match="underflows"):
+                markov_finite_length(chain, alpha, 5)
+            return
+        for n in (1, 2, 300, 10**5):
+            got = markov_finite_length(chain, alpha, n).log2_collision
+            assert got.hex() == (log_weighted_power_sum(a, u, n - 1) / math.log(2.0)).hex()
+        ga = growth_rate(a, u)
+        rep = markov_rate(chain, alpha)
+        assert rep.rho_plus.hex() == ga.rho_plus.hex()
+        assert [r.hex() for r in rep.component_radii] == [r.hex() for r in ga.component_radii]
+
+    def test_dense_chain_finite_length_builds_no_csr(self, monkeypatch):
+        chain = random_chain(np.random.default_rng(9), 100)
+        expected = [markov_finite_length(chain, 1.5, n) for n in (9, 10**4, 10**6)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a CSR matrix for a dense chain's finite length")
+
+        monkeypatch.setattr(nonneg.sparse, "csr_array", refuse)
+        monkeypatch.setattr(NonnegMatrix, "from_dense", classmethod(refuse))
+        assert [markov_finite_length(chain, 1.5, n) for n in (9, 10**4, 10**6)] == expected
 
 
 class TestNoiselessRate:

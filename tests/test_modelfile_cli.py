@@ -377,7 +377,7 @@ class TestCmdOracle:
         code, _, err = run_cli(
             capsys, "oracle", FIXTURES / "fig2.model", "--order", "2", "--length", "40"
         )
-        assert code == 2
+        assert code == 3
         assert "cap" in err
 
 
@@ -494,7 +494,7 @@ class TestCliContract:
             "entropy", FIXTURES / "fig2.model",
             "--order", "2", "--length", "2", "--max-dim", "3",
         )
-        assert code == 2
+        assert code == 3
 
     def test_build_budget_exit_code(self, capsys, tmp_path):
         # 16 states and 4 symbols pass --max-dim at order 3; with no way
@@ -509,26 +509,26 @@ class TestCliContract:
         path = tmp_path / "reducible.model"
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "components", path, "--order", "3")
-        assert code == 2
+        assert code == 3
         assert "budget" in err
         # dense 12 states and 1 symbol at order 5: A is irreducible, and the
         # lumped build would enumerate 1.09e9 successor entries
         path = tmp_path / "dense12.model"
         path.write_text(json.dumps(serialize_model(random_hmm(np.random.default_rng(0), 12, 1))))
         code, _, err = run_cli(capsys, "rate", path, "--order", "5")
-        assert code == 2
+        assert code == 3
         assert "budget" in err and "lumped system" in err
 
     @pytest.mark.parametrize("order", ["65", "1e6", "1e12"])
     @pytest.mark.parametrize("fixture", ["unit", "iid-uniform-2", "fig2"])
-    def test_orders_past_64_exit_2_at_once(self, capsys, fixture, order):
+    def test_orders_past_64_exit_3_at_once(self, capsys, fixture, order):
         for command, extra in [("rate", []), ("components", []), ("entropy", ["--length", "3"])]:
             start = time.perf_counter()
             code, doc, err = run_cli(
                 capsys, command, FIXTURES / f"{fixture}.model", "--order", order, *extra
             )
             assert time.perf_counter() - start < 1.0
-            assert code == 2
+            assert code == 3
             assert doc is None
             assert "exceeds 64" in err
 

@@ -17,13 +17,13 @@ from scipy import sparse
 import renyirates.cli
 import renyirates.entropy
 from renyirates import (
+    MarkovChain,
     NonnegMatrix,
     collision_system,
     deterministic_observation,
     entropy_rate,
     finite_length_entropy,
     growth_rate,
-    hadamard_power,
     load_model,
     log_weighted_power_sum,
     parse_model,
@@ -157,7 +157,10 @@ def test_collision_rows_substochastic(seed):
 def test_hadamard_power_matches_scalar_powering(seed, alpha):
     rng = np.random.default_rng(seed)
     a = random_nonneg_matrix(rng, 4, zero_prob=0.4)
-    h = hadamard_power(NonnegMatrix.from_dense(a), alpha).to_dense()
+    chain = MarkovChain(("1", "2", "3", "4"), a, np.full(4, 0.25))
+    with pytest.MonkeyPatch.context() as mp:  # the range includes order 1, which rates refuse
+        mp.setattr(renyirates.entropy, "_chain_order", float)
+        h = renyirates.entropy._hadamard_system(chain, alpha)[1]
     for i in range(4):
         for j in range(4):
             expected = a[i, j] ** alpha if a[i, j] > 0 else 0.0

@@ -481,6 +481,54 @@ class TestInputChecks:
         with pytest.raises(error, match="weight vector"):
             log_weighted_power_sum(a, u, n)
 
+    @pytest.mark.parametrize(
+        "a,error",
+        [
+            pytest.param([[0.5, math.nan], [0.2, 0.3]], NonFiniteEntry, id="nan"),
+            pytest.param([[0.5, math.inf], [0.2, 0.3]], NonFiniteEntry, id="inf"),
+            pytest.param([[0.5, -0.1], [0.2, 0.3]], NegativeEntry, id="negative"),
+            pytest.param([[0.5, 0.5, 0.1], [0.2, 0.3, 0.1]], DimensionMismatch, id="non-square"),
+            pytest.param([0.5, 0.5], DimensionMismatch, id="one-dimensional"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_power_sum_rejects_bad_arrays(self, a, error, n):
+        with pytest.raises(error):
+            log_weighted_power_sum(np.array(a), np.full(2, 0.5), n)
+
+
+class TestFromDense:
+    """NonnegMatrix.from_dense gives the CSR arrays scipy gives, zeros dropped."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(np.zeros((0, 0)), id="empty"),
+            pytest.param(np.zeros((3, 3)), id="zeros"),
+            pytest.param(np.array([[0.0, 1.5], [-0.0, 2.0]]), id="negative-zero"),
+            pytest.param(np.array([[4.0]]), id="one"),
+            pytest.param(random_nonneg_matrix(np.random.default_rng(1), 64, 0.0), id="dense"),
+            pytest.param(random_nonneg_matrix(np.random.default_rng(2), 97, 0.95), id="sparse"),
+            pytest.param(
+                np.asfortranarray(random_nonneg_matrix(np.random.default_rng(3), 9)), id="fortran"
+            ),
+            pytest.param([[1, 0], [2, 3]], id="integer-list"),
+        ],
+    )
+    def test_same_arrays_as_scipy(self, a):
+        expected = sparse.csr_array(np.asarray(a, dtype=float))
+        expected.eliminate_zeros()
+        got = NonnegMatrix.from_dense(a).csr
+        assert got.shape == expected.shape and got.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got, name), getattr(expected, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 2), (3, 0), (4,), (1, 1, 1)])
+    def test_refuses_non_square(self, shape):
+        with pytest.raises(DimensionMismatch):
+            NonnegMatrix.from_dense(np.ones(shape))
+
 
 class TestGrowthRate:
     def test_example_dominant_component(self):
@@ -848,6 +896,36 @@ class TestPowerSumCostRule:
         value = log_weighted_power_sum(a, u, n)
         assert calls == ["_log_power_sum_stepwise"] and vecmat == [0]
         assert value == pytest.approx(spectral._log_power_sum_squaring(a.to_dense(), u, n), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m,per_row,n,paths",
+        [
+            (300, None, 10**4, ["_log_power_sum_stepwise"]),
+            (100, None, 10**6, ["_log_power_sum_squaring"]),
+            (600, 12, 22000, ["_log_power_sum_stepwise"]),
+            (50, 12, 10**6, ["_log_power_sum_squaring"]),
+            ("lazy", None, 10**6, ["_log_power_sum_stepwise", "_log_power_sum_squaring"]),
+        ],
+    )
+    def test_array_gives_the_float_of_its_csr_form(self, monkeypatch, m, per_row, n, paths):
+        # on both sides of the rule, and on both sides of the dense/CSR step
+        # rule, an array takes the path and the float of NonnegMatrix.from_dense
+        # of it, C- or Fortran-ordered
+        rng = np.random.default_rng(17)
+        if m == "lazy":  # the trial meets no repeat and hands over to squaring
+            m = 200
+            p = 0.99 * np.eye(m) + 0.01 * _chain(rng, m, None).to_dense()
+        else:
+            p = _chain(rng, m, per_row).to_dense()
+        a = p**1.5
+        u = rng.dirichlet(np.ones(m))
+        calls = _spy_paths(monkeypatch)
+        expected = log_weighted_power_sum(NonnegMatrix.from_dense(a), u, n)
+        assert calls == paths
+        for b in (a, np.asfortranarray(a)):
+            calls.clear()
+            assert log_weighted_power_sum(b, u, n).hex() == expected.hex()
+            assert calls == paths
 
     def test_numpy_integer_exponent(self):
         expected = log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, 1000)
