@@ -23,7 +23,7 @@ from .model import (
 )
 from .modelfile import load_model, parse_model, serialize_model
 from .nonneg import NonnegMatrix
-from .oracle import brute_force_collision, brute_force_entropy, sequence_probability
+from .oracle import brute_force_collision, brute_force_entropy
 from .spectral import (
     GrowthAnalysis,
     characteristic_polynomial,

@@ -33,10 +33,6 @@ class NoConvergence(RenyiError):
     """Power iteration did not reach the target tolerance in the budget."""
 
 
-class UnknownSymbol(RenyiError):
-    """An observation symbol is not part of the model's alphabet."""
-
-
 class InvalidNoise(RenyiError):
     """Crossover probability outside [0, 1/2]."""
 

@@ -22,7 +22,6 @@ from .errors import (
     NegativeEntry,
     NonFiniteEntry,
     NonStochasticRow,
-    UnknownSymbol,
     WrongAlphabet,
 )
 
@@ -113,12 +112,6 @@ class HiddenMarkovModel:
     @property
     def n_symbols(self) -> int:
         return len(self.observations)
-
-    def symbol_index(self, label: str) -> int:
-        try:
-            return self.observations.index(label)
-        except ValueError:
-            raise UnknownSymbol(f"unknown observation symbol {label!r}") from None
 
 
 def validate_chain(

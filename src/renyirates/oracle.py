@@ -9,7 +9,6 @@ The main pipeline is validated against this module, never the reverse.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -17,19 +16,6 @@ from .errors import DimensionOverflow
 from .model import HiddenMarkovModel, _hmm_order
 
 MAX_SEQUENCES = 10**7
-
-
-def sequence_probability(hmm: HiddenMarkovModel, symbols: Sequence[str]) -> float:
-    """Exact marginal p(z_1 ... z_n) by the forward recursion."""
-    if len(symbols) == 0:
-        return 1.0
-    p = hmm.chain.transition
-    e = hmm.emission
-    zs = [hmm.symbol_index(s) for s in symbols]
-    w = hmm.chain.initial * e[:, zs[0]]
-    for z in zs[1:]:
-        w = (w @ p) * e[:, z]
-    return float(w.sum())
 
 
 def all_sequence_probabilities(hmm: HiddenMarkovModel, n: int) -> np.ndarray:

@@ -4,11 +4,14 @@ The rate of u^T A^n 1 equals the largest spectral radius among the
 components reachable from the support of u.  Radii are computed by power
 iteration on A + I: the shift makes every irreducible non-negative block
 primitive, so the Collatz-Wielandt bounds close geometrically even for
-periodic components.  A sparse block (at most a quarter of its entries
-stored) is iterated in CSR form, densified only for the hand-over
-below; a denser block is iterated as a C-ordered dense copy, which then
-needs at most four times the memory of its CSR form, and whose radius
-does not depend on the caller's memory order.
+periodic components.
+
+One rule (`_operand`) picks the form every radius and power sum runs
+on: a C-ordered dense array when more than a quarter of the entries are
+stored (at most four times the memory of CSR), and CSR otherwise, so no
+result depends on the caller's form or memory order.  A CSR matrix is
+densified by choice only for the Noda hand-over and for squaring below,
+and only up to 3300 nodes (about 87 MB dense).
 
 Power iteration needs about 1/gap steps, so it stalls on nearly
 decoupled blocks (sticky regimes, small-noise channels).  A block whose
@@ -23,12 +26,10 @@ up to 128 nodes; sticky 2-state chains after 64 steps).  So a block that
 power iteration closes keeps its float, and Noda's budget is still
 max_iter - max(1000, m) solves.  Nothing hands over early where no Noda
 step would follow: tol = 0, a budget of max(1000, m) steps or fewer, or
-a sparse block past 3300 nodes.  A sparse block is densified for the
-hand-over only, and only up to 3300 nodes (about 87 MB dense); a larger
-one keeps power iteration for the whole budget and can still raise
-NoConvergence when it is near-degenerate (a sparse LU would densify it
-through fill-in).  A radius is the midpoint of a closed bracket, never
-of an open one.
+a sparse block past 3300 nodes, which keeps power iteration for the
+whole budget and can still raise NoConvergence when it is
+near-degenerate (a sparse LU would densify it through fill-in).  A
+radius is the midpoint of a closed bracket, never of an open one.
 
 `growth_rate` takes all the radii of a call in one pass, and every power
 step runs in one loop, `_power`.  It iterates one block, CSR or dense,
@@ -51,10 +52,8 @@ Finite lengths of an HMM run on K lumped onto multisets of hidden states
 dense array.  A weighted power sum u^T A^n 1 takes renormalised
 steps w <- w^T A, or repeated squaring, as a cost rule fitted on
 measured times prices them (see `log_weighted_power_sum`).  A step is a
-dense gemv when the matrix is dense enough and at most 3300 nodes, the
-split radius blocks use, and a CSR product otherwise; `_stepper` is the
-one place that chooses.  A dense enough array is stepped and squared as
-it is, with no copy, and a sparse one becomes CSR once.  Steps stop at the
+gemv on the dense form, a C-ordered array stepped and squared as it is,
+and a CSR product on the CSR form.  Steps stop at the
 first exact repeat of the normalised iterate, and the cycle adds the
 steps left in O(period).  Where squaring is cheaper than all n steps, a
 trial of as many steps as squaring would cost runs first when that is at
@@ -100,7 +99,7 @@ _MIN_TRIAL = 128
 # most this many, so it finds cycles of up to this period and keeps at most
 # this many logs.
 _CYCLE_WINDOW = 2**16
-# The largest dimension densified by choice, for squaring or for a sparse
+# The largest CSR matrix densified by choice, for squaring or for a sparse
 # block's Noda hand-over: a dense 3300 x 3300 array takes about 87 MB.
 _DENSE_MAX_DIM = 3300
 
@@ -117,8 +116,9 @@ _WINDOW = 32
 # block over early, and runs on blocks of at most _LOOKAHEAD_MAX_DIM nodes.
 _STALL_MARGIN = 100.0
 _LOOKAHEAD_MAX_DIM = 128
-# Dense blocks of one size iterate in stacks of at most this many bytes.
-_STACK_BYTES = 2**23
+# Dense blocks of one size iterate in stacks of at most this many bytes;
+# with the blocks held until their stack is full, twice this at most.
+_STACK_BYTES = 2**22
 _EPS = float(np.finfo(float).eps)
 
 
@@ -148,23 +148,22 @@ def spectral_radius_irreducible(
 
     Power iteration on the shifted matrix B = A + I, stopping when the
     Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
-    is narrower than tol.  B is a CSR array when A is a NonnegMatrix with
-    nnz <= m^2 // 4, and a dense array otherwise.  A block whose bracket
-    is still open after max(1000, m) steps continues with Noda's inverse
-    iteration for the rest of the max_iter budget, a CSR block densified
-    first; a CSR block of more than 3300 nodes stays with power iteration
-    instead.  A block of up to 128 nodes whose bracket a look-ahead shows
-    still open at the end of those steps hands over as soon as it is seen
-    (see the module docstring), with the same Noda budget; no block does
-    when tol = 0 or max_iter <= max(1000, m).  Returns the midpoint of a
-    closed bracket or raises NoConvergence, whose message gives the power
-    steps that ran.  A 1x1 block is its entry.  The block runs alone
-    through the power loop that `growth_rate` runs on all its blocks at
-    once.
+    is narrower than tol.  A, a NonnegMatrix or an array, must be square,
+    finite and non-negative; B is dense when more than a quarter of A's
+    entries are stored and CSR otherwise, whatever A's form (`_operand`).
+    A block whose bracket is still open after max(1000, m) steps
+    continues with Noda's inverse iteration for the rest of the max_iter
+    budget, a CSR block densified first; a CSR block of more than 3300
+    nodes stays with power iteration instead.  A block of up to 128 nodes
+    whose bracket a look-ahead shows still open at the end of those steps
+    hands over as soon as it is seen (see the module docstring), with the
+    same Noda budget; no block does when tol = 0 or max_iter <=
+    max(1000, m).  Returns the midpoint of a closed bracket or raises
+    NoConvergence, whose message gives the power steps that ran.  A 1x1
+    block is its entry.  The block runs alone through the power loop that
+    `growth_rate` runs on all its blocks at once.
     """
     _check_tol(tol)
-    if not isinstance(a, NonnegMatrix):
-        a = np.asarray(a, dtype=float)
     return _perron_radii([a], tol, max_iter)[0]
 
 
@@ -173,44 +172,65 @@ def _perron_radii(
 ) -> list[float]:
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
-    A 1x1 block is its entry.  Every larger block is shifted by I and
-    iterated by `_power`: a CSR block alone, dense blocks of one size as
-    (k, m, m) stacks of at most 8 MB, and a dense block with no other of
-    its size alone, each as a C-ordered copy.  Each radius is the float its
-    block gives alone.  Blocks still open after their power steps, or
-    stalled, finish in list order, so the NoConvergence raised is the
-    first failing block's.
+    Each block is checked and put in the form `_operand` picks.  A 1x1
+    block is its entry.  Every larger block is shifted by I and iterated
+    by `_power`: a CSR block alone, dense blocks of one size in list
+    order as (k, m, m) stacks of at most 4 MB, each run once full, and a
+    dense block with no other of its size alone.  Each radius is the
+    float its block gives alone.  Blocks still open after their power
+    steps, or stalled, finish in list order, so the NoConvergence raised
+    is the first failing block's.
     """
     # per block: its radius, or (B, v, lo, hi, steps run) once its power
     # steps are spent or it stalls, with the bracket still open
     states: list = [None] * len(blocks)
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+
+    def run(members: list[tuple[int, np.ndarray]]) -> None:
+        rows, forms = zip(*members)
+        if len(rows) > 1:
+            b = np.stack(forms)
+        else:  # shifted in place below, so never the caller's own array
+            b = forms[0].copy() if forms[0] is blocks[rows[0]] else forms[0]
+        m = b.shape[-1]
+        b[..., np.arange(m), np.arange(m)] += 1.0
+        _power(b, list(rows), states, max_iter, tol)
+        members.clear()
+
     for i, a in enumerate(blocks):
-        m = a.dim if isinstance(a, NonnegMatrix) else a.shape[0]
-        if isinstance(a, NonnegMatrix) and m > 1 and a.nnz <= m * m // 4:
-            _power(a.csr + sparse.eye_array(m, format="csr"), [i], states, max_iter, tol)
-        elif m <= 1:
-            states[i] = float(_dense(a)[0, 0]) if m else 0.0
+        b = _operand(a)
+        m = b.dim if isinstance(b, NonnegMatrix) else len(b)
+        if m <= 1:  # a 1x1 NonnegMatrix stores no entry
+            states[i] = float(b[0, 0]) if isinstance(b, np.ndarray) else 0.0
+        elif isinstance(b, NonnegMatrix):
+            _power(b.csr + sparse.eye_array(m, format="csr"), [i], states, max_iter, tol)
         else:
-            groups.setdefault(m, []).append(i)
-    for m, members in groups.items():
-        per_stack = max(1, _STACK_BYTES // (8 * m * m))
-        for first in range(0, len(members), per_stack):
-            rows = members[first : first + per_stack]
-            if len(rows) == 1:
-                b = _dense(blocks[rows[0]])
-            else:
-                b = np.empty((len(rows), m, m))
-                for j, i in enumerate(rows):
-                    b[j] = _dense(blocks[i])
-            b[..., np.arange(m), np.arange(m)] += 1.0
-            _power(b, rows, states, max_iter, tol)
+            groups.setdefault(m, []).append((i, b))
+            if len(groups[m]) == max(1, _STACK_BYTES // (8 * m * m)):
+                run(groups[m])
+    for members in groups.values():
+        if members:
+            run(members)
     return [_finish(state, tol, max_iter) for state in states]
 
 
-def _dense(a: NonnegMatrix | np.ndarray) -> np.ndarray:
-    """A private C-ordered dense copy of a block, so its radius does not depend on memory order."""
-    return a.to_dense() if isinstance(a, NonnegMatrix) else np.array(a, order="C")
+def _operand(a: NonnegMatrix | np.ndarray) -> NonnegMatrix | np.ndarray:
+    """The checked matrix A in the form every radius and power sum runs on.
+
+    The one rule: a C-ordered dense array when more than a quarter of
+    A's entries are stored, else a NonnegMatrix.  An array must be square,
+    finite and non-negative, and a C-ordered one dense enough comes back
+    as it is, so callers must not write it.
+    """
+    if isinstance(a, NonnegMatrix):
+        d, stored = a.dim, a.nnz
+    else:
+        a = _square(a)
+        _check_entries(a, "non-negative matrix")
+        d, stored = a.shape[0], np.count_nonzero(a)
+    if stored <= d * d // 4:
+        return a if isinstance(a, NonnegMatrix) else NonnegMatrix.from_dense(a)
+    return a.to_dense() if isinstance(a, NonnegMatrix) else np.ascontiguousarray(a)
 
 
 def _power_steps(b, max_iter: int) -> int:
@@ -521,22 +541,22 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     """Natural log of u^T A^n 1, stabilized; -inf when the sum is exactly 0.
 
     A is a NonnegMatrix or a dense array, which must be square, finite and
-    non-negative; `_stepper` steps on a dense enough array as it is and
-    turns a sparse one into CSR once, so the float does not depend on
-    which form A comes in.
+    non-negative.  Steps and squaring run on the form `_operand` picks, a
+    C-ordered dense array (used as it is) when more than a quarter of A's
+    entries are stored and CSR otherwise, so the float does not depend on
+    A's form.
 
     Two paths, priced by a cost rule fitted on measured times (one BLAS
     thread, 2-core x86).  Repeated squaring with per-step rescaling
     (products of non-negative matrices involve no cancellation) costs
     about d^3 log2 n and keeps n = 10^6 cheap.  A renormalised step
-    w <- w^T A (`_stepper`) costs about 22 (nnz + 8000) as a CSR product,
-    or 6 d^2 + 22 * 8000 as a dense gemv, which runs when more than a
-    quarter of A's entries are stored and d <= 3300, as for radius
-    blocks (at d = 512 a gemv took 58-68 us and a CSR product 210-240
-    us); 22 * 8000 is the interpreter's share of one step.  The budget
-    is the squaring cost d^3 * n.bit_length() over the cost of one step;
-    past 3300 nodes, where squaring's three dense d x d arrays would
-    take more than 260 MB, it is n.
+    w <- w^T A costs about 22 (nnz + 8000) as a CSR product
+    (`NonnegMatrix.vecmat`), or 6 d^2 + 22 * 8000 as a gemv on the dense
+    form (at d = 512 a gemv took 58-68 us and a CSR product 210-240 us);
+    22 * 8000 is the interpreter's share of one step.  The budget is the
+    squaring cost d^3 * n.bit_length() over the cost of one step; past
+    3300 nodes, where squaring's three dense d x d arrays would take more
+    than 260 MB, it is n.
 
     A budget of at least n steps runs all of them.  Otherwise, when the
     budget is at least 128 steps, a stepwise trial of at most that many
@@ -559,12 +579,9 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     cycle's multiple is formed exactly, so a stepwise result lies within
     4 ulps of the exact sum of the n per-step logs however large n is.
     """
-    if isinstance(a, NonnegMatrix):
-        d = a.dim
-    else:
-        a = _square(a)
-        _check_entries(a, "non-negative matrix")
-        d = a.shape[0]
+    b = _operand(a)
+    dense = isinstance(b, np.ndarray)
+    d = len(b) if dense else b.dim
     u = _checked_weights(u, d)
     if n < 0:
         raise ValueError("exponent must be non-negative")
@@ -572,40 +589,17 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     if n == 0 or s == 0:
         return math.log(s) if s > 0 else -math.inf
     n = operator.index(n)
-    b, step = _stepper(a)
-    dense = isinstance(b, np.ndarray)
     if d > _DENSE_MAX_DIM:
         budget = n
     else:
         entries = _DENSE_STEP_COST * d * d if dense else _STEP_COST * b.nnz
         budget = d**3 * n.bit_length() // (entries + _STEP_COST * _STEP_OVERHEAD)
     if budget >= n or budget >= _MIN_TRIAL:
+        step = (lambda w: w @ b) if dense else b.vecmat
         value = _log_power_sum_stepwise(step, u, n, min(n, budget))
         if value is not None:
             return value
     return _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
-
-
-def _stepper(
-    a: NonnegMatrix | np.ndarray,
-) -> tuple[np.ndarray | NonnegMatrix, Callable[[np.ndarray], np.ndarray]]:
-    """The form of A that steps run on, and the step w -> w^T A.
-
-    The one rule that chooses it: a step is a dense gemv on a C-ordered
-    array when more than a quarter of A's entries are stored and
-    d <= 3300, as for radius blocks, and a CSR product
-    (`NonnegMatrix.vecmat`) otherwise.  A dense array is used as it is
-    (copied only when not C-ordered) and a sparse one becomes CSR once; a
-    NonnegMatrix is densified when dense enough.
-    """
-    csr = isinstance(a, NonnegMatrix)
-    d = a.dim if csr else a.shape[0]
-    if d <= _DENSE_MAX_DIM and (a.nnz if csr else np.count_nonzero(a)) > d * d // 4:
-        b = a.to_dense() if csr else np.ascontiguousarray(a)
-        return b, lambda w: w @ b
-    if not csr:
-        a = NonnegMatrix.from_dense(a)
-    return a, a.vecmat
 
 
 def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
@@ -701,14 +695,16 @@ def characteristic_polynomial(a: NonnegMatrix | np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients, highest degree first.
 
     Faddeev-LeVerrier recurrence: M_k = A (M_{k-1} + c_{k-1} I),
-    c_k = -tr(M_k) / k.  Refused with DimensionOverflow past 64 nodes.
+    c_k = -tr(M_k) / k.  A must be square, finite and non-negative, and is
+    refused with DimensionOverflow past 64 nodes.
     """
-    dense = a.to_dense() if isinstance(a, NonnegMatrix) else np.asarray(a, dtype=float)
-    m = dense.shape[0]
+    b = _operand(a)
+    m = len(b) if isinstance(b, np.ndarray) else b.dim
     if m > CHARPOLY_MAX_DIM:
         raise DimensionOverflow(
             f"characteristic polynomial capped at dimension {CHARPOLY_MAX_DIM}, got {m}"
         )
+    dense = b if isinstance(b, np.ndarray) else b.to_dense()
     coeffs = np.zeros(m + 1)
     coeffs[0] = 1.0
     mat = np.zeros_like(dense)

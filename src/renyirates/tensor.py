@@ -238,6 +238,20 @@ def _successors(
     return rows, successors, values
 
 
+def _columns(p: sparse.csr_array, states: np.ndarray) -> sparse.csr_array:
+    """p's columns `states` (ascending), numbered from 0: scipy's p[:, states].
+
+    Built from p's CSR arrays: p.indices masked to `states` and renumbered,
+    and each row's kept entries counted, so the rows keep p's order.
+    """
+    local = np.full(p.shape[1], -1, dtype=p.indices.dtype)
+    local[states] = np.arange(states.size)
+    cols = local[p.indices]
+    kept = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[p.indptr].astype(p.indptr.dtype)
+    return sparse.csr_array((p.data[kept], cols[kept], indptr), shape=(p.shape[0], states.size))
+
+
 def _symbol_columns(
     p: sparse.csr_array, digits: np.ndarray, node: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -294,7 +308,9 @@ def collision_system(
     # every node of its tuple into A.  K = B L sums each row's columns
     # over the nodes of a tuple in ascending node order.
     blocks = [
-        _symbol_columns(p[:, s], digits, node, w) for s, node, w in nodes.candidates if s.size
+        _symbol_columns(_columns(p, s), digits, node, w)
+        for s, node, w in nodes.candidates
+        if s.size
     ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
@@ -478,7 +494,7 @@ def lumped_system(
     blocks = []
     for i, s in enumerate(supports):
         states = np.flatnonzero(s)
-        rows, successors, values = _successors(p if single else p[:, states], reps)
+        rows, successors, values = _successors(p if single else _columns(p, states), reps)
         successors.sort(axis=1)  # S ascends, so its digits sort as its states
         cols = index[_rank(successors if single else states[successors], binom)]
         del successors

@@ -20,6 +20,8 @@ checks:
   transposed CSR form, or A's dense array when A is dense) and returns
   each step's log; ``math.fsum`` of them checks the stepwise power sum,
   which may stop early, to a few ulps.
+- ``sequence_probability`` runs the forward recursion over one output
+  string; it checks the marginals the brute-force oracle enumerates.
 - ``power_iteration_radius`` runs plain power iteration on one shifted
   block, with no stall exit and no hand-over; it checks, float for
   float, every radius the package closes by power iteration, whether
@@ -142,11 +144,11 @@ def stepwise_logs(a: NonnegMatrix, u: np.ndarray, n: int) -> list[float] | None:
     """The n logs log(sum(w)) of renormalised products w <- w^T A from u; None if one sums to 0.
 
     A dense step, w times A's dense array, runs when more than a quarter
-    of A's entries are stored and A has at most 3300 nodes; otherwise A's
+    of A's entries are stored, whatever A's size; otherwise A's
     transposed CSR form times w.  These are the package's products, so
     each log is the float the package's step gives.
     """
-    dense = a.dim <= 3300 and a.nnz > a.dim**2 // 4
+    dense = a.nnz > a.dim**2 // 4
     b = a.to_dense() if dense else a.csr.T.tocsr()
     w = np.asarray(u, dtype=float).copy()
     logs = []
@@ -158,6 +160,18 @@ def stepwise_logs(a: NonnegMatrix, u: np.ndarray, n: int) -> list[float] | None:
         w /= s
         logs.append(math.log(s))
     return logs
+
+
+def sequence_probability(hmm: HiddenMarkovModel, symbols: Sequence[str]) -> float:
+    """Exact marginal p(z_1 ... z_n) by the forward recursion."""
+    if len(symbols) == 0:
+        return 1.0
+    p, e = hmm.chain.transition, hmm.emission
+    zs = [hmm.observations.index(s) for s in symbols]
+    w = hmm.chain.initial * e[:, zs[0]]
+    for z in zs[1:]:
+        w = (w @ p) * e[:, z]
+    return float(w.sum())
 
 
 def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:

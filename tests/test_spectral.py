@@ -454,6 +454,18 @@ BAD_WEIGHTS = [
     pytest.param([-1.0, 1.0], NegativeEntry, id="negative"),
 ]
 
+BAD_ARRAYS = [
+    pytest.param([[0.5, math.nan], [0.2, 0.3]], NonFiniteEntry, id="nan"),
+    pytest.param([[0.5, math.inf], [0.2, 0.3]], NonFiniteEntry, id="inf"),
+    pytest.param([[0.5, -0.1], [0.2, 0.3]], NegativeEntry, id="negative"),
+    pytest.param([[0.5, 0.5, 0.1], [0.2, 0.3, 0.1]], DimensionMismatch, id="non-square"),
+    pytest.param([0.5, 0.5], DimensionMismatch, id="one-dimensional"),
+    pytest.param([[math.nan]], NonFiniteEntry, id="nan-1x1"),
+    pytest.param([[-math.inf, 0.1], [0.2, 0.3]], NonFiniteEntry, id="minus-inf"),
+    pytest.param([[-2.0]], NegativeEntry, id="negative-1x1"),
+    pytest.param([[0.5, -0.6], [0.2, 0.3]], NegativeEntry, id="negative-below-diagonal"),
+]
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -481,20 +493,23 @@ class TestInputChecks:
         with pytest.raises(error, match="weight vector"):
             log_weighted_power_sum(a, u, n)
 
-    @pytest.mark.parametrize(
-        "a,error",
-        [
-            pytest.param([[0.5, math.nan], [0.2, 0.3]], NonFiniteEntry, id="nan"),
-            pytest.param([[0.5, math.inf], [0.2, 0.3]], NonFiniteEntry, id="inf"),
-            pytest.param([[0.5, -0.1], [0.2, 0.3]], NegativeEntry, id="negative"),
-            pytest.param([[0.5, 0.5, 0.1], [0.2, 0.3, 0.1]], DimensionMismatch, id="non-square"),
-            pytest.param([0.5, 0.5], DimensionMismatch, id="one-dimensional"),
-        ],
-    )
+    @pytest.mark.parametrize("a,error", BAD_ARRAYS)
     @pytest.mark.parametrize("n", [0, 3])
     def test_power_sum_rejects_bad_arrays(self, a, error, n):
         with pytest.raises(error):
             log_weighted_power_sum(np.array(a), np.full(2, 0.5), n)
+
+    @pytest.mark.parametrize("a,error", BAD_ARRAYS)
+    def test_radius_rejects_bad_arrays(self, a, error):
+        # these once gave nan, -2.0 as a Perron root, a math domain error
+        # or a numpy broadcast error
+        with pytest.raises(error):
+            spectral_radius_irreducible(np.array(a))
+
+    @pytest.mark.parametrize("a,error", BAD_ARRAYS)
+    def test_characteristic_polynomial_rejects_bad_arrays(self, a, error):
+        with pytest.raises(error):
+            characteristic_polynomial(np.array(a))
 
 
 class TestFromDense:
@@ -675,7 +690,7 @@ class TestStepwisePowerSum:
         m = 552
         a = NonnegMatrix.from_dense(random_nonneg_matrix(rng, m, zero_prob=0.98))
         u = random_nonneg_vector(rng, m)
-        stepwise = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, 300, 300)
+        stepwise = spectral._log_power_sum_stepwise(_step(a), u, 300, 300)
         squaring = spectral._log_power_sum_squaring(a.to_dense(), u, 300)
         assert stepwise == pytest.approx(squaring, rel=1e-12)
 
@@ -698,7 +713,7 @@ class TestStepwisePowerSum:
         a, u = _power_sum_system(rng, kind, m)
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_steps(mp)
-            value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+            value = spectral._log_power_sum_stepwise(_step(a), u, n, n)
         _assert_within_4_ulps(value, stepwise_logs(a, u, n))
         if kind == "nilpotent":
             first_zero = next(k for k in range(m + 1) if stepwise_logs(a, u, k) is None)
@@ -715,7 +730,7 @@ class TestStepwisePowerSum:
         calls = _count_steps(monkeypatch)
         for n in range(10**4, 10**4 + m):
             calls[0] = 0
-            value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+            value = spectral._log_power_sum_stepwise(_step(a), u, n, n)
             _assert_within_4_ulps(value, stepwise_logs(a, u, n))
             assert calls[0] < 100
 
@@ -728,7 +743,7 @@ class TestStepwisePowerSum:
         for k in (50, 300):
             u = np.array([c**-k])
             for n in range(k - 2, k + 3):
-                value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+                value = spectral._log_power_sum_stepwise(_step(a), u, n, n)
                 _assert_within_4_ulps(value, stepwise_logs(a, u, n))
 
     @pytest.mark.parametrize("c,expected", [(0.5, -math.inf), (2.0, math.inf)])
@@ -736,7 +751,7 @@ class TestStepwisePowerSum:
         # (q + 1) P overflows a float, as the log of the sum does
         a = NonnegMatrix.from_dense([[c]])
         n = 10**400
-        assert spectral._log_power_sum_stepwise(spectral._stepper(a)[1], np.ones(1), n, n) == expected
+        assert spectral._log_power_sum_stepwise(_step(a), np.ones(1), n, n) == expected
 
     def test_benchmark_chain(self, monkeypatch):
         # shaped like the finite-horizon benchmark's 800-node chain, at its
@@ -746,7 +761,7 @@ class TestStepwisePowerSum:
         u = rng.dirichlet(np.ones(800))
         n = 18000
         calls = _count_steps(monkeypatch)
-        value = spectral._log_power_sum_stepwise(spectral._stepper(a)[1], u, n, n)
+        value = spectral._log_power_sum_stepwise(_step(a), u, n, n)
         _assert_within_4_ulps(value, stepwise_logs(a, u, n))
         assert calls[0] < 2000
 
@@ -758,7 +773,7 @@ class TestStepwisePowerSum:
         u = rng.random(50)
         n = 10**9
         calls = _count_steps(monkeypatch)
-        step = spectral._stepper(a)[1]
+        step = _step(a)
         tracemalloc.start()
         try:
             value = spectral._log_power_sum_stepwise(step, u, n, n)
@@ -799,21 +814,25 @@ def _power_sum_system(rng, kind, m):
     return NonnegMatrix.from_dense(a), u
 
 
+def _step(a):
+    """The step w -> w^T A that log_weighted_power_sum runs on A's form."""
+    b = spectral._operand(a)
+    return b.vecmat if isinstance(b, NonnegMatrix) else lambda w: w @ b
+
+
 def _count_steps(monkeypatch):
-    """A one-entry list that counts the calls of every step `spectral._stepper` hands out from here on."""
+    """A one-entry list that counts the steps of every stepwise power sum from here on."""
     calls = [0]
-    stepper = spectral._stepper
+    inner = spectral._log_power_sum_stepwise
 
-    def counted(a):
-        dense, inner = stepper(a)
-
-        def step(w):
+    def counted(step, *args):
+        def counting(w):
             calls[0] += 1
-            return inner(w)
+            return step(w)
 
-        return dense, step
+        return inner(counting, *args)
 
-    monkeypatch.setattr(spectral, "_stepper", counted)
+    monkeypatch.setattr(spectral, "_log_power_sum_stepwise", counted)
     return calls
 
 
@@ -930,6 +949,42 @@ class TestPowerSumCostRule:
     def test_numpy_integer_exponent(self):
         expected = log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, 1000)
         assert log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, np.int64(1000)) == expected
+
+
+def _with_stored(rng, d, stored):
+    """A d x d irreducible array with exactly `stored` positive entries: a d-cycle and more."""
+    pattern = np.zeros(d * d, dtype=bool)
+    i = np.arange(d)
+    pattern[i * d + (i + 1) % d] = True
+    pattern[rng.choice(np.flatnonzero(~pattern), stored - d, replace=False)] = True
+    return np.where(pattern.reshape(d, d), rng.uniform(0.1, 1.0, (d, d)), 0.0)
+
+
+class TestOneFormRule:
+    """Radii and power sums run on one form, dense past a quarter of the entries stored."""
+
+    @pytest.mark.parametrize("d", [4, 40])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_radius_and_power_sum_pick_the_same_form(self, monkeypatch, d, extra):
+        a = _with_stored(np.random.default_rng(d + extra), d, d * d // 4 + extra)
+        dense = extra == 1
+        power, radius_forms = spectral._power, []
+
+        def spy(b, *rest):
+            radius_forms.append("csr" if sparse.issparse(b) else "dense")
+            return power(b, *rest)
+
+        monkeypatch.setattr(spectral, "_power", spy)
+        # past the size squaring may densify, a power sum steps all n steps
+        monkeypatch.setattr(spectral, "_DENSE_MAX_DIM", 0)
+        steps, vecmat = _count_steps(monkeypatch), _count_vecmat(monkeypatch)
+        radii, sums = [], []
+        for form in (a, NonnegMatrix.from_dense(a)):
+            radii.append(spectral_radius_irreducible(form).hex())
+            sums.append(log_weighted_power_sum(form, np.full(d, 1.0 / d), 300).hex())
+        assert radius_forms == ["dense" if dense else "csr"] * 2
+        assert steps[0] > 0 and vecmat[0] == (0 if dense else steps[0])
+        assert radii[0] == radii[1] and sums[0] == sums[1]
 
 
 class TestEmpiricalGrowthProbe:

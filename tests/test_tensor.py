@@ -334,6 +334,23 @@ class TestSuccessors:
         assert values.tolist() == [v for _, _, v in expected]
 
 
+class TestColumns:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gives_scipys_column_slice(self, seed):
+        # the CSR arrays of P's columns of one emission support, as the
+        # collision and lumped builds slice them
+        rng = np.random.default_rng(seed)
+        nx = int(rng.integers(1, 12))
+        p = sparse.csr_array(random_chain(rng, nx, sparsity=rng.uniform(0.0, 0.8)).transition)
+        p.eliminate_zeros()
+        states = np.flatnonzero(rng.random(nx) < rng.uniform(0.0, 1.0))
+        got, expected = tensor._columns(p, states), p[:, states]
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def _three_cycle_hmm():
     """A 3-cycle chain with one symbol: at alpha = 2, A has 3 components and K~ 2."""
     chain = validate_chain(np.roll(np.eye(3), 1, axis=1), np.full(3, 1.0 / 3.0))
