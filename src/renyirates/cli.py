@@ -29,7 +29,7 @@ from .model import (
     identity_observation,
 )
 from .modelfile import load_model
-from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial
+from .spectral import CHARPOLY_MAX_DIM, DEFAULT_TOL, characteristic_polynomial
 from .tensor import DEFAULT_MAX_DIM, collision_system
 
 REPORT_VERSION = 1
@@ -212,8 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--tolerance",
                 type=float,
-                default=1e-12,
-                help="spectral radius tolerance",
+                default=DEFAULT_TOL,
+                help=(
+                    "relative width of the spectral radius bracket: iteration stops once "
+                    "it is at most this times the radius, or at the rounding of the ratios "
+                    "it is read from (default %(default)g)"
+                ),
             )
         p.set_defaults(func=func)
 

@@ -31,6 +31,7 @@ from .errors import InvalidOrder
 from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import (
+    DEFAULT_TOL,
     GrowthAnalysis,
     growth_rate,
     irreducible_growth,
@@ -126,7 +127,7 @@ def _growth(
     model: MarkovChain | HiddenMarkovModel,
     alpha: float,
     max_dim: int = DEFAULT_MAX_DIM,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | None]:
     """The rate's analysis: checked order, growth analysis, A's labels and A if built.
 
@@ -160,7 +161,7 @@ def entropy_rate(
     hmm: HiddenMarkovModel,
     alpha: int,
     max_dim: int = DEFAULT_MAX_DIM,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
@@ -193,7 +194,7 @@ def _hadamard_system(
 
 
 def markov_rate(
-    chain: MarkovChain, alpha: float, tol: float = 1e-12
+    chain: MarkovChain, alpha: float, tol: float = DEFAULT_TOL
 ) -> EntropyReport:
     """Rate of a fully observed chain, any real order: Hadamard-power route."""
     order, ga, labels, _ = _growth(chain, alpha, tol=tol)

@@ -2,9 +2,17 @@
 
 The rate of u^T A^n 1 equals the largest spectral radius among the
 components reachable from the support of u.  Radii are computed by power
-iteration on A + I: the shift makes every irreducible non-negative block
-primitive, so the Collatz-Wielandt bounds close geometrically even for
-periodic components.
+iteration on A + cI, with c a quarter of the block's largest row sum: any
+c > 0 makes an irreducible non-negative block primitive, so the
+Collatz-Wielandt bounds close geometrically even for periodic components,
+and a c on the scale of the block's own root keeps the contraction
+(|lambda_2| + c) / (rho + c) well below 1 where rho is small.  A bracket
+[lo, hi] of A + cI closes once hi - lo <= tol (hi - c), tol relative to
+A's upper bound (1e-14 by default, enough for the 12 significant digits
+the CLI prints), or once it is no wider than m eps hi, the rounding of
+the m-term ratios it is read from, which is as close as it can get.
+Both widths, the shift and every step scale with A, so the radius of
+2^k A is exactly 2^k times A's.
 
 One rule (`_operand`) picks the form every radius and power sum runs
 on: a C-ordered dense array when more than a quarter of the entries are
@@ -82,7 +90,7 @@ from .components import (
 from .errors import DimensionMismatch, DimensionOverflow, NoConvergence
 from .nonneg import NonnegMatrix, _check_entries, _square
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-14
 MAX_ITERATIONS = 10**5
 CHARPOLY_MAX_DIM = 64
 
@@ -104,16 +112,17 @@ _CYCLE_WINDOW = 2**16
 _DENSE_MAX_DIM = 3300
 
 # Power steps a dense block gets (at least its dimension) before Noda's
-# inverse iteration takes over.  Blocks of the fixtures close within 343
+# inverse iteration takes over.  Blocks of the fixtures close within 77
 # steps and the benchmark's blocks other than its sticky chains within
-# 665, so those radii keep the exact float power iteration gives them.
+# 623, so those radii keep the exact float power iteration gives them.
 # A block whose bracket cannot close within them hands over sooner, at
 # the end of a window of _WINDOW steps (see `_slow` and `_stays_open`);
 # Noda still gets max_iter - max(1000, m) solves either way.
 _POWER_STEPS = 1000
 _WINDOW = 32
-# A look-ahead must find the bracket this many times tol wide to hand a
-# block over early, and runs on blocks of at most _LOOKAHEAD_MAX_DIM nodes.
+# A look-ahead must find the bracket this many times the width it closes
+# at (`_width`) to hand a block over early, and runs on blocks of at most
+# _LOOKAHEAD_MAX_DIM nodes.
 _STALL_MARGIN = 100.0
 _LOOKAHEAD_MAX_DIM = 128
 # Dense blocks of one size iterate in stacks of at most this many bytes;
@@ -146,11 +155,15 @@ def spectral_radius_irreducible(
 ) -> float:
     """Perron root of an irreducible non-negative matrix (or a 1x1 block).
 
-    Power iteration on the shifted matrix B = A + I, stopping when the
-    Collatz-Wielandt bracket min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i
-    is narrower than tol.  A, a NonnegMatrix or an array, must be square,
-    finite and non-negative; B is dense when more than a quarter of A's
-    entries are stored and CSR otherwise, whatever A's form (`_operand`).
+    Power iteration on the shifted matrix B = A + cI, c a quarter of A's
+    largest row sum, stopping when the Collatz-Wielandt bracket
+    lo = min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i = hi is at most
+    tol (hi - c) wide, tol relative to A's upper bound, or at most
+    m eps hi, the rounding of the ratios, if that is wider.  The radius
+    of 2^k A is exactly 2^k times A's.  A, a NonnegMatrix or an array,
+    must be square, finite and non-negative; B is dense when more than a
+    quarter of A's entries are stored and CSR otherwise, whatever A's
+    form (`_operand`).
     A block whose bracket is still open after max(1000, m) steps
     continues with Noda's inverse iteration for the rest of the max_iter
     budget, a CSR block densified first; a CSR block of more than 3300
@@ -173,28 +186,31 @@ def _perron_radii(
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
     Each block is checked and put in the form `_operand` picks.  A 1x1
-    block is its entry.  Every larger block is shifted by I and iterated
-    by `_power`: a CSR block alone, dense blocks of one size in list
+    block is its entry.  Every larger block is shifted by its own c
+    (`_shift`), one per slice of a stack, and iterated by `_power`: a
+    CSR block alone, dense blocks of one size in list
     order as (k, m, m) stacks of at most 4 MB, each run once full, and a
     dense block with no other of its size alone.  Each radius is the
     float its block gives alone.  Blocks still open after their power
     steps, or stalled, finish in list order, so the NoConvergence raised
     is the first failing block's.
     """
-    # per block: its radius, or (B, v, lo, hi, steps run) once its power
-    # steps are spent or it stalls, with the bracket still open
+    # per block: its radius, or (B, v, lo, hi, steps run, c) once its
+    # power steps are spent or it stalls, with the bracket still open
     states: list = [None] * len(blocks)
-    groups: dict[int, list[tuple[int, np.ndarray]]] = {}
+    groups: dict[int, list[tuple[int, np.ndarray, np.float64]]] = {}
 
-    def run(members: list[tuple[int, np.ndarray]]) -> None:
-        rows, forms = zip(*members)
-        if len(rows) > 1:
-            b = np.stack(forms)
+    def run(members: list[tuple[int, np.ndarray, np.float64]]) -> None:
+        rows, forms, shifts = zip(*members)
+        stacked = len(rows) > 1
+        if stacked:
+            b, c = np.stack(forms), np.array(shifts)
         else:  # shifted in place below, so never the caller's own array
             b = forms[0].copy() if forms[0] is blocks[rows[0]] else forms[0]
+            c = shifts[0]
         m = b.shape[-1]
-        b[..., np.arange(m), np.arange(m)] += 1.0
-        _power(b, list(rows), states, max_iter, tol)
+        b[..., np.arange(m), np.arange(m)] += c[:, None] if stacked else c
+        _power(b, list(rows), states, max_iter, tol, c)
         members.clear()
 
     for i, a in enumerate(blocks):
@@ -203,15 +219,39 @@ def _perron_radii(
         if m <= 1:  # a 1x1 NonnegMatrix stores no entry
             states[i] = float(b[0, 0]) if isinstance(b, np.ndarray) else 0.0
         elif isinstance(b, NonnegMatrix):
-            _power(b.csr + sparse.eye_array(m, format="csr"), [i], states, max_iter, tol)
+            c = _shift(b.csr)
+            _power(b.csr + c * sparse.eye_array(m, format="csr"), [i], states, max_iter, tol, c)
         else:
-            groups.setdefault(m, []).append((i, b))
+            groups.setdefault(m, []).append((i, b, _shift(b)))
             if len(groups[m]) == max(1, _STACK_BYTES // (8 * m * m)):
                 run(groups[m])
     for members in groups.values():
         if members:
             run(members)
     return [_finish(state, tol, max_iter) for state in states]
+
+
+def _shift(a: sparse.csr_array | np.ndarray) -> np.float64:
+    """The shift c of a block: a quarter of its largest row sum, or 1 for a zero block.
+
+    Any c > 0 keeps an irreducible block's iterate positive and its
+    bracket valid.  A quarter of the largest row sum puts c on the scale
+    of the root, which lies between the smallest and the largest row sum,
+    and scaling A by 2^k scales c exactly.
+    """
+    c = 0.25 * np.float64(a.sum(axis=1).max())
+    return c if c > 0.0 else np.float64(1.0)
+
+
+def _width(hi, c, tol: float, m: int):
+    """The width a bracket [lo, hi] of A + cI closes at: tol (hi - c), or m eps hi if wider.
+
+    tol is relative to A's upper bound hi - c.  No bracket read from
+    m-term ratios of A + cI resolves less than their rounding, about
+    m eps hi, so a block whose shift dwarfs its root still closes.  Takes
+    floats or arrays alike.
+    """
+    return np.maximum(tol * (hi - c), m * _EPS * hi)
 
 
 def _operand(a: NonnegMatrix | np.ndarray) -> NonnegMatrix | np.ndarray:
@@ -241,19 +281,22 @@ def _power_steps(b, max_iter: int) -> int:
     return min(max_iter, max(_POWER_STEPS, m))
 
 
-def _power(b, rows: list[int], states: list, max_iter: int, tol: float) -> None:
-    """Power steps on a shifted block b, or in lockstep on a (k, m, m) stack of them.
+def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c) -> None:
+    """Power steps on a shifted block b = A + cI, or in lockstep on a (k, m, m) stack of them.
 
-    A lone block, CSR or dense, iterates v of shape (m,).  A stack of
-    dense blocks iterates v of shape (k, m): a step is one stacked
-    product, whose slices run the same gemv as a lone block, and
-    row-wise ratios, bounds and sums.  The stall rule (`_slow`,
-    `_stays_open`) reads each slice alone, so each block closes or stalls
-    at the step, and with the float, it would alone.  states[rows[j]]
-    gets slice j's radius once its bracket closes, else (B, v, lo, hi,
-    steps run) once its power steps are spent or it stalls.  A block
-    leaves the stack as soon as it closes or stalls, and the last open
-    one goes on as a lone block.
+    A lone block, CSR or dense, iterates v of shape (m,) with a scalar c.
+    A stack of dense blocks iterates v of shape (k, m), with c of shape
+    (k,), one shift per slice: a step is one stacked product, whose
+    slices run the same gemv as a lone block, and row-wise ratios,
+    bounds and sums.  A bracket closes at `_width`: tol relative to
+    A's upper bound hi - c, or the rounding floor m eps hi if that is
+    wider.  The stall rule (`_slow`, `_stays_open`) reads each slice
+    alone, so each block closes or stalls at the step, and with the
+    float, it would alone.  states[rows[j]] gets slice j's radius, its
+    midpoint less c, once its bracket closes, else (B, v, lo, hi, steps
+    run, c) once its power steps are spent or it stalls.  A block leaves
+    the stack as soon as it closes or stalls, and the last open one goes
+    on as a lone block.
     """
     steps = _power_steps(b, max_iter)
     may_stall = tol > 0 and steps < max_iter  # only where Noda takes over
@@ -274,27 +317,29 @@ def _power(b, rows: list[int], states: list, max_iter: int, tol: float) -> None:
         return np.flatnonzero(mask).tolist() if stacked else [()] * bool(mask)
 
     def leave(j, ran: int) -> None:
-        states[rows[j]] = (b[j].copy() if stacked else b, v[j], lo[j], hi[j], ran)
+        states[rows[j]] = (b[j].copy() if stacked else b, v[j], lo[j], hi[j], ran, c[j])
 
     for ran in range(1, steps + 1):
         w = np.matmul(b, v[:, :, None])[:, :, 0] if stacked else b @ v
         ratios = w / v
         lo, hi = np.minimum.reduce(ratios, -1), np.maximum.reduce(ratios, -1)
         v = w / (w.sum(axis=1, keepdims=True) if stacked else w.sum())
-        closed = hi - lo <= tol
+        target = _width(hi, c, tol, m)
+        closed = hi - lo <= target
         stalled = []
         if may_stall and ran % _WINDOW == 0:
-            slow = fresh & _slow(hi - lo, last, steps - ran, tol)
+            slow = fresh & _slow(hi - lo, last, steps - ran, target)
             fresh, last = fresh ^ slow, hi - lo
             stalled = [
                 j
                 for j in picked(slow)
-                if not closed[j] and _stays_open(b[j] if stacked else b, v[j], steps - ran, tol)
+                if not closed[j]
+                and _stays_open(b[j] if stacked else b, v[j], steps - ran, tol, c[j])
             ]
         if not (stalled or (closed.any() if stacked else closed)):
             continue
         for j in picked(closed):
-            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - 1.0)
+            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - c[j])
         for j in stalled:
             leave(j, ran)
         if not stacked:
@@ -304,20 +349,22 @@ def _power(b, rows: list[int], states: list, max_iter: int, tol: float) -> None:
         if not kept.size:
             return
         stacked = kept.size > 1
-        b, v, lo, hi, rows, last, fresh = (
-            x.take(kept if stacked else kept[0], axis=0) for x in (b, v, lo, hi, rows, last, fresh)
+        b, c, v, lo, hi, rows, last, fresh = (
+            x.take(kept if stacked else kept[0], axis=0)
+            for x in (b, c, v, lo, hi, rows, last, fresh)
         )
     for j in range(len(rows)) if stacked else [()]:
         leave(j, steps)
 
 
-def _slow(width, last, left: int, tol: float):
+def _slow(width, last, left: int, target):
     """Whether a bracket `last` wide one window ago looks unable to close in `left` steps.
 
     True when the width did not shrink over the window, or when shrinking
     by the same factor in each window the `left` steps start still leaves
-    it above tol.  Takes floats or arrays alike and uses only products,
-    so a slice of a lockstep stack gets the answer its block gets alone.
+    it above `target`, the width it closes at (`_width`).  Takes floats
+    or arrays alike and uses only products, so a slice of a lockstep
+    stack gets the answer its block gets alone.
     """
     ratio = np.minimum(width / last, 1.0)
     final = width
@@ -327,11 +374,11 @@ def _slow(width, last, left: int, tol: float):
             final = final * ratio
         ratio = ratio * ratio
         windows >>= 1
-    return (width >= last) | (final > tol)
+    return (width >= last) | (final > target)
 
 
-def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
-    """Whether b's bracket is still open, by a margin, after `left` more power steps from v.
+def _stays_open(b, v: np.ndarray, left: int, tol: float, c) -> bool:
+    """Whether b = A + cI's bracket is still open, by a margin, `left` power steps on from v.
 
     A window's contraction can be far slower than the block's own, on a
     plateau before the Perron vector takes over, so `_slow` only flags a
@@ -339,9 +386,10 @@ def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
     lo v <= b v <= hi v), so it is narrowest after the last step; this
     reads it there from b^left v, formed by repeated squaring in about
     2 log2(left) products of m x m arrays.  It must exceed _STALL_MARGIN
-    times tol, or the rounding of an m-term ratio, which covers the other
-    rounding of this route.  Past _LOOKAHEAD_MAX_DIM nodes, where the
-    products cost more than the steps they save, a block is never open.
+    times the width it closes at (`_width`), whose rounding floor covers
+    the other rounding of this route.  Past _LOOKAHEAD_MAX_DIM nodes,
+    where the products cost more than the steps they save, a block is
+    never open.
     """
     m = b.shape[0]
     if m > _LOOKAHEAD_MAX_DIM:
@@ -352,20 +400,23 @@ def _stays_open(b, v: np.ndarray, left: int, tol: float) -> bool:
         return False
     ratios = (b @ w) / w
     hi = ratios.max()
-    return bool(hi - ratios.min() > _STALL_MARGIN * max(tol, m * _EPS * hi))
+    return bool(hi - ratios.min() > _STALL_MARGIN * _width(hi, c, tol, m))
 
 
 def _finish(state, tol: float, max_iter: int) -> float:
-    """A block's radius once its power steps are spent or it stalls: open brackets go to Noda."""
+    """A block's radius once its power steps are spent or it stalls: open brackets go to Noda.
+
+    Errors give A's bracket, [lo - c, hi - c].
+    """
     if not isinstance(state, tuple):
         return state
-    b, v, lo, hi, ran = state
+    b, v, lo, hi, ran, c = state
     m = b.shape[0]
     steps = _power_steps(b, max_iter)
     if steps < max_iter:
         dense = b.toarray() if sparse.issparse(b) else b
-        lo, hi = _noda(dense, v, lo, hi, tol, max_iter - steps, ran)
-        return float((lo + hi) / 2.0 - 1.0)
+        lo, hi = _noda(dense, v, lo, hi, tol, max_iter - steps, ran, c)
+        return float((lo + hi) / 2.0 - c)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
         f"iteration (limit {_DENSE_MAX_DIM} nodes)"
@@ -373,30 +424,32 @@ def _finish(state, tol: float, max_iter: int) -> float:
         else ""
     )
     raise NoConvergence(
-        f"power iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {ran} steps (tolerance {tol}){why}"
+        f"power iteration left the radius in [{lo - c:.17g}, {hi - c:.17g}] "
+        f"after {ran} steps (relative tolerance {tol}){why}"
     )
 
 
 def _noda(
-    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, budget: int, ran: int
+    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, budget: int, ran: int, c
 ) -> tuple[float, float]:
-    """Close the Perron bracket [lo, hi] of a dense irreducible b by inverse iteration.
+    """Close the Perron bracket [lo, hi] of a dense irreducible b = A + cI by inverse iteration.
 
     Noda's iteration (T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
     Algebra Appl. 15, 1976): solve (theta I - b) z = v with the shift theta
     just above the upper Collatz-Wielandt bound and take v = z / sum(z).  The
     bracket is re-read from the ratios (b v) / v rather than from Noda's
     update theta - min(v / z), which loses the lower bound when the shift
-    lands on the root in floating point.  At most `budget` solves; `ran`
-    is the count of power steps before them, for the error message.
+    lands on the root in floating point.  The bracket closes at `_width`,
+    as in power iteration, and is returned as b's; an error gives A's,
+    [lo - c, hi - c].  At most `budget` solves; `ran` is the count of
+    power steps before them, for the error message.
     """
     m = b.shape[0]
     eye = np.eye(m)
     for step in range(budget):
-        # A computed upper bound can sit an ulp below rho, where the solve
-        # mixes signs; m ulps (the rounding of an m-term ratio) keep the
-        # shift above it and (theta I - b)^-1 positive.
+        # A computed upper bound can sit an ulp below rho(b), where the
+        # solve mixes signs; m ulps of hi, the rounding floor of `_width`,
+        # keep the shift above it and (theta I - b)^-1 positive.
         theta = hi * (1.0 + m * _EPS)
         try:
             z = np.linalg.solve(theta * eye - b, v)
@@ -413,13 +466,13 @@ def _noda(
             break
         ratios = (b @ v) / v
         lo, hi = max(lo, ratios.min()), min(hi, ratios.max())
-        if hi - lo <= tol:
+        if hi - lo <= _width(hi, c, tol, m):
             return lo, hi
     else:
         stop = "1 solve" if budget == 1 else f"{budget} solves"
     raise NoConvergence(
-        f"Noda inverse iteration left the radius in [{lo - 1.0:.17g}, {hi - 1.0:.17g}] "
-        f"after {ran} power steps and {stop} (tolerance {tol})"
+        f"Noda inverse iteration left the radius in [{lo - c:.17g}, {hi - c:.17g}] "
+        f"after {ran} power steps and {stop} (relative tolerance {tol})"
     )
 
 

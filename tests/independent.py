@@ -22,8 +22,15 @@ checks:
   which may stop early, to a few ulps.
 - ``sequence_probability`` runs the forward recursion over one output
   string; it checks the marginals the brute-force oracle enumerates.
-- ``power_iteration_radius`` runs plain power iteration on one shifted
-  block, with no stall exit and no hand-over; it checks, float for
+- ``perron_enclosure`` encloses the Perron root of a float block in
+  40-digit arithmetic: the Collatz-Wielandt bounds of a vector refined
+  by inverse iteration from numpy's eigenvector; ``rate_bits`` maps
+  such an enclosure to the rate in bits, and ``round12`` gives the
+  12 significant digits the CLI prints of a number so enclosed, or None
+  when the enclosure straddles a rounding boundary.
+- ``power_iteration_radius`` runs plain power iteration on one block
+  shifted by a quarter of its largest row sum, with the relative stop
+  and its rounding floor, no stall exit and no hand-over; it checks, float for
   float, every radius the package closes by power iteration, whether
   its block iterated alone or in a lockstep stack.
 """
@@ -32,9 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import reduce
 from typing import Sequence
 
+import mpmath
 import numpy as np
 from scipy import sparse
 
@@ -174,26 +183,81 @@ def sequence_probability(hmm: HiddenMarkovModel, symbols: Sequence[str]) -> floa
     return float(w.sum())
 
 
-def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:
-    """Perron root of an irreducible block by power iteration on B = A + I; None if still open.
+ENCLOSURE_DIGITS = 40
 
-    From uniform v, each step forms w = B v, reads the Collatz-Wielandt
-    bracket [min_i w_i / v_i, max_i w_i / v_i] and renormalises
-    v = w / sum(w); the root is the bracket's midpoint minus 1 once the
-    bracket is at most tol wide.  B is a CSR array when at most a quarter
-    of A's entries are stored, else a dense one, as the package holds it.
+
+def perron_enclosure(block) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """[lo, hi] around the Perron root of an irreducible non-negative float block.
+
+    Every float entry converts to an mpf exactly.  Starting from the
+    modulus of numpy's eigenvector for the largest real eigenvalue,
+    inverse iteration at 40 digits, shifted just above that eigenvalue
+    and factored once, refines a positive vector v until its bounds agree
+    to 30 digits, or for at most 8 solves; for any v > 0 the
+    Collatz-Wielandt bounds min_i (Av)_i / v_i <= rho <= max_i (Av)_i / v_i
+    hold, here up to the rounding of 40-digit arithmetic.  A 1x1 block
+    is its entry.
+    """
+    block = np.asarray(block, dtype=float)
+    with mpmath.workdps(ENCLOSURE_DIGITS):
+        if block.shape == (1, 1):
+            entry = mpmath.mpf(float(block[0, 0]))
+            return entry, entry
+        a = mpmath.matrix(block.tolist())
+        values, vectors = np.linalg.eig(block)
+        top = int(np.argmax(values.real))
+        shift = mpmath.mpf(float(values[top].real)) * (1 + mpmath.mpf(10) ** -20)
+        factors, pivots = mpmath.mp.LU_decomp(shift * mpmath.eye(len(block)) - a)
+        v = mpmath.matrix(np.abs(vectors[:, top].real).tolist())
+        for _ in range(8):
+            ratios = [x / y for x, y in zip(a * v, v)]
+            lo, hi = min(ratios), max(ratios)
+            if hi - lo <= mpmath.mpf(10) ** -30 * hi:
+                break
+            z = mpmath.mp.U_solve(factors, mpmath.mp.L_solve(factors, v, pivots))
+            v = mpmath.matrix([abs(x) for x in z])
+        return lo, hi
+
+
+def rate_bits(lo, hi, order) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """log2(rho) / (1 - order), the rate in bits, at both ends of an enclosure [lo, hi] of rho."""
+    with mpmath.workdps(ENCLOSURE_DIGITS):
+        return tuple(mpmath.log(x, 2) / (1 - mpmath.mpf(order)) for x in (lo, hi))
+
+
+def round12(lo, hi) -> float | None:
+    """The number 12 significant digits print of every value in [lo, hi], or None if they differ."""
+    with mpmath.workdps(ENCLOSURE_DIGITS):
+        ends = {format(Decimal(mpmath.nstr(x, ENCLOSURE_DIGITS)), ".12g") for x in (lo, hi)}
+    return float(ends.pop()) if len(ends) == 1 else None
+
+
+def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:
+    """Perron root of an irreducible block by power iteration on B = A + cI; None if still open.
+
+    c is a quarter of A's largest row sum, summed in the form A is held
+    in.  From uniform v, each step forms w = B v, reads the
+    Collatz-Wielandt bracket [lo, hi] = [min_i w_i / v_i, max_i w_i / v_i]
+    and renormalises v = w / sum(w); the root is the bracket's midpoint
+    minus c once the bracket is at most tol (hi - c) wide, or at most
+    m eps hi, the rounding of the ratios.  B is a CSR array when at most
+    a quarter of A's entries are stored, else a dense one, as the package
+    holds it.
     """
     m = a.dim
     if a.nnz <= m * m // 4:
-        b = a.csr + sparse.eye_array(m, format="csr")
+        c = 0.25 * a.csr.sum(axis=1).max()
+        b = a.csr + c * sparse.eye_array(m, format="csr")
     else:
-        b = a.to_dense() + np.eye(m)
+        dense = a.to_dense()
+        c = 0.25 * dense.sum(axis=1).max()
+        b = dense + c * np.eye(m)
     v = np.full(m, 1.0 / m)
     for _ in range(steps):
         w = b @ v
         ratios = w / v
         lo, hi = ratios.min(), ratios.max()
         v = w / w.sum()
-        if hi - lo <= tol:
-            return float((lo + hi) / 2.0 - 1.0)
+        if hi - lo <= max(tol * (hi - c), m * np.finfo(float).eps * hi):
+            return float((lo + hi) / 2.0 - c)
     return None

@@ -32,6 +32,7 @@ from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
 
 from conftest import FIXTURES, OBS_MAP
+from independent import perron_enclosure, rate_bits, round12
 
 RATE_EXAMPLE = -math.log2(0.81)  # 0.304006...
 
@@ -502,3 +503,17 @@ class TestLumpedRate:
         assert entropy_rate(hmm, alpha).dimension == dimension
         assert finite_length_entropy(hmm, alpha, 5).dimension == dimension
         assert collision_system(hmm, alpha).dimension == dimension
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_hmm_rates_print_correctly_rounded_digits(seed):
+    # the 12 significant digits the CLI prints of value_bits are those of
+    # the exact rate: the Perron root of K~ as built, enclosed at 40 digits
+    # by inverse iteration and Collatz-Wielandt bounds.  An absolute 1e-12
+    # bracket got 19 of these 40 wrong, with rho as small as 0.06.
+    hmm = random_hmm(np.random.default_rng(seed), 3, 2)
+    for alpha in (4, 6):
+        assert tensor.irreducible(hmm, alpha)
+        lo, hi = perron_enclosure(tensor.lumped_system(hmm, alpha).matrix.to_dense())
+        exact = round12(*rate_bits(lo, hi, alpha))
+        assert float(f"{entropy_rate(hmm, alpha).value_bits:.12g}") == exact

@@ -5,15 +5,24 @@ written by the package before the sparse-native rate path replaced the
 dense one.  Each `entropy` golden file was written by the package before
 finite lengths moved to the symbol-summed tuple matrix.  A change that
 moves any reported digit fails here.
+
+Every radius, rho_plus and value_bits in the `rate` and `components`
+files is also checked against the 12 significant digits of the exact
+value, the Perron root of the collision matrix enclosed at 40 digits.
 """
 
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from renyirates import MarkovChain, bsc_hmm
 from renyirates.cli import main
+from renyirates.modelfile import load_model
 
 from conftest import FIXTURES
+from independent import perron_enclosure, rate_bits, restricted_kronecker_power, round12
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -72,3 +81,38 @@ def test_every_golden_file_is_checked():
         for length in LENGTHS
     }
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
+
+
+def _collision_matrix(fixture, order, epsilon):
+    """A as a dense array and its node labels, built apart from the package's tensor code.
+
+    A chain's A is P^(o order), an HMM's the restricted Kronecker power.
+    """
+    model = load_model(FIXTURES / f"{fixture}.model")
+    if epsilon is not None:
+        model = bsc_hmm(model, epsilon)
+    if isinstance(model, MarkovChain):
+        return model.transition**order, model.states
+    matrix, _, _, labels = restricted_kronecker_power(model, order)
+    return matrix.to_dense(), labels
+
+
+@pytest.mark.parametrize("fixture,order,epsilon", CASES)
+def test_printed_digits_round_the_exact_roots(fixture, order, epsilon):
+    # each printed radius is the correctly rounded Perron root of its
+    # component's block of A; rho_plus is the dominant one, and value_bits
+    # its log2 over 1 - order, rounded from the enclosure
+    rate, comps = (
+        json.loads((GOLDEN / _golden_name(command, fixture, order, epsilon)).read_text())
+        for command in ("rate", "components")
+    )
+    a, labels = _collision_matrix(fixture, order, epsilon)
+    node = {label: i for i, label in enumerate(labels)}
+    enclosures = []
+    for comp in comps["components"]:
+        members = [node[label] for label in comp["members"]]
+        enclosures.append(perron_enclosure(a[np.ix_(members, members)]))
+        assert comp["radius"] == rate["component_radii"][comp["id"]] == round12(*enclosures[-1])
+    lo, hi = enclosures[rate["dominant_component"]]
+    assert rate["rho_plus"] == comps["rho_plus"] == round12(lo, hi)
+    assert rate["value_bits"] == round12(*rate_bits(lo, hi, rate["order"]))

@@ -157,6 +157,9 @@ def _sticky(s):
 
 
 STICKY_SWITCHES = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
+# a shift of a quarter of the largest row sum dwarfs these roots: c / rho is
+# about 240 and 2.5e5
+ROW_SUM_SPREAD = [[[1e-3, 1.0], [1e-9, 1e-3]], [[0.0, 1e6], [1e-6, 0.0]]]
 # eigenvalues 2e-6 apart: power iteration on A + I would need millions of steps
 NEAR_REDUCIBLE = np.array([[0.9, 1e-6], [1e-6, 0.9 - 1e-9]])
 
@@ -175,6 +178,11 @@ def _sticky_ring(m):
     return NonnegMatrix.from_sparse(
         sparse.coo_array((values, (np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i])), shape=(m, m))
     )
+
+
+def _shift(a):
+    """The shift c of A + cI: a quarter of A's largest row sum."""
+    return 0.25 * a.sum(axis=1).max()
 
 
 def _power_bracket(b, steps):
@@ -223,14 +231,30 @@ class TestNodaHandOver:
         assert abs(rho - exact_perron_root(a)) <= 1e-12
 
     def test_shift_on_the_root_returns_closed_midpoint(self, noda_brackets):
-        # s = 1e-6: after the first solve the upper bound equals rho(P o P + I)
+        # s = 1e-6: after the first solve the upper bound equals rho(P o P + cI)
         # in floating point; Noda's update formula would leave a bracket of 4e-7
         a = _sticky(1e-6) ** 2
+        c = _shift(a)
         rho = spectral_radius_irreducible(a)
         ((lo, hi),) = noda_brackets
-        assert 0.0 <= hi - lo <= 1e-12
-        assert rho == (lo + hi) / 2.0 - 1.0
+        assert 0.0 <= hi - lo <= max(spectral.DEFAULT_TOL * (hi - c), 2 * spectral._EPS * hi)
+        assert rho == (lo + hi) / 2.0 - c
         assert abs(rho - exact_perron_root(a)) <= 1e-12
+
+    @pytest.mark.parametrize("a", ROW_SUM_SPREAD, ids=["c-240-rho", "c-2.5e5-rho"])
+    def test_shift_that_dwarfs_the_root_still_closes(self, a, noda_brackets):
+        # tol relative to rho lies below the rounding of A + cI's ratios,
+        # about m eps hi, so the bracket closes at that floor instead
+        a = np.array(a)
+        c = _shift(a)
+        rho = spectral_radius_irreducible(a)
+        ((lo, hi),) = noda_brackets
+        floor = 2 * spectral._EPS * hi
+        assert spectral.DEFAULT_TOL * (hi - c) < floor
+        assert 0.0 <= hi - lo <= floor
+        assert rho == (lo + hi) / 2.0 - c
+        # computed Collatz-Wielandt bounds hold up to the rounding of the ratios
+        assert lo - c - floor <= exact_perron_root(a) <= hi - c + floor
 
     @pytest.mark.parametrize("alpha", [2, 3])
     @pytest.mark.parametrize("s", STICKY_SWITCHES)
@@ -255,6 +279,8 @@ class TestNodaHandOver:
         a = _sticky(1e-6) ** 2
         with pytest.raises(NoConvergence, match="Noda .* after 64 power steps") as info:
             spectral_radius_irreducible(a, max_iter=1001)
+        assert f"(relative tolerance {spectral.DEFAULT_TOL})" in str(info.value)
+        # the message gives A's bracket, [lo - c, hi - c]
         lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups())
         assert hi - lo > 1e-12
         # computed Collatz-Wielandt bounds hold up to the rounding of the ratios
@@ -281,8 +307,9 @@ class TestNodaHandOver:
         with pytest.raises(NoConvergence, match=r"after 3400 steps .* 3301-node sparse block") as info:
             spectral_radius_irreducible(ring, max_iter=3400)
         # all 3400 steps ran: the message gives the bracket they leave
-        lo, hi = _power_bracket(ring.csr + sparse.eye_array(3301, format="csr"), 3400)
-        assert f"[{lo - 1.0:.17g}, {hi - 1.0:.17g}]" in str(info.value)
+        c = _shift(ring.csr)
+        lo, hi = _power_bracket(ring.csr + c * sparse.eye_array(3301, format="csr"), 3400)
+        assert f"[{lo - c:.17g}, {hi - c:.17g}]" in str(info.value)
 
 
 def _stall_block(rng):
@@ -370,6 +397,21 @@ def test_radii_match_plain_power_iteration(seed, kinds):
             assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["csr", "dense", "sticky"]),
+    st.integers(-30, 30),
+)
+@settings(max_examples=60, deadline=None)
+def test_radius_scales_exactly_with_the_block(seed, kind, k):
+    # the shift c, a quarter of the largest row sum, the relative stop and
+    # its rounding floor all scale with A, so a power of two passes through
+    # every power step and Noda solve exactly; a unit shift does not
+    block = _mixed_block(np.random.default_rng(seed), kind)
+    scaled = NonnegMatrix.from_sparse(block.csr * 2.0**k)
+    assert spectral_radius_irreducible(scaled) == 2.0**k * spectral_radius_irreducible(block)
+
+
 class TestStallExit:
     """A block whose bracket cannot close in its power steps hands over to Noda early."""
 
@@ -409,8 +451,9 @@ class TestStallExit:
         # message gives the bracket they leave
         with pytest.raises(NoConvergence, match=r"power iteration .* after 1000 steps") as info:
             spectral_radius_irreducible(NEAR_REDUCIBLE, max_iter=1000)
-        lo, hi = _power_bracket(NEAR_REDUCIBLE + np.eye(2), 1000)
-        assert f"[{lo - 1.0:.17g}, {hi - 1.0:.17g}]" in str(info.value)
+        c = _shift(NEAR_REDUCIBLE)
+        lo, hi = _power_bracket(NEAR_REDUCIBLE + c * np.eye(2), 1000)
+        assert f"[{lo - c:.17g}, {hi - c:.17g}]" in str(info.value)
 
     @pytest.mark.parametrize("s", [1e-2, 1e-3, 1e-6])
     def test_zero_tolerance_never_exits_early(self, s, noda_steps):
