@@ -9,13 +9,13 @@ When A is irreducible, which `tensor.irreducible` decides from P's
 pattern without building A, that is rho(K~), taken on K~ as built and
 reachable when nu has mass; K~'s build is never larger than A's (see
 `tensor._lumped_count`).  Otherwise A is built, split into components
-and each radius taken from K's block.  One routine, `_growth`, makes
-that choice; `entropy_rate`, `markov_rate` and `renyirates components`
-all take their analysis from it, so the report and the rate agree float
-for float.  A fully observed chain's system is the Hadamard power
-P^(o alpha), formed as a dense array (`_hadamard_system`): its finite
-lengths pass that array to the power sum, and its rates wrap it once in
-CSR for the component split.  A length-n realization uses exponent
+and each radius taken from its own block of A.  One routine, `_growth`,
+makes that choice; `entropy_rate`, `markov_rate` and `renyirates
+components` all take their analysis from it, so the report and the rate
+agree float for float.  A fully observed chain's system is the Hadamard
+power P^(o alpha), formed as a dense array (`_hadamard_system`): its
+finite lengths pass that array to the power sum, and its rates wrap it
+once in CSR for the component split.  A length-n realization uses exponent
 n - 1, validated against the brute-force oracle.  All values are in bits
 (log base 2).
 """
@@ -74,7 +74,9 @@ def _finite_report(order: float, n: int, log_cp: float, dimension: int) -> Entro
         value = math.inf
     else:
         value = (1.0 / (1.0 - order)) * (log_cp / _LN2)
-        value = max(value, 0.0)  # clip -0.0 and tolerance dust
+        # clips tolerance dust below 0; max(-0.0, 0.0) is -0.0, so the -0.0 of
+        # log_cp = 0 at an order above 1 is kept and printed as such
+        value = max(value, 0.0)
     return EntropyReport(
         order=order,
         kind="finite",
@@ -138,8 +140,8 @@ def _growth(
     (`irreducible_growth`), reachable when nu has mass; A's nodes, nu and
     labels come from `tensor.collision_nodes`, which finite lengths never
     call.  Otherwise A is built and `growth_rate` splits it, each radius
-    taken from K's block.  The labels are A's, in A's node order, on
-    every path; max_dim applies to HMMs only.
+    taken from its own block of A.  The labels are A's, in A's node
+    order, on every path; max_dim applies to HMMs only.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
@@ -151,9 +153,7 @@ def _growth(
         ga = irreducible_growth(nodes.initial, lumped.matrix, tol=tol)
         return float(lumped.order), ga, nodes.labels(), None
     cs = collision_system(model, alpha, max_dim=max_dim)
-    ga = growth_rate(
-        cs.matrix, cs.initial, tol=tol, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
-    )
+    ga = growth_rate(cs.matrix, cs.initial, tol=tol)
     return float(cs.order), ga, cs.labels(), cs.matrix
 
 

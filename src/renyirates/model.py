@@ -186,11 +186,15 @@ def deterministic_observation(
 ) -> HiddenMarkovModel:
     """Noiseless measurement Z = T(X) for a total map T on the states.
 
-    The observation alphabet is the sorted set of values of T.
+    The observation alphabet is the sorted set of values of T.  A key
+    that names no state is refused.
     """
     missing = [s for s in chain.states if s not in observation_map]
     if missing:
         raise WrongAlphabet(f"observation map undefined on states {missing}")
+    unknown = [k for k in observation_map if k not in chain.states]
+    if unknown:
+        raise WrongAlphabet(f"observation map names no state: {unknown}")
     for s in chain.states:
         if not isinstance(observation_map[s], str):
             raise InvalidLabel(

@@ -25,9 +25,13 @@ def all_sequence_probabilities(hmm: HiddenMarkovModel, n: int) -> np.ndarray:
     p = hmm.chain.transition
     e = hmm.emission
     nx, nz = e.shape
-    if nz**n > MAX_SEQUENCES:
+    # n steps over nz^n strings; nz^n is formed only for n below the cap's
+    # bit length, from where 2^n alone passes the cap
+    if n > MAX_SEQUENCES or (
+        nz > 1 and (n >= MAX_SEQUENCES.bit_length() or nz**n > MAX_SEQUENCES)
+    ):
         raise DimensionOverflow(
-            f"enumeration of {nz}^{n} output strings exceeds cap {MAX_SEQUENCES}"
+            f"enumeration of {nz}^{n} output strings in {n} steps exceeds cap {MAX_SEQUENCES}"
         )
     # weights[k, x] = p(prefix_k, X_t = x); prefixes in lexicographic order,
     # extended symbol-major so the order is preserved at each step.

@@ -476,28 +476,17 @@ def _noda(
     )
 
 
-def growth_rate(
-    a: NonnegMatrix,
-    u: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    radius_matrix: tuple[NonnegMatrix, np.ndarray] | None = None,
-) -> GrowthAnalysis:
+def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
 
-    Components are found on A, and a singleton's radius is its diagonal
-    entry.  radius_matrix, a pair (K, rows) with one row of K per node of
-    A, gives each multi-node component its radius from K's block on its
-    nodes' rows, which must have the component's Perron root, as the
-    symbol-summed tuple matrix of a collision system does (see `tensor`).
-    Nodes that share a row must lie in one component unless all of them
-    are singletons.  Without it, K is A and each node is its own row.
+    Components are found on A.  A singleton's radius is its diagonal
+    entry, and a multi-node component's is the Perron root of its own
+    block of A.
     """
     _check_tol(tol)
-    k, rows = radius_matrix if radius_matrix is not None else (a, np.arange(a.dim))
-    u, rows = _checked_weights(u, a.dim), _checked_rows(rows, a.dim, k)
+    u = _checked_weights(u, a.dim)
     decomp = strongly_connected_components(a)
-    blocks = _radius_blocks(k.csr, rows, decomp)
-    block_radii = iter(_perron_radii(blocks, tol, MAX_ITERATIONS))
+    block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp), tol, MAX_ITERATIONS))
     diagonal = a.csr.diagonal()
     radii = tuple(
         float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
@@ -531,13 +520,6 @@ def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def _checked_rows(rows: np.ndarray, n: int, k: NonnegMatrix) -> np.ndarray:
-    rows = np.asarray(rows)
-    if len(rows) != n or (rows.size and not 0 <= rows.min() <= rows.max() < k.dim):
-        raise DimensionMismatch("radius matrix rows must give each node one row of K")
-    return rows
-
-
 def _analysis(
     decomp: ComponentDecomposition, radii: tuple[float, ...], u: np.ndarray
 ) -> GrowthAnalysis:
@@ -549,8 +531,6 @@ def _analysis(
         if cid in reachable and (dominant is None or radii[cid] > rho_plus):
             rho_plus = radii[cid]
             dominant = cid
-    if dominant is None:
-        rho_plus = 0.0
     return GrowthAnalysis(
         decomposition=decomp,
         component_radii=radii,
@@ -560,32 +540,18 @@ def _analysis(
     )
 
 
-def _radius_blocks(
-    k: sparse.csr_array, rows: np.ndarray, decomp: ComponentDecomposition
-) -> list[NonnegMatrix]:
-    """K's block on each multi-node component's rows, in component order.
+def _radius_blocks(a: sparse.csr_array, decomp: ComponentDecomposition) -> list[NonnegMatrix]:
+    """A's block on each multi-node component, in component order.
 
-    A component's rows are listed in order of first appearance among its
-    members.  K is permuted once by all these rows and cut into
+    A is permuted once by the members of these components and cut into
     contiguous blocks, each with its column indices in increasing order.
     """
     comps = [comp for comp in decomp.components if len(comp) > 1]
     if not comps:
         return []
     members = np.fromiter((i for comp in comps for i in comp), dtype=np.intp)
-    sizes = np.array([len(comp) for comp in comps], dtype=np.intp)
-    # a row used by a multi-node component must be no other node's
-    node_comp = np.full(rows.size, -1, dtype=np.intp)
-    node_comp[members] = np.repeat(np.arange(sizes.size), sizes)
-    owner = np.full(k.shape[0], -1, dtype=np.intp)
-    owner[rows[members]] = node_comp[members]
-    if np.any((owner[rows] >= 0) & (owner[rows] != node_comp)):
-        raise ValueError("a radius matrix row spans more than one component")
-    _, first = np.unique(rows[members], return_index=True)
-    first.sort()
-    order = rows[members[first]]
-    bounds = [0] + np.searchsorted(first, np.cumsum(sizes)).tolist()
-    permuted = k[order][:, order]
+    bounds = np.cumsum([0] + [len(comp) for comp in comps]).tolist()
+    permuted = a[members][:, members]
     permuted.sort_indices()
     return [NonnegMatrix(permuted[s:e, s:e]) for s, e in zip(bounds, bounds[1:])]
 

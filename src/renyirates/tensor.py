@@ -16,28 +16,23 @@ hidden tuple.  Indices whose tuple cannot emit the shared symbol (zero
 initial weight and an all-zero column) are dropped at construction.
 
 Row (xs, z) of A does not depend on z, so A = L B with B holding one
-row per hidden tuple and L copying a hidden tuple to each of its nodes.
-The symbol-summed tuple matrix K = B L = P^(tensor alpha) diag(w),
+row per hidden tuple and L copying a hidden tuple to each of its nodes;
+`collision_system` enumerates B once and gathers A from it.  The
+symbol-summed tuple matrix K = B L = P^(tensor alpha) diag(w),
 w(xs) = sum_z prod_j E[xs_j, z], gives the same collision
 probabilities, (pi^(tensor alpha) o w)^T K^(n-1) 1, and the same
-non-zero spectrum, component by component (Horn & Johnson, Matrix
-Analysis, Thm 1.3.22): the nodes of one hidden tuple have equal rows,
-so in a multi-node component of A they all lie in that component, and
-summing their columns turns its block into K's block on its tuples.  K
-is indexed by the hidden tuples with w > 0 and is up to nz times
-smaller than A; `collision_system` forms it from B while it builds A,
-and `growth_rate` takes each multi-node component's radius from its
-block.
+non-zero spectrum (Horn & Johnson, Matrix Analysis, Thm 1.3.22).  K is
+never built: it is what the lumped matrix lumps.
 
 K, its weights and the all-ones vector are invariant under permuting the
 alpha tuple coordinates, so K lumps exactly onto multisets of hidden
 states (ordinary lumpability: Kemeny & Snell, Finite Markov Chains,
-1960; P. Buchholz, J. Appl. Probab. 31, 1994).  The lumped matrix has at
-most C(nx + alpha - 1, alpha) rows, about alpha! times fewer than K, and
-`lumped_system` builds it straight from the multisets, enumerating
-successors the same way; finite lengths run on it.  At 8 states, 3
-symbols and alpha = 4 it has 330 rows where K has 4096 and 16.8M stored
-entries.
+1960; P. Buchholz, J. Appl. Probab. 31, 1994).  The lumped matrix K~ has
+at most C(nx + alpha - 1, alpha) rows, about alpha! times fewer than K
+and nz alpha! times fewer than A, and `lumped_system` builds it straight
+from the multisets, enumerating successors the same way; finite lengths
+run on it.  At 8 states, 3 symbols and alpha = 4 it has 330 rows where
+K has 4096 and 16.8M stored entries.
 
 Permuting the coordinates can map one component of K onto another, so
 K~'s components are not A's (a 3-cycle observed through one symbol has
@@ -47,6 +42,8 @@ decide whether A is one component; when it is, its rate is rho(K~), and
 no node needs a row of K~.  K~'s build is never larger than A's
 (`_lumped_count`), so that path, which never builds A, is always taken;
 `collision_nodes` lists A's nodes, labels and nu without A's entries.
+Otherwise A is built and each component's radius taken from its own
+block.
 """
 
 from __future__ import annotations
@@ -120,15 +117,9 @@ class CollisionNodes:
 
 @dataclass(frozen=True)
 class CollisionSystem:
-    """Restricted tensored matrix A on its nodes, and the tuple matrix K.
-
-    Node i of A is node i of `nodes`; node_tuple[i] is its row of K, whose
-    rows are the hidden tuples of A's nodes in lexicographic order.
-    """
+    """Restricted tensored matrix A on its nodes: node i of A is node i of `nodes`."""
 
     matrix: NonnegMatrix
-    tuple_matrix: NonnegMatrix
-    node_tuple: np.ndarray
     nodes: CollisionNodes
 
     @property
@@ -287,7 +278,7 @@ def collision_system(
     nx^alpha * nz > max_dim, or at once when the build is predicted to
     hold more than 1 GiB: 8 * alpha + 60 bytes for each entry of A,
     counted in closed form (see `_stored_entries`).  The build holds A, B
-    (the rows of A's distinct hidden tuples), K and one symbol's successor
+    (the rows of A's distinct hidden tuples) and one symbol's successor
     enumeration; no nx^alpha x nx^alpha array is formed.
     """
     alpha = _hmm_order(alpha)
@@ -299,14 +290,12 @@ def collision_system(
     entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
     _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
     nodes = collision_nodes(hmm, alpha)
-    dim = nodes.dimension
     tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
 
     # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
     # every row sorted.  Each row of B is written once and gathered for
-    # every node of its tuple into A.  K = B L sums each row's columns
-    # over the nodes of a tuple in ascending node order.
+    # every node of its tuple into A.
     blocks = [
         _symbol_columns(_columns(p, s), digits, node, w)
         for s, node, w in nodes.candidates
@@ -314,17 +303,9 @@ def collision_system(
     ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
-    b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, dim))
+    b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, nodes.dimension))
     del rows, cols, values
-    collapse = sparse.csr_array(
-        (np.ones(dim), node_tuple, np.arange(dim + 1)), shape=(dim, tuples.size)
-    )
-    k = NonnegMatrix.from_sparse(b @ collapse)
-    matrix = NonnegMatrix.from_sparse(b[node_tuple])
-    del b
-
-    node_tuple.setflags(write=False)
-    return CollisionSystem(matrix=matrix, tuple_matrix=k, node_tuple=node_tuple, nodes=nodes)
+    return CollisionSystem(matrix=NonnegMatrix.from_sparse(b[node_tuple]), nodes=nodes)
 
 
 def _emission_products(e: np.ndarray, alpha: int):

@@ -381,14 +381,12 @@ class TestLumpedRate:
         else:
             hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
         assume(tensor.irreducible(hmm, alpha))
-        # two radii closed to the default 1e-12 bracket can differ by that
-        # much (seed 1432 at alpha = 4 does, by 2e-13 relative); closed to
-        # 1e-14 they agree within the 1e-13 asserted
+        # two radii closed to a 1e-12 bracket can differ by that much (seed
+        # 1432 at alpha = 4 does, by 2e-13 relative); closed to 1e-14 they
+        # agree within the 1e-13 asserted
         rep = entropy_rate(hmm, alpha, tol=1e-14)
         cs = collision_system(hmm, alpha)
-        ga = growth_rate(
-            cs.matrix, cs.initial, tol=1e-14, radius_matrix=(cs.tuple_matrix, cs.node_tuple)
-        )
+        ga = growth_rate(cs.matrix, cs.initial, tol=1e-14)
         ref = entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
         assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
         assert rep.value_bits == pytest.approx(ref.value_bits, rel=1e-12, abs=1e-14)
@@ -434,7 +432,7 @@ class TestLumpedRate:
     @staticmethod
     def _rate_from_collision_system(hmm, alpha):
         cs = collision_system(hmm, alpha)
-        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
+        ga = growth_rate(cs.matrix, cs.initial)
         return entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
 
     def test_sparse_emissions_take_the_lumped_matrix(self, monkeypatch):

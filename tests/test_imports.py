@@ -55,9 +55,9 @@ def test_noda_hand_over_does_not_load_heavy_scipy_modules():
 
 
 def test_symbol_summed_paths_do_not_load_heavy_scipy_modules():
-    # the sum over each tuple's symbols that forms K (a sparse product) and
-    # the lumped build (a sparse sum of duplicates) run only on a model
-    # whose tuples emit more than one symbol
+    # the lumped build sums the symbols of each multiset's tuples (a sparse
+    # sum of duplicates) only on a model whose tuples emit more than one
+    # symbol
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (

@@ -121,6 +121,10 @@ class TestObservations:
         with pytest.raises(WrongAlphabet):
             deterministic_observation(example_chain, {"1": "a"})
 
+    def test_keys_that_name_no_state_rejected(self, example_chain):
+        with pytest.raises(WrongAlphabet, match=r"names no state: \['4', 'x'\]"):
+            deterministic_observation(example_chain, OBS_MAP | {"4": "a", "x": "c"})
+
 
 class TestLabels:
     @pytest.mark.parametrize("states", [[1, 2, 3], ["1", 2, "3"], ["1", None, "3"]])

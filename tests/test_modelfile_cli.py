@@ -380,6 +380,19 @@ class TestCmdOracle:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("model", ["fig2.model", "unit.model"])
+    def test_refuses_a_huge_length_at_once(self, capsys, model):
+        # fig2's 2^(10^12) strings, or unit's one string over 10^12 steps:
+        # refused before that count or those steps are formed
+        start = time.perf_counter()
+        code, doc, err = run_cli(
+            capsys, "oracle", FIXTURES / model, "--order", "2", "--length", str(10**12)
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert doc is None
+        assert "exceeds cap" in err
+
 
 class TestCliContract:
     def test_deterministic_output(self, capsys):
@@ -422,6 +435,18 @@ class TestCliContract:
         assert code == 1
         assert doc is None
         assert "observation_map must be an object with string values" in err
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy", "oracle"])
+    def test_observation_map_key_that_names_no_state_exits_1(self, capsys, tmp_path, command):
+        doc = json.loads((FIXTURES / "fig2.model").read_text())
+        doc["observation_map"] |= {"4": "a", "x": "c"}
+        path = tmp_path / "map.model"
+        path.write_text(json.dumps(doc))
+        extra = ["--length", "3"] if command in ("entropy", "oracle") else []
+        code, out, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert out is None
+        assert err == "error: invalid hmm: observation map names no state: ['4', 'x']\n"
 
     @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
     def test_non_number_entry_exits_1(self, capsys, tmp_path, command):

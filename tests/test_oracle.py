@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -99,6 +100,16 @@ class TestBruteForceCollision:
     def test_enumeration_guard(self, example_hmm):
         with pytest.raises(DimensionOverflow):
             brute_force_collision(example_hmm, 2, 30)
+
+    @pytest.mark.parametrize("nz,n", [(1, 10**7 + 1), (1, 10**12), (2, 24), (2, 10**12), (3, 15)])
+    def test_enumeration_guard_counts_steps_and_strings(self, nz, n):
+        # refused when nz^n strings or n steps pass the cap, without forming
+        # nz^n for a large n; 2^23 and 3^14 strings are within the cap
+        hmm = validate_hmm(validate_chain([[1.0]], [1.0]), [[1.0 / nz] * nz])
+        start = time.perf_counter()
+        with pytest.raises(DimensionOverflow, match="exceeds cap"):
+            all_sequence_probabilities(hmm, n)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("alpha", [1, 2.5])
     def test_invalid_order(self, example_hmm, alpha):

@@ -5,7 +5,6 @@ import json
 import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -122,21 +121,8 @@ def test_collision_system_is_the_restricted_kronecker_power_bit_for_bit(seed, al
         got, want = getattr(cs.matrix.csr, name), getattr(matrix.csr, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
     assert cs.initial.tobytes() == nu.tobytes()
-    tuples, first, node_tuple = np.unique(hidden, return_index=True, return_inverse=True)
-    assert cs.node_tuple.tobytes() == node_tuple.tobytes()
+    assert cs.nodes.hidden.tobytes() == hidden.tobytes()
     assert cs.labels() == labels
-    # K: each tuple's first node's row of A, its columns summed by tuple in
-    # ascending node order, bit for bit
-    rows = matrix.csr[first]
-    summed = np.zeros((tuples.size, tuples.size))
-    row_of = np.repeat(np.arange(tuples.size), np.diff(rows.indptr))
-    np.add.at(summed, (row_of, node_tuple[rows.indices]), rows.data)
-    assert cs.tuple_matrix.to_dense().tobytes() == summed.tobytes()
-    # and P^(tensor alpha) on the tuples, its columns scaled by w
-    w = sum(reduce(np.kron, [hmm.emission[:, z]] * alpha) for z in range(hmm.n_symbols))
-    power = kronecker_power(NonnegMatrix.from_dense(hmm.chain.transition), alpha).to_dense()
-    expected = power[np.ix_(tuples, tuples)] * w[tuples]
-    np.testing.assert_allclose(cs.tuple_matrix.to_dense(), expected, rtol=1e-14, atol=0.0)
     # the closed-form count the byte budget is checked on
     p = sparse.csr_array(hmm.chain.transition)
     p.eliminate_zeros()

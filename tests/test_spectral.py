@@ -32,11 +32,12 @@ from renyirates.errors import (
     NonFiniteEntry,
 )
 from renyirates.modelfile import load_model
-from renyirates.random_models import random_nonneg_matrix, random_nonneg_vector
+from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
 from independent import (
     empirical_growth_probe,
+    perron_enclosure,
     power_iteration_radius,
     stepwise_logs,
     submatrix,
@@ -169,6 +170,24 @@ def _assert_radii_exact(a: NonnegMatrix, u):
     dense = a.to_dense()
     for comp, radius in zip(ga.decomposition.components, ga.component_radii):
         assert abs(radius - exact_perron_root(dense[np.ix_(comp, comp)])) <= 1e-12
+
+
+def _assert_radii_of_own_blocks(a: NonnegMatrix, ga):
+    """Each multi-node component's radius is its own block's, float for float.
+
+    It also lies inside the block's 40-digit enclosure, widened by the
+    tolerance and by the rounding of the ratios the bracket is read from.
+    """
+    for comp, radius in zip(ga.decomposition.components, ga.component_radii):
+        if len(comp) == 1:
+            continue
+        block = submatrix(a, comp)
+        assert radius == spectral_radius_irreducible(block)
+        dense = block.to_dense()
+        lo, hi = perron_enclosure(dense)
+        rounding = 2 * len(comp) * spectral._EPS * (radius + _shift(dense))
+        slack = spectral.DEFAULT_TOL * radius + rounding
+        assert lo - slack <= radius <= hi + slack
 
 
 def _sticky_ring(m):
@@ -623,40 +642,39 @@ class TestGrowthRate:
         assert ga1.rho_plus == ga2.rho_plus
         assert ga1.reachable == ga2.reachable
 
-    def test_hidden_tuple_map_length_checked(self):
-        with pytest.raises(DimensionMismatch):
-            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.arange(4)))
-
-    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, -1], [0, 1, 2, 3, 5]])
-    def test_hidden_tuple_map_rows_must_be_rows_of_k(self, rows):
-        with pytest.raises(DimensionMismatch):
-            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array(rows)))
-
-    def test_hidden_tuple_across_components_rejected(self):
-        # node 4 lies in the component {3, 4}, node 0 is a singleton
-        with pytest.raises(ValueError, match="spans more than one component"):
-            growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array([0, 1, 2, 3, 0])))
-
-    def test_hidden_tuple_across_two_blocks_rejected(self):
-        # two 2-node components, {0, 1} and {2, 3}, share row 1
-        a = NonnegMatrix.from_dense(
-            [[0.2, 0.3, 0.1, 0.0], [0.4, 0.1, 0.0, 0.0], [0.0, 0.0, 0.3, 0.5], [0.0, 0.0, 0.6, 0.2]]
-        )
-        with pytest.raises(ValueError, match="spans more than one component"):
-            growth_rate(a, np.ones(4), radius_matrix=(a, np.array([0, 1, 1, 2])))
-
-    def test_hidden_tuple_shared_by_singletons_allowed(self):
-        ga = growth_rate(A_EXAMPLE, NU_EXAMPLE, radius_matrix=(A_EXAMPLE, np.array([0, 0, 2, 3, 4])))
-        assert ga.component_radii == growth_rate(A_EXAMPLE, NU_EXAMPLE).component_radii
-
-    @pytest.mark.parametrize("order", [2, 3, 5])
+    @pytest.mark.parametrize("order", range(2, 9))
     def test_noiseless_system_keeps_its_own_blocks(self, order):
-        # no hidden tuple repeats under a deterministic observation, so
-        # every radius is the float A's own block gives
+        # each multi-node component's radius is its own block of A's, and
+        # an enclosure at 40 digits, widened by the tolerance, holds it
         cs = collision_system(load_model(FIXTURES / "fig2.model"), order)
-        assert len(set(cs.node_tuple.tolist())) == cs.dimension
-        with_map = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
-        assert with_map.component_radii == growth_rate(cs.matrix, cs.initial).component_radii
+        _assert_radii_of_own_blocks(cs.matrix, growth_rate(cs.matrix, cs.initial))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_reducible_hmm_radii_are_their_own_blocks(self, seed):
+        rng = np.random.default_rng(seed)
+        while True:  # the next reducible draw with a multi-node component
+            alpha = int(rng.integers(2, 4))
+            hmm = random_hmm(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), sparsity=0.5)
+            cs = collision_system(hmm, alpha)
+            ga = growth_rate(cs.matrix, cs.initial)
+            sizes = [len(comp) for comp in ga.decomposition.components]
+            if len(sizes) > 1 and max(sizes) > 1:
+                break
+        _assert_radii_of_own_blocks(cs.matrix, ga)
+
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_one_tuple_component_is_its_row_sum(self, alpha):
+        # one hidden state, three symbols: A is one 3-node component of
+        # equal rows, so its root is their sum, which its block gives to 1 ulp
+        hmm = validate_hmm(validate_chain([[1.0]], [1.0]), [[0.3, 0.5, 0.2]])
+        cs = collision_system(hmm, alpha)
+        ga = growth_rate(cs.matrix, cs.initial)
+        assert ga.decomposition.components == ((0, 1, 2),)
+        _assert_radii_of_own_blocks(cs.matrix, ga)
+        (radius,) = ga.component_radii
+        row_sum = math.fsum(cs.matrix.to_dense()[0].tolist())
+        assert abs(radius - row_sum) <= math.ulp(row_sum)
+        assert entropy_rate(hmm, alpha).rho_plus == radius
 
     @pytest.mark.parametrize(
         "seed,sizes,sticky",
@@ -667,9 +685,9 @@ class TestGrowthRate:
         + [pytest.param(6, [4] * 24 + [40, 2, 2, 30, 2, 2, 40, 2, 2], True, id="lockstep")],
     )
     def test_block_slices_match_submatrix_radii(self, monkeypatch, seed, sizes, sticky):
-        # without a radius matrix, growth_rate slices blocks out of one copy
-        # of A permuted into component order; each radius must be the very
-        # float the block's own principal submatrix gives
+        # growth_rate slices blocks out of one copy of A permuted into
+        # component order; each radius must be the very float the block's
+        # own principal submatrix gives
         rng = np.random.default_rng(seed)
         m = sum(sizes)
         a = np.triu(rng.random((m, m)) * (rng.random((m, m)) < 0.02), k=1)
@@ -693,20 +711,6 @@ class TestGrowthRate:
         assert sorted(map(len, ga.decomposition.components)) == sorted(sizes)
         for comp, radius in zip(ga.decomposition.components, ga.component_radii):
             assert radius == spectral_radius_irreducible(submatrix(a, sorted(comp)))
-
-    def test_one_node_collapsed_block_is_its_entry(self):
-        # one hidden state, three symbols: A is one 3-node component whose
-        # symbol-summed block is 1x1, so its radius is that entry itself; a
-        # shifted iteration would give (0.38 + 1) - 1 = 0.3799999999999999
-        hmm = validate_hmm(validate_chain([[1.0]], [1.0]), [[0.3, 0.5, 0.2]])
-        cs = collision_system(hmm, 2)
-        entry = sum(cs.matrix.to_dense()[0].tolist())  # a row of A summed in column order
-        assert (entry + 1.0) - 1.0 != entry
-        assert cs.tuple_matrix.to_dense().tolist() == [[entry]]
-        ga = growth_rate(cs.matrix, cs.initial, radius_matrix=(cs.tuple_matrix, cs.node_tuple))
-        assert ga.decomposition.components == ((0, 1, 2),)
-        assert ga.component_radii == (entry,)
-        assert entropy_rate(hmm, 2).rho_plus == entry
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(13)
