@@ -33,21 +33,12 @@ class NonnegMatrix:
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "NonnegMatrix":
-        """The CSR arrays scipy gives a dense array, zeros (-0.0 too) dropped.
-
-        Built from the row-major positions of the non-zero entries: column
-        = position mod d, row bounds by binary search, int32 indices where
-        they fit.
-        """
+        """The CSR arrays scipy gives a dense array, zeros (-0.0 too) dropped (`_csr_arrays`)."""
         a = _square(a)
         d = a.shape[0]
-        if d == 0:  # the row bounds below would need a step of 0
+        if d == 0:  # the row bounds of _csr_arrays would need a step of 0
             return cls(sparse.csr_array((0, 0)))
-        flat = np.flatnonzero(a != 0)  # as np.flatnonzero(a), several times faster
-        index = np.int32 if max(d, flat.size) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.searchsorted(flat, np.arange(0, d * d + 1, d)).astype(index)
-        indices = (flat % d).astype(index)
-        return cls(sparse.csr_array((a.take(flat), indices, indptr), shape=(d, d)))
+        return cls(sparse.csr_array(_csr_arrays(a), shape=(d, d)))
 
     @classmethod
     def from_sparse(cls, a) -> "NonnegMatrix":
@@ -75,6 +66,20 @@ class NonnegMatrix:
     def vecmat(self, u: np.ndarray) -> np.ndarray:
         """Row vector times matrix: u^T A."""
         return self._transposed @ np.asarray(u, dtype=float)
+
+
+def _csr_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, indices, indptr) of scipy's CSR form of a 2-d float array with columns, zeros dropped.
+
+    Built from the row-major positions of the non-zero entries (-0.0 is
+    dropped too): column = position mod the width, row bounds by binary
+    search, int32 indices where they fit.  No scipy constructor runs.
+    """
+    rows, width = a.shape
+    flat = np.flatnonzero(a != 0)  # as np.flatnonzero(a), several times faster
+    index = np.int32 if max(rows, width, flat.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(flat, np.arange(0, rows * width + 1, width)).astype(index)
+    return a.take(flat), (flat % width).astype(index), indptr
 
 
 def _square(a) -> np.ndarray:

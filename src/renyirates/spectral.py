@@ -39,15 +39,18 @@ whole budget and can still raise NoConvergence when it is
 near-degenerate (a sparse LU would densify it through fill-in).  A
 radius is the midpoint of a closed bracket, never of an open one.
 
-`growth_rate` takes all the radii of a call in one pass, and every power
-step runs in one loop, `_power`.  It iterates one block, CSR or dense,
-or dense blocks of one size in lockstep, as one (k, m, m) stack: a step
-is one stacked product, whose slices run the same gemv as a lone block,
-and row-wise ratios, bounds and sums, so each block closes or stalls at
-the same step with the same float as alone, at the interpreter cost of
-one block.  A block leaves the stack as soon as it closes or stalls, and
-the last open one goes on in the same loop as a lone block.  A 1x1 block
-is its entry, with no iteration.
+`growth_rate` takes all the radii of a call in one pass, cut from A in
+one pass too (`_radius_blocks`), and every power step runs in one loop,
+`_power`.  It iterates one CSR block, or dense blocks of one size in
+lockstep as one (k, m, m) stack, a lone dense block as a stack of one.
+A step is only its product, whose slices run the same gemv as a lone
+block, a row sum and a division; the steps leave their products and
+iterates in a small buffer, and the Collatz-Wielandt brackets of eight
+steps are read at once.  A block's radius comes from the first step
+whose bracket closes, so each block closes or stalls at the same step
+with the same float as alone and read step by step, at the interpreter
+cost of one block.  A block leaves the stack at the end of the read in
+which it closes or stalls.  A 1x1 block is its entry, with no iteration.
 
 `irreducible_growth` gives the growth of an irreducible A that is never
 built: one component, whose radius is the Perron root of a matrix with
@@ -120,13 +123,19 @@ _DENSE_MAX_DIM = 3300
 # Noda still gets max_iter - max(1000, m) solves either way.
 _POWER_STEPS = 1000
 _WINDOW = 32
+# Power steps read their brackets this many at a time (`_power`).  A read
+# costs about a dozen numpy calls whatever its length, against 3 a step,
+# and a block that closes on a read's first step runs at most 7 steps
+# past it.  8 divides _WINDOW, so no read is cut short by a window mark.
+_READ = 8
 # A look-ahead must find the bracket this many times the width it closes
 # at (`_width`) to hand a block over early, and runs on blocks of at most
 # _LOOKAHEAD_MAX_DIM nodes.
 _STALL_MARGIN = 100.0
 _LOOKAHEAD_MAX_DIM = 128
 # Dense blocks of one size iterate in stacks of at most this many bytes;
-# with the blocks held until their stack is full, twice this at most.
+# with the blocks held until their stack is full, twice this at most.  A
+# read's iterates, products and brackets hold at most this many more.
 _STACK_BYTES = 2**22
 _EPS = float(np.finfo(float).eps)
 
@@ -177,7 +186,7 @@ def spectral_radius_irreducible(
     `growth_rate` runs on all its blocks at once.
     """
     _check_tol(tol)
-    return _perron_radii([a], tol, max_iter)[0]
+    return _perron_radii([_operand(a)], tol, max_iter)[0]
 
 
 def _perron_radii(
@@ -185,15 +194,16 @@ def _perron_radii(
 ) -> list[float]:
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
-    Each block is checked and put in the form `_operand` picks.  A 1x1
-    block is its entry.  Every larger block is shifted by its own c
-    (`_shift`), one per slice of a stack, and iterated by `_power`: a
-    CSR block alone, dense blocks of one size in list
-    order as (k, m, m) stacks of at most 4 MB, each run once full, and a
-    dense block with no other of its size alone.  Each radius is the
-    float its block gives alone.  Blocks still open after their power
-    steps, or stalled, finish in list order, so the NoConvergence raised
-    is the first failing block's.
+    A block is a NonnegMatrix, put in the form `_operand` picks, or a
+    C-ordered dense array already in that form, which is never written.
+    A 1x1 block is its entry.  Every larger block is shifted by its own c
+    (`_shift`), one per slice of a stack, and iterated by `_power`: a CSR
+    block alone, and dense blocks of one size in list order as (k, m, m)
+    stacks of at most 4 MB, each run once full, a dense block with no
+    other of its size as a stack of one.  Each radius is the float its
+    block gives alone.  Blocks still open after their power steps, or
+    stalled, finish in list order, so the NoConvergence raised is the
+    first failing block's.
     """
     # per block: its radius, or (B, v, lo, hi, steps run, c) once its
     # power steps are spent or it stalls, with the bracket still open
@@ -202,25 +212,21 @@ def _perron_radii(
 
     def run(members: list[tuple[int, np.ndarray, np.float64]]) -> None:
         rows, forms, shifts = zip(*members)
-        stacked = len(rows) > 1
-        if stacked:
-            b, c = np.stack(forms), np.array(shifts)
-        else:  # shifted in place below, so never the caller's own array
-            b = forms[0].copy() if forms[0] is blocks[rows[0]] else forms[0]
-            c = shifts[0]
+        b, c = np.stack(forms), np.array(shifts)
         m = b.shape[-1]
-        b[..., np.arange(m), np.arange(m)] += c[:, None] if stacked else c
+        b[:, np.arange(m), np.arange(m)] += c[:, None]
         _power(b, list(rows), states, max_iter, tol, c)
         members.clear()
 
-    for i, a in enumerate(blocks):
-        b = _operand(a)
+    for i, b in enumerate(blocks):
+        b = _operand(b) if isinstance(b, NonnegMatrix) else b
         m = b.dim if isinstance(b, NonnegMatrix) else len(b)
         if m <= 1:  # a 1x1 NonnegMatrix stores no entry
             states[i] = float(b[0, 0]) if isinstance(b, np.ndarray) else 0.0
         elif isinstance(b, NonnegMatrix):
             c = _shift(b.csr)
-            _power(b.csr + c * sparse.eye_array(m, format="csr"), [i], states, max_iter, tol, c)
+            b = b.csr + c * sparse.eye_array(m, format="csr")
+            _power(b, [i], states, max_iter, tol, np.array([c]))
         else:
             groups.setdefault(m, []).append((i, b, _shift(b)))
             if len(groups[m]) == max(1, _STACK_BYTES // (8 * m * m)):
@@ -281,80 +287,107 @@ def _power_steps(b, max_iter: int) -> int:
     return min(max_iter, max(_POWER_STEPS, m))
 
 
-def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c) -> None:
-    """Power steps on a shifted block b = A + cI, or in lockstep on a (k, m, m) stack of them.
+def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c: np.ndarray) -> None:
+    """Power steps on shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
 
-    A lone block, CSR or dense, iterates v of shape (m,) with a scalar c.
-    A stack of dense blocks iterates v of shape (k, m), with c of shape
-    (k,), one shift per slice: a step is one stacked product, whose
-    slices run the same gemv as a lone block, and row-wise ratios,
-    bounds and sums.  A bracket closes at `_width`: tol relative to
-    A's upper bound hi - c, or the rounding floor m eps hi if that is
-    wider.  The stall rule (`_slow`, `_stays_open`) reads each slice
-    alone, so each block closes or stalls at the step, and with the
-    float, it would alone.  states[rows[j]] gets slice j's radius, its
-    midpoint less c, once its bracket closes, else (B, v, lo, hi, steps
-    run, c) once its power steps are spent or it stalls.  A block leaves
-    the stack as soon as it closes or stalls, and the last open one goes
-    on as a lone block.
+    rows numbers the blocks and c holds their shifts, one per slice (a
+    CSR block is one slice).  A step is only its product, its sum and a
+    division, v <- b v / sum(b v): one block takes a gemv or a CSR
+    product on its (m,) iterate, a stack one `np.matmul` whose slices run
+    the gemv of a lone block and a sum per slice.  The steps of a read,
+    at most `_READ` and never past a `_WINDOW` mark, leave their products
+    and iterates in a buffer allocated once.  The read then forms the
+    Collatz-Wielandt ratios of all its steps at once, over the products,
+    and their bracket [lo, hi] per step and slice, in at most
+    _STACK_BYTES.  A bracket closes at `_width`: tol relative to A's
+    upper bound hi - c, or the rounding floor m eps hi if that is wider,
+    and a slice's radius is the midpoint, less c, of its first closed
+    bracket.  At a mark, the stall rule (`_slow`, `_stays_open`) reads
+    each open slice alone.  So each block closes or stalls at the step,
+    and with the float, it would alone with its bracket read after every
+    step.  states[rows[j]] gets slice j's radius once its bracket closes,
+    else (B, v, lo, hi, steps run, c) once its power steps are spent or
+    it stalls.  A closed or stalled slice leaves the stack at the end of
+    its read.
     """
     steps = _power_steps(b, max_iter)
     may_stall = tol > 0 and steps < max_iter  # only where Noda takes over
-    m, stacked = b.shape[-1], b.ndim == 3
+    dense = not sparse.issparse(b)
+    k, m = len(rows), b.shape[-1]
     # per slice: its iterate and bracket, its block, its bracket width at
-    # the last window mark, and whether its look-ahead is still to come;
-    # a lone block's values are scalars, and its slice index is ()
-    if stacked:
-        k = len(rows)
-        v, lo, hi = np.full((k, m), 1.0 / m), np.full(k, -math.inf), np.full(k, math.inf)
-        rows, fresh = np.array(rows), np.ones(k, dtype=bool)
-    else:
-        v, lo, hi = np.full(m, 1.0 / m), np.float64(-math.inf), np.float64(math.inf)
-        rows, fresh = np.int64(rows[0]), np.True_
-    last = hi
+    # the last window mark, and whether its look-ahead is still to come
+    v, lo, hi = np.full((k, m), 1.0 / m), np.full(k, -math.inf), np.full(k, math.inf)
+    rows, last, fresh = np.array(rows), hi, np.ones(k, dtype=bool)
+    # a read's r + 1 iterates and r products (then their ratios), and the
+    # brackets read from them, about 6 r k floats, hold at most
+    # _STACK_BYTES; the slices left use the first k of each
+    fits = max(1, min(_READ, (_STACK_BYTES // (8 * k) - m) // (2 * m + 6)))
+    x, w = np.empty((fits + 1, k, m)), np.empty((fits, k, m))
 
-    def picked(mask) -> list:
-        return np.flatnonzero(mask).tolist() if stacked else [()] * bool(mask)
+    def views(k: int) -> tuple[list, list, list, list]:
+        """Each step's iterate and product as views: (k, m) rows, then the
+        (k, m, 1) columns a stack's product takes, or one block's (m,) rows."""
+        xk, wk = x[:, :k], w[:, :k]
+        xs, ws = (xk[..., None], wk[..., None]) if k > 1 else (xk[:, 0], wk[:, 0])
+        return list(xk), list(wk), list(xs), list(ws)
 
-    def leave(j, ran: int) -> None:
-        states[rows[j]] = (b[j].copy() if stacked else b, v[j], lo[j], hi[j], ran, c[j])
-
-    for ran in range(1, steps + 1):
-        w = np.matmul(b, v[:, :, None])[:, :, 0] if stacked else b @ v
-        ratios = w / v
-        lo, hi = np.minimum.reduce(ratios, -1), np.maximum.reduce(ratios, -1)
-        v = w / (w.sum(axis=1, keepdims=True) if stacked else w.sum())
-        target = _width(hi, c, tol, m)
-        closed = hi - lo <= target
-        stalled = []
+    xk, wk, xs, ws = views(k)
+    one = b[0] if dense else b
+    ran = 0
+    while ran < steps:
+        r = min(fits, steps - ran, _WINDOW - ran % _WINDOW)
+        xk[0][...] = v
+        for i in range(r):
+            if k > 1:  # one gemv a slice, then each slice's sum
+                np.matmul(b, xs[i], out=ws[i])
+                np.divide(wk[i], np.add.reduce(wk[i], axis=1, keepdims=True), out=xk[i + 1])
+                continue
+            if dense:  # one block: a gemv or a CSR product, then its sum
+                np.matmul(one, xs[i], out=ws[i])
+            else:
+                ws[i][...] = one @ xs[i]
+            np.divide(ws[i], np.add.reduce(ws[i]), out=xs[i + 1])
+        ran += r
+        ratios = np.divide(w[:r, :k], x[:r, :k], out=w[:r, :k])
+        lows, highs = np.minimum.reduce(ratios, axis=2), np.maximum.reduce(ratios, axis=2)
+        target = _width(highs, c, tol, m)
+        closing = highs - lows <= target
+        v, lo, hi = xk[r], lows[-1], highs[-1]
+        closed = closing.any(axis=0)
+        leaving = closed.any()
+        if leaving:
+            for j in np.flatnonzero(closed).tolist():
+                i = int(closing[:, j].argmax())
+                states[rows[j]] = float((lows[i, j] + highs[i, j]) / 2.0 - c[j])
+            if closed.all():
+                return
         if may_stall and ran % _WINDOW == 0:
-            slow = fresh & _slow(hi - lo, last, steps - ran, target)
+            slow = fresh & _slow(hi - lo, last, steps - ran, target[-1])
             fresh, last = fresh ^ slow, hi - lo
-            stalled = [
-                j
-                for j in picked(slow)
-                if not closed[j]
-                and _stays_open(b[j] if stacked else b, v[j], steps - ran, tol, c[j])
-            ]
-        if not (stalled or (closed.any() if stacked else closed)):
-            continue
-        for j in picked(closed):
-            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - c[j])
-        for j in stalled:
-            leave(j, ran)
-        if not stacked:
-            return
-        closed[stalled] = True
-        kept = np.flatnonzero(~closed)
-        if not kept.size:
-            return
-        stacked = kept.size > 1
-        b, c, v, lo, hi, rows, last, fresh = (
-            x.take(kept if stacked else kept[0], axis=0)
-            for x in (b, c, v, lo, hi, rows, last, fresh)
-        )
-    for j in range(len(rows)) if stacked else [()]:
-        leave(j, steps)
+            for j in np.flatnonzero(slow & ~closed).tolist():
+                if _stays_open(b[j] if dense else b, v[j], steps - ran, tol, c[j]):
+                    states[rows[j]] = _handed_over(b, j, v, lo, hi, ran, c)
+                    closed[j] = leaving = True
+        if leaving:
+            kept = np.flatnonzero(~closed)
+            k = kept.size
+            if not k:
+                return
+            b = b[kept] if dense else b
+            c, v, lo, hi, rows, last, fresh = (
+                a[kept] for a in (c, v, lo, hi, rows, last, fresh)
+            )
+            xk, wk, xs, ws = views(k)
+            one = b[0] if dense else b
+    for j in range(k):
+        states[rows[j]] = _handed_over(b, j, v, lo, hi, steps, c)
+
+
+def _handed_over(b, j: int, v, lo, hi, ran: int, c) -> tuple:
+    """Slice j's open state (B, v, lo, hi, steps run, c), B a CSR block or a dense (m, m) array."""
+    if not sparse.issparse(b):
+        b = b[j] if len(b) == 1 else b[j].copy()  # a copy frees the rest of the stack
+    return (b, v[j].copy(), lo[j], hi[j], ran, c[j])
 
 
 def _slow(width, last, left: int, target):
@@ -540,20 +573,56 @@ def _analysis(
     )
 
 
-def _radius_blocks(a: sparse.csr_array, decomp: ComponentDecomposition) -> list[NonnegMatrix]:
-    """A's block on each multi-node component, in component order.
+def _radius_blocks(
+    a: sparse.csr_array, decomp: ComponentDecomposition
+) -> list[NonnegMatrix | np.ndarray]:
+    """A's block on each multi-node component, in component order, in the form `_operand` picks.
 
-    A is permuted once by the members of these components and cut into
-    contiguous blocks, each with its column indices in increasing order.
+    All blocks are cut in one pass over the stored entries of the member
+    rows: an entry is kept when its column lies in its row's component,
+    at its place in that block.  A block with more than a quarter of its
+    entries stored is scattered into a C-ordered dense array, and the
+    others become CSR blocks.  Members ascend within a component, as
+    `strongly_connected_components` lists them, so each CSR row keeps
+    A's increasing column order.
     """
     comps = [comp for comp in decomp.components if len(comp) > 1]
     if not comps:
         return []
-    members = np.fromiter((i for comp in comps for i in comp), dtype=np.intp)
-    bounds = np.cumsum([0] + [len(comp) for comp in comps]).tolist()
-    permuted = a[members][:, members]
-    permuted.sort_indices()
-    return [NonnegMatrix(permuted[s:e, s:e]) for s, e in zip(bounds, bounds[1:])]
+    if not a.has_canonical_format:  # sorted columns, no duplicate entries
+        a = a.copy()
+        a.sum_duplicates()
+    sizes = np.array([len(comp) for comp in comps])
+    members = np.fromiter((i for comp in comps for i in comp), dtype=np.intp, count=sizes.sum())
+    block, place = np.full(a.shape[0], -1), np.empty(a.shape[0], dtype=np.intp)
+    block[members] = np.repeat(np.arange(sizes.size), sizes)
+    place[members] = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # the member rows' entries, row by row; kept when within their row's block
+    count = a.indptr[members + 1] - a.indptr[members]
+    pos = np.repeat(a.indptr[members] - (np.cumsum(count) - count), count) + np.arange(count.sum())
+    row = np.repeat(members, count)
+    kept = block[a.indices[pos]] == block[row]
+    pos, row = pos[kept], row[kept]
+    blk, i, j, values = block[row], place[row], place[a.indices[pos]], a.data[pos]
+    stored = np.bincount(blk, minlength=sizes.size)
+    dense = stored > sizes * sizes // 4
+    # the dense blocks share one zero buffer, each at its own offset
+    area = np.where(dense, sizes * sizes, 0)
+    offset = np.cumsum(area) - area
+    flat = np.zeros(area.sum())
+    at = dense[blk]
+    flat[offset[blk[at]] + i[at] * sizes[blk[at]] + j[at]] = values[at]
+    blocks = []
+    ends = np.cumsum(stored).tolist()
+    for b, (m, o, e) in enumerate(zip(sizes.tolist(), offset.tolist(), ends)):
+        if dense[b]:
+            blocks.append(flat[o : o + m * m].reshape(m, m))
+            continue
+        run = slice(e - int(stored[b]), e)  # the block's kept entries, rows ascending
+        indptr = np.searchsorted(i[run], np.arange(m + 1)).astype(np.int32)
+        csr = sparse.csr_array((values[run], j[run].astype(np.int32), indptr), shape=(m, m))
+        blocks.append(NonnegMatrix(csr))
+    return blocks
 
 
 def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) -> float:

@@ -52,6 +52,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -59,7 +60,7 @@ from scipy import sparse
 from .components import _LEVEL_COST, _sweep
 from .errors import DimensionOverflow
 from .model import HiddenMarkovModel, _hmm_order
-from .nonneg import NonnegMatrix
+from .nonneg import NonnegMatrix, _csr_arrays
 
 DEFAULT_MAX_DIM = 10**6
 
@@ -70,9 +71,9 @@ DEFAULT_MAX_DIM = 10**6
 # ranks, then B's COO and CSR entries).  Measured build peaks stay under
 # 64 bytes an entry of A at alpha <= 5.  lumped_system refuses past the
 # same budget at 4 * alpha + 64 bytes for each successor entry it
-# enumerates (alpha int32 digits, their ranks, rows, values and the COO
-# and CSR copies); its measured build peaks, 67-94 bytes an entry at
-# alpha = 2-8, stay under that.
+# enumerates (alpha int32 digits, sorted in place, their ranks, rows,
+# values and K~'s CSR arrays); its measured build peaks, 49-74 bytes an
+# entry on dense-emission models at alpha = 2-8, stay under that.
 _BUILD_BYTES = 2**30
 
 # `irreducible` trusts patterns while every product of alpha entries of P
@@ -174,6 +175,21 @@ def _check_build_bytes(what: str, entries: int, bytes_per_entry: int) -> None:
         )
 
 
+class _Rows(NamedTuple):
+    """A matrix's CSR arrays, columns ascending in each row: what the builds read of P."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def _transition_rows(hmm: HiddenMarkovModel) -> _Rows:
+    """P's stored entries, zeros dropped: scipy's CSR arrays of P, with no scipy constructor."""
+    p = hmm.chain.transition
+    return _Rows(*_csr_arrays(p), p.shape)
+
+
 def _stored_entries(p, emits: np.ndarray, alpha: int) -> int:
     """Entries of A, in closed form, before any product underflows.
 
@@ -187,19 +203,18 @@ def _stored_entries(p, emits: np.ndarray, alpha: int) -> int:
     return sum(int(m) ** alpha for m in counts.ravel().tolist())
 
 
-def _successors(
-    p: sparse.csr_array, tuples: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _successors(p: _Rows, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Successor tuples of each row of `tuples` under the tensor power of p.
 
-    p is a CSR array with sorted column indices and `tuples` has one tuple
-    of p's row indices per row.  Returns (rows, successors, values):
-    entry k is the successor tuple successors[k] of tuples[rows[k]], one
-    column index of p per coordinate, with value
-    prod_j p[tuples[rows[k], j], successors[k, j]] multiplied left to right.
-    Rows ascend and a row's successors are in lexicographic order.  The
-    entries number sum_t prod_j deg(t_j), deg(x) the stored entries of
-    p's row x.
+    p holds CSR arrays (a `_Rows` or a scipy CSR array) with sorted column
+    indices, and `tuples` has one tuple of p's row indices per row.
+    Returns (rows, successors, values): entry k is the successor tuple
+    successors[k] of tuples[rows[k]], one column index of p per
+    coordinate, with value prod_j p[tuples[rows[k], j], successors[k, j]]
+    multiplied left to right.  Rows ascend and a row's successors are in
+    lexicographic order.  successors is Fortran-ordered, so each
+    coordinate's column is contiguous.  The entries number
+    sum_t prod_j deg(t_j), deg(x) the stored entries of p's row x.
     """
     degree = np.diff(p.indptr)
     rows = np.arange(len(tuples))
@@ -216,21 +231,21 @@ def _successors(
         counts.append(count)
     # an entry's children are contiguous, so each digit is repeated once
     # per final entry below it; spans counts those, last coordinate first
-    successors = np.empty((rows.size, len(digits)), dtype=p.indices.dtype)
+    successors = np.empty((len(digits), rows.size), dtype=p.indices.dtype)
     spans = None  # one final entry per entry of the last coordinate
     for j in range(len(digits) - 1, -1, -1):
-        successors[:, j] = digits[j] if spans is None else np.repeat(digits[j], spans)
+        successors[j] = digits[j] if spans is None else np.repeat(digits[j], spans)
         if spans is None:
             spans = counts[j]
         elif j:
             below = np.concatenate(([0], np.cumsum(spans)))
             ends = np.cumsum(counts[j])
             spans = below[ends] - below[ends - counts[j]]
-    return rows, successors, values
+    return rows, successors.T, values
 
 
-def _columns(p: sparse.csr_array, states: np.ndarray) -> sparse.csr_array:
-    """p's columns `states` (ascending), numbered from 0: scipy's p[:, states].
+def _columns(p: _Rows, states: np.ndarray) -> _Rows:
+    """p's columns `states` (ascending), numbered from 0: the arrays of scipy's p[:, states].
 
     Built from p's CSR arrays: p.indices masked to `states` and renumbered,
     and each row's kept entries counted, so the rows keep p's order.
@@ -240,11 +255,11 @@ def _columns(p: sparse.csr_array, states: np.ndarray) -> sparse.csr_array:
     cols = local[p.indices]
     kept = cols >= 0
     indptr = np.concatenate(([0], np.cumsum(kept)))[p.indptr].astype(p.indptr.dtype)
-    return sparse.csr_array((p.data[kept], cols[kept], indptr), shape=(p.shape[0], states.size))
+    return _Rows(p.data[kept], cols[kept], indptr, (p.shape[0], states.size))
 
 
 def _symbol_columns(
-    p: sparse.csr_array, digits: np.ndarray, node: np.ndarray, w: np.ndarray
+    p: _Rows, digits: np.ndarray, node: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries of B in one symbol z's columns: (rows, columns, values).
 
@@ -285,8 +300,7 @@ def collision_system(
     e = hmm.emission
     nx, nz = e.shape
     _check_dimension(nx, nz, alpha, max_dim)
-    p = sparse.csr_array(hmm.chain.transition)
-    p.eliminate_zeros()
+    p = _transition_rows(hmm)
     entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
     _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
     nodes = collision_nodes(hmm, alpha)
@@ -433,9 +447,13 @@ def lumped_system(
 
     A multiset M' with w(M') > 0 lies in a maximal emission support
     (`_maximal_supports`), so each pass takes P's CSR rows restricted to
-    one support's columns, sorts the successor tuples into multisets and
-    keeps those whose first maximal support it is; duplicates are summed.
-    With one support, as under dense emissions, the one pass runs on P.
+    one support's columns, sorts the successor tuples into multisets
+    (`_sorted_columns`) and keeps those whose first maximal support it
+    is.  With one support, as under dense emissions, the one pass runs
+    on P.  K~ is assembled as CSR straight from its rows, each row's
+    entries in enumeration order, and scipy's `sum_duplicates` sorts each
+    row and adds its repeated columns in the order a COO build would;
+    indices are int32.
     No nx^alpha x nx^alpha array is formed.  Refused with
     DimensionOverflow when nx^alpha * nz > max_dim, as `collision_system`
     is, or at once when the build is predicted to hold more than 1 GiB:
@@ -445,8 +463,7 @@ def lumped_system(
     e = hmm.emission
     nx, nz = e.shape
     _check_dimension(nx, nz, alpha, max_dim)
-    p = sparse.csr_array(hmm.chain.transition)
-    p.eliminate_zeros()
+    p = _transition_rows(hmm)
     supports = _maximal_supports(e > 0)
     entries = _lumped_count(hmm.chain.transition, supports, alpha)
     _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
@@ -454,11 +471,11 @@ def lumped_system(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
     ).reshape(-1, alpha)
     binom = _binomials(nx, alpha)
-    index = np.full(math.comb(nx + alpha - 1, alpha), -1, dtype=np.intp)
+    index = np.full(math.comb(nx + alpha - 1, alpha), -1, dtype=np.int32)
     w = e[reps].prod(axis=1).sum(axis=1)
     kept = np.flatnonzero(w > 0)
     reps, w = reps[kept], w[kept]
-    index[_rank(reps, binom)] = np.arange(kept.size)
+    index[_rank(reps.T, binom)] = np.arange(kept.size)
 
     # |orbit(M)| = alpha! / prod_j r_j, r_j the 1-based place of m_j in its
     # run of equal states; each partial quotient is the multinomial count of
@@ -476,17 +493,24 @@ def lumped_system(
     for i, s in enumerate(supports):
         states = np.flatnonzero(s)
         rows, successors, values = _successors(p if single else _columns(p, states), reps)
-        successors.sort(axis=1)  # S ascends, so its digits sort as its states
-        cols = index[_rank(successors if single else states[successors], binom)]
-        del successors
+        digits = list(successors.T if single else states[successors.T])
+        cols = index[_rank(_sorted_columns(digits), binom)]
+        del successors, digits
         live = cols >= 0 if single else (cols >= 0) & (owner[cols] == i)  # w = 0 or not owned
         cols = cols[live]
         blocks.append((rows[live], cols, values[live] * w[cols]))
     rows, cols, values = blocks[0] if single else map(np.concatenate, zip(*blocks))
-    k = sparse.csr_array((values, (rows, cols)), shape=(kept.size, kept.size))
+    if not single:  # each pass's rows ascend: merge them, each row's entries in pass order
+        order = np.argsort(rows, kind="stable")
+        rows, cols, values = rows[order], cols[order], values[order]
+    # K~ straight from its rows; scipy sorts each row and sums its repeats,
+    # as it would from COO entries in this order
+    indptr = np.searchsorted(rows, np.arange(kept.size + 1)).astype(np.int32)
+    k = sparse.csr_array((values, cols, indptr), shape=(kept.size, kept.size))
     k.sum_duplicates()
+    k.eliminate_zeros()  # products that underflow
     dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
-    return LumpedSystem(alpha, NonnegMatrix.from_sparse(k), u, dimension)
+    return LumpedSystem(alpha, NonnegMatrix(k), u, dimension)
 
 
 def _maximal_supports(emits: np.ndarray) -> np.ndarray:
@@ -529,13 +553,35 @@ def _lumped_entries(degree: list[int], alpha: int) -> int:
 
 
 def _binomials(nx: int, alpha: int) -> np.ndarray:
-    """C(m + j, j + 1) for state m and place j: the colexicographic rank of a
-    sorted tuple m is sum_j C(m_j + j, j + 1)."""
+    """C(m + j, j + 1) at [j, m], for place j and state m: the colexicographic
+    rank of a sorted tuple m is sum_j C(m_j + j, j + 1)."""
     return np.array(
-        [[math.comb(m + j, j + 1) for j in range(alpha)] for m in range(nx)], dtype=np.intp
+        [[math.comb(m + j, j + 1) for m in range(nx)] for j in range(alpha)], dtype=np.intp
     )
 
 
-def _rank(tuples: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Colexicographic rank of each sorted row among the multisets of its size."""
-    return sum(binom[tuples[:, j], j] for j in range(tuples.shape[1]))
+def _rank(digits, binom: np.ndarray) -> np.ndarray:
+    """Colexicographic rank of sorted tuples among the multisets of their size.
+
+    digits holds one array per place, the tuples' states there, and each
+    place's binomials are gathered at once.
+    """
+    return sum(b[d] for b, d in zip(binom, digits))
+
+
+def _sorted_columns(digits: list[np.ndarray]) -> list[np.ndarray]:
+    """Each tuple's states in ascending order, with one array per place as `digits` holds them.
+
+    Compare-exchanges of whole places, in the order of an insertion
+    sorting network: place j - 1 takes the minimum and j the maximum.
+    The arrays of `digits` are overwritten, and one spare array of a
+    place's size is all the sort allocates.
+    """
+    spare = np.empty_like(digits[0])
+    for i in range(1, len(digits)):
+        for j in range(i, 0, -1):
+            a, b = digits[j - 1], digits[j]
+            np.minimum(a, b, out=spare)
+            np.maximum(a, b, out=b)
+            digits[j - 1], spare = spare, a
+    return digits

@@ -20,6 +20,9 @@ checks:
   transposed CSR form, or A's dense array when A is dense) and returns
   each step's log; ``math.fsum`` of them checks the stepwise power sum,
   which may stop early, to a few ulps.
+- ``lumped_matrix`` forms K~ and u~ of an HMM whose states all emit
+  every symbol by their definitions, one successor tuple at a time; it
+  checks ``lumped_system`` float for float.
 - ``sequence_probability`` runs the forward recursion over one output
   string; it checks the marginals the brute-force oracle enumerates.
 - ``perron_enclosure`` encloses the Perron root of a float block in
@@ -30,9 +33,12 @@ checks:
   when the enclosure straddles a rounding boundary.
 - ``power_iteration_radius`` runs plain power iteration on one block
   shifted by a quarter of its largest row sum, with the relative stop
-  and its rounding floor, no stall exit and no hand-over; it checks, float for
-  float, every radius the package closes by power iteration, whether
-  its block iterated alone or in a lockstep stack.
+  and its rounding floor, no stall exit and no hand-over, reading the
+  bracket after every step; it checks, float for float, every radius
+  the package closes by power iteration, whether its block iterated
+  alone or in a lockstep stack.  ``power_iteration_close`` also gives
+  the step that closed the bracket, which the package's reads of
+  several steps at once must meet.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import reduce
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 import mpmath
@@ -126,6 +133,43 @@ def restricted_kronecker_power(
         for tup, z in zip(digits.tolist(), symbols.tolist())
     )
     return matrix, nu, hidden, labels
+
+
+def lumped_matrix(hmm: HiddenMarkovModel, alpha: int) -> tuple[sparse.csr_array, np.ndarray]:
+    """K~ and u~ by their definitions, for an HMM whose states all emit every symbol.
+
+    Rows are the multisets M of alpha states (sorted tuples) in
+    lexicographic order; under such emissions every w(M) is positive.
+    Row M lists one entry per successor tuple t' of M in P's support,
+    from itertools.product in lexicographic order: w(sorted t') times
+    prod_j P[m_j, t'_j], the product taken left to right, in the column of
+    sorted t'.  csr_array((data, (rows, cols))) sums each orbit's entries.
+    w(M) = sum_z prod_j E[m_j, z] is summed over z by numpy, and
+    u~(M) = |orbit(M)| prod_j pi[m_j] w(M).
+    """
+    p, e, pi = hmm.chain.transition, hmm.emission, hmm.chain.initial
+    nx = len(p)
+    multisets = list(combinations_with_replacement(range(nx), alpha))
+    column = {m: i for i, m in enumerate(multisets)}
+    w = {
+        m: np.array([math.prod(e[x, z] for x in m) for z in range(len(e.T))]).sum()
+        for m in multisets
+    }
+    support = [np.flatnonzero(row).tolist() for row in p]
+    rows, cols, data = [], [], []
+    for i, m in enumerate(multisets):
+        for t in product(*(support[x] for x in m)):
+            target = tuple(sorted(t))
+            rows.append(i)
+            cols.append(column[target])
+            data.append(math.prod(p[x, y] for x, y in zip(m, t)) * w[target])
+    k = sparse.csr_array((data, (rows, cols)), shape=(len(multisets), len(multisets)))
+    orbit = [
+        math.factorial(alpha) // math.prod(math.factorial(m.count(x)) for x in set(m))
+        for m in multisets
+    ]
+    u = np.array([n * math.prod(pi[x] for x in m) * w[m] for n, m in zip(orbit, multisets)])
+    return k, u
 
 
 def empirical_growth_probe(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) -> float:
@@ -235,6 +279,15 @@ def round12(lo, hi) -> float | None:
 def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | None:
     """Perron root of an irreducible block by power iteration on B = A + cI; None if still open.
 
+    The radius of `power_iteration_close`.
+    """
+    closed = power_iteration_close(a, tol, steps)
+    return None if closed is None else closed[0]
+
+
+def power_iteration_close(a: NonnegMatrix, tol: float, steps: int) -> tuple[float, int] | None:
+    """(Perron root, the step that closed its bracket) by plain power iteration; None if still open.
+
     c is a quarter of A's largest row sum, summed in the form A is held
     in.  From uniform v, each step forms w = B v, reads the
     Collatz-Wielandt bracket [lo, hi] = [min_i w_i / v_i, max_i w_i / v_i]
@@ -242,7 +295,7 @@ def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | N
     minus c once the bracket is at most tol (hi - c) wide, or at most
     m eps hi, the rounding of the ratios.  B is a CSR array when at most
     a quarter of A's entries are stored, else a dense one, as the package
-    holds it.
+    holds it.  Steps count from 1.
     """
     m = a.dim
     if a.nnz <= m * m // 4:
@@ -253,11 +306,11 @@ def power_iteration_radius(a: NonnegMatrix, tol: float, steps: int) -> float | N
         c = 0.25 * dense.sum(axis=1).max()
         b = dense + c * np.eye(m)
     v = np.full(m, 1.0 / m)
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         w = b @ v
         ratios = w / v
         lo, hi = ratios.min(), ratios.max()
         v = w / w.sum()
         if hi - lo <= max(tol * (hi - c), m * np.finfo(float).eps * hi):
-            return float((lo + hi) / 2.0 - c)
+            return float((lo + hi) / 2.0 - c), step
     return None

@@ -38,6 +38,7 @@ from conftest import FIXTURES, RESTRICTED_EXAMPLE
 from independent import (
     empirical_growth_probe,
     perron_enclosure,
+    power_iteration_close,
     power_iteration_radius,
     stepwise_logs,
     submatrix,
@@ -416,6 +417,55 @@ def test_radii_match_plain_power_iteration(seed, kinds):
             assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
 
 
+def _states_after(blocks, max_iter):
+    """Per block, its radius if `_perron_radii` closes it within max_iter steps, else ("open", steps run)."""
+
+    def finish(state, *_):
+        return ("open", state[4]) if isinstance(state, tuple) else state
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_finish", finish)
+        return spectral._perron_radii(blocks, spectral.DEFAULT_TOL, max_iter)
+
+
+# (kind, seed) of `_mixed_block`s whose bracket, read after every step,
+# first closes at the given step: the first step of a read of _READ = 8,
+# its last, a _WINDOW mark (32), and the dense 3-node blocks of one
+# stack, which close in the third, fourth and fifth reads
+CLOSING_BLOCKS = {
+    "first-of-read": [("dense", 1, 25)],
+    "last-of-read": [("dense", 64, 24)],
+    "window-mark": [("dense", 172, 32)],
+    "csr-first-of-read": [("csr", 42, 73)],
+    "csr-window-mark": [("csr", 113, 64)],
+    "stack": [
+        ("dense", 6, 22), ("dense", 64, 24), ("dense", 1, 25), ("dense", 172, 32), ("dense", 36, 33)
+    ],
+}
+
+
+@pytest.mark.parametrize("group", CLOSING_BLOCKS.values(), ids=CLOSING_BLOCKS.keys())
+def test_blocks_close_at_the_step_a_per_step_read_closes_them(group):
+    # the brackets of several steps are read at once; a block must still
+    # close at its first closing step, with that step's midpoint, and stay
+    # open one step before it, whatever read the step falls in
+    blocks = [_mixed_block(np.random.default_rng(seed), kind) for kind, seed, _ in group]
+    closes = [power_iteration_close(block, spectral.DEFAULT_TOL, 1000) for block in blocks]
+    assert [step for _, step in closes] == [step for _, _, step in group]
+    assert len({block.dim for block in blocks}) == 1  # a stack's blocks share one size
+    for budget in sorted({step for _, step in closes} | {step - 1 for _, step in closes}):
+        # below 1000 steps no block stalls or hands over
+        states = _states_after(blocks, budget)
+        for state, (rho, step) in zip(states, closes):
+            if step <= budget:
+                assert state.hex() == rho.hex()
+            else:
+                assert state == ("open", budget)
+    radii, exits = _radii_and_exits(blocks)  # the full budget, with the stall rule on
+    assert exits == [None] * len(blocks)
+    assert [r.hex() for r in radii] == [rho.hex() for rho, _ in closes]
+
+
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from(["csr", "dense", "sticky"]),
@@ -641,6 +691,39 @@ class TestGrowthRate:
         ga2 = growth_rate(a, 7.5 * u)
         assert ga1.rho_plus == ga2.rho_plus
         assert ga1.reachable == ga2.reachable
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_radius_blocks_are_principal_submatrices(self, seed):
+        # dense blocks and sparse rings, joined forward and shuffled with
+        # singletons: each cut block is A's principal submatrix on its
+        # component, in the form `_operand` picks, a sparse one with
+        # columns in increasing order
+        rng = np.random.default_rng(seed)
+        sizes = rng.choice([1, 2, 3, 5, 9, 16], size=int(rng.integers(3, 8)))
+        n = int(sizes.sum())
+        a = np.zeros((n, n))
+        for start, m in zip(np.cumsum(sizes) - sizes, sizes):
+            idx = start + np.arange(m)
+            a[idx, np.roll(idx, -1)] = rng.uniform(0.1, 1.0, m)  # one cycle through the block
+            if m < 9:
+                a[np.ix_(idx, idx)] += rng.uniform(0.1, 1.0, (m, m)) * (rng.random((m, m)) < 0.6)
+            later = n - start - m  # edges out to later blocks only
+            a[idx[0], start + m :] = rng.uniform(0.1, 1.0, later) * (rng.random(later) < 0.3)
+        shuffle = rng.permutation(n)
+        matrix = NonnegMatrix.from_dense(a[np.ix_(shuffle, shuffle)])
+        decomp = strongly_connected_components(matrix)
+        comps = [comp for comp in decomp.components if len(comp) > 1]
+        blocks = spectral._radius_blocks(matrix.csr, decomp)
+        assert len(blocks) == len(comps) == np.count_nonzero(sizes > 1)
+        for comp, block in zip(comps, blocks):
+            expected = spectral._operand(submatrix(matrix, comp))
+            assert type(block) is type(expected)
+            if isinstance(block, np.ndarray):
+                assert block.flags.c_contiguous and block.tobytes() == expected.tobytes()
+            else:
+                assert block.csr.has_sorted_indices and block.csr.shape == expected.csr.shape
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(block.csr, name), getattr(expected.csr, name))
 
     @pytest.mark.parametrize("order", range(2, 9))
     def test_noiseless_system_keeps_its_own_blocks(self, order):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -12,6 +13,7 @@ from scipy import sparse
 from renyirates import (
     MarkovChain,
     NonnegMatrix,
+    bsc_hmm,
     collision_system,
     deterministic_observation,
     entropy,
@@ -26,7 +28,7 @@ from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.random_models import random_chain, random_hmm
 
 from conftest import FIXTURES, P_EXAMPLE, PI_UNIFORM3, RESTRICTED_EXAMPLE
-from independent import joint_chain, kronecker_power
+from independent import joint_chain, kronecker_power, lumped_matrix
 
 
 class TestKroneckerPower:
@@ -349,6 +351,85 @@ class TestColumns:
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(expected, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_transition_rows_are_scipys_csr(self, seed):
+        # the CSR arrays both builds read of P, taken from its non-zero
+        # positions without a scipy constructor
+        rng = np.random.default_rng(seed)
+        chain = random_chain(rng, int(rng.integers(1, 12)), sparsity=rng.uniform(0.0, 0.8))
+        got = tensor._transition_rows(validate_hmm(chain, np.ones((len(chain.states), 1))))
+        expected = sparse.csr_array(chain.transition)
+        expected.eliminate_zeros()
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# sha256 (first 16 hex digits) of K~'s values, column indices and row
+# bounds (as little-endian int64) and of u~, as lumped_system gave them
+# before K~ was assembled straight from its rows
+LUMPED_DIGESTS = {
+    ("fig2", 2): "1c895f98d30a2978",
+    ("fig2", 3): "584779d315742c57",
+    ("fig2", 4): "bc43f15c845a1c6b",
+    ("fig2", 5): "4c8ebc9a2afcaf93",
+    ("fig2", 6): "8aa50e5e881633ad",
+    ("fig2", 7): "0e7a3a148da7b1f8",
+    ("fig2", 8): "c04389af5a0411ab",
+    ("bsc", 2): "65ea456c1f84e498",
+    ("bsc", 3): "581bea0c9c441061",
+    ("bsc", 4): "a348841a273d9b7b",
+    ("bsc", 5): "7988350ea6dc9d7e",
+    ("bsc", 6): "29e160854cc99039",
+    ("bsc", 7): "f35cd975dfc38f02",
+    ("bsc", 8): "3844fa0b58f6941e",
+}
+
+
+class TestLumpedMatrix:
+    @pytest.mark.parametrize("alpha", range(2, 7))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_definition_float_for_float(self, seed, alpha):
+        # every state emits every symbol, so every multiset is a row; P's
+        # zeros thin the successors, and duplicate orbit entries are summed
+        # by scipy in the order the definition lists them
+        rng = np.random.default_rng(100 * alpha + seed)
+        nx = int(rng.integers(2, 7 if alpha <= 3 else 5))
+        chain = random_chain(rng, nx, sparsity=float(rng.choice([0.0, 0.5])))
+        hmm = validate_hmm(chain, rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=nx))
+        lumped = tensor.lumped_system(hmm, alpha)
+        k, u = lumped_matrix(hmm, alpha)
+        got = lumped.matrix.csr
+        assert got.shape == k.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(k, name)), name
+        assert [x.hex() for x in lumped.initial.tolist()] == [x.hex() for x in u.tolist()]
+
+    @pytest.mark.parametrize("name,alpha", sorted(LUMPED_DIGESTS))
+    def test_fixtures_keep_their_floats(self, name, alpha):
+        model = load_model(FIXTURES / f"{name}.model")
+        hmm = bsc_hmm(model, 0.1) if name == "bsc" else model
+        lumped = tensor.lumped_system(hmm, alpha)
+        k = lumped.matrix.csr
+        h = hashlib.sha256()
+        for a in (k.data, k.indices.astype("<i8"), k.indptr.astype("<i8"), lumped.initial):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == LUMPED_DIGESTS[name, alpha]
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.6])
+    def test_index_arrays_are_int32(self, sparsity):
+        # as collision_system and NonnegMatrix.from_dense give them
+        rng = np.random.default_rng(3)
+        hmm = random_hmm(rng, 6, 3, sparsity=sparsity)
+        for matrix in (
+            tensor.lumped_system(hmm, 3).matrix,
+            collision_system(hmm, 3).matrix,
+            NonnegMatrix.from_dense(hmm.chain.transition),
+        ):
+            assert matrix.csr.indices.dtype == matrix.csr.indptr.dtype == np.int32
 
 
 def _three_cycle_hmm():
