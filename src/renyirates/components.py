@@ -14,21 +14,16 @@ DAG.  Members of a component are listed in increasing index order.  The
 reachable set from a weight vector's support singles out the components
 that govern the growth of u^T A^n 1.
 
-Two vectorised breadth-first sweeps from node 0, forward and backward,
-are tried first.  When both reach every node the graph is one component,
-and Tarjan's pass would give exactly ((0, ..., n-1),) with every node in
-component 0 and no condensation edge: with a single component there is
-no order left to choose, so the contract holds.  Otherwise, or once the
-sweeps have spent about what Tarjan's pass would cost (a long-diameter
-graph), the pass runs as before.  That budget, (n + nnz) // 128 levels,
-is 0 below 128 nodes plus entries, so small graphs go straight to the
-pass.  Irreducible HMM rates take the lumped matrix and never build A
-whenever `tensor.irreducible` decides (see `entropy._growth`), so the
-sweeps serve large irreducible systems that still build A: Markov rates,
-and HMM rates where `tensor.irreducible` is undecided.  No call of the
-benchmark in `bench/` takes this shortcut at seeds 1-3; it is kept for
-large irreducible Markov chains, where Tarjan's pass costs several
-times what the sweeps do.
+`_strongly_connected` tells, without the pass, whether a graph is one
+component: two vectorised breadth-first sweeps from node 0, forward and
+backward, which give up once they have spent about the pass's cost (a
+long-diameter graph): (n + nnz) // 128 levels, 0 for small graphs.
+`spectral.growth_rate` asks it before the pass, and an A it shows to be
+one component never reaches the pass.  That serves irreducible systems
+that build A: Markov rates, and HMM rates where `tensor.irreducible` is
+undecided (see `entropy._growth`).  No call of the benchmark in `bench/`
+is one at seeds 1-3.  On a dense chain of 4M entries the pass takes
+377 ms and the sweeps 3.2 ms (one thread of a 2-core x86 box).
 """
 
 from __future__ import annotations
@@ -64,17 +59,10 @@ def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
 
     Iterative Tarjan (R. Tarjan, SIAM J. Comput. 1, 1972) over the CSR
     arrays; the condensation edges come from the stored entries whose
-    endpoints lie in different components.  A graph of more than one node
-    that the sweeps of `_strongly_connected` show to be one component
-    skips the pass.
+    endpoints lie in different components.  A one-component graph gets
+    the pass too; `spectral.growth_rate` tells those apart first.
     """
     n = a.dim
-    if n > 1 and _strongly_connected(a.csr):
-        return ComponentDecomposition(
-            components=(tuple(range(n)),),
-            component_of=(0,) * n,
-            dag_edges=frozenset(),
-        )
     indptr = a.csr.indptr.tolist()
     indices = a.csr.indices.tolist()
     index = [-1] * n

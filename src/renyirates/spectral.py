@@ -14,10 +14,10 @@ the m-term ratios it is read from, which is as close as it can get.
 Both widths, the shift and every step scale with A, so the radius of
 2^k A is exactly 2^k times A's.
 
-One rule (`_operand`) picks the form every radius and power sum runs
-on: a C-ordered dense array when more than a quarter of the entries are
-stored (at most four times the memory of CSR), and CSR otherwise, so no
-result depends on the caller's form or memory order.  A CSR matrix is
+One rule (`_dense_enough`) picks the form every radius and power sum
+runs on: a C-ordered dense array when more than a quarter of the entries
+are stored (at most four times the memory of CSR), and CSR otherwise, so
+no result depends on the caller's form or memory order.  A CSR matrix is
 densified by choice only for the Noda hand-over and for squaring below,
 and only up to 3300 nodes (about 87 MB dense).
 
@@ -39,8 +39,10 @@ whole budget and can still raise NoConvergence when it is
 near-degenerate (a sparse LU would densify it through fill-in).  A
 radius is the midpoint of a closed bracket, never of an open one.
 
-`growth_rate` takes all the radii of a call in one pass, cut from A in
-one pass too (`_radius_blocks`), and every power step runs in one loop,
+`growth_rate` hands an A that `components._strongly_connected` shows to
+be one component to `irreducible_growth` uncut, and otherwise takes all
+the radii of a call in one pass, cut from A in one pass too
+(`_radius_blocks`).  Every power step runs in one loop,
 `_power`.  It iterates one CSR block, or dense blocks of one size in
 lockstep as one (k, m, m) stack, a lone dense block as a stack of one.
 A step is only its product, whose slices run the same gemv as a lone
@@ -52,11 +54,11 @@ with the same float as alone and read step by step, at the interpreter
 cost of one block.  A block leaves the stack at the end of the read in
 which it closes or stalls.  A 1x1 block is its entry, with no iteration.
 
-`irreducible_growth` gives the growth of an irreducible A that is never
-built: one component, whose radius is the Perron root of a matrix with
-A's root, iterated as given.  An HMM's rate takes it with K lumped onto
-multisets of hidden states, K~, when `tensor.irreducible` shows A
-irreducible.
+`irreducible_growth` alone builds the decomposition of one component of
+all A's nodes, whose radius is the Perron root of a matrix with A's
+root, iterated as given: A itself from `growth_rate`, or K lumped onto
+multisets of hidden states, K~, for an HMM whose A `tensor.irreducible`
+shows irreducible, and which never builds A.
 
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`); a fully observed chain's run on P^(o alpha), passed as a
@@ -87,6 +89,7 @@ from scipy import sparse
 
 from .components import (
     ComponentDecomposition,
+    _strongly_connected,
     reachable_components,
     strongly_connected_components,
 )
@@ -274,9 +277,14 @@ def _operand(a: NonnegMatrix | np.ndarray) -> NonnegMatrix | np.ndarray:
         a = _square(a)
         _check_entries(a, "non-negative matrix")
         d, stored = a.shape[0], np.count_nonzero(a)
-    if stored <= d * d // 4:
+    if not _dense_enough(stored, d):
         return a if isinstance(a, NonnegMatrix) else NonnegMatrix.from_dense(a)
     return a.to_dense() if isinstance(a, NonnegMatrix) else np.ascontiguousarray(a)
+
+
+def _dense_enough(stored, d):
+    """Whether d x d blocks with `stored` entries run dense (`_operand`, `_radius_blocks`)."""
+    return stored > d * d // 4
 
 
 def _power_steps(b, max_iter: int) -> int:
@@ -512,12 +520,16 @@ def _noda(
 def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
 
-    Components are found on A.  A singleton's radius is its diagonal
-    entry, and a multi-node component's is the Perron root of its own
-    block of A.
+    u is checked against A first.  An A of more than one node that
+    `components._strongly_connected` shows to be one component goes to
+    `irreducible_growth` uncut.  Otherwise Tarjan's pass finds A's
+    components: a singleton's radius is its diagonal entry, and a
+    multi-node component's is the Perron root of its own block of A.
     """
     _check_tol(tol)
     u = _checked_weights(u, a.dim)
+    if a.dim > 1 and _strongly_connected(a.csr):
+        return irreducible_growth(u, a, tol)
     decomp = strongly_connected_components(a)
     block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp), tol, MAX_ITERATIONS))
     diagonal = a.csr.diagonal()
@@ -531,12 +543,12 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> Gro
 def irreducible_growth(
     u: np.ndarray, k: NonnegMatrix, tol: float = DEFAULT_TOL
 ) -> GrowthAnalysis:
-    """The growth of an irreducible A of len(u) nodes, without A: rho(A) is rho(k).
+    """The growth of an irreducible A of len(u) nodes from k, rho(k) = rho(A).
 
-    A's decomposition is then one component of all its nodes, as
-    `strongly_connected_components` gives it, and its radius is k's
-    Perron root, taken on k as given.  The caller vouches for A's
-    irreducibility and for k's root (see `tensor.irreducible`).
+    The one place that builds A's decomposition of one component, as
+    Tarjan's pass gives it; its radius is k's Perron root, taken on k as
+    given.  The caller vouches for len(u), A's irreducibility and k's
+    root: k is A itself (`growth_rate`) or K~ (`tensor.irreducible`).
     """
     _check_tol(tol)
     n = np.shape(u)[0]
@@ -605,7 +617,7 @@ def _radius_blocks(
     pos, row = pos[kept], row[kept]
     blk, i, j, values = block[row], place[row], place[a.indices[pos]], a.data[pos]
     stored = np.bincount(blk, minlength=sizes.size)
-    dense = stored > sizes * sizes // 4
+    dense = _dense_enough(stored, sizes)
     # the dense blocks share one zero buffer, each at its own offset
     area = np.where(dense, sizes * sizes, 0)
     offset = np.cumsum(area) - area

@@ -12,11 +12,14 @@ from renyirates import (
     NonnegMatrix,
     collision_system,
     components,
+    growth_rate,
     reachable_components,
+    spectral,
     strongly_connected_components,
 )
 from renyirates.modelfile import load_model
 from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
+from renyirates.spectral import GrowthAnalysis
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
 from independent import submatrix
@@ -171,10 +174,19 @@ class TestSccAgainstReference:
         assert decomp.dag_edges == frozenset()
 
 
-def _tarjan(a: NonnegMatrix):
-    """The decomposition with the irreducible shortcut turned off."""
-    with mock.patch.object(components, "_strongly_connected", return_value=False):
-        return strongly_connected_components(a)
+def _tarjan_growth(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
+    """`growth_rate` with the irreducible shortcut turned off: Tarjan's pass and `_radius_blocks`."""
+    with mock.patch.object(spectral, "_strongly_connected", return_value=False):
+        return growth_rate(a, u)
+
+
+def _assert_same_analysis(ga: GrowthAnalysis, expected: GrowthAnalysis) -> None:
+    """Equal decompositions and reachable sets, and radii equal float for float."""
+    assert ga.decomposition == expected.decomposition
+    assert ga.reachable == expected.reachable
+    assert ga.dominant_component == expected.dominant_component
+    hexes = [r.hex() for r in (*ga.component_radii, ga.rho_plus)]
+    assert hexes == [r.hex() for r in (*expected.component_radii, expected.rho_plus)]
 
 
 def _ring(m: int) -> NonnegMatrix:
@@ -188,7 +200,8 @@ def _ring(m: int) -> NonnegMatrix:
 
 
 class TestIrreducibleShortcut:
-    """A graph that is one strongly connected component skips Tarjan's pass."""
+    """`growth_rate` hands an A that the sweeps show to be one component to
+    `irreducible_growth` uncut; Tarjan's pass and `_radius_blocks` take the rest."""
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -200,7 +213,8 @@ class TestIrreducibleShortcut:
         if kind == "collision":
             nx, nz, alpha = (int(rng.integers(lo, hi)) for lo, hi in [(1, 5), (1, 4), (2, 4)])
             hmm = random_hmm(rng, nx, nz, sparsity=float(rng.uniform(0, 0.6)))
-            a = collision_system(hmm, alpha).matrix
+            cs = collision_system(hmm, alpha)
+            a, u = cs.matrix, cs.initial
         else:
             n = int(rng.integers(1, 61))
             dense = random_nonneg_matrix(rng, n, zero_prob=float(rng.uniform(0.3, 0.99)))
@@ -210,56 +224,78 @@ class TestIrreducibleShortcut:
                 dense[0] += 0.5
                 dense[:, 0] = 0.0
             a = NonnegMatrix.from_dense(dense)
-        assert strongly_connected_components(a) == _tarjan(a)
+            u = random_nonneg_vector(rng, n, zero_prob=0.5)
+        _assert_same_analysis(growth_rate(a, u), _tarjan_growth(a, u))
 
     @pytest.mark.parametrize("loop", [0.0, 0.7])
     def test_single_node(self, loop):
         a = NonnegMatrix.from_dense([[loop]])
-        assert strongly_connected_components(a) == _tarjan(a)
+        _assert_same_analysis(growth_rate(a, [1.0]), _tarjan_growth(a, [1.0]))
         assert strongly_connected_components(a).components == ((0,),)
 
-    def test_irreducible_collision_system_takes_the_shortcut(self):
+    def test_irreducible_collision_system_takes_the_shortcut(self, monkeypatch):
         cs = collision_system(random_hmm(np.random.default_rng(3), 5, 2), 2)
         assert components._strongly_connected(cs.matrix.csr)
-        decomp = strongly_connected_components(cs.matrix)
-        assert decomp == _tarjan(cs.matrix)
-        assert decomp.components == (tuple(range(cs.dimension)),)
+        expected = _tarjan_growth(cs.matrix, cs.initial)
+        passes, cuts = [], []
+        monkeypatch.setattr(spectral, "strongly_connected_components", passes.append)
+        monkeypatch.setattr(spectral, "_radius_blocks", lambda *args: cuts.append(1))
+        ga = growth_rate(cs.matrix, cs.initial)
+        assert passes == cuts == []
+        assert ga.decomposition.components == (tuple(range(cs.dimension)),)
+        _assert_same_analysis(ga, expected)
 
     def test_long_ring_falls_back_within_the_level_bound(self, monkeypatch):
         # the 3301-node ring needs about 1650 levels a sweep; both sweeps
         # together get (n + nnz) // 128 of them before Tarjan takes over
         ring = _ring(3301)
-        spent, decided = [], []
-        sweep, shortcut = components._sweep, components._strongly_connected
+        spent, decided, passes = [], [], []
+        sweep, shortcut = components._sweep, spectral._strongly_connected
+        tarjan = spectral.strongly_connected_components
 
         def counted_sweep(step, n, levels, cost):
             return sweep(lambda frontier: spent.append(cost) or step(frontier), n, levels, cost)
 
         monkeypatch.setattr(components, "_sweep", counted_sweep)
         monkeypatch.setattr(
-            components, "_strongly_connected", lambda csr: decided.append(shortcut(csr)) or decided[-1]
+            spectral, "_strongly_connected", lambda csr: decided.append(shortcut(csr)) or decided[-1]
         )
-        decomp = strongly_connected_components(ring)
+        monkeypatch.setattr(
+            spectral, "strongly_connected_components", lambda a: passes.append(1) or tarjan(a)
+        )
+        ga = growth_rate(ring, np.ones(ring.dim))
         assert decided == [False]
         assert sum(spent) == (ring.dim + ring.nnz) // 128 == 103
-        assert decomp.components == (tuple(range(3301)),)
+        assert passes == [1]
+        assert ga.decomposition.components == (tuple(range(3301)),)
 
-    def test_irreducible_pass_peaks_below_the_build(self):
+    def test_irreducible_pass_peaks_below_the_build(self, monkeypatch):
         # dense 4 states, 3 symbols, alpha = 4: 768 nodes, 589,824 entries;
-        # Tarjan's pass copied the CSR columns into a list and peaked at 26 MB
+        # Tarjan's pass copied the CSR columns into a list and peaked at
+        # 26 MB, while the sweeps that decide growth_rate's path stay far below
         hmm = random_hmm(np.random.default_rng(0), 4, 3)
+        decided, peaks = [], []
+        shortcut = spectral._strongly_connected
+
+        def measured(csr):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            decided.append(shortcut(csr))
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return decided[-1]
+
+        monkeypatch.setattr(spectral, "_strongly_connected", measured)
         tracemalloc.start()
         try:
             cs = collision_system(hmm, 4)
             build_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            decomp = strongly_connected_components(cs.matrix)
-            scc_peak = tracemalloc.get_traced_memory()[1] - held
+            ga = growth_rate(cs.matrix, cs.initial)
         finally:
             tracemalloc.stop()
         assert (cs.dimension, cs.matrix.nnz) == (768, 589824)
-        assert decomp.n_components == 1
+        assert decided == [True]
+        assert ga.decomposition.n_components == 1
+        (scc_peak,) = peaks
         assert scc_peak < build_peak, f"SCC {scc_peak / 2**20:.1f} MiB, build {build_peak / 2**20:.1f} MiB"
 
 

@@ -26,7 +26,7 @@ from renyirates import (
     validate_chain,
     validate_hmm,
 )
-from renyirates import entropy, nonneg, tensor
+from renyirates import entropy, nonneg, spectral, tensor
 from renyirates.errors import DimensionOverflow, InvalidOrder
 from renyirates.oracle import brute_force_entropy
 from renyirates.random_models import random_chain, random_hmm
@@ -187,6 +187,24 @@ class TestMarkovRate:
         direct = markov_rate(chain, 2).value_bits
         via_hmm = entropy_rate(identity_observation(chain), 2).value_bits
         assert abs(direct - via_hmm) <= 1e-9
+
+    def test_irreducible_chain_is_not_cut_from_itself(self, monkeypatch):
+        # P o alpha of a dense irreducible chain is one component, which
+        # growth_rate hands to irreducible_growth as it is; cutting it back
+        # out of itself (_radius_blocks) peaked at 13.8 times its bytes
+        chain = random_chain(np.random.default_rng(1), 600)
+        cuts, cut = [], spectral._radius_blocks
+        monkeypatch.setattr(spectral, "_radius_blocks", lambda *args: cuts.append(1) or cut(*args))
+        powered = chain.transition**2
+        tracemalloc.start()
+        try:
+            rep = markov_rate(chain, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cuts == []
+        assert rep.finite and len(rep.dominant_members) == 600
+        assert peak < 6 * powered.nbytes, f"peak {peak / powered.nbytes:.1f} times P o alpha"
 
     def test_order_one_rejected(self, example_chain):
         with pytest.raises(InvalidOrder):

@@ -101,10 +101,10 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     # each call builds a collision system (or, for an irreducible rate, the
     # lumped matrix), splits it into components and takes their radii; a
     # lazy import on that path would slip past the import-time check.  The
-    # dense 16-state chain's Hadamard power is irreducible, so the shortcut
-    # sweeps decide its components (the BSC system's rate takes the lumped
-    # matrix and never builds A); the block chain's eight 2-node blocks
-    # iterate in one lockstep stack
+    # dense 16-state chain's Hadamard power is irreducible, so growth_rate's
+    # sweeps hand it to irreducible_growth uncut (the BSC system's rate takes
+    # the lumped matrix and never builds A); the block chain's eight 2-node
+    # blocks iterate in one lockstep stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
@@ -121,9 +121,9 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     ] + [["rate", str(dense), "--order", "2"]]
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
-        "from renyirates import components, spectral\n"
-        "shortcut, power, decided, stacks = components._strongly_connected, spectral._power, [], []\n"
-        "components._strongly_connected = lambda csr: decided.append(shortcut(csr)) or decided[-1]\n"
+        "from renyirates import spectral\n"
+        "shortcut, power, decided, stacks = spectral._strongly_connected, spectral._power, [], []\n"
+        "spectral._strongly_connected = lambda csr: decided.append(shortcut(csr)) or decided[-1]\n"
         "spectral._power = lambda b, rows, *rest: stacks.append(len(rows)) or power(b, rows, *rest)\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"

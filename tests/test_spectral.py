@@ -598,6 +598,27 @@ class TestInputChecks:
             growth_rate(a, u)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "u,error",
+        [
+            pytest.param(np.ones(15), DimensionMismatch, id="short"),
+            pytest.param(np.ones(17), DimensionMismatch, id="long"),
+            pytest.param([math.nan] + [1.0] * 15, NonFiniteEntry, id="nan"),
+        ],
+    )
+    def test_growth_rate_checks_weights_before_the_shortcut(self, monkeypatch, u, error):
+        # a positive 16 x 16 A takes the shortcut (n + nnz = 272 buys the two
+        # levels its sweeps need), and irreducible_growth reads A's dimension
+        # off len(u), so u must be checked against A before any sweep or radius
+        a = NonnegMatrix.from_dense(np.random.default_rng(5).uniform(0.1, 1.0, (16, 16)))
+        assert spectral._strongly_connected(a.csr)
+        calls = []
+        for name in ("_strongly_connected", "strongly_connected_components", "_perron_radii"):
+            monkeypatch.setattr(spectral, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(error, match="weight vector"):
+            growth_rate(a, u)
+        assert calls == []
+
     @pytest.mark.parametrize("u,error", BAD_WEIGHTS)
     @pytest.mark.parametrize("n", [0, 3])
     def test_power_sum_rejects_bad_weights(self, u, error, n):
