@@ -30,7 +30,7 @@ class InvalidOrder(RenyiError):
 
 
 class NoConvergence(RenyiError):
-    """Power iteration did not reach the target tolerance in the budget."""
+    """Power iteration, or Noda's inverse iteration after it, did not reach the tolerance."""
 
 
 class InvalidNoise(RenyiError):

@@ -1,18 +1,20 @@
 """Spectral radii of irreducible blocks and growth of weighted power sums.
 
 The rate of u^T A^n 1 equals the largest spectral radius among the
-components reachable from the support of u.  Radii are computed by power
-iteration on A + cI, with c a quarter of the block's largest row sum: any
-c > 0 makes an irreducible non-negative block primitive, so the
-Collatz-Wielandt bounds close geometrically even for periodic components,
-and a c on the scale of the block's own root keeps the contraction
-(|lambda_2| + c) / (rho + c) well below 1 where rho is small.  A bracket
-[lo, hi] of A + cI closes once hi - lo <= tol (hi - c), tol relative to
-A's upper bound (1e-14 by default, enough for the 12 significant digits
-the CLI prints), or once it is no wider than m eps hi, the rounding of
-the m-term ratios it is read from, which is as close as it can get.
-Both widths, the shift and every step scale with A, so the radius of
-2^k A is exactly 2^k times A's.
+components reachable from the support of u.  Radii are computed by
+power iteration on A + cI, with c a quarter of the block's largest row
+sum: any c > 0 makes an irreducible non-negative block primitive, so the
+Collatz-Wielandt bounds close geometrically even for periodic
+components, and a c on the scale of the block's own root keeps the
+contraction (|lambda_2| + c) / (rho + c) well below 1 where rho is
+small.  A bracket [lo, hi] of A + cI closes once hi - lo <= tol (hi - c),
+tol relative to A's upper bound (1e-14 by default, enough for the 12
+significant digits the CLI prints), or once it is no wider than
+m eps hi, the rounding of the m-term ratios it is read from, which is as
+close as it can get.  A block is first scaled by the power of two that
+brings its largest row sum into [1/2, 1), so no step nears under- or
+overflow, and the radius of 2^k A is exactly 2^k times A's wherever
+2^k A's entries are normal.
 
 One rule (`_dense_enough`) picks the form every radius and power sum
 runs on: a C-ordered dense array when more than a quarter of the entries
@@ -24,20 +26,16 @@ and only up to 3300 nodes (about 87 MB dense).
 Power iteration needs about 1/gap steps, so it stalls on nearly
 decoupled blocks (sticky regimes, small-noise channels).  A block whose
 bracket is still open after max(1000, m) steps hands over to Noda's
-inverse iteration, which closes it in a few solves.  A block that cannot
-close within those steps hands over sooner: every 32 steps its bracket
-width is compared with the width 32 steps before, and when that
-contraction, kept up, would leave the bracket open, a look-ahead by
-repeated squaring reads the bracket the remaining steps would leave.  If
-that is still open by a margin, the block hands over at once (blocks of
-up to 128 nodes; sticky 2-state chains after 64 steps).  So a block that
-power iteration closes keeps its float, and Noda's budget is still
-max_iter - max(1000, m) solves.  Nothing hands over early where no Noda
-step would follow: tol = 0, a budget of max(1000, m) steps or fewer, or
-a sparse block past 3300 nodes, which keeps power iteration for the
-whole budget and can still raise NoConvergence when it is
-near-degenerate (a sparse LU would densify it through fill-in).  A
-radius is the midpoint of a closed bracket, never of an open one.
+inverse iteration, which closes it in a few subtraction-free solves
+(at most 64).  A block that cannot close within those steps hands over
+sooner: every 32 steps its bracket width is compared with the width 32
+steps before, and when that contraction, kept up, would leave the
+bracket open, the block hands over at once (sticky 2-state chains after
+64 steps).  Nothing hands over early when tol = 0.  A sparse block past
+3300 nodes keeps power iteration for 10^5 steps and can still raise
+NoConvergence when it is near-degenerate (a sparse LU would densify it
+through fill-in).  A radius is the midpoint of a closed bracket, never
+of an open one.
 
 `growth_rate` hands an A that `components._strongly_connected` shows to
 be one component to `irreducible_growth` uncut, and otherwise takes all
@@ -117,13 +115,13 @@ _CYCLE_WINDOW = 2**16
 # block's Noda hand-over: a dense 3300 x 3300 array takes about 87 MB.
 _DENSE_MAX_DIM = 3300
 
-# Power steps a dense block gets (at least its dimension) before Noda's
-# inverse iteration takes over.  Blocks of the fixtures close within 77
-# steps and the benchmark's blocks other than its sticky chains within
-# 623, so those radii keep the exact float power iteration gives them.
-# A block whose bracket cannot close within them hands over sooner, at
-# the end of a window of _WINDOW steps (see `_slow` and `_stays_open`);
-# Noda still gets max_iter - max(1000, m) solves either way.
+# Power steps a block gets (at least its dimension) before Noda's inverse
+# iteration takes over; MAX_ITERATIONS caps them, and a CSR block too
+# large to densify gets all MAX_ITERATIONS.  Blocks of the fixtures close
+# within 77 steps and the benchmark's blocks other than its sticky chains
+# within 623, so those radii keep the exact float power iteration gives
+# them.  A block whose bracket cannot close within them hands over sooner,
+# at the end of a window of _WINDOW steps (see `_slow`).
 _POWER_STEPS = 1000
 _WINDOW = 32
 # Power steps read their brackets this many at a time (`_power`).  A read
@@ -131,11 +129,12 @@ _WINDOW = 32
 # and a block that closes on a read's first step runs at most 7 steps
 # past it.  8 divides _WINDOW, so no read is cut short by a window mark.
 _READ = 8
-# A look-ahead must find the bracket this many times the width it closes
-# at (`_width`) to hand a block over early, and runs on blocks of at most
-# _LOOKAHEAD_MAX_DIM nodes.
-_STALL_MARGIN = 100.0
-_LOOKAHEAD_MAX_DIM = 128
+# Noda's solves a block gets: no hand-over of the tests or the benchmark
+# needs more than 16, and a 1200-node sticky ring 32.
+_NODA_SOLVES = 64
+# The subtraction-free solve eliminates this many columns a panel, then
+# updates the trailing block by one matmul (`_triplet_solve`).
+_PANEL = 32
 # Dense blocks of one size iterate in stacks of at most this many bytes;
 # with the blocks held until their stack is full, twice this at most.  A
 # read's iterates, products and brackets hold at most this many more.
@@ -160,65 +159,59 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"radius tolerance must be finite and >= 0, got {tol}")
 
 
-def spectral_radius_irreducible(
-    a: NonnegMatrix | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_ITERATIONS,
-) -> float:
+def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Perron root of an irreducible non-negative matrix (or a 1x1 block).
 
     Power iteration on the shifted matrix B = A + cI, c a quarter of A's
-    largest row sum, stopping when the Collatz-Wielandt bracket
-    lo = min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i = hi is at most
-    tol (hi - c) wide, tol relative to A's upper bound, or at most
-    m eps hi, the rounding of the ratios, if that is wider.  The radius
-    of 2^k A is exactly 2^k times A's.  A, a NonnegMatrix or an array,
-    must be square, finite and non-negative; B is dense when more than a
-    quarter of A's entries are stored and CSR otherwise, whatever A's
-    form (`_operand`).
-    A block whose bracket is still open after max(1000, m) steps
-    continues with Noda's inverse iteration for the rest of the max_iter
-    budget, a CSR block densified first; a CSR block of more than 3300
-    nodes stays with power iteration instead.  A block of up to 128 nodes
-    whose bracket a look-ahead shows still open at the end of those steps
-    hands over as soon as it is seen (see the module docstring), with the
-    same Noda budget; no block does when tol = 0 or max_iter <=
-    max(1000, m).  Returns the midpoint of a closed bracket or raises
-    NoConvergence, whose message gives the power steps that ran.  A 1x1
-    block is its entry.  The block runs alone through the power loop that
-    `growth_rate` runs on all its blocks at once.
+    largest row sum, A first scaled exactly by a power of two to a
+    largest row sum in [1/2, 1), stopping when the Collatz-Wielandt
+    bracket lo = min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i = hi is
+    at most tol (hi - c) wide, tol relative to A's upper bound, or at
+    most m eps hi, the rounding of the ratios, if that is wider.  The
+    radius of 2^k A is exactly 2^k times A's wherever 2^k A's entries are
+    normal.  A, a NonnegMatrix or an array, must be square, finite and
+    non-negative; B is dense when more than a quarter of A's entries are
+    stored and CSR otherwise, whatever A's form (`_operand`).  A block
+    still open after max(1000, m) steps, or seen unable to close in them,
+    continues with at most 64 Noda solves (`_noda`); a CSR block of more
+    than 3300 nodes keeps power iteration for 10^5 steps instead.
+    Returns the midpoint of a closed bracket or raises NoConvergence,
+    whose message names the phase and gives A's bracket.  The block runs
+    alone through the power loop that `growth_rate` runs on all its
+    blocks at once.
     """
     _check_tol(tol)
-    return _perron_radii([_operand(a)], tol, max_iter)[0]
+    return _perron_radii([_operand(a)], tol)[0]
 
 
-def _perron_radii(
-    blocks: list[NonnegMatrix | np.ndarray], tol: float, max_iter: int
-) -> list[float]:
+def _perron_radii(blocks: list[NonnegMatrix | np.ndarray], tol: float) -> list[float]:
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
     A block is a NonnegMatrix, put in the form `_operand` picks, or a
     C-ordered dense array already in that form, which is never written.
-    A 1x1 block is its entry.  Every larger block is shifted by its own c
-    (`_shift`), one per slice of a stack, and iterated by `_power`: a CSR
-    block alone, and dense blocks of one size in list order as (k, m, m)
-    stacks of at most 4 MB, each run once full, a dense block with no
-    other of its size as a stack of one.  Each radius is the float its
-    block gives alone.  Blocks still open after their power steps, or
-    stalled, finish in list order, so the NoConvergence raised is the
-    first failing block's.
+    A 1x1 block is its entry.  Every larger block is scaled and shifted
+    by its own 2^-e and c (`_scale`), one per slice of a stack, and
+    iterated by `_power`: a CSR block alone, and dense blocks of one size
+    in list order as (k, m, m) stacks of at most 4 MB, each run once
+    full, a dense block with no other of its size as a stack of one.
+    Each radius is the float its block gives alone.  Blocks still open
+    after their power steps, or stalled, finish in list order, so the
+    NoConvergence raised is the first failing block's.
     """
     # per block: its radius, or (B, v, lo, hi, steps run, c) once its
-    # power steps are spent or it stalls, with the bracket still open
+    # power steps are spent or it stalls, with the bracket still open; and
+    # the exponent e of its scale 2^-e
     states: list = [None] * len(blocks)
+    exponents = [0] * len(blocks)
     groups: dict[int, list[tuple[int, np.ndarray, np.float64]]] = {}
 
     def run(members: list[tuple[int, np.ndarray, np.float64]]) -> None:
         rows, forms, shifts = zip(*members)
         b, c = np.stack(forms), np.array(shifts)
         m = b.shape[-1]
+        np.ldexp(b, -np.array([exponents[i] for i in rows])[:, None, None], out=b)
         b[:, np.arange(m), np.arange(m)] += c[:, None]
-        _power(b, list(rows), states, max_iter, tol, c)
+        _power(b, list(rows), states, tol, c)
         members.clear()
 
     for i, b in enumerate(blocks):
@@ -227,29 +220,33 @@ def _perron_radii(
         if m <= 1:  # a 1x1 NonnegMatrix stores no entry
             states[i] = float(b[0, 0]) if isinstance(b, np.ndarray) else 0.0
         elif isinstance(b, NonnegMatrix):
-            c = _shift(b.csr)
-            b = b.csr + c * sparse.eye_array(m, format="csr")
-            _power(b, [i], states, max_iter, tol, np.array([c]))
+            a = b.csr
+            exponents[i], c = _scale(a)
+            data = np.ldexp(a.data, -exponents[i])
+            a = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
+            _power(a + c * sparse.eye_array(m, format="csr"), [i], states, tol, np.array([c]))
         else:
-            groups.setdefault(m, []).append((i, b, _shift(b)))
+            exponents[i], c = _scale(b)
+            groups.setdefault(m, []).append((i, b, c))
             if len(groups[m]) == max(1, _STACK_BYTES // (8 * m * m)):
                 run(groups[m])
     for members in groups.values():
         if members:
             run(members)
-    return [_finish(state, tol, max_iter) for state in states]
+    return [_finish(state, tol, e) for state, e in zip(states, exponents)]
 
 
-def _shift(a: sparse.csr_array | np.ndarray) -> np.float64:
-    """The shift c of a block: a quarter of its largest row sum, or 1 for a zero block.
+def _scale(a: sparse.csr_array | np.ndarray) -> tuple[int, np.float64]:
+    """The exponent e of a block's scale 2^-e, and the shift c of the scaled block.
 
-    Any c > 0 keeps an irreducible block's iterate positive and its
-    bracket valid.  A quarter of the largest row sum puts c on the scale
-    of the root, which lies between the smallest and the largest row sum,
-    and scaling A by 2^k scales c exactly.
+    2^-e brings the largest row sum into [1/2, 1), exactly wherever the
+    scaled entries are normal.  c is a quarter of the scaled row sum, or
+    1 for a zero block: any c > 0 keeps an irreducible block's iterate
+    positive, and this c lies on the scale of the root, which lies
+    between the smallest and the largest row sum.
     """
-    c = 0.25 * np.float64(a.sum(axis=1).max())
-    return c if c > 0.0 else np.float64(1.0)
+    s, e = math.frexp(float(a.sum(axis=1).max()))
+    return (e, np.float64(0.25 * s)) if s > 0.0 else (0, np.float64(1.0))
 
 
 def _width(hi, c, tol: float, m: int):
@@ -287,15 +284,15 @@ def _dense_enough(stored, d):
     return stored > d * d // 4
 
 
-def _power_steps(b, max_iter: int) -> int:
-    """Power steps a shifted block, or each block of a stack, gets before the hand-over to Noda."""
+def _power_steps(b) -> int:
+    """Power steps each block of b gets; Noda follows when they are fewer than MAX_ITERATIONS."""
     m = b.shape[-1]
     if sparse.issparse(b) and m > _DENSE_MAX_DIM:
-        return max_iter
-    return min(max_iter, max(_POWER_STEPS, m))
+        return MAX_ITERATIONS
+    return min(MAX_ITERATIONS, max(_POWER_STEPS, m))
 
 
-def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c: np.ndarray) -> None:
+def _power(b, rows: list[int], states: list, tol: float, c: np.ndarray) -> None:
     """Power steps on shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
 
     rows numbers the blocks and c holds their shifts, one per slice (a
@@ -310,22 +307,23 @@ def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c: np.nd
     _STACK_BYTES.  A bracket closes at `_width`: tol relative to A's
     upper bound hi - c, or the rounding floor m eps hi if that is wider,
     and a slice's radius is the midpoint, less c, of its first closed
-    bracket.  At a mark, the stall rule (`_slow`, `_stays_open`) reads
-    each open slice alone.  So each block closes or stalls at the step,
-    and with the float, it would alone with its bracket read after every
-    step.  states[rows[j]] gets slice j's radius once its bracket closes,
-    else (B, v, lo, hi, steps run, c) once its power steps are spent or
-    it stalls.  A closed or stalled slice leaves the stack at the end of
-    its read.
+    bracket.  At a mark, the stall rule (`_slow`) reads each open slice
+    alone, and a slice it flags stalls there, where Noda would take over.
+    So each block closes or stalls at the step, and with the float, it
+    would alone with its bracket read after every step.  states[rows[j]]
+    gets slice j's radius once its bracket closes, else
+    (B, v, lo, hi, steps run, c) once its power steps are spent or it
+    stalls.  A closed or stalled slice leaves the stack at the end of its
+    read.
     """
-    steps = _power_steps(b, max_iter)
-    may_stall = tol > 0 and steps < max_iter  # only where Noda takes over
+    steps = _power_steps(b)
+    may_stall = tol > 0 and steps < MAX_ITERATIONS  # only where Noda takes over
     dense = not sparse.issparse(b)
     k, m = len(rows), b.shape[-1]
-    # per slice: its iterate and bracket, its block, its bracket width at
-    # the last window mark, and whether its look-ahead is still to come
+    # per slice: its iterate and bracket, its block, and its bracket width
+    # at the last window mark
     v, lo, hi = np.full((k, m), 1.0 / m), np.full(k, -math.inf), np.full(k, math.inf)
-    rows, last, fresh = np.array(rows), hi, np.ones(k, dtype=bool)
+    rows, last = np.array(rows), hi
     # a read's r + 1 iterates and r products (then their ratios), and the
     # brackets read from them, about 6 r k floats, hold at most
     # _STACK_BYTES; the slices left use the first k of each
@@ -370,21 +368,18 @@ def _power(b, rows: list[int], states: list, max_iter: int, tol: float, c: np.nd
             if closed.all():
                 return
         if may_stall and ran % _WINDOW == 0:
-            slow = fresh & _slow(hi - lo, last, steps - ran, target[-1])
-            fresh, last = fresh ^ slow, hi - lo
-            for j in np.flatnonzero(slow & ~closed).tolist():
-                if _stays_open(b[j] if dense else b, v[j], steps - ran, tol, c[j]):
-                    states[rows[j]] = _handed_over(b, j, v, lo, hi, ran, c)
-                    closed[j] = leaving = True
+            slow = _slow(hi - lo, last, steps - ran, target[-1]) & ~closed
+            last = hi - lo
+            for j in np.flatnonzero(slow).tolist():
+                states[rows[j]] = _handed_over(b, j, v, lo, hi, ran, c)
+                closed[j] = leaving = True
         if leaving:
             kept = np.flatnonzero(~closed)
             k = kept.size
             if not k:
                 return
             b = b[kept] if dense else b
-            c, v, lo, hi, rows, last, fresh = (
-                a[kept] for a in (c, v, lo, hi, rows, last, fresh)
-            )
+            c, v, lo, hi, rows, last = (a[kept] for a in (c, v, lo, hi, rows, last))
             xk, wk, xs, ws = views(k)
             one = b[0] if dense else b
     for j in range(k):
@@ -418,46 +413,21 @@ def _slow(width, last, left: int, target):
     return (width >= last) | (final > target)
 
 
-def _stays_open(b, v: np.ndarray, left: int, tol: float, c) -> bool:
-    """Whether b = A + cI's bracket is still open, by a margin, `left` power steps on from v.
+def _finish(state, tol: float, e: int) -> float:
+    """A block's radius, scaled back by 2^e, once its power steps are spent or it stalls.
 
-    A window's contraction can be far slower than the block's own, on a
-    plateau before the Perron vector takes over, so `_slow` only flags a
-    block.  The bracket never widens under power iteration (b >= 0 keeps
-    lo v <= b v <= hi v), so it is narrowest after the last step; this
-    reads it there from b^left v, formed by repeated squaring in about
-    2 log2(left) products of m x m arrays.  It must exceed _STALL_MARGIN
-    times the width it closes at (`_width`), whose rounding floor covers
-    the other rounding of this route.  Past _LOOKAHEAD_MAX_DIM nodes,
-    where the products cost more than the steps they save, a block is
-    never open.
-    """
-    m = b.shape[0]
-    if m > _LOOKAHEAD_MAX_DIM:
-        return False
-    b = b.toarray() if sparse.issparse(b) else b
-    w, _ = _squaring(b.T, v, left)  # v^T (b^T)^left = (b^left v)^T
-    if not w.min() > 0.0:  # an underflow: the look-ahead cannot tell
-        return False
-    ratios = (b @ w) / w
-    hi = ratios.max()
-    return bool(hi - ratios.min() > _STALL_MARGIN * _width(hi, c, tol, m))
-
-
-def _finish(state, tol: float, max_iter: int) -> float:
-    """A block's radius once its power steps are spent or it stalls: open brackets go to Noda.
-
-    Errors give A's bracket, [lo - c, hi - c].
+    An open bracket goes to Noda (`_noda`), unless the block stayed with
+    power iteration for all MAX_ITERATIONS steps.  Errors give A's
+    bracket, 2^e [lo - c, hi - c].
     """
     if not isinstance(state, tuple):
-        return state
+        return math.ldexp(state, e)
     b, v, lo, hi, ran, c = state
     m = b.shape[0]
-    steps = _power_steps(b, max_iter)
-    if steps < max_iter:
+    if _power_steps(b) < MAX_ITERATIONS:
         dense = b.toarray() if sparse.issparse(b) else b
-        lo, hi = _noda(dense, v, lo, hi, tol, max_iter - steps, ran, c)
-        return float((lo + hi) / 2.0 - c)
+        lo, hi = _noda(dense, v, lo, hi, tol, ran, c, e)
+        return math.ldexp(float((lo + hi) / 2.0 - c), e)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
         f"iteration (limit {_DENSE_MAX_DIM} nodes)"
@@ -465,56 +435,91 @@ def _finish(state, tol: float, max_iter: int) -> float:
         else ""
     )
     raise NoConvergence(
-        f"power iteration left the radius in [{lo - c:.17g}, {hi - c:.17g}] "
-        f"after {ran} steps (relative tolerance {tol}){why}"
+        f"power iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
+        f"{math.ldexp(hi - c, e):.17g}] after {ran} steps (relative tolerance {tol}){why}"
     )
 
 
 def _noda(
-    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, budget: int, ran: int, c
+    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, ran: int, c, e: int
 ) -> tuple[float, float]:
     """Close the Perron bracket [lo, hi] of a dense irreducible b = A + cI by inverse iteration.
 
     Noda's iteration (T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
     Algebra Appl. 15, 1976): solve (theta I - b) z = v with the shift theta
-    just above the upper Collatz-Wielandt bound and take v = z / sum(z).  The
-    bracket is re-read from the ratios (b v) / v rather than from Noda's
-    update theta - min(v / z), which loses the lower bound when the shift
-    lands on the root in floating point.  The bracket closes at `_width`,
-    as in power iteration, and is returned as b's; an error gives A's,
-    [lo - c, hi - c].  At most `budget` solves; `ran` is the count of
-    power steps before them, for the error message.
+    just above the upper Collatz-Wielandt bound, subtraction-free
+    (`_triplet_solve`), and take v = z / sum(z).  The bracket is re-read
+    from the ratios (b v) / v rather than from Noda's update
+    theta - min(v / z), which loses the lower bound when the shift lands
+    on the root in floating point.  The bracket closes at `_width`, as in
+    power iteration, and is returned as b's; an error gives A's,
+    2^e [lo - c, hi - c].  At most _NODA_SOLVES solves; `ran` is the
+    count of power steps before them, for the error message.
     """
     m = b.shape[0]
-    eye = np.eye(m)
-    for step in range(budget):
-        # A computed upper bound can sit an ulp below rho(b), where the
-        # solve mixes signs; m ulps of hi, the rounding floor of `_width`,
-        # keep the shift above it and (theta I - b)^-1 positive.
+    ratios = (b @ v) / v
+    for solve in range(1, _NODA_SOLVES + 1):
+        # A computed upper bound can sit an ulp below rho(b); m ulps of hi,
+        # the rounding floor of `_width`, keep the shift above it.  A ratio
+        # past theta counts as theta: b's diagonal moves by its rounding.
         theta = hi * (1.0 + m * _EPS)
-        try:
-            z = np.linalg.solve(theta * eye - b, v)
-        except np.linalg.LinAlgError:
-            stop = f"a singular solve at step {step + 1}"
+        z = _triplet_solve(b, v, v * np.maximum(theta - ratios, 0.0))
+        if z is None:
+            stop = f"a zero or non-finite pivot in solve {solve}"
             break
-        total = z.sum()  # finite only if every entry of z is
-        if not math.isfinite(total) or total == 0.0:
-            stop = f"a non-finite solve at step {step + 1}"
-            break
-        v = z / total
-        if v.min() <= 0.0:
-            stop = f"a non-positive iterate at step {step + 1}"
+        v = z / z.sum()
+        if not v.min() > 0.0:
+            stop = f"an iterate that underflowed in solve {solve}"
             break
         ratios = (b @ v) / v
         lo, hi = max(lo, ratios.min()), min(hi, ratios.max())
         if hi - lo <= _width(hi, c, tol, m):
             return lo, hi
     else:
-        stop = "1 solve" if budget == 1 else f"{budget} solves"
+        stop = "1 solve" if _NODA_SOLVES == 1 else f"{_NODA_SOLVES} solves"
     raise NoConvergence(
-        f"Noda inverse iteration left the radius in [{lo - c:.17g}, {hi - c:.17g}] "
-        f"after {ran} power steps and {stop} (relative tolerance {tol})"
+        f"Noda inverse iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
+        f"{math.ldexp(hi - c, e):.17g}] after {ran} power steps and {stop} "
+        f"(relative tolerance {tol})"
     )
+
+
+def _triplet_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """z with M z = v for the M-matrix M = theta I - b given by b and u = M v >= 0, v > 0.
+
+    None when a pivot is zero or not finite.  Gaussian elimination runs on
+    the triplet form of N = M diag(v) (A. S. Alfa, J. Xue & Q. Ye, Math.
+    Comp. 71, 2002): the magnitudes b_ij v_j of its off-diagonal entries
+    and its row sums u, eliminated with v as two more columns, each pivot
+    rebuilt as its row's u plus the entries right of it (W. K. Grassmann,
+    M. I. Taksar & D. P. Heyman, Oper. Res. 33, 1985).  Every step adds
+    non-negative terms, so each entry of z keeps its relative digits,
+    where a LAPACK solve is accurate only in norm.  Panels of _PANEL
+    columns each end in one matmul on the trailing block.
+    """
+    m = len(v)
+    # the magnitudes of N's off-diagonal entries (the diagonal is never
+    # read), then u and v; below a panel, its columns take the multipliers
+    t = np.empty((m, m + 2))
+    np.multiply(b, v, out=t[:, :m])
+    t[:, m], t[:, m + 1] = u, v
+    pivots = np.empty(m)
+    for start in range(0, m, _PANEL):
+        end = min(start + _PANEL, m)
+        for k in range(start, end):
+            pivot = t[k, k + 1 : m + 1].sum()
+            if not 0.0 < pivot < math.inf:
+                return None
+            pivots[k] = pivot
+            f = t[k + 1 :, k] / pivot
+            t[k + 1 : end, k + 1 :] += f[: end - k - 1, None] * t[k, k + 1 :]
+            t[end:, k + 1 : end] += f[end - k - 1 :, None] * t[k, k + 1 : end]
+            t[end:, k] = f[end - k - 1 :]
+        t[end:, end:] += t[end:, start:end] @ t[start:end, end:]
+    y = np.empty(m)
+    for k in range(m - 1, -1, -1):
+        y[k] = (t[k, m + 1] + t[k, k + 1 : m] @ y[k + 1 :]) / pivots[k]
+    return v * y
 
 
 def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> GrowthAnalysis:
@@ -531,7 +536,7 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> Gro
     if a.dim > 1 and _strongly_connected(a.csr):
         return irreducible_growth(u, a, tol)
     decomp = strongly_connected_components(a)
-    block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp), tol, MAX_ITERATIONS))
+    block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp), tol))
     diagonal = a.csr.diagonal()
     radii = tuple(
         float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
@@ -554,7 +559,7 @@ def irreducible_growth(
     n = np.shape(u)[0]
     u = _checked_weights(u, n)
     decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
-    return _analysis(decomp, tuple(_perron_radii([k], tol, MAX_ITERATIONS)), u)
+    return _analysis(decomp, tuple(_perron_radii([k], tol)), u)
 
 
 def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:
@@ -702,17 +707,12 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     return _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
 
 
-def _log_power_sum_squaring(b: np.ndarray, u: np.ndarray, n: int) -> float:
-    return _squaring(b, u, n)[1]
-
-
-def _squaring(b: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """w^T b^n by repeated squaring: its direction, at unit sum, and the log of its sum.
+def _log_power_sum_squaring(b: np.ndarray, w: np.ndarray, n: int) -> float:
+    """log(w^T b^n 1) by repeated squaring; -inf once the iterate sums to 0.
 
     The iterate is rescaled to unit sum after each product and the power
-    to unit maximum after each squaring, their logs kept aside.  The log
-    is -inf, and the direction the zero iterate, once the iterate sums to
-    0.  w itself is never written; with n = 0 it is returned as it is.
+    to unit maximum after each squaring, their logs kept aside.  w itself
+    is never written.
     """
     log_w = 0.0
     log_b = 0.0
@@ -721,12 +721,12 @@ def _squaring(b: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, float]:
             w = w @ b
             s = w.sum()
             if s == 0:
-                return w, -math.inf
+                return -math.inf
             w /= s
             log_w += log_b + math.log(s)
         n >>= 1
         if n == 0:
-            return w, log_w  # w is renormalized to unit sum after the last multiply
+            return log_w  # w is renormalized to unit sum after the last multiply
         b = b @ b
         peak = b.max()
         if peak == 0:

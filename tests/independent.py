@@ -39,6 +39,9 @@ checks:
   alone or in a lockstep stack.  ``power_iteration_close`` also gives
   the step that closed the bracket, which the package's reads of
   several steps at once must meet.
+- ``m_matrix_solve`` solves an M-matrix system given in the triplet form
+  Noda's solves take, by Gaussian elimination on exact rationals; it
+  checks each entry of the package's subtraction-free solve.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
 from typing import Sequence
@@ -314,3 +318,29 @@ def power_iteration_close(a: NonnegMatrix, tol: float, steps: int) -> tuple[floa
         if hi - lo <= max(tol * (hi - c), m * np.finfo(float).eps * hi):
             return float((lo + hi) / 2.0 - c), step
     return None
+
+
+def m_matrix_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> list[Fraction]:
+    """The exact z with M z = v, M the M-matrix with off-diagonal entries -b_ij and M v = u.
+
+    Every float converts to a Fraction exactly.  M's diagonal is
+    (u_i + sum_{j != i} b_ij v_j) / v_i, and Gaussian elimination and
+    back-substitution in rationals solve the system without rounding.
+    """
+    m = len(v)
+    b, v, u = ([Fraction(x) for x in row] for row in (np.asarray(b).ravel(), v, u))
+    rows = [[-b[i * m + j] for j in range(m)] for i in range(m)]
+    for i in range(m):
+        others = sum(b[i * m + j] * v[j] for j in range(m) if j != i)
+        rows[i][i] = (u[i] + others) / v[i]
+    rhs = list(v)
+    for k in range(m):
+        for i in range(k + 1, m):
+            f = rows[i][k] / rows[k][k]
+            for j in range(k, m):
+                rows[i][j] -= f * rows[k][j]
+            rhs[i] -= f * rhs[k]
+    z = [Fraction(0)] * m
+    for k in reversed(range(m)):
+        z[k] = (rhs[k] - sum(rows[k][j] * z[j] for j in range(k + 1, m))) / rows[k][k]
+    return z
