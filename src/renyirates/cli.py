@@ -6,9 +6,10 @@ stdout (floats at 12 significant digits, fixed field order) and a short
 human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error,
 2 usage error (argparse's own), 3 dimension guard, so a script can tell
 a model too large from a wrong command line.  Each subcommand takes only
-the options it reads.  `components` reports the analysis `rate` computes
-(`entropy._growth`), and builds the collision matrix A beyond that only
-for the characteristic polynomial of an A of at most 64 nodes.
+the options it reads, and none takes a radius tolerance: every radius
+closes at spectral.DEFAULT_TOL.  `components` reports the analysis `rate`
+computes (`entropy._growth`), and builds the collision matrix A beyond
+that only for the characteristic polynomial of an A of at most 64 nodes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     identity_observation,
 )
 from .modelfile import load_model
-from .spectral import CHARPOLY_MAX_DIM, DEFAULT_TOL, characteristic_polynomial
+from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial
 from .tensor import DEFAULT_MAX_DIM, collision_system
 
 REPORT_VERSION = 1
@@ -112,11 +113,9 @@ def cmd_entropy(args) -> None:
 def cmd_rate(args) -> None:
     model = _load(args)
     if isinstance(model, HiddenMarkovModel):
-        rep = rates.entropy_rate(
-            model, args.order, max_dim=args.max_dim, tol=args.tolerance
-        )
+        rep = rates.entropy_rate(model, args.order, max_dim=args.max_dim)
     else:
-        rep = rates.markov_rate(model, args.order, tol=args.tolerance)
+        rep = rates.markov_rate(model, args.order)
     doc = _report_head("rate", model) | _rate_fields(rep)
     _emit(
         doc,
@@ -127,7 +126,7 @@ def cmd_rate(args) -> None:
 
 def cmd_components(args) -> None:
     model = _load(args)
-    order, ga, labels, matrix = rates._growth(model, args.order, args.max_dim, args.tolerance)
+    order, ga, labels, matrix = rates._growth(model, args.order, args.max_dim)
     decomp = ga.decomposition
     if len(labels) <= CHARPOLY_MAX_DIM:
         if matrix is None:
@@ -183,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, func, length=False, max_dim=True, tolerance=False):
+    def command(name, help_text, func, length=False, max_dim=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a model file (JSON)")
         p.add_argument("--order", type=float, required=True, help="entropy order alpha")
@@ -208,22 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "is built; Markov models ignore it"
                 ),
             )
-        if tolerance:
-            p.add_argument(
-                "--tolerance",
-                type=float,
-                default=DEFAULT_TOL,
-                help=(
-                    "relative width of the spectral radius bracket: iteration stops once "
-                    "it is at most this times the radius, or at the rounding of the ratios "
-                    "it is read from (default %(default)g)"
-                ),
-            )
         p.set_defaults(func=func)
 
     command("entropy", "finite-length Renyi entropy", cmd_entropy, length=True)
-    command("rate", "asymptotic Renyi entropy rate", cmd_rate, tolerance=True)
-    command("components", "irreducible components and radii", cmd_components, tolerance=True)
+    command("rate", "asymptotic Renyi entropy rate", cmd_rate)
+    command("components", "irreducible components and radii", cmd_components)
     command(
         "oracle", "brute-force collision probability", cmd_oracle, length=True, max_dim=False
     )

@@ -30,13 +30,7 @@ import numpy as np
 from .errors import InvalidOrder
 from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
-from .spectral import (
-    DEFAULT_TOL,
-    GrowthAnalysis,
-    growth_rate,
-    irreducible_growth,
-    log_weighted_power_sum,
-)
+from .spectral import GrowthAnalysis, growth_rate, irreducible_growth, log_weighted_power_sum
 from .tensor import (
     DEFAULT_MAX_DIM,
     collision_nodes,
@@ -126,10 +120,7 @@ def finite_length_entropy(
 
 
 def _growth(
-    model: MarkovChain | HiddenMarkovModel,
-    alpha: float,
-    max_dim: int = DEFAULT_MAX_DIM,
-    tol: float = DEFAULT_TOL,
+    model: MarkovChain | HiddenMarkovModel, alpha: float, max_dim: int = DEFAULT_MAX_DIM
 ) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | None]:
     """The rate's analysis: checked order, growth analysis, A's labels and A if built.
 
@@ -146,22 +137,19 @@ def _growth(
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
         a = NonnegMatrix.from_dense(a)
-        return alpha, growth_rate(a, u, tol=tol), model.states, a
+        return alpha, growth_rate(a, u), model.states, a
     if irreducible(model, alpha, max_dim=max_dim):
         lumped = lumped_system(model, alpha, max_dim=max_dim)
         nodes = collision_nodes(model, lumped.order)
-        ga = irreducible_growth(nodes.initial, lumped.matrix, tol=tol)
+        ga = irreducible_growth(nodes.initial, lumped.matrix)
         return float(lumped.order), ga, nodes.labels(), None
     cs = collision_system(model, alpha, max_dim=max_dim)
-    ga = growth_rate(cs.matrix, cs.initial, tol=tol)
+    ga = growth_rate(cs.matrix, cs.initial)
     return float(cs.order), ga, cs.labels(), cs.matrix
 
 
 def entropy_rate(
-    hmm: HiddenMarkovModel,
-    alpha: int,
-    max_dim: int = DEFAULT_MAX_DIM,
-    tol: float = DEFAULT_TOL,
+    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
 ) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
@@ -169,7 +157,7 @@ def entropy_rate(
     else A split into components.  Either way `dimension` is A's node
     count and `dominant_members` lists A's labels in A's node order.
     """
-    order, ga, labels, _ = _growth(hmm, alpha, max_dim, tol)
+    order, ga, labels, _ = _growth(hmm, alpha, max_dim)
     return _rate_report(order, ga, labels, len(labels))
 
 
@@ -193,11 +181,9 @@ def _hadamard_system(
     return alpha, a, u
 
 
-def markov_rate(
-    chain: MarkovChain, alpha: float, tol: float = DEFAULT_TOL
-) -> EntropyReport:
+def markov_rate(chain: MarkovChain, alpha: float) -> EntropyReport:
     """Rate of a fully observed chain, any real order: Hadamard-power route."""
-    order, ga, labels, _ = _growth(chain, alpha, tol=tol)
+    order, ga, labels, _ = _growth(chain, alpha)
     return _rate_report(order, ga, labels, len(labels))
 
 

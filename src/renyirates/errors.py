@@ -14,7 +14,7 @@ class NegativeEntry(RenyiError):
 
 
 class NonFiniteEntry(RenyiError):
-    """A probability matrix or vector contains NaN or an infinity."""
+    """A matrix or vector contains NaN or an infinity, or a sum of its entries overflows."""
 
 
 class NonStochasticRow(RenyiError):

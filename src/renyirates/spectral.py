@@ -7,14 +7,15 @@ sum: any c > 0 makes an irreducible non-negative block primitive, so the
 Collatz-Wielandt bounds close geometrically even for periodic
 components, and a c on the scale of the block's own root keeps the
 contraction (|lambda_2| + c) / (rho + c) well below 1 where rho is
-small.  A bracket [lo, hi] of A + cI closes once hi - lo <= tol (hi - c),
-tol relative to A's upper bound (1e-14 by default, enough for the 12
-significant digits the CLI prints), or once it is no wider than
+small.  A bracket [lo, hi] of A + cI closes once
+hi - lo <= DEFAULT_TOL (hi - c), 1e-14 relative to A's upper bound, enough
+for the 12 significant digits the CLI prints, or once it is no wider than
 m eps hi, the rounding of the m-term ratios it is read from, which is as
 close as it can get.  A block is first scaled by the power of two that
 brings its largest row sum into [1/2, 1), so no step nears under- or
 overflow, and the radius of 2^k A is exactly 2^k times A's wherever
-2^k A's entries are normal.
+2^k A's entries are normal; a block whose row sum overflows the float
+range is refused.
 
 One rule (`_dense_enough`) picks the form every radius and power sum
 runs on: a C-ordered dense array when more than a quarter of the entries
@@ -31,8 +32,8 @@ inverse iteration, which closes it in a few subtraction-free solves
 sooner: every 32 steps its bracket width is compared with the width 32
 steps before, and when that contraction, kept up, would leave the
 bracket open, the block hands over at once (sticky 2-state chains after
-64 steps).  Nothing hands over early when tol = 0.  A sparse block past
-3300 nodes keeps power iteration for 10^5 steps and can still raise
+64 steps).  A sparse block past 3300 nodes, too large to densify for
+Noda, keeps power iteration for 10^5 steps and can still raise
 NoConvergence when it is near-degenerate (a sparse LU would densify it
 through fill-in).  A radius is the midpoint of a closed bracket, never
 of an open one.
@@ -71,7 +72,9 @@ trial of as many steps as squaring would cost runs first when that is at
 least 128 steps; a trial that meets no repeat hands over to squaring,
 which then gives the float it gives alone.  Stepwise logs are summed
 with math.fsum, so a stepwise result is within 4 ulps of the exact sum
-of the n per-step logs, however large n is.
+of the n per-step logs, however large n is.  A matrix whose largest row
+sum exceeds its dimension, which no model's does, is first scaled by the
+power of two that brings its row sums below 1, so no product overflows.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ from .components import (
     reachable_components,
     strongly_connected_components,
 )
-from .errors import DimensionMismatch, DimensionOverflow, NoConvergence
+from .errors import DimensionMismatch, DimensionOverflow, NoConvergence, NonFiniteEntry
 from .nonneg import NonnegMatrix, _check_entries, _square
 
 DEFAULT_TOL = 1e-14
@@ -153,25 +156,20 @@ class GrowthAnalysis:
     dominant_component: int | None
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance no bracket can meet honestly: NaN, negative or infinite."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"radius tolerance must be finite and >= 0, got {tol}")
-
-
-def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> float:
+def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray) -> float:
     """Perron root of an irreducible non-negative matrix (or a 1x1 block).
 
     Power iteration on the shifted matrix B = A + cI, c a quarter of A's
     largest row sum, A first scaled exactly by a power of two to a
     largest row sum in [1/2, 1), stopping when the Collatz-Wielandt
     bracket lo = min_i (Bv)_i/v_i <= rho(B) <= max_i (Bv)_i/v_i = hi is
-    at most tol (hi - c) wide, tol relative to A's upper bound, or at
+    at most DEFAULT_TOL (hi - c) wide, relative to A's upper bound, or at
     most m eps hi, the rounding of the ratios, if that is wider.  The
     radius of 2^k A is exactly 2^k times A's wherever 2^k A's entries are
-    normal.  A, a NonnegMatrix or an array, must be square, finite and
-    non-negative; B is dense when more than a quarter of A's entries are
-    stored and CSR otherwise, whatever A's form (`_operand`).  A block
+    normal.  A, a NonnegMatrix or an array, must be square, non-empty,
+    finite and non-negative, with row sums inside the float range; B is
+    dense when more than a quarter of A's entries are stored and CSR
+    otherwise, whatever A's form (`_operand`).  A block
     still open after max(1000, m) steps, or seen unable to close in them,
     continues with at most 64 Noda solves (`_noda`); a CSR block of more
     than 3300 nodes keeps power iteration for 10^5 steps instead.
@@ -180,16 +178,16 @@ def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray, tol: float = DEFAU
     alone through the power loop that `growth_rate` runs on all its
     blocks at once.
     """
-    _check_tol(tol)
-    return _perron_radii([_operand(a)], tol)[0]
+    return _perron_radii([_operand(a)])[0]
 
 
-def _perron_radii(blocks: list[NonnegMatrix | np.ndarray], tol: float) -> list[float]:
+def _perron_radii(blocks: list[NonnegMatrix | np.ndarray]) -> list[float]:
     """Perron roots of irreducible blocks, as `spectral_radius_irreducible` gives them.
 
     A block is a NonnegMatrix, put in the form `_operand` picks, or a
     C-ordered dense array already in that form, which is never written.
-    A 1x1 block is its entry.  Every larger block is scaled and shifted
+    A 1x1 block is its entry, and a 0x0 block is refused with
+    DimensionMismatch.  Every larger block is scaled and shifted
     by its own 2^-e and c (`_scale`), one per slice of a stack, and
     iterated by `_power`: a CSR block alone, and dense blocks of one size
     in list order as (k, m, m) stacks of at most 4 MB, each run once
@@ -211,20 +209,22 @@ def _perron_radii(blocks: list[NonnegMatrix | np.ndarray], tol: float) -> list[f
         m = b.shape[-1]
         np.ldexp(b, -np.array([exponents[i] for i in rows])[:, None, None], out=b)
         b[:, np.arange(m), np.arange(m)] += c[:, None]
-        _power(b, list(rows), states, tol, c)
+        _power(b, list(rows), states, c)
         members.clear()
 
     for i, b in enumerate(blocks):
         b = _operand(b) if isinstance(b, NonnegMatrix) else b
         m = b.dim if isinstance(b, NonnegMatrix) else len(b)
-        if m <= 1:  # a 1x1 NonnegMatrix stores no entry
+        if m == 0:
+            raise DimensionMismatch("a 0x0 block has no Perron root")
+        if m == 1:  # a 1x1 NonnegMatrix stores no entry
             states[i] = float(b[0, 0]) if isinstance(b, np.ndarray) else 0.0
         elif isinstance(b, NonnegMatrix):
             a = b.csr
             exponents[i], c = _scale(a)
             data = np.ldexp(a.data, -exponents[i])
             a = sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
-            _power(a + c * sparse.eye_array(m, format="csr"), [i], states, tol, np.array([c]))
+            _power(a + c * sparse.eye_array(m, format="csr"), [i], states, np.array([c]))
         else:
             exponents[i], c = _scale(b)
             groups.setdefault(m, []).append((i, b, c))
@@ -233,7 +233,7 @@ def _perron_radii(blocks: list[NonnegMatrix | np.ndarray], tol: float) -> list[f
     for members in groups.values():
         if members:
             run(members)
-    return [_finish(state, tol, e) for state, e in zip(states, exponents)]
+    return [_finish(state, e) for state, e in zip(states, exponents)]
 
 
 def _scale(a: sparse.csr_array | np.ndarray) -> tuple[int, np.float64]:
@@ -245,19 +245,32 @@ def _scale(a: sparse.csr_array | np.ndarray) -> tuple[int, np.float64]:
     positive, and this c lies on the scale of the root, which lies
     between the smallest and the largest row sum.
     """
-    s, e = math.frexp(float(a.sum(axis=1).max()))
+    s, e = math.frexp(_largest_row_sum(a))
     return (e, np.float64(0.25 * s)) if s > 0.0 else (0, np.float64(1.0))
 
 
-def _width(hi, c, tol: float, m: int):
-    """The width a bracket [lo, hi] of A + cI closes at: tol (hi - c), or m eps hi if wider.
+def _largest_row_sum(a: sparse.csr_array | np.ndarray) -> float:
+    """The largest row sum of a CSR or dense matrix, 0 when it has no rows.
 
-    tol is relative to A's upper bound hi - c.  No bracket read from
-    m-term ratios of A + cI resolves less than their rounding, about
+    Refused with NonFiniteEntry when it overflows the float range: no
+    radius or power sum of such a matrix is computed from its entries.
+    """
+    with np.errstate(over="ignore"):
+        total = float(np.max(a.sum(axis=1), initial=0.0))
+    if total == math.inf:
+        raise NonFiniteEntry("a row sum of the non-negative matrix overflows the float range")
+    return total
+
+
+def _width(hi, c, m: int):
+    """The width a bracket [lo, hi] of A + cI closes at: DEFAULT_TOL (hi - c), or m eps hi if wider.
+
+    DEFAULT_TOL is relative to A's upper bound hi - c.  No bracket read
+    from m-term ratios of A + cI resolves less than their rounding, about
     m eps hi, so a block whose shift dwarfs its root still closes.  Takes
     floats or arrays alike.
     """
-    return np.maximum(tol * (hi - c), m * _EPS * hi)
+    return np.maximum(DEFAULT_TOL * (hi - c), m * _EPS * hi)
 
 
 def _operand(a: NonnegMatrix | np.ndarray) -> NonnegMatrix | np.ndarray:
@@ -284,15 +297,22 @@ def _dense_enough(stored, d):
     return stored > d * d // 4
 
 
-def _power_steps(b) -> int:
-    """Power steps each block of b gets; Noda follows when they are fewer than MAX_ITERATIONS."""
+def _power_steps(b) -> tuple[int, bool]:
+    """Power steps each block of b gets, and whether Noda takes over a block they leave open.
+
+    Noda's solve is dense, so a CSR block of more than _DENSE_MAX_DIM
+    nodes gets all MAX_ITERATIONS steps and no Noda.  Any other block gets
+    max(_POWER_STEPS, m) steps, at most MAX_ITERATIONS, and Noda when
+    they are fewer.
+    """
     m = b.shape[-1]
     if sparse.issparse(b) and m > _DENSE_MAX_DIM:
-        return MAX_ITERATIONS
-    return min(MAX_ITERATIONS, max(_POWER_STEPS, m))
+        return MAX_ITERATIONS, False
+    steps = min(MAX_ITERATIONS, max(_POWER_STEPS, m))
+    return steps, steps < MAX_ITERATIONS
 
 
-def _power(b, rows: list[int], states: list, tol: float, c: np.ndarray) -> None:
+def _power(b, rows: list[int], states: list, c: np.ndarray) -> None:
     """Power steps on shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
 
     rows numbers the blocks and c holds their shifts, one per slice (a
@@ -304,20 +324,19 @@ def _power(b, rows: list[int], states: list, tol: float, c: np.ndarray) -> None:
     and iterates in a buffer allocated once.  The read then forms the
     Collatz-Wielandt ratios of all its steps at once, over the products,
     and their bracket [lo, hi] per step and slice, in at most
-    _STACK_BYTES.  A bracket closes at `_width`: tol relative to A's
-    upper bound hi - c, or the rounding floor m eps hi if that is wider,
-    and a slice's radius is the midpoint, less c, of its first closed
-    bracket.  At a mark, the stall rule (`_slow`) reads each open slice
-    alone, and a slice it flags stalls there, where Noda would take over.
-    So each block closes or stalls at the step, and with the float, it
-    would alone with its bracket read after every step.  states[rows[j]]
-    gets slice j's radius once its bracket closes, else
-    (B, v, lo, hi, steps run, c) once its power steps are spent or it
-    stalls.  A closed or stalled slice leaves the stack at the end of its
-    read.
+    _STACK_BYTES.  A bracket closes at `_width`: DEFAULT_TOL relative to
+    A's upper bound hi - c, or the rounding floor m eps hi if that is
+    wider, and a slice's radius is the midpoint, less c, of its first
+    closed bracket.  Where Noda takes over (`_power_steps`), the stall
+    rule (`_slow`) reads each open slice alone at a mark, and a slice it
+    flags stalls there.  So each block closes or stalls at the step, and
+    with the float, it would alone with its bracket read after every
+    step.  states[rows[j]] gets slice j's radius once its bracket closes,
+    else (B, v, lo, hi, steps run, c) once its power steps are spent or
+    it stalls.  A closed or stalled slice leaves the stack at the end of
+    its read.
     """
-    steps = _power_steps(b)
-    may_stall = tol > 0 and steps < MAX_ITERATIONS  # only where Noda takes over
+    steps, may_stall = _power_steps(b)
     dense = not sparse.issparse(b)
     k, m = len(rows), b.shape[-1]
     # per slice: its iterate and bracket, its block, and its bracket width
@@ -356,7 +375,7 @@ def _power(b, rows: list[int], states: list, tol: float, c: np.ndarray) -> None:
         ran += r
         ratios = np.divide(w[:r, :k], x[:r, :k], out=w[:r, :k])
         lows, highs = np.minimum.reduce(ratios, axis=2), np.maximum.reduce(ratios, axis=2)
-        target = _width(highs, c, tol, m)
+        target = _width(highs, c, m)
         closing = highs - lows <= target
         v, lo, hi = xk[r], lows[-1], highs[-1]
         closed = closing.any(axis=0)
@@ -413,20 +432,20 @@ def _slow(width, last, left: int, target):
     return (width >= last) | (final > target)
 
 
-def _finish(state, tol: float, e: int) -> float:
+def _finish(state, e: int) -> float:
     """A block's radius, scaled back by 2^e, once its power steps are spent or it stalls.
 
-    An open bracket goes to Noda (`_noda`), unless the block stayed with
-    power iteration for all MAX_ITERATIONS steps.  Errors give A's
+    An open bracket goes to Noda (`_noda`) where `_power_steps` hands the
+    block over, and is refused otherwise.  Errors give A's
     bracket, 2^e [lo - c, hi - c].
     """
     if not isinstance(state, tuple):
         return math.ldexp(state, e)
     b, v, lo, hi, ran, c = state
     m = b.shape[0]
-    if _power_steps(b) < MAX_ITERATIONS:
+    if _power_steps(b)[1]:
         dense = b.toarray() if sparse.issparse(b) else b
-        lo, hi = _noda(dense, v, lo, hi, tol, ran, c, e)
+        lo, hi = _noda(dense, v, lo, hi, ran, c, e)
         return math.ldexp(float((lo + hi) / 2.0 - c), e)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
@@ -436,12 +455,12 @@ def _finish(state, tol: float, e: int) -> float:
     )
     raise NoConvergence(
         f"power iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
-        f"{math.ldexp(hi - c, e):.17g}] after {ran} steps (relative tolerance {tol}){why}"
+        f"{math.ldexp(hi - c, e):.17g}] after {ran} steps (relative tolerance {DEFAULT_TOL}){why}"
     )
 
 
 def _noda(
-    b: np.ndarray, v: np.ndarray, lo: float, hi: float, tol: float, ran: int, c, e: int
+    b: np.ndarray, v: np.ndarray, lo: float, hi: float, ran: int, c, e: int
 ) -> tuple[float, float]:
     """Close the Perron bracket [lo, hi] of a dense irreducible b = A + cI by inverse iteration.
 
@@ -473,14 +492,14 @@ def _noda(
             break
         ratios = (b @ v) / v
         lo, hi = max(lo, ratios.min()), min(hi, ratios.max())
-        if hi - lo <= _width(hi, c, tol, m):
+        if hi - lo <= _width(hi, c, m):
             return lo, hi
     else:
         stop = "1 solve" if _NODA_SOLVES == 1 else f"{_NODA_SOLVES} solves"
     raise NoConvergence(
         f"Noda inverse iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
         f"{math.ldexp(hi - c, e):.17g}] after {ran} power steps and {stop} "
-        f"(relative tolerance {tol})"
+        f"(relative tolerance {DEFAULT_TOL})"
     )
 
 
@@ -522,7 +541,7 @@ def _triplet_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray | 
     return v * y
 
 
-def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> GrowthAnalysis:
+def growth_rate(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
 
     u is checked against A first.  An A of more than one node that
@@ -531,12 +550,11 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> Gro
     components: a singleton's radius is its diagonal entry, and a
     multi-node component's is the Perron root of its own block of A.
     """
-    _check_tol(tol)
     u = _checked_weights(u, a.dim)
     if a.dim > 1 and _strongly_connected(a.csr):
-        return irreducible_growth(u, a, tol)
+        return irreducible_growth(u, a)
     decomp = strongly_connected_components(a)
-    block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp), tol))
+    block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp)))
     diagonal = a.csr.diagonal()
     radii = tuple(
         float(diagonal[comp[0]]) if len(comp) == 1 else next(block_radii)
@@ -545,9 +563,7 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray, tol: float = DEFAULT_TOL) -> Gro
     return _analysis(decomp, radii, u)
 
 
-def irreducible_growth(
-    u: np.ndarray, k: NonnegMatrix, tol: float = DEFAULT_TOL
-) -> GrowthAnalysis:
+def irreducible_growth(u: np.ndarray, k: NonnegMatrix) -> GrowthAnalysis:
     """The growth of an irreducible A of len(u) nodes from k, rho(k) = rho(A).
 
     The one place that builds A's decomposition of one component, as
@@ -555,11 +571,10 @@ def irreducible_growth(
     given.  The caller vouches for len(u), A's irreducibility and k's
     root: k is A itself (`growth_rate`) or K~ (`tensor.irreducible`).
     """
-    _check_tol(tol)
     n = np.shape(u)[0]
     u = _checked_weights(u, n)
     decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
-    return _analysis(decomp, tuple(_perron_radii([k], tol)), u)
+    return _analysis(decomp, tuple(_perron_radii([k])), u)
 
 
 def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:
@@ -646,10 +661,13 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     """Natural log of u^T A^n 1, stabilized; -inf when the sum is exactly 0.
 
     A is a NonnegMatrix or a dense array, which must be square, finite and
-    non-negative.  Steps and squaring run on the form `_operand` picks, a
-    C-ordered dense array (used as it is) when more than a quarter of A's
-    entries are stored and CSR otherwise, so the float does not depend on
-    A's form.
+    non-negative, with row sums inside the float range.  Steps and
+    squaring run on the form `_operand` picks, a C-ordered dense array
+    (used as it is) when more than a quarter of A's entries are stored and
+    CSR otherwise, so the float does not depend on A's form.  An A whose
+    largest row sum exceeds d, which no model's does, runs as 2^-e A with
+    row sums below 1, and n e log 2 is added to the result, so no product
+    overflows.
 
     Two paths, priced by a cost rule fitted on measured times (one BLAS
     thread, 2-core x86).  Repeated squaring with per-step rescaling
@@ -687,6 +705,7 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     b = _operand(a)
     dense = isinstance(b, np.ndarray)
     d = len(b) if dense else b.dim
+    total = _largest_row_sum(b if dense else b.csr)
     u = _checked_weights(u, d)
     if n < 0:
         raise ValueError("exponent must be non-negative")
@@ -694,17 +713,23 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     if n == 0 or s == 0:
         return math.log(s) if s > 0 else -math.inf
     n = operator.index(n)
+    e = math.frexp(total)[1] if total > d else 0
+    if e:
+        b = np.ldexp(b, -e) if dense else NonnegMatrix(
+            sparse.csr_array((np.ldexp(b.csr.data, -e), b.csr.indices, b.csr.indptr), shape=(d, d))
+        )
     if d > _DENSE_MAX_DIM:
         budget = n
     else:
         entries = _DENSE_STEP_COST * d * d if dense else _STEP_COST * b.nnz
         budget = d**3 * n.bit_length() // (entries + _STEP_COST * _STEP_OVERHEAD)
+    value = None
     if budget >= n or budget >= _MIN_TRIAL:
         step = (lambda w: w @ b) if dense else b.vecmat
         value = _log_power_sum_stepwise(step, u, n, min(n, budget))
-        if value is not None:
-            return value
-    return _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
+    if value is None:
+        value = _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
+    return value + n * e * math.log(2.0) if e else value
 
 
 def _log_power_sum_squaring(b: np.ndarray, w: np.ndarray, n: int) -> float:
@@ -796,7 +821,8 @@ def characteristic_polynomial(a: NonnegMatrix | np.ndarray) -> np.ndarray:
 
     Faddeev-LeVerrier recurrence: M_k = A (M_{k-1} + c_{k-1} I),
     c_k = -tr(M_k) / k.  A must be square, finite and non-negative, and is
-    refused with DimensionOverflow past 64 nodes.
+    refused with DimensionOverflow past 64 nodes, and with NonFiniteEntry
+    when a coefficient overflows the float range.
     """
     b = _operand(a)
     m = len(b) if isinstance(b, np.ndarray) else b.dim
@@ -808,7 +834,10 @@ def characteristic_polynomial(a: NonnegMatrix | np.ndarray) -> np.ndarray:
     coeffs = np.zeros(m + 1)
     coeffs[0] = 1.0
     mat = np.zeros_like(dense)
-    for k in range(1, m + 1):
-        mat = dense @ (mat + coeffs[k - 1] * np.eye(m))
-        coeffs[k] = -np.trace(mat) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, m + 1):
+            mat = dense @ (mat + coeffs[k - 1] * np.eye(m))
+            coeffs[k] = -np.trace(mat) / k
+    if not np.isfinite(coeffs).all():
+        raise NonFiniteEntry("a characteristic polynomial coefficient overflows the float range")
     return coeffs

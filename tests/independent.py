@@ -232,39 +232,64 @@ def sequence_probability(hmm: HiddenMarkovModel, symbols: Sequence[str]) -> floa
 
 
 ENCLOSURE_DIGITS = 40
+# Rounds of inverse iteration `perron_enclosure` runs, each factored once.
+ENCLOSURE_ROUNDS = 4
 
 
 def perron_enclosure(block) -> tuple[mpmath.mpf, mpmath.mpf]:
     """[lo, hi] around the Perron root of an irreducible non-negative float block.
 
-    Every float entry converts to an mpf exactly.  Starting from the
-    modulus of numpy's eigenvector for the largest real eigenvalue,
-    inverse iteration at 40 digits, shifted just above that eigenvalue
-    and factored once, refines a positive vector v until its bounds agree
-    to 30 digits, or for at most 8 solves; for any v > 0 the
-    Collatz-Wielandt bounds min_i (Av)_i / v_i <= rho <= max_i (Av)_i / v_i
-    hold, here up to the rounding of 40-digit arithmetic.  A 1x1 block
-    is its entry.
+    Every float entry converts to an mpf exactly.  Inverse iteration at 40
+    digits refines a positive vector v until its bounds agree to 30
+    digits; for any v > 0 the Collatz-Wielandt bounds
+    min_i (Av)_i / v_i <= rho <= max_i (Av)_i / v_i hold, here up to the
+    rounding of 40-digit arithmetic.  The first round starts from the
+    modulus of numpy's eigenvector for the largest real eigenvalue (ones
+    if it has a zero entry), shifted just above that eigenvalue.  That
+    vector is accurate only in norm: entries many decades below the
+    largest have no digits, and solves keep them so.  A round ends after
+    8 solves, or at a solve that leaves an entry 0, and the next one
+    factors D^-1 (theta I - A) D, theta just above the last upper bound
+    and D the last positive v, whose Perron vector has every entry near 1.
+    Raises ArithmeticError when ENCLOSURE_ROUNDS rounds leave the bounds
+    apart.  A 1x1 block is its entry.
     """
     block = np.asarray(block, dtype=float)
     with mpmath.workdps(ENCLOSURE_DIGITS):
         if block.shape == (1, 1):
             entry = mpmath.mpf(float(block[0, 0]))
             return entry, entry
+        m = len(block)
         a = mpmath.matrix(block.tolist())
         values, vectors = np.linalg.eig(block)
         top = int(np.argmax(values.real))
         shift = mpmath.mpf(float(values[top].real)) * (1 + mpmath.mpf(10) ** -20)
-        factors, pivots = mpmath.mp.LU_decomp(shift * mpmath.eye(len(block)) - a)
-        v = mpmath.matrix(np.abs(vectors[:, top].real).tolist())
-        for _ in range(8):
-            ratios = [x / y for x, y in zip(a * v, v)]
-            lo, hi = min(ratios), max(ratios)
-            if hi - lo <= mpmath.mpf(10) ** -30 * hi:
-                break
-            z = mpmath.mp.U_solve(factors, mpmath.mp.L_solve(factors, v, pivots))
-            v = mpmath.matrix([abs(x) for x in z])
-        return lo, hi
+        start = np.abs(vectors[:, top].real)
+        v = mpmath.matrix(start.tolist() if start.min() > 0 else [1] * m)
+        scale = [mpmath.mpf(1)] * m
+        for _ in range(ENCLOSURE_ROUNDS):
+            scaled = [
+                [((shift if i == j else 0) - a[i, j]) * scale[j] / scale[i] for j in range(m)]
+                for i in range(m)
+            ]
+            factors, pivots = mpmath.mp.LU_decomp(mpmath.matrix(scaled))
+            for _ in range(8):
+                ratios = [x / y for x, y in zip(a * v, v)]
+                lo, hi = min(ratios), max(ratios)
+                if hi - lo <= mpmath.mpf(10) ** -30 * hi:
+                    return lo, hi
+                y = mpmath.matrix([x / d for x, d in zip(v, scale)])
+                z = mpmath.mp.U_solve(factors, mpmath.mp.L_solve(factors, y, pivots))
+                w = mpmath.matrix([abs(x) * d for x, d in zip(z, scale)])
+                if min(w) == 0:
+                    break
+                v = w
+            shift = hi * (1 + mpmath.mpf(10) ** -20)
+            scale = [x / max(v) for x in v]
+        raise ArithmeticError(
+            f"Perron enclosure still {mpmath.nstr((hi - lo) / hi, 3)} apart (relative) "
+            f"after {ENCLOSURE_ROUNDS} rounds"
+        )
 
 
 def rate_bits(lo, hi, order) -> tuple[mpmath.mpf, mpmath.mpf]:

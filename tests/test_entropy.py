@@ -400,11 +400,11 @@ class TestLumpedRate:
             hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=sparsity)
         assume(tensor.irreducible(hmm, alpha))
         # two radii closed to a 1e-12 bracket can differ by that much (seed
-        # 1432 at alpha = 4 does, by 2e-13 relative); closed to 1e-14 they
-        # agree within the 1e-13 asserted
-        rep = entropy_rate(hmm, alpha, tol=1e-14)
+        # 1432 at alpha = 4 does, by 2e-13 relative); closed to the 1e-14 of
+        # spectral.DEFAULT_TOL they agree within the 1e-13 asserted
+        rep = entropy_rate(hmm, alpha)
         cs = collision_system(hmm, alpha)
-        ga = growth_rate(cs.matrix, cs.initial, tol=1e-14)
+        ga = growth_rate(cs.matrix, cs.initial)
         ref = entropy._rate_report(float(alpha), ga, cs.labels(), cs.dimension)
         assert rep.rho_plus == pytest.approx(ref.rho_plus, rel=1e-13, abs=0)
         assert rep.value_bits == pytest.approx(ref.value_bits, rel=1e-12, abs=1e-14)
