@@ -3,13 +3,15 @@
 Subcommands: entropy, rate, components, oracle.  Each invocation reads a
 model file, runs one computation, writes a versioned JSON report to
 stdout (floats at 12 significant digits, fixed field order) and a short
-human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error,
-2 usage error (argparse's own), 3 dimension guard, so a script can tell
-a model too large from a wrong command line.  Each subcommand takes only
-the options it reads, and none takes a radius tolerance: every radius
-closes at spectral.DEFAULT_TOL.  `components` reports the analysis `rate`
-computes (`entropy._growth`), and builds the collision matrix A beyond
-that only for the characteristic polynomial of an A of at most 64 nodes.
+human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error, 2
+usage error (argparse's own), 3 size guard (a build predicted past the
+byte budget of `tensor`, or an order above 64), so a script can tell a
+model too large from a wrong command line.  Each subcommand takes only
+the options it reads: no size option, since the budget is fixed, and no
+radius tolerance, since every radius closes at spectral.DEFAULT_TOL.
+`components` reports the analysis `rate` computes (`entropy._growth`),
+and builds the collision matrix A beyond that only for the
+characteristic polynomial of an A of at most 64 nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .model import (
 )
 from .modelfile import load_model
 from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial
-from .tensor import DEFAULT_MAX_DIM, collision_system
+from .tensor import collision_system
 
 REPORT_VERSION = 1
 
@@ -101,9 +103,7 @@ def _rate_fields(rep: rates.EntropyReport) -> dict:
 def cmd_entropy(args) -> None:
     model = _load(args)
     if isinstance(model, HiddenMarkovModel):
-        rep = rates.finite_length_entropy(
-            model, args.order, args.length, max_dim=args.max_dim
-        )
+        rep = rates.finite_length_entropy(model, args.order, args.length)
     else:
         rep = rates.markov_finite_length(model, args.order, args.length)
     doc = _report_head("entropy", model) | _entropy_fields(rep)
@@ -113,7 +113,7 @@ def cmd_entropy(args) -> None:
 def cmd_rate(args) -> None:
     model = _load(args)
     if isinstance(model, HiddenMarkovModel):
-        rep = rates.entropy_rate(model, args.order, max_dim=args.max_dim)
+        rep = rates.entropy_rate(model, args.order)
     else:
         rep = rates.markov_rate(model, args.order)
     doc = _report_head("rate", model) | _rate_fields(rep)
@@ -126,11 +126,11 @@ def cmd_rate(args) -> None:
 
 def cmd_components(args) -> None:
     model = _load(args)
-    order, ga, labels, matrix = rates._growth(model, args.order, args.max_dim)
+    order, ga, labels, matrix = rates._growth(model, args.order)
     decomp = ga.decomposition
     if len(labels) <= CHARPOLY_MAX_DIM:
         if matrix is None:
-            matrix = collision_system(model, order, max_dim=args.max_dim).matrix
+            matrix = collision_system(model, order).matrix
         poly = characteristic_polynomial(matrix).tolist()
     else:
         poly = None
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, func, length=False, max_dim=True):
+    def command(name, help_text, func, length=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("model", help="path to a model file (JSON)")
         p.add_argument("--order", type=float, required=True, help="entropy order alpha")
@@ -196,25 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="observe a 2-state markov model through a BSC with this crossover",
         )
-        if max_dim:
-            p.add_argument(
-                "--max-dim",
-                type=int,
-                default=DEFAULT_MAX_DIM,
-                help=(
-                    "HMMs: refuse an order whose states^order * symbols (the collision "
-                    "system's index set) exceeds this, also where only the lumped matrix "
-                    "is built; Markov models ignore it"
-                ),
-            )
         p.set_defaults(func=func)
 
     command("entropy", "finite-length Renyi entropy", cmd_entropy, length=True)
     command("rate", "asymptotic Renyi entropy rate", cmd_rate)
     command("components", "irreducible components and radii", cmd_components)
-    command(
-        "oracle", "brute-force collision probability", cmd_oracle, length=True, max_dim=False
-    )
+    command("oracle", "brute-force collision probability", cmd_oracle, length=True)
     return parser
 
 

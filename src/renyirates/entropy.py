@@ -7,17 +7,19 @@ nz * alpha! times smaller dimension (see `tensor`).  Rates come from the
 maximal spectral radius over reachable irreducible components of A.
 When A is irreducible, which `tensor.irreducible` decides from P's
 pattern without building A, that is rho(K~), taken on K~ as built and
-reachable when nu has mass; K~'s build is never larger than A's (see
-`tensor._lumped_count`).  Otherwise A is built, split into components
-and each radius taken from its own block of A.  One routine, `_growth`,
-makes that choice; `entropy_rate`, `markov_rate` and `renyirates
-components` all take their analysis from it, so the report and the rate
-agree float for float.  A fully observed chain's system is the Hadamard
-power P^(o alpha), formed as a dense array (`_hadamard_system`): its
-finite lengths pass that array to the power sum, and its rates wrap it
-once in CSR for the component split.  A length-n realization uses exponent
-n - 1, validated against the brute-force oracle.  All values are in bits
-(log base 2).
+reachable when nu has mass; K~ enumerates no more successor entries than
+A stores (see `tensor._lumped_count`).  Otherwise A is built, split into
+components and each radius taken from its own block of A.  One routine,
+`_growth`, makes that choice, after checking A's node listing and K~'s
+build against the byte budget of `tensor`, so that a model every path
+would refuse is refused before the sweep; `entropy_rate`, `markov_rate`
+and `renyirates components` all take their analysis from it, so the
+report and the rate agree float for float.  A fully observed chain's
+system is the Hadamard power P^(o alpha), formed as a dense array
+(`_hadamard_system`): its finite lengths pass that array to the power
+sum, and its rates wrap it once in CSR for the component split.  A
+length-n realization uses exponent n - 1, validated against the
+brute-force oracle.  All values are in bits (log base 2).
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import GrowthAnalysis, growth_rate, irreducible_growth, log_weighted_power_sum
 from .tensor import (
-    DEFAULT_MAX_DIM,
+    _check_lumped,
+    _check_nodes,
+    _order,
     collision_nodes,
     collision_system,
     irreducible,
@@ -105,22 +109,17 @@ def _rate_report(
     )
 
 
-def finite_length_entropy(
-    hmm: HiddenMarkovModel,
-    alpha: int,
-    n: int,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> EntropyReport:
+def finite_length_entropy(hmm: HiddenMarkovModel, alpha: int, n: int) -> EntropyReport:
     """Renyi entropy of the first n observed symbols, H_alpha(Z_1..Z_n)."""
     if n < 1:
         raise ValueError(f"length must be >= 1, got {n}")
-    lumped = lumped_system(hmm, alpha, max_dim=max_dim)
+    lumped = lumped_system(hmm, alpha)
     log_cp = log_weighted_power_sum(lumped.matrix, lumped.initial, n - 1)
     return _finite_report(float(lumped.order), n, log_cp, lumped.dimension)
 
 
 def _growth(
-    model: MarkovChain | HiddenMarkovModel, alpha: float, max_dim: int = DEFAULT_MAX_DIM
+    model: MarkovChain | HiddenMarkovModel, alpha: float
 ) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | None]:
     """The rate's analysis: checked order, growth analysis, A's labels and A if built.
 
@@ -132,32 +131,35 @@ def _growth(
     labels come from `tensor.collision_nodes`, which finite lengths never
     call.  Otherwise A is built and `growth_rate` splits it, each radius
     taken from its own block of A.  The labels are A's, in A's node
-    order, on every path; max_dim applies to HMMs only.
+    order, on every path.  Before the sweep, an HMM is refused at once
+    when A's nodes, which both paths list, or K~'s build would be over
+    the byte budget of `tensor`.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
         a = NonnegMatrix.from_dense(a)
         return alpha, growth_rate(a, u), model.states, a
-    if irreducible(model, alpha, max_dim=max_dim):
-        lumped = lumped_system(model, alpha, max_dim=max_dim)
+    alpha = _order(alpha)
+    _check_nodes(model, alpha)
+    _check_lumped(model, alpha)
+    if irreducible(model, alpha):
+        lumped = lumped_system(model, alpha)
         nodes = collision_nodes(model, lumped.order)
         ga = irreducible_growth(nodes.initial, lumped.matrix)
         return float(lumped.order), ga, nodes.labels(), None
-    cs = collision_system(model, alpha, max_dim=max_dim)
+    cs = collision_system(model, alpha)
     ga = growth_rate(cs.matrix, cs.initial)
     return float(cs.order), ga, cs.labels(), cs.matrix
 
 
-def entropy_rate(
-    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> EntropyReport:
+def entropy_rate(hmm: HiddenMarkovModel, alpha: int) -> EntropyReport:
     """Asymptotic Renyi entropy per observed symbol.
 
     Taken from the rate path `_growth` chooses: K~ when A is irreducible,
     else A split into components.  Either way `dimension` is A's node
     count and `dominant_members` lists A's labels in A's node order.
     """
-    order, ga, labels, _ = _growth(hmm, alpha, max_dim)
+    order, ga, labels, _ = _growth(hmm, alpha)
     return _rate_report(order, ga, labels, len(labels))
 
 

@@ -22,7 +22,7 @@ class NonStochasticRow(RenyiError):
 
 
 class DimensionOverflow(RenyiError):
-    """A construction would exceed the configured dimension cap."""
+    """A construction would exceed a size guard: a byte budget, an order past 64 or a fixed cap."""
 
 
 class InvalidOrder(RenyiError):

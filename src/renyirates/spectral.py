@@ -667,7 +667,9 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     CSR otherwise, so the float does not depend on A's form.  An A whose
     largest row sum exceeds d, which no model's does, runs as 2^-e A with
     row sums below 1, and n e log 2 is added to the result, so no product
-    overflows.
+    overflows.  Weights whose sum, or a step's, could overflow, which no
+    model's can (they sum to at most 1), run as 2^-g u, and g log 2 is
+    added to the result as well.
 
     Two paths, priced by a cost rule fitted on measured times (one BLAS
     thread, 2-core x86).  Repeated squaring with per-step rescaling
@@ -709,9 +711,15 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     u = _checked_weights(u, d)
     if n < 0:
         raise ValueError("exponent must be non-negative")
+    # weights below 2^m sum below d 2^m and a step's below d^2 2^m (row
+    # sums are at most d here), so they run as 2^-g u, g the least with
+    # m - g + 2 d.bit_length() <= 1023
+    g = max(0, math.frexp(np.max(u, initial=0.0))[1] + 2 * d.bit_length() - 1023)
+    if g:
+        u = np.ldexp(u, -g)
     s = u.sum()
     if n == 0 or s == 0:
-        return math.log(s) if s > 0 else -math.inf
+        return math.log(s) + g * math.log(2.0) if s > 0 else -math.inf
     n = operator.index(n)
     e = math.frexp(total)[1] if total > d else 0
     if e:
@@ -729,7 +737,7 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
         value = _log_power_sum_stepwise(step, u, n, min(n, budget))
     if value is None:
         value = _log_power_sum_squaring(b if dense else b.to_dense(), u, n)
-    return value + n * e * math.log(2.0) if e else value
+    return value + (n * e + g) * math.log(2.0) if e or g else value
 
 
 def _log_power_sum_squaring(b: np.ndarray, w: np.ndarray, n: int) -> float:

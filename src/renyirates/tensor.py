@@ -39,11 +39,19 @@ K~'s components are not A's (a 3-cycle observed through one symbol has
 3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
 successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
 decide whether A is one component; when it is, its rate is rho(K~), and
-no node needs a row of K~.  K~'s build is never larger than A's
-(`_lumped_count`), so that path, which never builds A, is always taken;
-`collision_nodes` lists A's nodes, labels and nu without A's entries.
+no node needs a row of K~.  K~ enumerates no more successor entries than
+A stores (`_lumped_count`), so that path, which never builds A, is
+always taken; only K~'s listing of every multiset of X can be refused
+where A would fit.  `collision_nodes` lists A's nodes, labels and nu
+without A's entries.
 Otherwise A is built and each component's radius taken from its own
 block.
+
+Every build refuses at once, with DimensionOverflow, what it is
+predicted to hold past one byte budget, 1 GiB (`_BUILD_BYTES`): a
+closed-form count of what it lists times the bytes each item takes.
+X^alpha itself is not bounded: 8 states observed in 4 pairs at alpha =
+6 index 4 * 8^6 tuples, but A has 256 nodes and K~ 28 rows.
 """
 
 from __future__ import annotations
@@ -62,18 +70,17 @@ from .errors import DimensionOverflow
 from .model import HiddenMarkovModel, _hmm_order
 from .nonneg import NonnegMatrix, _csr_arrays
 
-DEFAULT_MAX_DIM = 10**6
-
-# collision_system refuses a build predicted to hold more than this many
-# bytes: 12 for each stored entry of A (a float64 value and an int32
-# column) and at most 8 * alpha + 48 more for enumerating it (one
-# symbol's successors with their alpha int32 digits, rows, values and
-# ranks, then B's COO and CSR entries).  Measured build peaks stay under
-# 64 bytes an entry of A at alpha <= 5.  lumped_system refuses past the
-# same budget at 4 * alpha + 64 bytes for each successor entry it
-# enumerates (alpha int32 digits, sorted in place, their ranks, rows,
-# values and K~'s CSR arrays); its measured build peaks, 49-74 bytes an
-# entry on dense-emission models at alpha = 2-8, stay under that.
+# The byte budget of every build.  collision_system: 12 for each stored
+# entry of A (a float64 value and an int32 column) and at most
+# 8 * alpha + 48 more for enumerating it (one symbol's successors with
+# their alpha int32 digits, rows, values and ranks, then B's COO and CSR
+# entries).  Measured build peaks stay under 64 bytes an entry of A at
+# alpha <= 5.  lumped_system: 4 * alpha + 64 bytes for each successor
+# entry it enumerates (alpha int32 digits, sorted in place, their ranks,
+# rows, values and K~'s CSR arrays); its measured build peaks, 49-74
+# bytes an entry on dense-emission models at alpha = 2-8, stay under
+# that.  The node and multiset listings are charged by `_check_nodes`
+# and `_check_lumped`.
 _BUILD_BYTES = 2**30
 
 # `irreducible` trusts patterns while every product of alpha entries of P
@@ -149,30 +156,78 @@ class LumpedSystem:
     dimension: int
 
 
-def _check_dimension(nx: int, nz: int, alpha: int, max_dim: int) -> None:
-    """Refuse an order-alpha system whose tensor index set X^alpha x Z exceeds max_dim.
+def _order(alpha) -> int:
+    """The order of a collision build: an integer from 2 to 64.
 
-    Orders above 64 are refused first, before nx^alpha is formed: the
-    builds hold X^alpha as arrays with alpha axes, and numpy allows 64.
+    Orders above 64 are refused before nx^alpha is formed: the builds hold
+    X^alpha as arrays with alpha axes, and numpy allows 64.
     """
+    alpha = _hmm_order(alpha)
     if alpha > 64:
         raise DimensionOverflow(
             f"order {alpha} exceeds 64, the most array axes the collision builds can index"
         )
-    if nx**alpha * nz > max_dim:
-        raise DimensionOverflow(
-            f"collision system dimension {nx}^{alpha}*{nz} exceeds cap {max_dim}"
-        )
+    return alpha
 
 
-def _check_build_bytes(what: str, entries: int, bytes_per_entry: int) -> None:
-    """Refuse a build predicted to hold more than _BUILD_BYTES."""
-    predicted = entries * bytes_per_entry
+def _check_build_bytes(what: str, count: int, bytes_each: int) -> None:
+    """Refuse a build predicted to hold more than _BUILD_BYTES: count items of bytes_each.
+
+    what says what is counted, with {} where the count goes.
+    """
+    predicted = count * bytes_each
     if predicted > _BUILD_BYTES:
         raise DimensionOverflow(
-            f"{what} {entries} entries, about {predicted / 2**30:.1f} GiB to build, "
+            f"{what.format(count)}, about {predicted / 2**30:.1f} GiB to build, "
             f"over the {_BUILD_BYTES / 2**30:.0f} GiB budget"
         )
+
+
+def _candidates(emits: np.ndarray, alpha: int) -> int:
+    """sum_z |S_z|^alpha, S_z = {x : E[x, z] > 0} (emits[:, z]): the tuples
+    `_emission_products` forms, and a bound on A's nodes."""
+    return sum(s**alpha for s in emits.sum(axis=0).tolist())
+
+
+def _check_nodes(hmm: HiddenMarkovModel, alpha: int) -> None:
+    """Refuse A's node listing, with the labels every rate reads, when over budget.
+
+    Each candidate tuple of `_candidates` is charged 224 + 16 alpha bytes
+    and twice its label's length: about 64 for `collision_nodes` and the
+    rest for `CollisionNodes.labels` (measured with one-character names:
+    60-78 and 224-496 bytes a node at alpha = 4-20).  Hidden tuples are
+    ranked in X^alpha as intp, so an X^alpha past intp is refused too.
+    """
+    nx = hmm.n_states
+    if nx**alpha > np.iinfo(np.intp).max:
+        raise DimensionOverflow(
+            f"{nx}^{alpha} hidden tuples overflow the node listing's int64 ranks"
+        )
+    label = alpha * (max(map(len, hmm.chain.states)) + 1) + max(map(len, hmm.observations))
+    count = _candidates(hmm.emission > 0, alpha)
+    _check_build_bytes("collision nodes would list {} tuples", count, 224 + 16 * alpha + 2 * label)
+
+
+def _check_lumped(hmm: HiddenMarkovModel, alpha: int) -> np.ndarray:
+    """Refuse `lumped_system` when what it lists is predicted over budget;
+    else return the maximal emission supports its passes run over.
+
+    Every multiset of alpha states, C(nx + alpha - 1, alpha) of them, is listed
+    as a Python tuple, then with its emissions, alpha * nz floats
+    (measured: 932-1236 bytes a multiset at 12-30 states, alpha = 4-8, one
+    symbol a state); the successor entries of `_lumped_count`; and the
+    recount of A's nodes, 24 bytes a candidate of `_candidates`.
+    """
+    nx, nz = hmm.emission.shape
+    multisets = math.comb(nx + alpha - 1, alpha)
+    listing = 8 * (alpha + 1) * nz + 16 * alpha + 64
+    _check_build_bytes("lumped system would list {} multisets", multisets, listing)
+    supports = _maximal_supports(hmm.emission > 0)
+    entries = _lumped_count(hmm.chain.transition, supports, alpha)
+    _check_build_bytes("lumped system would enumerate {} entries", entries, 4 * alpha + 64)
+    count = _candidates(hmm.emission > 0, alpha)
+    _check_build_bytes("lumped system would count {} tuples", count, 24)
+    return supports
 
 
 class _Rows(NamedTuple):
@@ -279,9 +334,7 @@ def _symbol_columns(
     return rows[kept].astype(np.int32), node[rank[kept]].astype(np.int32), values[kept]
 
 
-def collision_system(
-    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> CollisionSystem:
+def collision_system(hmm: HiddenMarkovModel, alpha: int) -> CollisionSystem:
     """Restricted tensored matrix of the joint chain, built in collision coordinates.
 
     Entries: A[(xs,z),(xs',z')] = prod_j P[xs_j, xs'_j] * E[xs'_j, z'].
@@ -289,20 +342,19 @@ def collision_system(
 
     Products run left to right over the tuple coordinates, so A and nu
     are float for float the restriction of the left-folded Kronecker
-    powers of P and pi.  Refused with DimensionOverflow when
-    nx^alpha * nz > max_dim, or at once when the build is predicted to
-    hold more than 1 GiB: 8 * alpha + 60 bytes for each entry of A,
-    counted in closed form (see `_stored_entries`).  The build holds A, B
+    powers of P and pi.  Refused with DimensionOverflow at once when the
+    build is predicted to hold more than 1 GiB: 8 * alpha + 60 bytes for
+    each entry of A, counted in closed form (see `_stored_entries`), or
+    its nodes as `collision_nodes` charges them.  The build holds A, B
     (the rows of A's distinct hidden tuples) and one symbol's successor
     enumeration; no nx^alpha x nx^alpha array is formed.
     """
-    alpha = _hmm_order(alpha)
+    alpha = _order(alpha)
     e = hmm.emission
-    nx, nz = e.shape
-    _check_dimension(nx, nz, alpha, max_dim)
+    nx = hmm.n_states
     p = _transition_rows(hmm)
     entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
-    _check_build_bytes("collision system would store", entries, 8 * alpha + 60)
+    _check_build_bytes("collision system would store {} entries", entries, 8 * alpha + 60)
     nodes = collision_nodes(hmm, alpha)
     tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
@@ -340,9 +392,12 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     A candidate of `_emission_products` is a node when its emission product
     is positive.  Its initial weight is prod_j pi[x_j], multiplied left to
     right, times that product.  The lumped rate lists A's nodes with it
-    and never builds A.
+    and never builds A.  Refused with DimensionOverflow at once when the
+    listing and its labels are predicted to hold more than 1 GiB
+    (`_check_nodes`).
     """
-    alpha = _hmm_order(alpha)
+    alpha = _order(alpha)
+    _check_nodes(hmm, alpha)
     nx = hmm.n_states
     candidates, hidden, node_symbols, nu = [], [], [], []
     dim = 0
@@ -367,9 +422,7 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     )
 
 
-def irreducible(
-    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> bool | None:
+def irreducible(hmm: HiddenMarkovModel, alpha: int) -> bool | None:
     """Whether the collision matrix A is irreducible, decided without building it.
 
     Node (t, z) of A has the nodes of t's successors in K as its own, so
@@ -389,23 +442,25 @@ def irreducible(
     would cost: the budget of `components._strongly_connected` on A's
     nodes and entries, plus 32 levels for the build's fixed cost (about
     0.7 ms).  A level costs one unit, about 20 us, plus one for every
-    2^16 multiply-adds of its products.  Refused with DimensionOverflow
-    as `collision_system` is when nx^alpha * nz > max_dim; a sweep over
-    more than 1 GiB gives up.
+    2^16 multiply-adds of its products.  None too, before any array is
+    formed, when the sweep's arrays, 32 bytes a tuple of X^alpha, would
+    hold more than 1 GiB; the mask of tuples with w > 0 is built one
+    symbol at a time, within that.
     """
-    alpha = _hmm_order(alpha)
+    alpha = _order(alpha)
     e = hmm.emission
-    nx, nz = e.shape
-    _check_dimension(nx, nz, alpha, max_dim)
+    nx = hmm.n_states
     pattern = hmm.chain.transition > 0
     emits = e > 0
     smallest = math.log2(hmm.chain.transition[pattern].min()) + math.log2(e[emits].min())
     if alpha * smallest < _SAFE_PRODUCT_LOG2 or 32 * nx**alpha > _BUILD_BYTES:
         return None
-    n = sum(int(s) ** alpha for s in np.count_nonzero(emits, axis=0))
+    n = _candidates(emits, alpha)
     levels = _BUILD_LEVELS + (n + _stored_entries(pattern, emits, alpha)) // _LEVEL_COST
     cost = 1 + alpha * nx ** (alpha + 1) // _PRODUCT_COST
-    nodes = reduce(np.logical_or, [reduce(np.logical_and.outer, [s] * alpha) for s in emits.T])
+    nodes = np.zeros((nx,) * alpha, dtype=bool)
+    for s in emits.T:
+        nodes |= reduce(np.logical_and.outer, [s] * alpha)
     nodes = nodes.ravel()
     if np.count_nonzero(nodes) < 2:
         return None
@@ -429,9 +484,7 @@ def irreducible(
     return None if levels == -2 else levels >= 0
 
 
-def lumped_system(
-    hmm: HiddenMarkovModel, alpha: int, max_dim: int = DEFAULT_MAX_DIM
-) -> LumpedSystem:
+def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
     """K lumped onto multisets of hidden states, its weights, and A's dimension.
 
     u~^T K~^(n-1) 1 equals nu^T A^(n-1) 1 of `collision_system`.  K~ is
@@ -455,18 +508,16 @@ def lumped_system(
     row and adds its repeated columns in the order a COO build would;
     indices are int32.
     No nx^alpha x nx^alpha array is formed.  Refused with
-    DimensionOverflow when nx^alpha * nz > max_dim, as `collision_system`
-    is, or at once when the build is predicted to hold more than 1 GiB:
-    4 * alpha + 64 bytes for each entry, counted by `_lumped_count`.
+    DimensionOverflow at once when the build is predicted to hold more
+    than 1 GiB (`_check_lumped`): its multisets, its successor entries,
+    4 * alpha + 64 bytes each, counted by `_lumped_count`, or the
+    recount of A's nodes.
     """
-    alpha = _hmm_order(alpha)
+    alpha = _order(alpha)
+    supports = _check_lumped(hmm, alpha)
     e = hmm.emission
-    nx, nz = e.shape
-    _check_dimension(nx, nz, alpha, max_dim)
+    nx = hmm.n_states
     p = _transition_rows(hmm)
-    supports = _maximal_supports(e > 0)
-    entries = _lumped_count(hmm.chain.transition, supports, alpha)
-    _check_build_bytes("lumped system would enumerate", entries, 4 * alpha + 64)
     reps = np.array(
         list(combinations_with_replacement(range(nx), alpha)), dtype=np.intp
     ).reshape(-1, alpha)
@@ -516,6 +567,8 @@ def lumped_system(
 def _maximal_supports(emits: np.ndarray) -> np.ndarray:
     """Masks of the distinct S_z = {x : E[x, z] > 0} (emits[:, z]) no other contains, by first z."""
     s = emits.T
+    if emits.all():  # every S_z holds every state: the first is the one
+        return s[:1]
     count = s.astype(np.int64)
     inside = count @ count.T == count.sum(axis=1)[:, None]  # inside[z, z']: S_z within S_z'
     covered = inside & (~inside.T | np.tri(len(s), k=-1, dtype=bool))  # or repeats an earlier one

@@ -533,3 +533,24 @@ def test_random_hmm_rates_print_correctly_rounded_digits(seed):
         lo, hi = perron_enclosure(tensor.lumped_system(hmm, alpha).matrix.to_dense())
         exact = round12(*rate_bits(lo, hi, alpha))
         assert float(f"{entropy_rate(hmm, alpha).value_bits:.12g}") == exact
+
+
+def test_a_large_index_set_with_a_small_system_computes():
+    # 8 states observed in 4 pairs at alpha = 6: X^6 x Z has 4 * 8^6 =
+    # 1048576 indices, but A has 4 * 2^6 = 256 nodes and K~ 4 * 7 = 28 rows
+    chain = random_chain(np.random.default_rng(3), 8)
+    hmm = deterministic_observation(chain, {s: f"g{i // 2}" for i, s in enumerate(chain.states)})
+    assert 4 * 8**6 == 1_048_576
+    rep = finite_length_entropy(hmm, 6, 6)
+    assert rep.dimension == 256
+    assert rep.log2_collision == pytest.approx(math.log2(brute_force_collision(hmm, 6, 6)), rel=1e-12)
+    lumped = tensor.lumped_system(hmm, 6)
+    cs = collision_system(hmm, 6)
+    assert (lumped.matrix.dim, cs.dimension) == (28, 256)
+    rate = entropy_rate(hmm, 6)
+    k = lumped.matrix.to_dense()
+    shift = 0.25 * k.sum(axis=1).max()  # the bracket closes on K~ + shift I
+    width = spectral._width(rate.rho_plus + shift, shift, len(k))
+    lo, hi = perron_enclosure(k)
+    assert lo - width <= rate.rho_plus <= hi + width
+    assert rate.rho_plus == pytest.approx(growth_rate(cs.matrix, cs.initial).rho_plus, rel=1e-12)

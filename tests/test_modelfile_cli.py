@@ -493,18 +493,10 @@ class TestCliContract:
         code, _, _ = run_cli(capsys, "rate", "no-such-file.model", "--order", "2")
         assert code == 1
 
-    def test_dimension_guard_exit_code(self, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "entropy", FIXTURES / "fig2.model",
-            "--order", "2", "--length", "2", "--max-dim", "3",
-        )
-        assert code == 3
-
     def test_build_budget_exit_code(self, capsys, tmp_path):
-        # 16 states and 4 symbols pass --max-dim at order 3; with no way
-        # into state 0, A is reducible, so `components` builds it, and A
-        # would store 221M entries: refused before the build allocates
+        # 16 states and 4 symbols at order 3: with no way into state 0, A
+        # is reducible, so `components` builds it, and A would store 221M
+        # entries: refused before the build allocates
         hmm = random_hmm(np.random.default_rng(0), 16, 4)
         p = hmm.chain.transition.copy()
         p[:, 0] = 0.0
@@ -537,6 +529,22 @@ class TestCliContract:
             assert doc is None
             assert "exceeds 64" in err
 
+    def test_fig2_at_order_64_exits_3_at_once(self, capsys):
+        # 3^64 hidden tuples: A's nodes cannot be ranked, and symbol a alone
+        # has 2^64 candidate tuples for the lumped build's recount
+        for command, extra, message in [
+            ("rate", [], "int64 ranks"),
+            ("components", [], "int64 ranks"),
+            ("entropy", ["--length", "3"], "lumped system would count"),
+        ]:
+            start = time.perf_counter()
+            code, doc, err = run_cli(
+                capsys, command, FIXTURES / "fig2.model", "--order", "64", *extra
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (code, doc) == (3, None)
+            assert message in err
+
     def test_order_64_still_reports(self, capsys):
         model = FIXTURES / "iid-uniform-2.model"
         for command, extra in [("rate", []), ("components", []), ("entropy", ["--length", "3"])]:
@@ -552,6 +560,9 @@ class TestCliContract:
             ("oracle", "--max-dim"),
             ("rate", "--tolerance"),
             ("components", "--tolerance"),
+            ("rate", "--max-dim"),
+            ("components", "--max-dim"),
+            ("entropy", "--max-dim"),
         ],
     )
     def test_options_a_subcommand_does_not_read_are_usage_errors(self, capsys, command, option):

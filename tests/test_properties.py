@@ -6,6 +6,7 @@ import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -242,16 +243,60 @@ def test_symbol_summed_matrix_matches_collision_system(seed, alpha):
     rate_radii, components_radii = _rate_and_components_radii(hmm, alpha)
     assert rate_radii == components_radii
 
-    cap = hmm.n_states**alpha * hmm.n_symbols
-    for max_dim in (cap - 1, cap):
-        refused = []
-        for build in (collision_system, lambda h, al, max_dim: finite_length_entropy(h, al, 3, max_dim)):
-            try:
-                build(hmm, alpha, max_dim=max_dim)
-                refused.append(False)
-            except DimensionOverflow:
-                refused.append(True)
-        assert refused == [max_dim < cap] * 2
+
+def _predictions(build):
+    """build()'s result and its byte predictions: (what, count, bytes) for each check."""
+    seen = []
+    check = tensor._check_build_bytes
+
+    def record(what, count, bytes_each):
+        seen.append((what, count, count * bytes_each))
+        check(what, count, bytes_each)
+
+    with patch.object(tensor, "_check_build_bytes", record):
+        return build(), seen
+
+
+def _refused(build) -> bool:
+    try:
+        build()
+    except DimensionOverflow:
+        return True
+    return False
+
+
+@given(seeds, st.sampled_from([2, 3, 4]))
+@settings(max_examples=40, deadline=None)
+def test_builds_are_refused_exactly_past_their_predicted_bytes(seed, alpha):
+    """A build runs at a budget of its largest prediction and is refused one byte below.
+
+    The counts predicted are those the built systems show: A's stored
+    entries and nodes (no product underflows at these orders), K~'s
+    multisets and A's nodes again, with K~'s successor entries at most
+    A's.
+    """
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(1, 6))
+    hmm = random_hmm(rng, nx, int(rng.integers(1, 4)), sparsity=float(rng.uniform(0, 0.5)))
+    collision = lambda: collision_system(hmm, alpha)
+    finite = lambda: finite_length_entropy(hmm, alpha, 3)
+    cs, seen = _predictions(collision)
+    assert {what: count for what, count, _ in seen} == {
+        "collision system would store {} entries": cs.matrix.nnz,
+        "collision nodes would list {} tuples": cs.dimension,
+    }
+    rep, lumped_seen = _predictions(finite)
+    counts = {what: count for what, count, _ in lumped_seen}
+    assert counts.pop("lumped system would enumerate {} entries") <= cs.matrix.nnz
+    assert counts == {
+        "lumped system would list {} multisets": math.comb(nx + alpha - 1, alpha),
+        "lumped system would count {} tuples": rep.dimension,
+    }
+    for build, predictions in ((collision, seen), (finite, lumped_seen)):
+        predicted = max(size for _, _, size in predictions)
+        for budget in (predicted - 1, predicted):
+            with patch.object(tensor, "_BUILD_BYTES", budget):
+                assert _refused(build) == (budget < predicted)
 
 
 @given(seeds, st.sampled_from([2, 3, 4]))

@@ -786,6 +786,31 @@ def test_power_sum_of_row_sums_past_the_dimension(a, u, n, expected):
         assert log_weighted_power_sum(a, u, n) == pytest.approx(expected, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "a,u,n,expected",
+    [
+        # the weights sum to 2e308, past the float range; d = 2 squares at
+        # n = 3 and n = 10^6 alike
+        pytest.param(np.eye(2), np.full(2, 1e308), 0, math.log(2.0) + math.log(1e308), id="n0"),
+        pytest.param(np.eye(2), np.full(2, 1e308), 3, math.log(2.0) + math.log(1e308), id="n3"),
+        pytest.param(np.eye(2), np.full(2, 1e308), 10**6, math.log(2.0) + math.log(1e308), id="squaring"),
+        # the weights' sum is finite, the first step's is not
+        pytest.param(
+            np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([1.7e308, 0.0]), 3,
+            math.log(2.0) + math.log(1.7e308), id="first-step",
+        ),
+        # past 3300 nodes every step is a CSR product
+        pytest.param(_scaled_ring(3400, 1.0), np.full(3400, 1e308), 10, math.log(3400) + math.log(1e308), id="stepwise"),
+    ],
+)
+def test_power_sum_of_weights_whose_sum_overflows(a, u, n, expected):
+    # such weights run scaled by a power of two, so no sum overflows and
+    # no numpy warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_weighted_power_sum(a, u, n) == pytest.approx(expected, rel=1e-14)
+
+
 class TestFromDense:
     """NonnegMatrix.from_dense gives the CSR arrays scipy gives, zeros dropped."""
 

@@ -174,10 +174,6 @@ class TestCollisionSystem:
         with pytest.raises(InvalidOrder):
             collision_system(example_hmm, 2.5)
 
-    def test_dimension_guard(self, example_hmm):
-        with pytest.raises(DimensionOverflow):
-            collision_system(example_hmm, 2, max_dim=3)
-
     def test_build_never_holds_the_tensor_power(self):
         # P^(tensor 8) has 6^8 = 1.7M stored entries, about 20 MB; A has 514
         fig2 = load_model(FIXTURES / "fig2.model")
@@ -191,10 +187,9 @@ class TestCollisionSystem:
         assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_byte_budget_refuses_before_allocating(self):
-        # dense 16 states, 4 symbols, alpha = 3: dimension 16384 passes the
-        # cap, but A would store 16 * 256^3 = 268M entries (3.2 GB as CSR)
+        # dense 16 states, 4 symbols, alpha = 3: A has 16384 nodes, but
+        # would store 16 * 256^3 = 268M entries (3.2 GB as CSR)
         hmm = random_hmm(np.random.default_rng(0), 16, 4)
-        assert 16**3 * 4 <= 10**6
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -209,11 +204,10 @@ class TestCollisionSystem:
 
 class TestLumpedBuildBudget:
     def test_refuses_before_allocating(self):
-        # dense 12 states, 1 symbol, alpha = 5: dimension 12^5 = 248832 passes
-        # the cap, but the lumped build would enumerate C(16, 5) * 12^5 = 1.09e9
+        # dense 12 states, 1 symbol, alpha = 5: A has 12^5 = 248832 nodes,
+        # but the lumped build would enumerate C(16, 5) * 12^5 = 1.09e9
         # successor entries, tens of GB
         hmm = random_hmm(np.random.default_rng(0), 12, 1)
-        assert 12**5 <= 10**6
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -240,7 +234,7 @@ class TestLumpedBuildBudget:
         assert 4 * tensor._lumped_entries([4] * 10, 4) == 732_160
         assert 31_592_960 * (4 * 4 + 64) > tensor._BUILD_BYTES > 732_160 * (4 * 4 + 64)
         assert tensor._lumped_count(p, tensor._maximal_supports(hmm.emission > 0), 4) < 732_160
-        lumped = tensor.lumped_system(hmm, 4, max_dim=10**8)
+        lumped = tensor.lumped_system(hmm, 4)
         assert lumped.matrix.dim == 4 * math.comb(13, 4)
         assert lumped.dimension == 4 * 10**4
 
@@ -309,6 +303,99 @@ class TestLumpedBuildBudget:
         reps = np.array(list(itertools.combinations_with_replacement(range(nx), alpha)))
         rows, _, _ = tensor._successors(p, reps)
         assert tensor._lumped_entries(np.diff(p.indptr).tolist(), alpha) == rows.size
+
+
+def _refused_at_once(build, match):
+    """build() raises DimensionOverflow matching `match` within 1 s, under a 1 MiB peak."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DimensionOverflow, match=match):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestListingBudgets:
+    """Each listing a build makes is predicted in closed form and refused past the budget."""
+
+    def test_node_listing(self):
+        # fig2 at alpha = 39: symbol a lists 2^39 candidate tuples, about
+        # 0.2 TiB with their labels; A's nodes are listed by both rate paths
+        fig2 = load_model(FIXTURES / "fig2.model")
+        assert tensor._candidates(fig2.emission > 0, 39) == 2**39 + 1
+        match = f"collision nodes would list {2**39 + 1} tuples"
+        _refused_at_once(lambda: tensor.collision_nodes(fig2, 39), match)
+
+    def test_rank_past_intp(self):
+        # 2 states, each its own symbol, at alpha = 63: A has 2 nodes, but
+        # 2^63 hidden tuples cannot be ranked in int64
+        hmm = validate_hmm(validate_chain(np.full((2, 2), 0.5), [0.5, 0.5]), np.eye(2))
+        assert tensor._candidates(hmm.emission > 0, 63) == 2
+        for build in (tensor.collision_nodes, entropy.entropy_rate):
+            _refused_at_once(lambda: build(hmm, 63), "2\\^63 hidden tuples overflow")
+
+    def test_node_bytes_grow_with_the_labels(self, monkeypatch):
+        # one node, whose label repeats a 100-character state name 4 times
+        name = "s" * 100
+        hmm = deterministic_observation(validate_chain([[1.0]], [1.0], states=[name]), {name: "z"})
+        predicted = 224 + 16 * 4 + 2 * (4 * 101 + 1)
+        monkeypatch.setattr(tensor, "_BUILD_BYTES", predicted)
+        assert tensor.collision_nodes(hmm, 4).labels() == (",".join([name] * 4) + "|z",)
+        monkeypatch.setattr(tensor, "_BUILD_BYTES", predicted - 1)
+        _refused_at_once(lambda: tensor.collision_nodes(hmm, 4), "collision nodes would list 1 tuples")
+
+    def test_multiset_listing(self):
+        # 60 states, each its own symbol, at alpha = 8: A has 60 nodes and
+        # K~ 60 rows, but C(67, 8) = 6.7e9 multisets would be listed, each
+        # with its 8 * 60 emissions
+        chain = random_chain(np.random.default_rng(0), 60, sparsity=0.9)
+        hmm = deterministic_observation(chain, {s: s for s in chain.states})
+        match = f"lumped system would list {math.comb(67, 8)} multisets"
+        _refused_at_once(lambda: finite_length_entropy(hmm, 8, 3), match)
+
+    def test_node_recount(self):
+        # fig2 at alpha = 40: 861 multisets and few successor entries, but
+        # the recount of A's nodes forms 2^40 + 1 emission products
+        fig2 = load_model(FIXTURES / "fig2.model")
+        assert math.comb(42, 40) == 861
+        match = f"lumped system would count {2**40 + 1} tuples"
+        _refused_at_once(lambda: finite_length_entropy(fig2, 40, 3), match)
+
+    def test_rate_refused_before_the_sweep(self, monkeypatch):
+        # K~'s successor entries (dense 12 x 1 at alpha = 5) and A's nodes
+        # (fig2 at alpha = 39) are checked before `irreducible` runs
+        def no_sweep(*args):
+            raise AssertionError("swept a system that every path refuses")
+
+        monkeypatch.setattr(entropy, "irreducible", no_sweep)
+        dense12 = random_hmm(np.random.default_rng(0), 12, 1)
+        _refused_at_once(lambda: entropy.entropy_rate(dense12, 5), "lumped system would enumerate")
+        fig2 = load_model(FIXTURES / "fig2.model")
+        _refused_at_once(lambda: entropy.entropy_rate(fig2, 39), "collision nodes would list")
+
+    def test_sweep_mask_is_built_symbol_by_symbol(self):
+        # 64 symbols: one mask of X^5 a symbol would take 64 * 6^5 bytes,
+        # more than the sweep's own bound of 32 bytes a tuple
+        hmm = random_hmm(np.random.default_rng(0), 6, 64)
+        tracemalloc.start()
+        try:
+            assert tensor.irreducible(hmm, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 6**5, f"peak {peak} bytes"
+
+    def test_sweep_past_the_budget_is_undecided(self, monkeypatch):
+        # the sweep's 32 bytes a tuple of X^alpha are priced before any array
+        hmm = random_hmm(np.random.default_rng(0), 6, 2)
+        monkeypatch.setattr(tensor, "_BUILD_BYTES", 32 * 6**5)
+        assert tensor.irreducible(hmm, 5)
+        monkeypatch.setattr(tensor, "_BUILD_BYTES", 32 * 6**5 - 1)
+        assert tensor.irreducible(hmm, 5) is None
 
 
 class TestSuccessors:
@@ -499,8 +586,6 @@ class TestIrreducibleSweep:
 
     def test_refused_like_the_collision_build(self):
         hmm = random_hmm(np.random.default_rng(0), 10, 2)
-        with pytest.raises(DimensionOverflow):
-            tensor.irreducible(hmm, 4, max_dim=10**4)
         with pytest.raises(InvalidOrder):
             tensor.irreducible(hmm, 1.5)
 
