@@ -12,7 +12,8 @@ A stores (see `tensor._lumped_count`).  Otherwise A is built, split into
 components and each radius taken from its own block of A.  One routine,
 `_growth`, makes that choice, after checking A's node listing and K~'s
 build against the byte budget of `tensor`, so that a model every path
-would refuse is refused before the sweep; `entropy_rate`, `markov_rate`
+would refuse is refused before the sweep, and neither is checked again
+on the path taken; `entropy_rate`, `markov_rate`
 and `renyirates components` all take their analysis from it, so the
 report and the rate agree float for float.  A fully observed chain's
 system is the Hadamard power P^(o alpha), formed as a dense array
@@ -34,10 +35,11 @@ from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import GrowthAnalysis, growth_rate, irreducible_growth, log_weighted_power_sum
 from .tensor import (
+    _build_lumped,
     _check_lumped,
     _check_nodes,
+    _list_nodes,
     _order,
-    collision_nodes,
     collision_system,
     irreducible,
     lumped_system,
@@ -127,13 +129,15 @@ def _growth(
     split into components.  An HMM's A is not built when
     `tensor.irreducible` finds it irreducible: the analysis then has one
     component of all A's nodes, whose radius is rho(K~)
-    (`irreducible_growth`), reachable when nu has mass; A's nodes, nu and
-    labels come from `tensor.collision_nodes`, which finite lengths never
-    call.  Otherwise A is built and `growth_rate` splits it, each radius
-    taken from its own block of A.  The labels are A's, in A's node
-    order, on every path.  Before the sweep, an HMM is refused at once
-    when A's nodes, which both paths list, or K~'s build would be over
-    the byte budget of `tensor`.
+    (`irreducible_growth`), reachable when nu has mass.  Otherwise A is
+    built on its nodes and `growth_rate` splits it, each radius taken
+    from its own block of A.  A's nodes, nu and labels are listed once,
+    as `tensor.collision_nodes` lists them, which finite lengths never
+    call; the labels are A's, in A's node order, on every path.  Before
+    the sweep, an HMM is refused at once when A's nodes, which both
+    paths list, or K~'s build would be over the byte budget of `tensor`;
+    those two checks run once, and the builds after them do not repeat
+    them.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
@@ -141,15 +145,16 @@ def _growth(
         return alpha, growth_rate(a, u), model.states, a
     alpha = _order(alpha)
     _check_nodes(model, alpha)
-    _check_lumped(model, alpha)
-    if irreducible(model, alpha):
-        lumped = lumped_system(model, alpha)
-        nodes = collision_nodes(model, lumped.order)
-        ga = irreducible_growth(nodes.initial, lumped.matrix)
-        return float(lumped.order), ga, nodes.labels(), None
-    cs = collision_system(model, alpha)
-    ga = growth_rate(cs.matrix, cs.initial)
-    return float(cs.order), ga, cs.labels(), cs.matrix
+    supports = _check_lumped(model, alpha)
+    one_component = irreducible(model, alpha)
+    nodes = _list_nodes(model, alpha)
+    if one_component:
+        ga = irreducible_growth(nodes.initial, _build_lumped(model, alpha, supports).matrix)
+        a = None
+    else:
+        a = collision_system(model, alpha, nodes).matrix
+        ga = growth_rate(a, nodes.initial)
+    return float(alpha), ga, nodes.labels(), a
 
 
 def entropy_rate(hmm: HiddenMarkovModel, alpha: int) -> EntropyReport:

@@ -38,12 +38,13 @@ NoConvergence when it is near-degenerate (a sparse LU would densify it
 through fill-in).  A radius is the midpoint of a closed bracket, never
 of an open one.
 
-`growth_rate` hands an A that `components._strongly_connected` shows to
-be one component to `irreducible_growth` uncut, and otherwise takes all
-the radii of a call in one pass, cut from A in one pass too
-(`_radius_blocks`).  Every power step runs in one loop,
-`_power`.  It iterates one CSR block, or dense blocks of one size in
-lockstep as one (k, m, m) stack, a lone dense block as a stack of one.
+`growth_rate` hands an A that `components._strongly_connected`, or
+else Tarjan's pass, shows to be one component to `irreducible_growth`
+uncut, and otherwise takes all the radii of a call in one pass, cut
+from A in one pass too (`_radius_blocks`).  Every power step runs in
+one loop, `_power`.  It iterates one CSR block, or dense blocks of one
+size in lockstep as one (k, m, m) stack, a lone dense block as a stack
+of one.
 A step is only its product, whose slices run the same gemv as a lone
 block, a row sum and a division; the steps leave their products and
 iterates in a small buffer, and the Collatz-Wielandt brackets of eight
@@ -546,14 +547,17 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
 
     u is checked against A first.  An A of more than one node that
     `components._strongly_connected` shows to be one component goes to
-    `irreducible_growth` uncut.  Otherwise Tarjan's pass finds A's
-    components: a singleton's radius is its diagonal entry, and a
+    `irreducible_growth` uncut, and so does one that Tarjan's pass finds
+    to be one (the sweeps have no budget on small graphs).  Otherwise
+    a singleton component's radius is its diagonal entry, and a
     multi-node component's is the Perron root of its own block of A.
     """
     u = _checked_weights(u, a.dim)
     if a.dim > 1 and _strongly_connected(a.csr):
         return irreducible_growth(u, a)
     decomp = strongly_connected_components(a)
+    if a.dim > 1 and decomp.n_components == 1:
+        return irreducible_growth(u, a)
     block_radii = iter(_perron_radii(_radius_blocks(a.csr, decomp)))
     diagonal = a.csr.diagonal()
     radii = tuple(

@@ -32,7 +32,11 @@ at most C(nx + alpha - 1, alpha) rows, about alpha! times fewer than K
 and nz alpha! times fewer than A, and `lumped_system` builds it straight
 from the multisets, enumerating successors the same way; finite lengths
 run on it.  At 8 states, 3 symbols and alpha = 4 it has 330 rows where
-K has 4096 and 16.8M stored entries.
+K has 4096 and 16.8M stored entries.  Where every row of P is full on an
+emission support S, as in a dense HMM, every multiset has the same
+successors, the grid S^alpha: its columns are ranked once and tiled
+over the rows, and its values formed by broadcast products of P's rows,
+so that support's rows need no enumeration of their own.
 
 Permuting the coordinates can map one component of K onto another, so
 K~'s components are not A's (a 3-cycle observed through one symbol has
@@ -77,10 +81,13 @@ from .nonneg import NonnegMatrix, _csr_arrays
 # entries).  Measured build peaks stay under 64 bytes an entry of A at
 # alpha <= 5.  lumped_system: 4 * alpha + 64 bytes for each successor
 # entry it enumerates (alpha int32 digits, sorted in place, their ranks,
-# rows, values and K~'s CSR arrays); its measured build peaks, 49-74
-# bytes an entry on dense-emission models at alpha = 2-8, stay under
-# that.  The node and multiset listings are charged by `_check_nodes`
-# and `_check_lumped`.
+# rows, values and K~'s CSR arrays); its measured build peaks, 45-70
+# bytes an entry on dense-emission models with 30 % of P's entries zero
+# at alpha = 2-7, stay under that.  A support built as one grid holds no
+# digits per entry, only its rows, values and columns: 28 bytes an
+# entry, measured on dense models of 3-60 states at alpha = 2-8.  The
+# node and multiset listings are charged by `_check_nodes` and
+# `_check_lumped`.
 _BUILD_BYTES = 2**30
 
 # `irreducible` trusts patterns while every product of alpha entries of P
@@ -181,6 +188,12 @@ def _check_build_bytes(what: str, count: int, bytes_each: int) -> None:
             f"{what.format(count)}, about {predicted / 2**30:.1f} GiB to build, "
             f"over the {_BUILD_BYTES / 2**30:.0f} GiB budget"
         )
+
+
+def _underflow_free(alpha: int, *factors: np.ndarray) -> bool:
+    """Whether a product of alpha positive entries of each array, all
+    multiplied, stays at least 2^-1000 (`_SAFE_PRODUCT_LOG2`)."""
+    return alpha * sum(math.log2(f[f > 0].min()) for f in factors) >= _SAFE_PRODUCT_LOG2
 
 
 def _candidates(emits: np.ndarray, alpha: int) -> int:
@@ -334,7 +347,9 @@ def _symbol_columns(
     return rows[kept].astype(np.int32), node[rank[kept]].astype(np.int32), values[kept]
 
 
-def collision_system(hmm: HiddenMarkovModel, alpha: int) -> CollisionSystem:
+def collision_system(
+    hmm: HiddenMarkovModel, alpha: int, nodes: CollisionNodes | None = None
+) -> CollisionSystem:
     """Restricted tensored matrix of the joint chain, built in collision coordinates.
 
     Entries: A[(xs,z),(xs',z')] = prod_j P[xs_j, xs'_j] * E[xs'_j, z'].
@@ -345,17 +360,20 @@ def collision_system(hmm: HiddenMarkovModel, alpha: int) -> CollisionSystem:
     powers of P and pi.  Refused with DimensionOverflow at once when the
     build is predicted to hold more than 1 GiB: 8 * alpha + 60 bytes for
     each entry of A, counted in closed form (see `_stored_entries`), or
-    its nodes as `collision_nodes` charges them.  The build holds A, B
-    (the rows of A's distinct hidden tuples) and one symbol's successor
-    enumeration; no nx^alpha x nx^alpha array is formed.
+    its nodes as `collision_nodes` charges them.  A caller that has
+    listed the nodes, as `collision_nodes(hmm, alpha)` gives them, passes
+    them as `nodes`, and they are neither checked nor listed again.  The
+    build holds A, B (the rows of A's distinct hidden tuples) and one
+    symbol's successor enumeration; no nx^alpha x nx^alpha array is
+    formed.
     """
     alpha = _order(alpha)
-    e = hmm.emission
     nx = hmm.n_states
     p = _transition_rows(hmm)
-    entries = _stored_entries(hmm.chain.transition, e > 0, alpha)
+    entries = _stored_entries(hmm.chain.transition, hmm.emission > 0, alpha)
     _check_build_bytes("collision system would store {} entries", entries, 8 * alpha + 60)
-    nodes = collision_nodes(hmm, alpha)
+    if nodes is None:
+        nodes = collision_nodes(hmm, alpha)
     tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
     digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
 
@@ -398,6 +416,11 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     """
     alpha = _order(alpha)
     _check_nodes(hmm, alpha)
+    return _list_nodes(hmm, alpha)
+
+
+def _list_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
+    """`collision_nodes` once `_check_nodes` has passed."""
     nx = hmm.n_states
     candidates, hidden, node_symbols, nu = [], [], [], []
     dim = 0
@@ -450,11 +473,10 @@ def irreducible(hmm: HiddenMarkovModel, alpha: int) -> bool | None:
     alpha = _order(alpha)
     e = hmm.emission
     nx = hmm.n_states
+    if not _underflow_free(alpha, hmm.chain.transition, e) or 32 * nx**alpha > _BUILD_BYTES:
+        return None
     pattern = hmm.chain.transition > 0
     emits = e > 0
-    smallest = math.log2(hmm.chain.transition[pattern].min()) + math.log2(e[emits].min())
-    if alpha * smallest < _SAFE_PRODUCT_LOG2 or 32 * nx**alpha > _BUILD_BYTES:
-        return None
     n = _candidates(emits, alpha)
     levels = _BUILD_LEVELS + (n + _stored_entries(pattern, emits, alpha)) // _LEVEL_COST
     cost = 1 + alpha * nx ** (alpha + 1) // _PRODUCT_COST
@@ -494,27 +516,40 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
         K~[M, M'] = w(M') sum_{t' in orbit(M')} prod_j P[m_j, t'_j]
         u~(M)     = |orbit(M)| prod_j pi[m_j] w(M)
 
-    K~ has K's Perron root.  dimension counts the nodes of that A from
-    the collision build's own emission products, without listing them
-    (`collision_nodes` does).
+    K~ has K's Perron root.  dimension counts the nodes of that A
+    without listing them (`collision_nodes` does): sum_z |S_z|^alpha
+    when no product of alpha emissions can drop below 2^-1000
+    (`_underflow_free`), else a recount of the collision build's own
+    emission products, some of which underflow to 0.
 
     A multiset M' with w(M') > 0 lies in a maximal emission support
     (`_maximal_supports`), so each pass takes P's CSR rows restricted to
     one support's columns, sorts the successor tuples into multisets
     (`_sorted_columns`) and keeps those whose first maximal support it
     is.  With one support, as under dense emissions, the one pass runs
-    on P.  K~ is assembled as CSR straight from its rows, each row's
-    entries in enumeration order, and scipy's `sum_duplicates` sorts each
-    row and adds its repeated columns in the order a COO build would;
-    indices are int32.
+    on P.  When every row is full on the support S, every multiset's
+    successors are the grid S^alpha (`_grid`) in lexicographic order, so
+    the grid alone is sorted and ranked, its kept columns are tiled over
+    the rows, and the values come from one broadcast product of P's rows
+    per coordinate (`_grid_products`); a support with any sparse row
+    enumerates each multiset's successors (`_successors`).  Both give
+    the same entries, underflowed products included, in the same order.
+    K~ is assembled as CSR straight from its rows, each row's entries in
+    enumeration order, and scipy's `sum_duplicates` sorts each row and
+    adds its repeated columns in the order a COO build would, so K~'s
+    floats depend on that order; indices are int32.
     No nx^alpha x nx^alpha array is formed.  Refused with
     DimensionOverflow at once when the build is predicted to hold more
     than 1 GiB (`_check_lumped`): its multisets, its successor entries,
     4 * alpha + 64 bytes each, counted by `_lumped_count`, or the
-    recount of A's nodes.
+    recount of A's nodes, which is charged whether it runs or not.
     """
     alpha = _order(alpha)
-    supports = _check_lumped(hmm, alpha)
+    return _build_lumped(hmm, alpha, _check_lumped(hmm, alpha))
+
+
+def _build_lumped(hmm: HiddenMarkovModel, alpha: int, supports: np.ndarray) -> LumpedSystem:
+    """`lumped_system` once `_check_lumped` has passed and given the supports."""
     e = hmm.emission
     nx = hmm.n_states
     p = _transition_rows(hmm)
@@ -543,13 +578,26 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
     blocks = []
     for i, s in enumerate(supports):
         states = np.flatnonzero(s)
-        rows, successors, values = _successors(p if single else _columns(p, states), reps)
-        digits = list(successors.T if single else states[successors.T])
+        ps = p if single else _columns(p, states)
+        # every row full on S: each multiset's successors are the grid S^alpha
+        grid = bool((np.diff(ps.indptr) == states.size).all())
+        if grid:
+            successors = _grid(states.size, alpha)
+        else:
+            rows, successors, values = _successors(ps, reps)
+            successors = successors.T
+        digits = list(successors if single else states[successors])
         cols = index[_rank(_sorted_columns(digits), binom)]
         del successors, digits
         live = cols >= 0 if single else (cols >= 0) & (owner[cols] == i)  # w = 0 or not owned
         cols = cols[live]
-        blocks.append((rows[live], cols, values[live] * w[cols]))
+        if grid:  # the grid's live columns in every row
+            values = _grid_products(ps.data.reshape(nx, states.size), reps)[:, live]
+            values *= w[cols]
+            rows, cols = np.repeat(np.arange(kept.size), cols.size), np.tile(cols, kept.size)
+            blocks.append((rows, cols, values.ravel()))
+        else:
+            blocks.append((rows[live], cols, values[live] * w[cols]))
     rows, cols, values = blocks[0] if single else map(np.concatenate, zip(*blocks))
     if not single:  # each pass's rows ascend: merge them, each row's entries in pass order
         order = np.argsort(rows, kind="stable")
@@ -560,8 +608,32 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
     k = sparse.csr_array((values, cols, indptr), shape=(kept.size, kept.size))
     k.sum_duplicates()
     k.eliminate_zeros()  # products that underflow
-    dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
+    if _underflow_free(alpha, e):  # every candidate's emission product is a node
+        dimension = _candidates(e > 0, alpha)
+    else:
+        dimension = sum(int(np.count_nonzero(w)) for _, w in _emission_products(e, alpha))
     return LumpedSystem(alpha, NonnegMatrix(k), u, dimension)
+
+
+def _grid(s: int, alpha: int) -> np.ndarray:
+    """The tuples of {0..s-1}^alpha in lexicographic order, one row per place:
+    the successors `_successors` gives a row that is full on s columns."""
+    k = np.arange(s**alpha)
+    return np.stack([k // s ** (alpha - 1 - j) % s for j in range(alpha)])
+
+
+def _grid_products(p: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """prod_j p[m_j, c_j] for each multiset M (a row of reps) and each tuple c of the grid.
+
+    p holds P's columns of a support S, one full row per state, and c runs
+    over S^alpha in lexicographic order, one column each.  The products
+    run left to right, as `_successors` multiplies them, by one broadcast
+    outer product per coordinate; none is formed as an alpha-axis array.
+    """
+    values = p[reps[:, 0]]
+    for j in range(1, reps.shape[1]):
+        values = (values[:, :, None] * p[reps[:, j]][:, None, :]).reshape(len(reps), -1)
+    return values
 
 
 def _maximal_supports(emits: np.ndarray) -> np.ndarray:

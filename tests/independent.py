@@ -20,9 +20,9 @@ checks:
   transposed CSR form, or A's dense array when A is dense) and returns
   each step's log; ``math.fsum`` of them checks the stepwise power sum,
   which may stop early, to a few ulps.
-- ``lumped_matrix`` forms K~ and u~ of an HMM whose states all emit
-  every symbol by their definitions, one successor tuple at a time; it
-  checks ``lumped_system`` float for float.
+- ``lumped_matrix`` forms K~ and u~ of an HMM by their definitions, one
+  successor tuple at a time; it checks ``lumped_system`` float for
+  float.
 - ``sequence_probability`` runs the forward recursion over one output
   string; it checks the marginals the brute-force oracle enumerates.
 - ``perron_enclosure`` encloses the Perron root of a float block in
@@ -140,34 +140,36 @@ def restricted_kronecker_power(
 
 
 def lumped_matrix(hmm: HiddenMarkovModel, alpha: int) -> tuple[sparse.csr_array, np.ndarray]:
-    """K~ and u~ by their definitions, for an HMM whose states all emit every symbol.
+    """K~ and u~ by their definitions.
 
-    Rows are the multisets M of alpha states (sorted tuples) in
-    lexicographic order; under such emissions every w(M) is positive.
-    Row M lists one entry per successor tuple t' of M in P's support,
-    from itertools.product in lexicographic order: w(sorted t') times
-    prod_j P[m_j, t'_j], the product taken left to right, in the column of
-    sorted t'.  csr_array((data, (rows, cols))) sums each orbit's entries.
-    w(M) = sum_z prod_j E[m_j, z] is summed over z by numpy, and
-    u~(M) = |orbit(M)| prod_j pi[m_j] w(M).
+    Rows are the multisets M of alpha states (sorted tuples) with w(M) > 0,
+    in lexicographic order; w(M) = sum_z prod_j E[m_j, z] is summed over z
+    by numpy.  Row M lists one entry per successor tuple t' of M in P's
+    support whose sorted tuple is a row, from itertools.product in
+    lexicographic order: w(sorted t') times prod_j P[m_j, t'_j], the
+    product taken left to right, in the column of sorted t'.
+    csr_array((data, (rows, cols))) sums each orbit's entries, and entries
+    that underflow to 0 are dropped.  u~(M) = |orbit(M)| prod_j pi[m_j] w(M).
     """
     p, e, pi = hmm.chain.transition, hmm.emission, hmm.chain.initial
     nx = len(p)
-    multisets = list(combinations_with_replacement(range(nx), alpha))
-    column = {m: i for i, m in enumerate(multisets)}
     w = {
         m: np.array([math.prod(e[x, z] for x in m) for z in range(len(e.T))]).sum()
-        for m in multisets
+        for m in combinations_with_replacement(range(nx), alpha)
     }
+    multisets = [m for m, weight in w.items() if weight > 0]
+    column = {m: i for i, m in enumerate(multisets)}
     support = [np.flatnonzero(row).tolist() for row in p]
     rows, cols, data = [], [], []
     for i, m in enumerate(multisets):
         for t in product(*(support[x] for x in m)):
             target = tuple(sorted(t))
-            rows.append(i)
-            cols.append(column[target])
-            data.append(math.prod(p[x, y] for x, y in zip(m, t)) * w[target])
+            if target in column:
+                rows.append(i)
+                cols.append(column[target])
+                data.append(math.prod(p[x, y] for x, y in zip(m, t)) * w[target])
     k = sparse.csr_array((data, (rows, cols)), shape=(len(multisets), len(multisets)))
+    k.eliminate_zeros()
     orbit = [
         math.factorial(alpha) // math.prod(math.factorial(m.count(x)) for x in set(m))
         for m in multisets

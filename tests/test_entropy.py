@@ -521,6 +521,65 @@ class TestLumpedRate:
         assert collision_system(hmm, alpha).dimension == dimension
 
 
+class TestGuardsRunOnce:
+    """An HMM rate checks A's nodes and K~'s build before the sweep, and never again."""
+
+    @staticmethod
+    def _counted_rate(monkeypatch, hmm, alpha):
+        calls = {"_check_nodes": 0, "_check_lumped": 0}
+        for name in calls:
+            inner = getattr(tensor, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(tensor, name, counted)
+            monkeypatch.setattr(entropy, name, counted)
+        predictions = []
+        inner_bytes = tensor._check_build_bytes
+        monkeypatch.setattr(
+            tensor,
+            "_check_build_bytes",
+            lambda what, *args: predictions.append(what) or inner_bytes(what, *args),
+        )
+        rep = entropy_rate(hmm, alpha)
+        monkeypatch.undo()
+        return rep, calls, predictions
+
+    def test_lumped_path(self, monkeypatch):
+        hmm = random_hmm(np.random.default_rng(4), 4, 2)
+        assert tensor.irreducible(hmm, 3)
+        rep, calls, predictions = self._counted_rate(monkeypatch, hmm, 3)
+        assert calls == {"_check_nodes": 1, "_check_lumped": 1}
+        assert predictions == [
+            "collision nodes would list {} tuples",
+            "lumped system would list {} multisets",
+            "lumped system would enumerate {} entries",
+            "lumped system would count {} tuples",
+        ]
+        nodes = tensor.collision_nodes(hmm, 3)
+        ga = spectral.irreducible_growth(nodes.initial, tensor.lumped_system(hmm, 3).matrix)
+        assert rep == entropy._rate_report(3.0, ga, nodes.labels(), nodes.dimension)
+
+    def test_collision_path(self, monkeypatch):
+        # a 3-cycle observed through one symbol: A is reducible at alpha = 2
+        chain = validate_chain(np.roll(np.eye(3), 1, axis=1), np.full(3, 1.0 / 3.0))
+        hmm = validate_hmm(chain, np.ones((3, 1)))
+        assert tensor.irreducible(hmm, 2) is False
+        rep, calls, predictions = self._counted_rate(monkeypatch, hmm, 2)
+        assert calls == {"_check_nodes": 1, "_check_lumped": 1}
+        assert predictions == [
+            "collision nodes would list {} tuples",
+            "lumped system would list {} multisets",
+            "lumped system would enumerate {} entries",
+            "lumped system would count {} tuples",
+            "collision system would store {} entries",
+        ]
+        cs = collision_system(hmm, 2)
+        assert rep == entropy._rate_report(2.0, growth_rate(cs.matrix, cs.initial), cs.labels(), 9)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_hmm_rates_print_correctly_rounded_digits(seed):
     # the 12 significant digits the CLI prints of value_bits are those of

@@ -993,6 +993,30 @@ class TestGrowthRate:
         r2 = growth_rate(NonnegMatrix.from_dense(ap), up).rho_plus
         assert r1 == pytest.approx(r2, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_component_found_by_tarjan_is_not_cut(self, monkeypatch, seed):
+        # a 2-4-node A gets no sweep budget, so Tarjan's pass finds its one
+        # component; its radius is then taken on A uncut, the very float
+        # its cut block gives
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 5))
+        a = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
+        a[np.arange(m), np.roll(np.arange(m), -1)] += 0.5  # a cycle through every node
+        a = NonnegMatrix.from_dense(a)
+        u = random_nonneg_vector(rng, m)
+        assert not spectral._strongly_connected(a.csr)
+        decomp = strongly_connected_components(a)
+        cut = spectral._perron_radii(spectral._radius_blocks(a.csr, decomp))
+        monkeypatch.setattr(spectral, "_radius_blocks", lambda *args: pytest.fail("cut A"))
+        ga = growth_rate(a, u)
+        ref = spectral.irreducible_growth(u, a)
+        assert ga.decomposition == ref.decomposition == decomp
+        hexes = [[r.hex() for r in radii] for radii in (ga.component_radii, ref.component_radii, cut)]
+        assert hexes[0] == hexes[1] == hexes[2]
+        assert (ga.reachable, ga.dominant_component, ga.rho_plus.hex()) == (
+            ref.reachable, ref.dominant_component, ref.rho_plus.hex()
+        )
+
 
 class TestStepwisePowerSum:
     def test_vecmat_is_row_vector_times_matrix(self):

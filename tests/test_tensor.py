@@ -476,10 +476,34 @@ LUMPED_DIGESTS = {
 }
 
 
+def _assert_lumped_is_the_definition(monkeypatch, hmm, alpha, grids: int, enumerations: int):
+    """lumped_system(hmm, alpha) equals `lumped_matrix` float for float, with
+    `grids` supports built as one grid and `enumerations` by `_successors`."""
+    calls = {"_grid_products": 0, "_successors": 0}
+    for name in calls:
+        inner = getattr(tensor, name)
+
+        def counted(*args, inner=inner, name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(tensor, name, counted)
+    lumped = tensor.lumped_system(hmm, alpha)
+    monkeypatch.undo()
+    assert calls == {"_grid_products": grids, "_successors": enumerations}
+    k, u = lumped_matrix(hmm, alpha)
+    got = lumped.matrix.csr
+    assert got.shape == k.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(k, name)), name
+    assert [x.hex() for x in lumped.initial.tolist()] == [x.hex() for x in u.tolist()]
+    return lumped
+
+
 class TestLumpedMatrix:
     @pytest.mark.parametrize("alpha", range(2, 7))
     @pytest.mark.parametrize("seed", range(4))
-    def test_equals_the_definition_float_for_float(self, seed, alpha):
+    def test_equals_the_definition_float_for_float(self, monkeypatch, seed, alpha):
         # every state emits every symbol, so every multiset is a row; P's
         # zeros thin the successors, and duplicate orbit entries are summed
         # by scipy in the order the definition lists them
@@ -487,13 +511,52 @@ class TestLumpedMatrix:
         nx = int(rng.integers(2, 7 if alpha <= 3 else 5))
         chain = random_chain(rng, nx, sparsity=float(rng.choice([0.0, 0.5])))
         hmm = validate_hmm(chain, rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=nx))
-        lumped = tensor.lumped_system(hmm, alpha)
-        k, u = lumped_matrix(hmm, alpha)
-        got = lumped.matrix.csr
-        assert got.shape == k.shape
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(k, name)), name
-        assert [x.hex() for x in lumped.initial.tolist()] == [x.hex() for x in u.tolist()]
+        full = int((chain.transition > 0).all())
+        _assert_lumped_is_the_definition(monkeypatch, hmm, alpha, full, 1 - full)
+
+    @pytest.mark.parametrize("alpha", range(2, 7))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_rows_build_one_grid(self, monkeypatch, seed, alpha):
+        # dense P and dense emissions: every multiset's successors are the
+        # grid X^alpha, ranked once and tiled over the rows
+        rng = np.random.default_rng(10 * alpha + seed)
+        nx = int(rng.integers(2, 6 if alpha <= 3 else 4))
+        hmm = random_hmm(rng, nx, int(rng.integers(1, 4)))
+        assert (hmm.chain.transition > 0).all() and (hmm.emission > 0).all()
+        _assert_lumped_is_the_definition(monkeypatch, hmm, alpha, 1, 0)
+
+    @pytest.mark.parametrize("alpha", range(2, 6))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_support_a_grid_and_one_not(self, monkeypatch, seed, alpha):
+        # states 0-2 emit "a" and 2-4 "b": P's columns 0-2 are all positive,
+        # so {0, 1, 2} builds as a grid; P[0, 4] = 0, so {2, 3, 4} is
+        # enumerated row by row, and the two passes' rows are merged
+        rng = np.random.default_rng(seed)
+        p = rng.random((5, 5)) + 0.05
+        p[0, 4] = 0.0
+        p /= p.sum(axis=1, keepdims=True)
+        e = np.zeros((5, 2))
+        e[:2, 0] = e[3:, 1] = 1.0
+        e[2] = rng.dirichlet(np.ones(2))
+        hmm = validate_hmm(validate_chain(p, rng.dirichlet(np.ones(5))), e)
+        assert len(tensor._maximal_supports(e > 0)) == 2
+        _assert_lumped_is_the_definition(monkeypatch, hmm, alpha, 1, 1)
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_grid_products_that_underflow_are_dropped(self, monkeypatch, alpha):
+        # state 0 moves to states 1 and 2 with probability 1e-170, so its
+        # products over two of them underflow to 0; K~ drops those entries
+        p = np.array([[1 - 2e-170, 1e-170, 1e-170], [0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
+        hmm = validate_hmm(validate_chain(p, [0.2, 0.3, 0.5]), [[0.4, 0.6], [0.5, 0.5], [0.1, 0.9]])
+        lumped = _assert_lumped_is_the_definition(monkeypatch, hmm, alpha, 1, 0)
+        rows = math.comb(3 + alpha - 1, alpha)
+        assert lumped.matrix.nnz < rows * rows
+
+    def test_order_64_builds_one_grid(self, monkeypatch):
+        # one state: the grid is one tuple of 64 places, never an array of 65 axes
+        hmm = load_model(FIXTURES / "iid-uniform-2.model")
+        lumped = _assert_lumped_is_the_definition(monkeypatch, hmm, 64, 1, 0)
+        assert lumped.matrix.to_dense().tolist() == [[2.0**-63]]
 
     @pytest.mark.parametrize("name,alpha", sorted(LUMPED_DIGESTS))
     def test_fixtures_keep_their_floats(self, name, alpha):
@@ -505,6 +568,26 @@ class TestLumpedMatrix:
         for a in (k.data, k.indices.astype("<i8"), k.indptr.astype("<i8"), lumped.initial):
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest()[:16] == LUMPED_DIGESTS[name, alpha]
+
+    @pytest.mark.parametrize("alpha", range(2, 6))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dimension_in_closed_form_when_no_emission_product_underflows(
+        self, monkeypatch, seed, alpha
+    ):
+        rng = np.random.default_rng(seed)
+        hmm = random_hmm(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)), sparsity=0.4)
+        monkeypatch.setattr(tensor, "_emission_products", lambda *args: pytest.fail("recounted"))
+        dimension = tensor.lumped_system(hmm, alpha).dimension
+        monkeypatch.undo()
+        assert dimension == tensor.collision_nodes(hmm, alpha).dimension
+
+    def test_dimension_recounted_when_emission_products_can_underflow(self):
+        # 2 log2(1e-200) is below -1000: the products are formed, and the
+        # candidate (0, 0|"1"), whose product is 1e-400, is no node
+        chain = random_chain(np.random.default_rng(0), 3)
+        hmm = validate_hmm(chain, [[1 - 1e-200, 1e-200], [0.5, 0.5], [0.3, 0.7]])
+        dimension = tensor.lumped_system(hmm, 2).dimension
+        assert dimension == tensor.collision_nodes(hmm, 2).dimension == 2 * 3**2 - 1
 
     @pytest.mark.parametrize("sparsity", [0.0, 0.6])
     def test_index_arrays_are_int32(self, sparsity):
