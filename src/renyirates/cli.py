@@ -11,7 +11,8 @@ the options it reads: no size option, since the budget is fixed, and no
 radius tolerance, since every radius closes at spectral.DEFAULT_TOL.
 `components` reports the analysis `rate` computes (`entropy._growth`),
 and builds the collision matrix A beyond that only for the
-characteristic polynomial of an A of at most 64 nodes.
+characteristic polynomial of an A of at most 64 nodes, on the nodes that
+analysis listed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .model import (
 )
 from .modelfile import load_model
 from .spectral import CHARPOLY_MAX_DIM, characteristic_polynomial
-from .tensor import collision_system
+from .tensor import CollisionNodes, collision_system
 
 REPORT_VERSION = 1
 
@@ -129,8 +130,8 @@ def cmd_components(args) -> None:
     order, ga, labels, matrix = rates._growth(model, args.order)
     decomp = ga.decomposition
     if len(labels) <= CHARPOLY_MAX_DIM:
-        if matrix is None:
-            matrix = collision_system(model, order).matrix
+        if isinstance(matrix, CollisionNodes):  # the rate took K~: A is built on its nodes
+            matrix = collision_system(model, order, matrix).matrix
         poly = characteristic_polynomial(matrix).tolist()
     else:
         poly = None

@@ -10,13 +10,13 @@ pattern without building A, that is rho(K~), taken on K~ as built and
 reachable when nu has mass; K~ enumerates no more successor entries than
 A stores (see `tensor._lumped_count`).  Otherwise A is built, split into
 components and each radius taken from its own block of A.  One routine,
-`_growth`, makes that choice, after checking A's node listing and K~'s
-build against the byte budget of `tensor`, so that a model every path
-would refuse is refused before the sweep, and neither is checked again
-on the path taken; `entropy_rate`, `markov_rate`
-and `renyirates components` all take their analysis from it, so the
-report and the rate agree float for float.  A fully observed chain's
-system is the Hadamard power P^(o alpha), formed as a dense array
+`_growth`, makes that choice from the public builders of `tensor`, each
+of which checks itself against the byte budget: A's nodes, which both
+paths list, are listed first, and K~ or A is built after the sweep, so
+a rate is refused only by a build its path runs; `entropy_rate`,
+`markov_rate` and `renyirates components` all take their analysis from
+it, so the report and the rate agree float for float.  A fully observed
+chain's system is the Hadamard power P^(o alpha), formed as a dense array
 (`_hadamard_system`): its finite lengths pass that array to the power
 sum, and its rates wrap it once in CSR for the component split.  A
 length-n realization uses exponent n - 1, validated against the
@@ -35,11 +35,9 @@ from .model import HiddenMarkovModel, MarkovChain, _chain_order
 from .nonneg import NonnegMatrix
 from .spectral import GrowthAnalysis, growth_rate, irreducible_growth, log_weighted_power_sum
 from .tensor import (
-    _build_lumped,
-    _check_lumped,
-    _check_nodes,
-    _list_nodes,
+    CollisionNodes,
     _order,
+    collision_nodes,
     collision_system,
     irreducible,
     lumped_system,
@@ -122,39 +120,32 @@ def finite_length_entropy(hmm: HiddenMarkovModel, alpha: int, n: int) -> Entropy
 
 def _growth(
     model: MarkovChain | HiddenMarkovModel, alpha: float
-) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | None]:
-    """The rate's analysis: checked order, growth analysis, A's labels and A if built.
+) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | CollisionNodes]:
+    """The rate's analysis: checked order, growth analysis, A's labels, and A or its nodes.
 
     The one place that chooses a rate path.  A chain's A is P^(o alpha),
-    split into components.  An HMM's A is not built when
-    `tensor.irreducible` finds it irreducible: the analysis then has one
-    component of all A's nodes, whose radius is rho(K~)
-    (`irreducible_growth`), reachable when nu has mass.  Otherwise A is
-    built on its nodes and `growth_rate` splits it, each radius taken
-    from its own block of A.  A's nodes, nu and labels are listed once,
-    as `tensor.collision_nodes` lists them, which finite lengths never
-    call; the labels are A's, in A's node order, on every path.  Before
-    the sweep, an HMM is refused at once when A's nodes, which both
-    paths list, or K~'s build would be over the byte budget of `tensor`;
-    those two checks run once, and the builds after them do not repeat
-    them.
+    split into components.  An HMM's nodes, nu and labels are listed
+    first by `tensor.collision_nodes`, since both paths need them.  A is
+    not built when `tensor.irreducible` finds it irreducible: the
+    analysis then has one component of all A's nodes, whose radius is
+    rho(K~) (`irreducible_growth`), reachable when nu has mass, and the
+    nodes are returned in A's place, for `collision_system` to build A
+    on.  Otherwise A is built on them and `growth_rate` splits it, each
+    radius taken from its own block of A.  The labels are A's, in A's
+    node order, on every path.  Each build checks itself, so a rate is
+    refused only by a build its path runs.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
         a = NonnegMatrix.from_dense(a)
         return alpha, growth_rate(a, u), model.states, a
     alpha = _order(alpha)
-    _check_nodes(model, alpha)
-    supports = _check_lumped(model, alpha)
-    one_component = irreducible(model, alpha)
-    nodes = _list_nodes(model, alpha)
-    if one_component:
-        ga = irreducible_growth(nodes.initial, _build_lumped(model, alpha, supports).matrix)
-        a = None
-    else:
-        a = collision_system(model, alpha, nodes).matrix
-        ga = growth_rate(a, nodes.initial)
-    return float(alpha), ga, nodes.labels(), a
+    nodes = collision_nodes(model, alpha)
+    if irreducible(model, alpha):
+        ga = irreducible_growth(nodes.initial, lumped_system(model, alpha).matrix)
+        return float(alpha), ga, nodes.labels(), nodes
+    a = collision_system(model, alpha, nodes).matrix
+    return float(alpha), growth_rate(a, nodes.initial), nodes.labels(), a
 
 
 def entropy_rate(hmm: HiddenMarkovModel, alpha: int) -> EntropyReport:

@@ -51,11 +51,12 @@ without A's entries.
 Otherwise A is built and each component's radius taken from its own
 block.
 
-Every build refuses at once, with DimensionOverflow, what it is
-predicted to hold past one byte budget, 1 GiB (`_BUILD_BYTES`): a
-closed-form count of what it lists times the bytes each item takes.
-X^alpha itself is not bounded: 8 states observed in 4 pairs at alpha =
-6 index 4 * 8^6 tuples, but A has 256 nodes and K~ 28 rows.
+Every public build checks only itself, and refuses at once, with
+DimensionOverflow, what it is predicted to hold past one byte budget,
+1 GiB (`_BUILD_BYTES`): a closed-form count of what it lists times the
+bytes each item takes.  X^alpha itself is not bounded: 8 states observed
+in 4 pairs at alpha = 6 index 4 * 8^6 tuples, but A has 256 nodes and K~
+28 rows.
 """
 
 from __future__ import annotations
@@ -222,24 +223,35 @@ def _check_nodes(hmm: HiddenMarkovModel, alpha: int) -> None:
 
 
 def _check_lumped(hmm: HiddenMarkovModel, alpha: int) -> np.ndarray:
-    """Refuse `lumped_system` when what it lists is predicted over budget;
-    else return the maximal emission supports its passes run over.
+    """Refuse `lumped_system` when what it lists is predicted over budget or
+    its orbit counts overflow; else return the maximal emission supports.
 
     Every multiset of alpha states, C(nx + alpha - 1, alpha) of them, is listed
     as a Python tuple, then with its emissions, alpha * nz floats
     (measured: 932-1236 bytes a multiset at 12-30 states, alpha = 4-8, one
-    symbol a state); the successor entries of `_lumped_count`; and the
-    recount of A's nodes, 24 bytes a candidate of `_candidates`.
+    symbol a state); the successor entries of `_lumped_count`; and, when
+    an emission product can underflow (`_underflow_free`), the recount of
+    A's nodes, 24 bytes a candidate of `_candidates`.  An int64 running
+    product counts |orbit(M)| and reaches alpha times the largest orbit:
+    the multinomial of alpha split most evenly over the largest support.
     """
     nx, nz = hmm.emission.shape
     multisets = math.comb(nx + alpha - 1, alpha)
     listing = 8 * (alpha + 1) * nz + 16 * alpha + 64
     _check_build_bytes("lumped system would list {} multisets", multisets, listing)
     supports = _maximal_supports(hmm.emission > 0)
+    s = int(supports.sum(axis=1).max())
+    q, r = divmod(alpha, s)
+    largest = math.factorial(alpha) // (math.factorial(q + 1) ** r * math.factorial(q) ** (s - r))
+    if alpha * largest > np.iinfo(np.intp).max:
+        raise DimensionOverflow(
+            f"orbits of up to {largest} tuples overflow the lumped system's int64 counts"
+        )
     entries = _lumped_count(hmm.chain.transition, supports, alpha)
     _check_build_bytes("lumped system would enumerate {} entries", entries, 4 * alpha + 64)
-    count = _candidates(hmm.emission > 0, alpha)
-    _check_build_bytes("lumped system would count {} tuples", count, 24)
+    if not _underflow_free(alpha, hmm.emission):
+        count = _candidates(hmm.emission > 0, alpha)
+        _check_build_bytes("lumped system would count {} tuples", count, 24)
     return supports
 
 
@@ -360,10 +372,9 @@ def collision_system(
     powers of P and pi.  Refused with DimensionOverflow at once when the
     build is predicted to hold more than 1 GiB: 8 * alpha + 60 bytes for
     each entry of A, counted in closed form (see `_stored_entries`), or
-    its nodes as `collision_nodes` charges them.  A caller that has
-    listed the nodes, as `collision_nodes(hmm, alpha)` gives them, passes
-    them as `nodes`, and they are neither checked nor listed again.  The
-    build holds A, B (the rows of A's distinct hidden tuples) and one
+    its nodes as `collision_nodes` charges them.  Nodes passed as `nodes`,
+    as `collision_nodes(hmm, alpha)` checked and listed them, are neither
+    checked nor listed again.  The build holds A, B (the rows of A's distinct hidden tuples) and one
     symbol's successor enumeration; no nx^alpha x nx^alpha array is
     formed.
     """
@@ -416,11 +427,6 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     """
     alpha = _order(alpha)
     _check_nodes(hmm, alpha)
-    return _list_nodes(hmm, alpha)
-
-
-def _list_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
-    """`collision_nodes` once `_check_nodes` has passed."""
     nx = hmm.n_states
     candidates, hidden, node_symbols, nu = [], [], [], []
     dim = 0
@@ -539,17 +545,13 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
     adds its repeated columns in the order a COO build would, so K~'s
     floats depend on that order; indices are int32.
     No nx^alpha x nx^alpha array is formed.  Refused with
-    DimensionOverflow at once when the build is predicted to hold more
-    than 1 GiB (`_check_lumped`): its multisets, its successor entries,
-    4 * alpha + 64 bytes each, counted by `_lumped_count`, or the
-    recount of A's nodes, which is charged whether it runs or not.
+    DimensionOverflow at once (`_check_lumped`) when the build is
+    predicted to hold more than 1 GiB, its multisets, its successor
+    entries, 4 * alpha + 64 bytes each, counted by `_lumped_count`, or
+    the recount of A's nodes where it runs, or |orbit(M)| could overflow.
     """
     alpha = _order(alpha)
-    return _build_lumped(hmm, alpha, _check_lumped(hmm, alpha))
-
-
-def _build_lumped(hmm: HiddenMarkovModel, alpha: int, supports: np.ndarray) -> LumpedSystem:
-    """`lumped_system` once `_check_lumped` has passed and given the supports."""
+    supports = _check_lumped(hmm, alpha)
     e = hmm.emission
     nx = hmm.n_states
     p = _transition_rows(hmm)
@@ -565,7 +567,8 @@ def _build_lumped(hmm: HiddenMarkovModel, alpha: int, supports: np.ndarray) -> L
 
     # |orbit(M)| = alpha! / prod_j r_j, r_j the 1-based place of m_j in its
     # run of equal states; each partial quotient is the multinomial count of
-    # a prefix, so every division is exact
+    # a prefix, so every division is exact; `_check_lumped` keeps each
+    # product, at most alpha |orbit(M)|, within int64
     orbit = np.ones(kept.size, dtype=np.intp)
     run = np.ones(kept.size, dtype=np.intp)
     for j in range(1, alpha):

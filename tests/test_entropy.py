@@ -522,7 +522,7 @@ class TestLumpedRate:
 
 
 class TestGuardsRunOnce:
-    """An HMM rate checks A's nodes and K~'s build before the sweep, and never again."""
+    """An HMM rate checks A's nodes once, then only the build of the path it takes."""
 
     @staticmethod
     def _counted_rate(monkeypatch, hmm, alpha):
@@ -535,7 +535,6 @@ class TestGuardsRunOnce:
                 return inner(*args)
 
             monkeypatch.setattr(tensor, name, counted)
-            monkeypatch.setattr(entropy, name, counted)
         predictions = []
         inner_bytes = tensor._check_build_bytes
         monkeypatch.setattr(
@@ -556,7 +555,6 @@ class TestGuardsRunOnce:
             "collision nodes would list {} tuples",
             "lumped system would list {} multisets",
             "lumped system would enumerate {} entries",
-            "lumped system would count {} tuples",
         ]
         nodes = tensor.collision_nodes(hmm, 3)
         ga = spectral.irreducible_growth(nodes.initial, tensor.lumped_system(hmm, 3).matrix)
@@ -568,12 +566,9 @@ class TestGuardsRunOnce:
         hmm = validate_hmm(chain, np.ones((3, 1)))
         assert tensor.irreducible(hmm, 2) is False
         rep, calls, predictions = self._counted_rate(monkeypatch, hmm, 2)
-        assert calls == {"_check_nodes": 1, "_check_lumped": 1}
+        assert calls == {"_check_nodes": 1, "_check_lumped": 0}
         assert predictions == [
             "collision nodes would list {} tuples",
-            "lumped system would list {} multisets",
-            "lumped system would enumerate {} entries",
-            "lumped system would count {} tuples",
             "collision system would store {} entries",
         ]
         cs = collision_system(hmm, 2)
@@ -613,3 +608,68 @@ def test_a_large_index_set_with_a_small_system_computes():
     lo, hi = perron_enclosure(k)
     assert lo - width <= rate.rho_plus <= hi + width
     assert rate.rho_plus == pytest.approx(growth_rate(cs.matrix, cs.initial).rho_plus, rel=1e-12)
+
+
+def _block_chain(rng, blocks):
+    """Block-triangular chain: 2-state recurrent blocks, each joined to the next by a
+    transient state; the last block is closed and the initial law sits on block 0."""
+    nx = 3 * blocks - 1
+    p = np.zeros((nx, nx))
+    for b in range(blocks):
+        s0, s1 = 3 * b, 3 * b + 1
+        cols = [s0, s1] if b == blocks - 1 else [s0, s1, 3 * b + 2]
+        for s in (s0, s1):
+            p[s, cols] = rng.dirichlet(np.ones(len(cols)))
+        if b < blocks - 1:
+            p[3 * b + 2, [3 * b + 3, 3 * b + 4]] = rng.dirichlet(np.ones(2))
+    pi = np.zeros(nx)
+    pi[[0, 1]] = rng.dirichlet(np.ones(2))
+    return validate_chain(p, pi)
+
+
+class TestRefusedOnlyByThePathTaken:
+    """A rate that builds A never lists K~'s multisets, and K~ counts only what it builds."""
+
+    def test_identity_observed_chain(self):
+        # 40 states at alpha = 6: K~'s listing of every multiset of X
+        # would take 18 GiB, and A has 40 nodes
+        chain = random_chain(np.random.default_rng(7), 40)
+        rep = entropy_rate(identity_observation(chain), 6)
+        assert rep.dimension == 40
+        assert rep.value_bits == pytest.approx(markov_rate(chain, 6).value_bits, rel=1e-12)
+
+    def test_identity_observed_block_chain(self):
+        # 60 blocks, 179 states, at alpha = 3: A is reducible and has 179 nodes
+        chain = _block_chain(np.random.default_rng(7), 60)
+        hmm = identity_observation(chain)
+        assert not tensor.irreducible(hmm, 3)
+        rep = entropy_rate(hmm, 3)
+        assert rep.dimension == 179
+        assert rep.value_bits == pytest.approx(markov_rate(chain, 3).value_bits, rel=1e-12)
+
+    def test_deterministic_observation_in_groups(self):
+        # 200 sparse states observed in 50 groups of 4 at alpha = 4: A has
+        # 50 * 4^4 = 12800 nodes; K~ would list C(203, 4) = 6.9e7 multisets
+        chain = random_chain(np.random.default_rng(7), 200, 0.95)
+        hmm = deterministic_observation(chain, {s: f"g{i // 4}" for i, s in enumerate(chain.states)})
+        rep = entropy_rate(hmm, 4)
+        cs = collision_system(hmm, 4)
+        assert rep.dimension == cs.dimension == 12800
+        assert rep.rho_plus.hex() == growth_rate(cs.matrix, cs.initial).rho_plus.hex()
+
+    def test_closed_form_dimension_is_not_recounted(self):
+        # fig2 at alpha = 40: no emission product can underflow, so the
+        # 2^40 + 1 candidate tuples are counted in closed form, not formed
+        fig2 = load_model(FIXTURES / "fig2.model")
+        rep = finite_length_entropy(fig2, 40, 3)
+        assert rep.dimension == 2**40 + 1
+        assert rep.value_bits == pytest.approx(brute_force_entropy(fig2, 40, 3), rel=1e-12)
+
+    def test_orbit_counts_past_int64_are_refused(self):
+        # a 3-cycle observed through one symbol at alpha = 64: the orbit of
+        # the most even multiset has 64! / (22! 21! 21!) ~ 4.3e28 tuples
+        chain = validate_chain(np.roll(np.eye(3), 1, axis=1), np.full(3, 1.0 / 3.0))
+        hmm = validate_hmm(chain, np.ones((3, 1)))
+        largest = math.factorial(64) // (math.factorial(22) * math.factorial(21) ** 2)
+        with pytest.raises(DimensionOverflow, match=f"orbits of up to {largest} tuples"):
+            finite_length_entropy(hmm, 64, 3)

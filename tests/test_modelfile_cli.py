@@ -325,6 +325,25 @@ class TestCmdComponents:
         golden = Path(__file__).resolve().parent / "golden" / "components-bsc-order4-epsilon0.1.json"
         assert out.encode() == golden.read_bytes()
 
+    def test_lumped_rate_lists_a_nodes_once(self, capsys, monkeypatch):
+        # bsc at epsilon = 0.1 and order 3 rates on the lumped matrix, and
+        # the polynomial's A is built on the nodes the rate listed
+        calls = {"collision_nodes": 0, "_check_nodes": 0}
+        for name in calls:
+            inner = getattr(tensor, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            for module in (tensor, entropy):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        argv = ["components", str(FIXTURES / "bsc.model"), "--order", "3", "--epsilon", "0.1"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["characteristic_polynomial"] is not None
+        assert calls == {"collision_nodes": 1, "_check_nodes": 1}
+
     @pytest.mark.parametrize("order", ["1", "0", "-1", "inf"])
     def test_markov_order_checked_like_rate(self, capsys, order):
         model = FIXTURES / "markov142.model"
@@ -530,12 +549,13 @@ class TestCliContract:
             assert "exceeds 64" in err
 
     def test_fig2_at_order_64_exits_3_at_once(self, capsys):
-        # 3^64 hidden tuples: A's nodes cannot be ranked, and symbol a alone
-        # has 2^64 candidate tuples for the lumped build's recount
+        # 3^64 hidden tuples: A's nodes cannot be ranked, and the multisets
+        # of 32 + 32 states of symbol a have orbits of C(64, 32) tuples,
+        # which the lumped build's int64 counts cannot reach 64 times
         for command, extra, message in [
             ("rate", [], "int64 ranks"),
             ("components", [], "int64 ranks"),
-            ("entropy", ["--length", "3"], "lumped system would count"),
+            ("entropy", ["--length", "3"], f"orbits of up to {math.comb(64, 32)} tuples"),
         ]:
             start = time.perf_counter()
             code, doc, err = run_cli(

@@ -358,22 +358,31 @@ class TestListingBudgets:
         _refused_at_once(lambda: finite_length_entropy(hmm, 8, 3), match)
 
     def test_node_recount(self):
-        # fig2 at alpha = 40: 861 multisets and few successor entries, but
-        # the recount of A's nodes forms 2^40 + 1 emission products
-        fig2 = load_model(FIXTURES / "fig2.model")
-        assert math.comb(42, 40) == 861
-        match = f"lumped system would count {2**40 + 1} tuples"
-        _refused_at_once(lambda: finite_length_entropy(fig2, 40, 3), match)
+        # state 0 emits "1" with probability 1e-200, so emission products
+        # can underflow and A's nodes are recounted: 2 * 2^25 candidate
+        # tuples at alpha = 25, though K~ has at most 26 rows
+        chain = validate_chain([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5])
+        hmm = validate_hmm(chain, [[1 - 1e-200, 1e-200], [0.5, 0.5]])
+        assert not tensor._underflow_free(25, hmm.emission)
+        match = f"lumped system would count {2 * 2**25} tuples"
+        _refused_at_once(lambda: finite_length_entropy(hmm, 25, 3), match)
+        # every tuple emits "0"; "1" only from tuples holding state 0 at most once
+        assert finite_length_entropy(hmm, 24, 3).dimension == 2**24 + 1 + 24
 
     def test_rate_refused_before_the_sweep(self, monkeypatch):
-        # K~'s successor entries (dense 12 x 1 at alpha = 5) and A's nodes
-        # (fig2 at alpha = 39) are checked before `irreducible` runs
+        # A's nodes (fig2 at alpha = 39), which both paths list, are checked
+        # before `irreducible` runs; K~'s successor entries (dense 12 x 1 at
+        # alpha = 5) only once the sweep has chosen K~'s path
+        dense12 = random_hmm(np.random.default_rng(0), 12, 1)
+        start = time.perf_counter()
+        with pytest.raises(DimensionOverflow, match="lumped system would enumerate"):
+            entropy.entropy_rate(dense12, 5)
+        assert time.perf_counter() - start < 1.0
+
         def no_sweep(*args):
             raise AssertionError("swept a system that every path refuses")
 
         monkeypatch.setattr(entropy, "irreducible", no_sweep)
-        dense12 = random_hmm(np.random.default_rng(0), 12, 1)
-        _refused_at_once(lambda: entropy.entropy_rate(dense12, 5), "lumped system would enumerate")
         fig2 = load_model(FIXTURES / "fig2.model")
         _refused_at_once(lambda: entropy.entropy_rate(fig2, 39), "collision nodes would list")
 
