@@ -135,13 +135,14 @@ def _strongly_connected(csr: sparse.csr_array) -> bool:
     it reached last.  The backward sweep marks, level by level, the rows
     with a positive product against the indicator of the columns it
     reached last, one product with A a level, so no transposed copy is
-    formed; an explicit zero, NaN or inf entry can only hide an edge
-    there, which sends the graph to Tarjan.  A gather costs about what
-    Tarjan's pass spends on 128 nodes or entries, a product that plus as
-    much again for every 16384 stored entries; both sweeps share a budget
-    of (n + nnz) // 128 gathers, so a long-diameter graph gives up after
-    about Tarjan's own cost.  False when a sweep misses a node or the
-    budget runs out.
+    formed.  csr is a NonnegMatrix's, whose stored entries are all
+    positive, so a product is positive exactly on the rows with a stored
+    entry there, and both sweeps see the graph Tarjan's pass sees.  A
+    gather costs about what Tarjan's pass spends on 128 nodes or entries,
+    a product that plus as much again for every 16384 stored entries;
+    both sweeps share a budget of (n + nnz) // 128 gathers, so a
+    long-diameter graph gives up after about Tarjan's own cost.  False
+    when a sweep misses a node or the budget runs out.
     """
     n, nnz = csr.shape[0], csr.nnz
     indptr, indices = csr.indptr, csr.indices

@@ -3,8 +3,9 @@
 This is the carrier type for the pipeline's sparse matrices: collision
 matrices, their lumped and per-component forms, and a chain's Hadamard
 power where its rate splits it into components.  Entries are stored in
-CSR form with structural zeros dropped, so the sparsity pattern *is* the
-associated graph.
+one CSR form, with sorted columns, no repeated entry and no stored zero,
+so the sparsity pattern *is* the associated graph.  The constructor
+alone makes that form: every stage reads it as given.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ from .errors import DimensionMismatch, NegativeEntry, NonFiniteEntry
 
 @dataclass(frozen=True)
 class NonnegMatrix:
-    """Square non-negative matrix; immutable after construction."""
+    """Square non-negative matrix; immutable after construction.
+
+    Takes any scipy sparse square matrix.  A `csr_array` with sorted
+    columns, no repeated entry and no stored zero is stored as given.
+    Other input is taken as a `csr_array`, and one with unsorted columns,
+    a repeated entry or a stored zero (-0.0 too) is stored as a copy with
+    repeated entries summed, then zeros dropped; the caller's arrays are
+    never written.
+    """
 
     csr: sparse.csr_array
 
@@ -29,7 +38,14 @@ class NonnegMatrix:
         m, n = self.csr.shape
         if m != n:
             raise DimensionMismatch(f"matrix is {m}x{n}, expected square")
-        _check_entries(self.csr.data, "non-negative matrix")
+        c = self.csr if isinstance(self.csr, sparse.csr_array) else sparse.csr_array(self.csr)
+        _check_entries(c.data, "non-negative matrix")
+        # scipy's canonical format allows stored zeros, so they are looked for too
+        if not (c.has_canonical_format and c.data.all()):
+            c = c.copy()
+            c.sum_duplicates()
+            c.eliminate_zeros()
+        object.__setattr__(self, "csr", c)
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "NonnegMatrix":
@@ -39,13 +55,6 @@ class NonnegMatrix:
         if d == 0:  # the row bounds of _csr_arrays would need a step of 0
             return cls(sparse.csr_array((0, 0)))
         return cls(sparse.csr_array(_csr_arrays(a), shape=(d, d)))
-
-    @classmethod
-    def from_sparse(cls, a) -> "NonnegMatrix":
-        c = sparse.csr_array(a)
-        c.eliminate_zeros()
-        c.sort_indices()
-        return cls(c)
 
     @property
     def dim(self) -> int:

@@ -618,16 +618,15 @@ def _radius_blocks(
     rows: an entry is kept when its column lies in its row's component,
     at its place in that block.  A block with more than a quarter of its
     entries stored is scattered into a C-ordered dense array, and the
-    others become CSR blocks.  Members ascend within a component, as
-    `strongly_connected_components` lists them, so each CSR row keeps
-    A's increasing column order.
+    others become CSR blocks.  `a` is a NonnegMatrix's CSR form, with
+    sorted columns, no repeated entry and no stored zero, and members
+    ascend within a component, as `strongly_connected_components` lists
+    them; so each CSR block is in that form too, and `NonnegMatrix`
+    stores it as given.
     """
     comps = [comp for comp in decomp.components if len(comp) > 1]
     if not comps:
         return []
-    if not a.has_canonical_format:  # sorted columns, no duplicate entries
-        a = a.copy()
-        a.sum_duplicates()
     sizes = np.array([len(comp) for comp in comps])
     members = np.fromiter((i for comp in comps for i in comp), dtype=np.intp, count=sizes.sum())
     block, place = np.full(a.shape[0], -1), np.empty(a.shape[0], dtype=np.intp)
@@ -725,16 +724,17 @@ def log_weighted_power_sum(a: NonnegMatrix | np.ndarray, u: np.ndarray, n: int) 
     if n == 0 or s == 0:
         return math.log(s) + g * math.log(2.0) if s > 0 else -math.inf
     n = operator.index(n)
-    e = math.frexp(total)[1] if total > d else 0
-    if e:
-        b = np.ldexp(b, -e) if dense else NonnegMatrix(
-            sparse.csr_array((np.ldexp(b.csr.data, -e), b.csr.indices, b.csr.indptr), shape=(d, d))
-        )
+    # priced before the rescale, whose underflowed entries the CSR form drops
     if d > _DENSE_MAX_DIM:
         budget = n
     else:
         entries = _DENSE_STEP_COST * d * d if dense else _STEP_COST * b.nnz
         budget = d**3 * n.bit_length() // (entries + _STEP_COST * _STEP_OVERHEAD)
+    e = math.frexp(total)[1] if total > d else 0
+    if e:
+        b = np.ldexp(b, -e) if dense else NonnegMatrix(
+            sparse.csr_array((np.ldexp(b.csr.data, -e), b.csr.indices, b.csr.indptr), shape=(d, d))
+        )
     value = None
     if budget >= n or budget >= _MIN_TRIAL:
         step = (lambda w: w @ b) if dense else b.vecmat

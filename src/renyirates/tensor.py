@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -123,10 +123,17 @@ class CollisionNodes:
     def dimension(self) -> int:
         return self.hidden.size
 
-    def labels(self) -> tuple[str, ...]:
-        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
+    @cached_property
+    def _tuples(self) -> tuple[np.ndarray, np.ndarray]:
+        """A's distinct hidden tuples, one row of state digits each in rank
+        order, and each node's row among them: what labels and A both read."""
         tuples, node_tuple = np.unique(self.hidden, return_inverse=True)
         digits = np.stack(np.unravel_index(tuples, (len(self.states),) * self.order), axis=1)
+        return digits, node_tuple
+
+    def labels(self) -> tuple[str, ...]:
+        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
+        digits, node_tuple = self._tuples
         names = [",".join(self.states[i] for i in tup) for tup in digits.tolist()]
         return tuple(names[t] + "|" + z for t, z in zip(node_tuple.tolist(), self.node_symbols))
 
@@ -379,14 +386,12 @@ def collision_system(
     formed.
     """
     alpha = _order(alpha)
-    nx = hmm.n_states
     p = _transition_rows(hmm)
     entries = _stored_entries(hmm.chain.transition, hmm.emission > 0, alpha)
     _check_build_bytes("collision system would store {} entries", entries, 8 * alpha + 60)
     if nodes is None:
         nodes = collision_nodes(hmm, alpha)
-    tuples, node_tuple = np.unique(nodes.hidden, return_inverse=True)
-    digits = np.stack(np.unravel_index(tuples, (nx,) * alpha), axis=1)
+    digits, node_tuple = nodes._tuples
 
     # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
     # every row sorted.  Each row of B is written once and gathered for
@@ -398,9 +403,9 @@ def collision_system(
     ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
-    b = sparse.csr_array((values, (rows, cols)), shape=(tuples.size, nodes.dimension))
+    b = sparse.csr_array((values, (rows, cols)), shape=(len(digits), nodes.dimension))
     del rows, cols, values
-    return CollisionSystem(matrix=NonnegMatrix.from_sparse(b[node_tuple]), nodes=nodes)
+    return CollisionSystem(matrix=NonnegMatrix(b[node_tuple]), nodes=nodes)
 
 
 def _emission_products(e: np.ndarray, alpha: int):

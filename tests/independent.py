@@ -99,7 +99,7 @@ def kronecker_power(a: NonnegMatrix, alpha: int, max_dim: int = 10**6) -> Nonneg
     """alpha-fold Kronecker power ((a x a) x a)...; tuple indices ordered lexicographically."""
     if a.dim**alpha > max_dim:
         raise DimensionOverflow(f"Kronecker power dimension {a.dim}^{alpha} exceeds cap {max_dim}")
-    return NonnegMatrix.from_sparse(
+    return NonnegMatrix(
         reduce(lambda x, y: sparse.kron(x, y, format="csr"), [a.csr] * alpha)
     )
 
@@ -109,7 +109,7 @@ def submatrix(a: NonnegMatrix, nodes: Sequence[int]) -> NonnegMatrix:
     idx = np.asarray(list(nodes), dtype=int)
     if idx.size == 0:
         return NonnegMatrix.from_dense(np.zeros((0, 0)))
-    return NonnegMatrix.from_sparse(a.csr[idx][:, idx])
+    return NonnegMatrix(a.csr[idx][:, idx])
 
 
 def restricted_kronecker_power(
@@ -129,7 +129,7 @@ def restricted_kronecker_power(
     symbols, hidden = np.nonzero(emit)
     weights = emit[symbols, hidden]
     power = kronecker_power(NonnegMatrix.from_dense(hmm.chain.transition), alpha)
-    matrix = NonnegMatrix.from_sparse(submatrix(power, hidden).csr.multiply(weights[np.newaxis, :]))
+    matrix = NonnegMatrix(submatrix(power, hidden).csr.multiply(weights[np.newaxis, :]))
     nu = reduce(np.kron, [hmm.chain.initial] * alpha)[hidden] * weights
     digits = np.stack(np.unravel_index(hidden, (nx,) * alpha), axis=1)
     labels = tuple(

@@ -17,6 +17,7 @@ from renyirates import (
     spectral,
     strongly_connected_components,
 )
+from renyirates.errors import DimensionMismatch
 from renyirates.modelfile import load_model
 from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
 from renyirates.spectral import GrowthAnalysis
@@ -168,7 +169,7 @@ class TestSccAgainstReference:
         assert decomp.dag_edges == {(0, 1), (1, 2), (1, 3)}
 
     def test_empty_matrix(self):
-        decomp = strongly_connected_components(NonnegMatrix.from_sparse(sparse.csr_array((0, 0))))
+        decomp = strongly_connected_components(NonnegMatrix(sparse.csr_array((0, 0))))
         assert decomp.components == ()
         assert decomp.component_of == ()
         assert decomp.dag_edges == frozenset()
@@ -196,7 +197,7 @@ def _ring(m: int) -> NonnegMatrix:
     """
     i = np.arange(m)
     rows, cols = np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i]
-    return NonnegMatrix.from_sparse(sparse.coo_array((np.ones(3 * m), (rows, cols)), shape=(m, m)))
+    return NonnegMatrix(sparse.coo_array((np.ones(3 * m), (rows, cols)), shape=(m, m)))
 
 
 class TestIrreducibleShortcut:
@@ -305,6 +306,12 @@ class TestReachability:
         decomp = strongly_connected_components(cs.matrix)
         reach = reachable_components(decomp, cs.initial)
         assert reach == frozenset(range(decomp.n_components))
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_weights_of_another_length_rejected(self, length):
+        decomp = strongly_connected_components(A_EXAMPLE)
+        with pytest.raises(DimensionMismatch, match="does not match decomposition"):
+            reachable_components(decomp, np.ones(length))
 
     def test_zero_vector_reaches_nothing(self):
         decomp = strongly_connected_components(A_EXAMPLE)

@@ -105,6 +105,10 @@ class TestFiniteLengthEntropy:
                     tracemalloc.stop()
                 assert peak < tensor_bytes, f"{path} at alpha = {alpha}: peak {peak} bytes"
 
+    def test_zero_length_refused(self, example_hmm):
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            finite_length_entropy(example_hmm, 2, 0)
+
     def test_dense_order_four_model(self):
         # K would be 4096-dim with 16.8M entries; the lumped matrix has 330 rows
         hmm = random_hmm(np.random.default_rng(8), 8, 3)

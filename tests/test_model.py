@@ -63,6 +63,23 @@ class TestValidateChain:
         with pytest.raises(NonFiniteEntry):
             validate_hmm(example_chain, [[1.0, 0.0], [np.nan, 1.0], [1.0, 0.0]])
 
+    def test_non_square_transition_rejected(self):
+        with pytest.raises(DimensionMismatch, match="transition matrix has shape"):
+            validate_chain([[0.5, 0.5]], [1.0])
+
+    def test_emission_with_wrong_row_count_rejected(self, example_chain):
+        with pytest.raises(DimensionMismatch, match="emission matrix has shape"):
+            validate_hmm(example_chain, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_initial_law_far_from_one_rejected(self):
+        with pytest.raises(NonStochasticRow, match="initial distribution sums to"):
+            validate_chain([[0.5, 0.5], [0.3, 0.7]], [0.5 + 1e-6, 0.5])
+
+    def test_initial_law_near_one_renormalized(self):
+        pi = np.array([0.5 + 1e-12, 0.5])
+        chain = validate_chain([[0.5, 0.5], [0.3, 0.7]], pi)
+        assert chain.initial.tolist() == (pi / pi.sum()).tolist()
+
     def test_small_deviation_renormalized(self):
         chain = validate_chain([[0.5 + 1e-11, 0.5], [0.3, 0.7]], [0.5, 0.5])
         assert np.allclose(chain.transition.sum(axis=1), 1.0, atol=1e-15)

@@ -10,7 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from renyirates import HiddenMarkovModel, MarkovChain, bsc_hmm, cli, entropy, markov_rate, tensor
+from renyirates import (
+    HiddenMarkovModel,
+    MarkovChain,
+    bsc_hmm,
+    cli,
+    entropy,
+    identity_observation,
+    markov_rate,
+    tensor,
+)
 from renyirates.cli import main
 from renyirates.errors import ModelFormatError
 from renyirates.modelfile import load_model, parse_model, serialize_model
@@ -79,6 +88,26 @@ class TestModelFile:
         doc = json.loads((FIXTURES / "markov142.model").read_text())
         doc["transition"][0][0] = math.nan
         with pytest.raises(ModelFormatError, match="non-finite"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize(
+        "name,change,message",
+        [
+            ("markov142.model", lambda doc: [doc], "model document must be a JSON object"),
+            ("markov142.model", lambda doc: doc | {"kind": "chain"}, "kind must be 'markov' or 'hmm', got 'chain'"),
+            ("markov142.model", lambda doc: {k: v for k, v in doc.items() if k != "initial"}, r"missing fields: \['initial'\]"),
+            (
+                "iid-uniform-2.model",
+                lambda doc: {k: v for k, v in doc.items() if k != "emission"},
+                "observations and emission must be given together",
+            ),
+            ("iid-uniform-2.model", lambda doc: doc | {"observations": "ab"}, "observations must be a list of strings"),
+        ],
+        ids=["not-an-object", "unknown-kind", "missing-field", "observations-alone", "observations-not-a-list"],
+    )
+    def test_malformed_documents_rejected(self, name, change, message):
+        doc = change(json.loads((FIXTURES / name).read_text()))
+        with pytest.raises(ModelFormatError, match=message):
             parse_model(doc)
 
     def test_hmm_needs_one_channel_spec(self):
@@ -369,6 +398,15 @@ class TestCmdOracle:
         cp_formula = 2.0 ** doc_e["log2_collision_probability"]
         assert doc_o["collision_probability"] == pytest.approx(cp_formula, rel=1e-10)
 
+    def test_markov_file_runs_on_its_identity_observation(self, capsys):
+        code, doc, _ = run_cli(
+            capsys, "oracle", FIXTURES / "markov142.model", "--order", "2", "--length", "4"
+        )
+        assert code == 0
+        chain = load_model(FIXTURES / "markov142.model")
+        expected = brute_force_collision(identity_observation(chain), 2, 4)
+        assert doc["collision_probability"] == float(f"{expected:.12g}")
+
     def test_unit_zero(self, capsys):
         code, doc, _ = run_cli(
             capsys, "oracle", FIXTURES / "unit.model", "--order", "2", "--length", "5"
@@ -427,6 +465,16 @@ class TestCliContract:
         code, _, err = run_cli(capsys, "rate", bad, "--order", "2")
         assert code == 1
         assert "error" in err
+
+    def test_epsilon_on_an_hmm_file_exits_1(self, capsys):
+        code, doc, err = run_cli(capsys, "rate", FIXTURES / "fig2.model", "--order", "2", "--epsilon", "0.1")
+        assert code == 1
+        assert doc is None
+        assert "--epsilon applies only to markov model files" in err
+
+    def test_non_finite_floats_are_written_as_strings(self):
+        doc = {"value": math.inf, "values": [-math.inf, math.nan, 0.1 + 0.2]}
+        assert cli._fmt(doc) == {"value": "inf", "values": ["-inf", "nan", 0.3]}
 
     @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
     def test_nan_model_exits_with_validation_message(self, capsys, tmp_path, command):

@@ -16,6 +16,7 @@ from renyirates.oracle import (
     all_sequence_probabilities,
     brute_force_collision,
     brute_force_entropy,
+    renyi_bits,
 )
 from renyirates.random_models import random_hmm
 
@@ -54,6 +55,10 @@ class TestSequenceProbability:
                 path_enumeration_probability(hmm, symbols), abs=1e-14
             )
 
+    def test_zero_length_refused(self, example_hmm):
+        with pytest.raises(ValueError, match="length must be >= 1, got 0"):
+            all_sequence_probabilities(example_hmm, 0)
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_total_probability(self, n, example_hmm):
         probs = all_sequence_probabilities(example_hmm, n)
@@ -61,6 +66,9 @@ class TestSequenceProbability:
 
 
 class TestBruteForceCollision:
+    def test_zero_collision_probability_is_infinite_entropy(self):
+        assert renyi_bits(0.0, 2) == math.inf
+
     def test_iid_uniform_bits(self):
         chain = validate_chain([[1.0]], [1.0])
         hmm = validate_hmm(chain, [[0.5, 0.5]])

@@ -107,7 +107,7 @@ def _sparse_irreducible(rng, m):
         others = rng.choice(np.setdiff1d(np.arange(m), [(i + 1) % m]), size=2, replace=False)
         cols[i] = [(i + 1) % m, *others]
     vals = rng.uniform(0.1, 1.0, size=3 * m)
-    return NonnegMatrix.from_sparse(sparse.coo_array((vals, (rows, cols.ravel())), shape=(m, m)))
+    return NonnegMatrix(sparse.coo_array((vals, (rows, cols.ravel())), shape=(m, m)))
 
 
 class TestSparseSpectralRadius:
@@ -133,7 +133,7 @@ class TestSparseSpectralRadius:
         rng = np.random.default_rng(m)
         weights = rng.uniform(0.2, 2.0, size=m)
         idx = np.arange(m)
-        a = NonnegMatrix.from_sparse(
+        a = NonnegMatrix(
             sparse.coo_array((weights, (idx, (idx + 1) % m)), shape=(m, m))
         )
         eig = max(abs(np.linalg.eigvals(a.csr.toarray())))
@@ -201,7 +201,7 @@ def _sticky_ring(m):
     """m-node ring of nearly decoupled states, linked both ways by 1e-6; held in CSR."""
     i = np.arange(m)
     values = np.r_[0.9 - 1e-9 * i, np.full(2 * m, 1e-6)]
-    return NonnegMatrix.from_sparse(
+    return NonnegMatrix(
         sparse.coo_array((values, (np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i])), shape=(m, m))
     )
 
@@ -723,6 +723,27 @@ class TestInputChecks:
         with pytest.raises(error, match="weight vector"):
             log_weighted_power_sum(a, u, n)
 
+    def test_power_sum_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError, match="exponent must be non-negative"):
+            log_weighted_power_sum(A_EXAMPLE, NU_EXAMPLE, -1)
+
+    @pytest.mark.parametrize("n", [7, 10**6])
+    def test_squaring_a_nilpotent_matrix_gives_minus_infinity(self, monkeypatch, n):
+        # at n = 7 the iterate's sum reaches 0; at 10^6 the squared power does first
+        squarings = []
+        squaring = spectral._log_power_sum_squaring
+        monkeypatch.setattr(
+            spectral, "_log_power_sum_squaring", lambda *args: squarings.append(args) or squaring(*args)
+        )
+        a = np.triu(np.ones((3, 3)), 1)
+        assert log_weighted_power_sum(a, np.full(3, 1 / 3), n) == -math.inf
+        assert len(squarings) == 1
+
+    def test_reducible_block_names_the_underflowed_iterate(self):
+        # diag(1, 2) is no irreducible block: Noda's iterate loses node 0
+        with pytest.raises(NoConvergence, match="an iterate that underflowed in solve"):
+            spectral_radius_irreducible(np.array([[1.0, 0.0], [0.0, 2.0]]))
+
     @pytest.mark.parametrize("a,error", BAD_ARRAYS)
     @pytest.mark.parametrize("n", [0, 3])
     def test_power_sum_rejects_bad_arrays(self, a, error, n):
@@ -766,7 +787,7 @@ class TestInputChecks:
 def _scaled_ring(m, x):
     """The m-node cycle with every entry x, held in CSR."""
     i = np.arange(m)
-    return NonnegMatrix.from_sparse(sparse.coo_array((np.full(m, x), (i, (i + 1) % m)), shape=(m, m)))
+    return NonnegMatrix(sparse.coo_array((np.full(m, x), (i, (i + 1) % m)), shape=(m, m)))
 
 
 @pytest.mark.parametrize(
@@ -1231,6 +1252,21 @@ class TestPowerSumCostRule:
         value = log_weighted_power_sum(a, np.full(m, 1.0 / m), n)
         assert calls == [path]
         assert value == pytest.approx(0.0, abs=1e-9)  # a stochastic matrix keeps the mass
+
+    def test_priced_before_the_rescale(self, monkeypatch):
+        # 523 entries price 2^23 steps of this 100-node CSR matrix at 127, no
+        # trial; its row sum of 1000 runs it as 2^-10 A, where 5e-324
+        # underflows and is dropped, and 522 entries would price a trial
+        rng = np.random.default_rng(4)
+        d, i = 100, np.arange(100)
+        a = np.zeros((d, d))
+        a[i, (i + 1) % d] = 1.0
+        a[0, 0], a[1, 1] = 1000.0, 5e-324
+        a.flat[rng.choice(np.flatnonzero(a.ravel() == 0), 421, replace=False)] = rng.uniform(0.1, 1.0, 421)
+        assert NonnegMatrix.from_dense(a).nnz == 523
+        calls = _spy_paths(monkeypatch)
+        log_weighted_power_sum(NonnegMatrix.from_dense(a), np.full(d, 1.0 / d), 2**23)
+        assert calls == ["_log_power_sum_squaring"]
 
     def test_trial_without_repeat_squares_from_u(self, monkeypatch):
         # a lazy chain mixes too slowly to repeat within the 384 steps its

@@ -17,6 +17,7 @@ from renyirates import (
     collision_system,
     deterministic_observation,
     entropy,
+    entropy_rate,
     finite_length_entropy,
     load_model,
     strongly_connected_components,
@@ -200,6 +201,35 @@ class TestCollisionSystem:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_dimension_where_underflow_depends_on_factor_order():
+    # products of the three emissions of symbol "1" multiply left to right,
+    # and a * b * c gives 5e-324 or 0 by the order of its factors: 12 of the
+    # 27 candidates are nodes, and {1, 2, 3} keeps 2 of its 6 orderings
+    a, b, c = 7.82766110014382e-164, 4.859096491986313e-161, 0.5053563706827833
+    chain = validate_chain(np.full((3, 3), 1 / 3), np.full(3, 1 / 3))
+    hmm = validate_hmm(chain, [[a, 1 - a], [b, 1 - b], [c, 1 - c]])
+    nodes = tensor.collision_nodes(hmm, 3)
+    first = [label.split("|")[0] for label in nodes.labels() if label.endswith("|1")]
+    assert len(first) == 12
+    assert [t for t in first if sorted(t.split(",")) == ["1", "2", "3"]] == ["1,2,3", "2,1,3"]
+    assert nodes.dimension == 39
+    assert tensor.lumped_system(hmm, 3).dimension == 39
+    assert finite_length_entropy(hmm, 3, 5).dimension == 39
+    assert entropy_rate(hmm, 3).dimension == 39
+
+
+def test_nodes_rank_their_hidden_tuples_once(monkeypatch):
+    # A's build and the labels read one ranking of A's distinct hidden tuples
+    hmm = load_model(FIXTURES / "fig2.model")
+    nodes = tensor.collision_nodes(hmm, 3)
+    ranked, unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda x, **kw: ranked.append(x is nodes.hidden) or unique(x, **kw))
+    a = collision_system(hmm, 3, nodes).matrix
+    assert nodes.labels() == nodes.labels() == collision_system(hmm, 3).labels()
+    assert ranked.count(True) == 1
+    assert a.csr.data.tobytes() == collision_system(hmm, 3).matrix.csr.data.tobytes()
 
 
 class TestLumpedBuildBudget:
