@@ -162,10 +162,9 @@ def cmd_components(args) -> None:
 
 def cmd_oracle(args) -> None:
     model = _load(args)
-    if isinstance(model, MarkovChain):
-        model = identity_observation(model)
+    hmm = identity_observation(model) if isinstance(model, MarkovChain) else model
     order = _hmm_order(args.order)
-    cp = bf.brute_force_collision(model, order, args.length)
+    cp = bf.brute_force_collision(hmm, order, args.length)
     value = bf.renyi_bits(cp, order)
     doc = _report_head("oracle", model) | {
         "order": order,

@@ -198,7 +198,7 @@ def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> froze
     succ: dict[int, list[int]] = {}
     for a, b in decomp.dag_edges:
         succ.setdefault(a, []).append(b)
-    seen = {decomp.component_of[i] for i in np.flatnonzero(u > 0)}
+    seen = set(np.array(decomp.component_of, dtype=np.intp)[u > 0].tolist())
     frontier = list(seen)
     while frontier:
         c = frontier.pop()

@@ -32,11 +32,21 @@ inverse iteration, which closes it in a few subtraction-free solves
 sooner: every 32 steps its bracket width is compared with the width 32
 steps before, and when that contraction, kept up, would leave the
 bracket open, the block hands over at once (sticky 2-state chains after
-64 steps).  A sparse block past 3300 nodes, too large to densify for
-Noda, keeps power iteration for 10^5 steps and can still raise
-NoConvergence when it is near-degenerate (a sparse LU would densify it
-through fill-in).  A radius is the midpoint of a closed bracket, never
-of an open one.
+64 steps past the squaring cut below).  A sparse block past 3300 nodes,
+too large to densify for Noda, keeps power iteration for 10^5 steps and
+can still raise NoConvergence when it is near-degenerate (a sparse LU
+would densify it through fill-in).  A radius is the midpoint of a
+closed bracket, never of an open one.
+
+A dense block of at most 32 nodes takes no power step: B^512 1, the
+iterate of 512 steps (512 the largest power of two within its 1000), is
+reached by 9 squarings of B, each rescaled by its largest entry, and
+its bracket is read once, against B itself.  It closes there, or hands
+its open bracket to Noda, or, when that iterate has a zero, subnormal
+or non-finite entry, takes the power steps from 1/m below.  On such
+blocks a power step is mostly interpreter cost, so 9 small matmuls
+replace the 32 to 72 steps a lumped HMM block takes and the 64 before
+a sticky chain's hand-over.
 
 `growth_rate` hands an A that `components._strongly_connected`, or
 else Tarjan's pass, shows to be one component to `irreducible_growth`
@@ -44,7 +54,9 @@ uncut, and otherwise takes all the radii of a call in one pass, cut
 from A in one pass too (`_radius_blocks`).  Every power step runs in
 one loop, `_power`.  It iterates one CSR block, or dense blocks of one
 size in lockstep as one (k, m, m) stack, a lone dense block as a stack
-of one.
+of one; a stack within the squaring cut is squared as one, slice by
+slice (`_squared`), and only its slices whose iterate underflowed take
+steps.
 A step is only its product, whose slices run the same gemv as a lone
 block, a row sum and a division; the steps leave their products and
 iterates in a small buffer, and the Collatz-Wielandt brackets of eight
@@ -121,11 +133,14 @@ _DENSE_MAX_DIM = 3300
 
 # Power steps a block gets (at least its dimension) before Noda's inverse
 # iteration takes over; MAX_ITERATIONS caps them, and a CSR block too
-# large to densify gets all MAX_ITERATIONS.  Blocks of the fixtures close
-# within 77 steps and the benchmark's blocks other than its sticky chains
-# within 623, so those radii keep the exact float power iteration gives
-# them.  A block whose bracket cannot close within them hands over sooner,
-# at the end of a window of _WINDOW steps (see `_slow`).
+# large to densify gets all MAX_ITERATIONS.  Past the squaring cut, the
+# fixtures' blocks close within 77 steps and the benchmark's blocks other
+# than its sticky chains within 623, so those radii keep the exact float
+# power iteration gives them.  A block whose bracket cannot close within
+# them hands over sooner, at the end of a window of _WINDOW steps (see
+# `_slow`).  A dense block within the squaring cut takes none of them: it
+# is read once at its power iterate 512, the largest power of two within
+# them (`_squared`).
 _POWER_STEPS = 1000
 _WINDOW = 32
 # Power steps read their brackets this many at a time (`_power`).  A read
@@ -133,6 +148,15 @@ _WINDOW = 32
 # and a block that closes on a read's first step runs at most 7 steps
 # past it.  8 divides _WINDOW, so no read is cut short by a window mark.
 _READ = 8
+# Dense blocks of at most this many nodes jump to their power iterate
+# 2^J, the largest power of two within their power steps, by J squarings
+# (`_squared`), where Noda can take over a bracket left open.  Measured
+# with one BLAS thread on a 2-core x86 box, a radius read this way took
+# 150-160 us against 350-600 us of power steps on lumped HMM blocks of 15
+# and 28 nodes, and 130-190 us against 120-160 us on random stochastic
+# blocks of 8-32 nodes that close in one read; from 40 nodes those lose
+# 1.4-2.2 times.
+_SQUARE_MAX_DIM = 32
 # Noda's solves a block gets: no hand-over of the tests or the benchmark
 # needs more than 16, and a 1200-node sticky ring 32.
 _NODA_SOLVES = 64
@@ -144,6 +168,7 @@ _PANEL = 32
 # read's iterates, products and brackets hold at most this many more.
 _STACK_BYTES = 2**22
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -170,9 +195,13 @@ def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray) -> float:
     normal.  A, a NonnegMatrix or an array, must be square, non-empty,
     finite and non-negative, with row sums inside the float range; B is
     dense when more than a quarter of A's entries are stored and CSR
-    otherwise, whatever A's form (`_operand`).  A block
+    otherwise, whatever A's form (`_operand`).  A dense B of at most 32
+    nodes reads its bracket once instead, at the iterate of 512 steps
+    reached by 9 squarings (`_squared`), and takes the steps only when
+    that iterate underflowed.  A block
     still open after max(1000, m) steps, or seen unable to close in them,
-    continues with at most 64 Noda solves (`_noda`); a CSR block of more
+    or still open at its squared iterate, continues with at most 64 Noda
+    solves (`_noda`); a CSR block of more
     than 3300 nodes keeps power iteration for 10^5 steps instead.
     Returns the midpoint of a closed bracket or raises NoConvergence,
     whose message names the phase and gives A's bracket.  The block runs
@@ -190,16 +219,18 @@ def _perron_radii(blocks: list[NonnegMatrix | np.ndarray]) -> list[float]:
     A 1x1 block is its entry, and a 0x0 block is refused with
     DimensionMismatch.  Every larger block is scaled and shifted
     by its own 2^-e and c (`_scale`), one per slice of a stack, and
-    iterated by `_power`: a CSR block alone, and dense blocks of one size
+    handed to `_power`: a CSR block alone, and dense blocks of one size
     in list order as (k, m, m) stacks of at most 4 MB, each run once
-    full, a dense block with no other of its size as a stack of one.
-    Each radius is the float its block gives alone.  Blocks still open
-    after their power steps, or stalled, finish in list order, so the
-    NoConvergence raised is the first failing block's.
+    full, a dense block with no other of its size as a stack of one; a
+    stack within the squaring cut is squared first (`_squared`).  Each
+    radius is the float its block gives alone.  Blocks still open after
+    their power steps or their squared iterate, or stalled, finish in
+    list order, so the NoConvergence raised is the first failing block's.
     """
-    # per block: its radius, or (B, v, lo, hi, steps run, c) once its
-    # power steps are spent or it stalls, with the bracket still open; and
-    # the exponent e of its scale 2^-e
+    # per block: its radius, or (B, v, lo, hi, ran, c, squarings) once its
+    # power steps are spent, it stalls, or its squared iterate leaves the
+    # bracket open, v being B's iterate `ran`; and the exponent e of its
+    # scale 2^-e
     states: list = [None] * len(blocks)
     exponents = [0] * len(blocks)
     groups: dict[int, list[tuple[int, np.ndarray, np.float64]]] = {}
@@ -317,7 +348,11 @@ def _power(b, rows: list[int], states: list, c: np.ndarray) -> None:
     """Power steps on shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
 
     rows numbers the blocks and c holds their shifts, one per slice (a
-    CSR block is one slice).  A step is only its product, its sum and a
+    CSR block is one slice).  A dense stack of at most _SQUARE_MAX_DIM
+    nodes whose open brackets Noda can take over (`_power_steps`) is read
+    once at its squared iterate first (`_squared`), and only its slices
+    whose iterate underflowed take the steps, from 1/m as every block
+    does.  A step is only its product, its sum and a
     division, v <- b v / sum(b v): one block takes a gemv or a CSR
     product on its (m,) iterate, a stack one `np.matmul` whose slices run
     the gemv of a lone block and a sum per slice.  The steps of a read,
@@ -333,12 +368,17 @@ def _power(b, rows: list[int], states: list, c: np.ndarray) -> None:
     flags stalls there.  So each block closes or stalls at the step, and
     with the float, it would alone with its bracket read after every
     step.  states[rows[j]] gets slice j's radius once its bracket closes,
-    else (B, v, lo, hi, steps run, c) once its power steps are spent or
-    it stalls.  A closed or stalled slice leaves the stack at the end of
-    its read.
+    else (B, v, lo, hi, steps run, c, 0) once its power steps are spent
+    or it stalls.  A closed or stalled slice leaves the stack at the end
+    of its read.
     """
     steps, may_stall = _power_steps(b)
     dense = not sparse.issparse(b)
+    if dense and may_stall and b.shape[-1] <= _SQUARE_MAX_DIM:
+        left = _squared(b, rows, states, c, steps.bit_length() - 1)
+        if not left.size:
+            return
+        b, c, rows = b[left], c[left], [rows[j] for j in left.tolist()]
     k, m = len(rows), b.shape[-1]
     # per slice: its iterate and bracket, its block, and its bracket width
     # at the last window mark
@@ -406,11 +446,48 @@ def _power(b, rows: list[int], states: list, c: np.ndarray) -> None:
         states[rows[j]] = _handed_over(b, j, v, lo, hi, steps, c)
 
 
-def _handed_over(b, j: int, v, lo, hi, ran: int, c) -> tuple:
-    """Slice j's open state (B, v, lo, hi, steps run, c), B a CSR block or a dense (m, m) array."""
+def _squared(b: np.ndarray, rows: list[int], states: list, c, squarings: int) -> np.ndarray:
+    """Read each slice of a dense stack b = A + cI once, at its power iterate 2^squarings.
+
+    The iterate v = B^(2^J) 1 / sum, J = squarings, is the normalised row
+    sums of B squared J times, each square rescaled by its own largest
+    entry per slice, and its Collatz-Wielandt bracket (B v) / v is read
+    once, against B itself, so it bounds the root whatever rounding v
+    took; it closes at `_width`, as in `_power`.  states[rows[j]] gets a
+    closed slice's midpoint less c, or (B, v, lo, hi, 2^J, c, J) for Noda.
+    Each slice runs the gemm, gemv and reductions its block runs alone.
+    Returns the positions of the slices whose iterate has a zero,
+    subnormal or non-finite entry, whose ratios would carry no digits;
+    they are left to the power steps.
+    """
+    q, square, scaled = b, np.empty_like(b), np.empty_like(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            np.matmul(q, q, out=square)
+            q = np.divide(square, np.maximum.reduce(square, axis=(1, 2), keepdims=True), out=scaled)
+        sums = np.add.reduce(q, axis=2)
+        v = np.divide(sums, np.add.reduce(sums, axis=1, keepdims=True), out=sums)
+        usable = np.all(v >= _TINY, axis=1)  # false for a zero, subnormal or NaN entry
+        ratios = np.matmul(b, v[..., None])[..., 0] / v
+        lo, hi = np.minimum.reduce(ratios, axis=1), np.maximum.reduce(ratios, axis=1)
+        closed = usable & (hi - lo <= _width(hi, c, b.shape[-1]))
+    for j in np.flatnonzero(usable).tolist():
+        if closed[j]:
+            states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - c[j])
+        else:
+            states[rows[j]] = _handed_over(b, j, v, lo, hi, 1 << squarings, c, squarings)
+    return np.flatnonzero(~usable)
+
+
+def _handed_over(b, j: int, v, lo, hi, ran: int, c, squarings: int = 0) -> tuple:
+    """Slice j's open state (B, v, lo, hi, ran, c, squarings), B a CSR block or a dense (m, m) array.
+
+    v is B's power iterate `ran`, reached by `squarings` squarings, or by
+    `ran` power steps when that is 0.
+    """
     if not sparse.issparse(b):
         b = b[j] if len(b) == 1 else b[j].copy()  # a copy frees the rest of the stack
-    return (b, v[j].copy(), lo[j], hi[j], ran, c[j])
+    return (b, v[j].copy(), lo[j], hi[j], ran, c[j], squarings)
 
 
 def _slow(width, last, left: int, target):
@@ -442,11 +519,11 @@ def _finish(state, e: int) -> float:
     """
     if not isinstance(state, tuple):
         return math.ldexp(state, e)
-    b, v, lo, hi, ran, c = state
+    b, v, lo, hi, ran, c, squarings = state
     m = b.shape[0]
     if _power_steps(b)[1]:
         dense = b.toarray() if sparse.issparse(b) else b
-        lo, hi = _noda(dense, v, lo, hi, ran, c, e)
+        lo, hi = _noda(dense, v, lo, hi, ran, c, squarings, e)
         return math.ldexp(float((lo + hi) / 2.0 - c), e)
     why = (
         f"; a {m}-node sparse block is too large to densify for Noda's inverse "
@@ -461,7 +538,7 @@ def _finish(state, e: int) -> float:
 
 
 def _noda(
-    b: np.ndarray, v: np.ndarray, lo: float, hi: float, ran: int, c, e: int
+    b: np.ndarray, v: np.ndarray, lo: float, hi: float, ran: int, c, squarings: int, e: int
 ) -> tuple[float, float]:
     """Close the Perron bracket [lo, hi] of a dense irreducible b = A + cI by inverse iteration.
 
@@ -473,8 +550,9 @@ def _noda(
     theta - min(v / z), which loses the lower bound when the shift lands
     on the root in floating point.  The bracket closes at `_width`, as in
     power iteration, and is returned as b's; an error gives A's,
-    2^e [lo - c, hi - c].  At most _NODA_SOLVES solves; `ran` is the
-    count of power steps before them, for the error message.
+    2^e [lo - c, hi - c].  At most _NODA_SOLVES solves.  v is b's power
+    iterate `ran`, reached by `squarings` squarings or, when that is 0, by
+    `ran` power steps; the error message names them.
     """
     m = b.shape[0]
     ratios = (b @ v) / v
@@ -497,9 +575,10 @@ def _noda(
             return lo, hi
     else:
         stop = "1 solve" if _NODA_SOLVES == 1 else f"{_NODA_SOLVES} solves"
+    before = f"{squarings} squarings (power iterate {ran})" if squarings else f"{ran} power steps"
     raise NoConvergence(
         f"Noda inverse iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
-        f"{math.ldexp(hi - c, e):.17g}] after {ran} power steps and {stop} "
+        f"{math.ldexp(hi - c, e):.17g}] after {before} and {stop} "
         f"(relative tolerance {DEFAULT_TOL})"
     )
 

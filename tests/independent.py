@@ -39,6 +39,11 @@ checks:
   alone or in a lockstep stack.  ``power_iteration_close`` also gives
   the step that closed the bracket, which the package's reads of
   several steps at once must meet.
+- ``squared_iterate_radius`` reads the Collatz-Wielandt bracket once, at
+  the power iterate 2^J of a dense block shifted as above, reached by J
+  squarings, each rescaled by its largest entry; it checks, float for
+  float, the radius the package reads at that iterate, the open bracket
+  it hands over from there, and which blocks it leaves to power steps.
 - ``m_matrix_solve`` solves an M-matrix system given in the triplet form
   Noda's solves take, by Gaussian elimination on exact rationals; it
   checks each entry of the package's subtraction-free solve.
@@ -235,7 +240,7 @@ def sequence_probability(hmm: HiddenMarkovModel, symbols: Sequence[str]) -> floa
 
 ENCLOSURE_DIGITS = 40
 # Rounds of inverse iteration `perron_enclosure` runs, each factored once.
-ENCLOSURE_ROUNDS = 4
+ENCLOSURE_ROUNDS = 6
 
 
 def perron_enclosure(block) -> tuple[mpmath.mpf, mpmath.mpf]:
@@ -345,6 +350,40 @@ def power_iteration_close(a: NonnegMatrix, tol: float, steps: int) -> tuple[floa
         if hi - lo <= max(tol * (hi - c), m * np.finfo(float).eps * hi):
             return float((lo + hi) / 2.0 - c), step
     return None
+
+
+def squared_iterate_radius(block, tol: float, squarings: int):
+    """The bracket of a dense block's power iterate 2^squarings, read once.
+
+    A is scaled by the power of two 2^-e that brings its largest row sum
+    s into [1/2, 1), and B = 2^-e A + cI with c = s / 4.  B is squared
+    `squarings` times, each square divided by its largest entry, and v is
+    the row sums of the result over their total.  The Collatz-Wielandt
+    bracket [lo, hi] of the ratios (B v)_i / v_i closes once it is at most
+    tol (hi - c) wide, or at most m eps hi.  Returns ("closed", root of A),
+    the midpoint less c scaled back by 2^e; ("open", (v, lo, hi)), B's
+    bracket, when it stays open; or ("fallback", None) when an entry of v
+    is zero, subnormal or not finite.
+    """
+    a = np.array(block, dtype=float)
+    m = len(a)
+    s, e = math.frexp(a.sum(axis=1).max())
+    c = 0.25 * s
+    b = np.ldexp(a, -e) + c * np.eye(m)
+    q = b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            q = q @ q
+            q = q / q.max()
+        sums = q.sum(axis=1)
+        v = sums / sums.sum()
+    if not np.all(v >= np.finfo(float).tiny):
+        return "fallback", None
+    ratios = (b @ v) / v
+    lo, hi = ratios.min(), ratios.max()
+    if hi - lo <= max(tol * (hi - c), m * np.finfo(float).eps * hi):
+        return "closed", math.ldexp(float((lo + hi) / 2.0 - c), e)
+    return "open", (v, lo, hi)
 
 
 def m_matrix_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> list[Fraction]:

@@ -349,6 +349,29 @@ class TestReachability:
         v = u + random_nonneg_vector(rng, m, zero_prob=0.5)
         assert reachable_components(decomp, u) <= reachable_components(decomp, v)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_same_set_as_a_walk_from_each_weighted_node(self, seed, m, zero_prob):
+        # the seed set gathered in numpy equals the components of the
+        # weighted nodes looked up one by one, and the walk from it the
+        # walk over the condensation edges; u is all zero for zero_prob 1
+        rng = np.random.default_rng(seed)
+        a = random_nonneg_matrix(rng, m, zero_prob=float(rng.uniform(0.5, 0.95)))
+        decomp = strongly_connected_components(NonnegMatrix.from_dense(a))
+        u = random_nonneg_vector(rng, m, zero_prob=zero_prob)
+        seen = {decomp.component_of[i] for i in range(m) if u[i] > 0}
+        grew = True
+        while grew:
+            grew = False
+            for c, d in decomp.dag_edges:
+                if c in seen and d not in seen:
+                    seen.add(d)
+                    grew = True
+        reach = reachable_components(decomp, u)
+        assert reach == frozenset(seen)
+        assert all(type(c) is int for c in reach)
+        assert reachable_components(decomp, np.zeros(m)) == frozenset()
+
 
 class TestComponentSubmatrix:
     # a component's block is the principal submatrix on its sorted members

@@ -407,6 +407,19 @@ class TestCmdOracle:
         expected = brute_force_collision(identity_observation(chain), 2, 4)
         assert doc["collision_probability"] == float(f"{expected:.12g}")
 
+    @pytest.mark.parametrize("model", ["markov142.model", "fig2.model"])
+    def test_kind_is_the_model_files(self, capsys, model):
+        # a markov file runs on its identity observation, but its report
+        # names the file's kind, as `entropy` does with the same value
+        code, doc, _ = run_cli(capsys, "oracle", FIXTURES / model, "--order", "2", "--length", "3")
+        assert code == 0
+        _, entropy_doc, _ = run_cli(
+            capsys, "entropy", FIXTURES / model, "--order", "2", "--length", "3"
+        )
+        assert doc["kind"] == entropy_doc["kind"]
+        assert doc["kind"] == ("markov" if model.startswith("markov") else "hmm")
+        assert doc["value_bits"] == entropy_doc["value_bits"]
+
     def test_unit_zero(self, capsys):
         code, doc, _ = run_cli(
             capsys, "oracle", FIXTURES / "unit.model", "--order", "2", "--length", "5"

@@ -45,6 +45,7 @@ from independent import (
     perron_enclosure,
     power_iteration_close,
     power_iteration_radius,
+    squared_iterate_radius,
     stepwise_logs,
     submatrix,
 )
@@ -222,6 +223,18 @@ def _power_bracket(b, steps):
     return lo, hi
 
 
+# 2^9 = 512 is the largest power of two within the 1000 power steps a
+# block gets, so a dense block within the squaring cut is read once, at
+# its power iterate 512, after 9 squarings
+SQUARINGS = 9
+
+
+@pytest.fixture
+def loop_only(monkeypatch):
+    """A squaring cut of 0 nodes: every dense block takes power steps, as past the cut."""
+    monkeypatch.setattr(spectral, "_SQUARE_MAX_DIM", 0)
+
+
 class TestNodaHandOver:
     """Dense blocks whose power iteration stalls finish with Noda's inverse iteration."""
 
@@ -306,9 +319,9 @@ class TestNodaHandOver:
         with pytest.raises(NoConvergence, match=r"power iteration .* after 0 steps"):
             spectral_radius_irreducible(NEAR_REDUCIBLE)
 
-    def test_exhausted_noda_budget_names_phase_and_bracket(self, monkeypatch):
-        # this block hands over after 64 power steps and needs two solves,
-        # where its budget leaves one
+    def test_exhausted_noda_budget_names_phase_and_bracket(self, monkeypatch, loop_only):
+        # past the squaring cut this block hands over after 64 power steps
+        # and needs two solves, where its budget leaves one
         monkeypatch.setattr(spectral, "_NODA_SOLVES", 1)
         a = _sticky(1e-6) ** 2
         with pytest.raises(NoConvergence, match="Noda .* after 64 power steps") as info:
@@ -318,6 +331,18 @@ class TestNodaHandOver:
         lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups())
         assert hi - lo > 1e-12
         # computed Collatz-Wielandt bounds hold up to the rounding of the ratios
+        assert lo - 1e-15 <= exact_perron_root(a) <= hi + 1e-15
+
+    def test_exhausted_noda_budget_after_squaring_names_the_squarings(self, monkeypatch):
+        # within the squaring cut the same block hands over at its power
+        # iterate 512, read after 9 squarings, and again needs two solves
+        monkeypatch.setattr(spectral, "_NODA_SOLVES", 1)
+        a = _sticky(1e-6) ** 2
+        match = rf"Noda .* after {SQUARINGS} squarings \(power iterate 512\) and 1 solve \("
+        with pytest.raises(NoConvergence, match=match) as info:
+            spectral_radius_irreducible(a)
+        lo, hi = map(float, re.search(r"in \[(\S+), (\S+)\]", str(info.value)).groups())
+        assert hi - lo > 1e-12
         assert lo - 1e-15 <= exact_perron_root(a) <= hi + 1e-15
 
     def test_sparse_near_degenerate_block_closes_through_hand_over(self, monkeypatch, noda_brackets):
@@ -513,9 +538,12 @@ def test_radii_match_plain_power_iteration(seed, kinds):
     # stacks, sticky ones among them hand over to Noda, and a 1x1 block is
     # its entry; plain power iteration on each block alone is the
     # reference for every radius that closes without a hand-over
+    # (with a squaring cut of 0 nodes, so the dense blocks take power
+    # steps too; `test_small_dense_blocks_read_their_squared_iterate`
+    # checks them within the cut)
     rng = np.random.default_rng(seed)
     blocks = [_mixed_block(rng, kind) for kind in kinds]
-    radii, exits = _radii_and_exits(blocks)
+    radii, exits = _radii_and_exits(blocks, _SQUARE_MAX_DIM=0)
     for block, rho, ran in zip(blocks, radii, exits):
         if block.dim == 1:
             assert rho == block.to_dense()[0, 0]
@@ -524,6 +552,137 @@ def test_radii_match_plain_power_iteration(seed, kinds):
             assert reference is not None and rho.hex() == reference.hex()
         else:
             assert abs(rho - exact_perron_root(block.to_dense())) <= 1e-12
+
+
+def _square_block(rng, kind, m):
+    """A dense block of m nodes within the squaring cut, of the given kind.
+
+    "periodic": p classes, p = 2 or 3, each linked to the next by a positive
+    block, so the block's period is p; "spread": upper triangular entries
+    linked back by a subdiagonal of 10^(-span / (m - 1)) or so, span in
+    [150, 300], whose Perron vector spans 150 to 300 decades (its iterate
+    of 4096 steps does, over 300 draws); "sticky": a sticky chain's
+    Hadamard square, which Noda closes; "fallback": a 2-node block linked
+    back by a subnormal entry, whose squared iterate underflows; and
+    "dense": random entries, 80 % stored, with a cycle through every node.
+    """
+    if kind == "sticky":
+        return _sticky(10.0 ** -rng.uniform(2, 8)) ** 2
+    if kind == "fallback":
+        link, back = 10.0 ** -rng.uniform(2, 4), 10.0 ** -rng.uniform(309, 323)
+        return np.array([[1.0, link], [back, 0.05 * rng.random()]])
+    a = np.zeros((m, m))
+    if kind == "periodic":
+        period = int(rng.integers(2, min(m, 3) + 1))
+        classes = np.array_split(rng.permutation(m), period)
+        for here, there in zip(classes, classes[1:] + classes[:1]):
+            a[np.ix_(here, there)] = rng.uniform(0.1, 1.0, (len(here), len(there)))
+    elif kind == "spread":
+        a = np.triu(rng.uniform(0.1, 1.0, (m, m)))
+        a[np.diag_indices(m)] = np.r_[1.5, rng.uniform(0.2, 0.6, m - 1)]
+        i = np.arange(1, m)
+        a[i, i - 1] = 10.0 ** -(rng.uniform(150, 300) / (m - 1)) * rng.uniform(0.5, 1.0, m - 1)
+    else:
+        idx = np.arange(m)
+        a = rng.random((m, m)) * (rng.random((m, m)) < 0.8)
+        a[idx, (idx + 1) % m] += 0.5
+    return a
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.sampled_from(["periodic", "spread", "sticky", "fallback", "dense"]), min_size=1, max_size=6
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_small_dense_blocks_read_their_squared_iterate(seed, kinds):
+    # dense blocks of 2 to 32 nodes, some of one size, so they share a
+    # stack: each is read once at its power iterate 2^9, float for float
+    # as `squared_iterate_radius` reads it, and closes there, hands its
+    # open bracket to Noda, or, with an iterate that underflowed, takes
+    # the power steps it takes past the cut; each gives the float it
+    # gives alone, within its closing width of the 40-digit enclosure
+    rng = np.random.default_rng(seed)
+    sizes = [2, 3, int(rng.integers(4, spectral._SQUARE_MAX_DIM + 1))]
+    arrays = [_square_block(rng, kind, sizes[int(rng.integers(0, 3))]) for kind in kinds]
+    blocks = [NonnegMatrix.from_dense(a) for a in arrays]
+    for b in blocks:
+        assert spectral._dense_enough(b.nnz, b.dim) and b.dim <= spectral._SQUARE_MAX_DIM
+    radii, states = _radii_or_errors(blocks)
+    assert [_key(r) for r in radii] == [_key(_radii_or_errors([b])[0][0]) for b in blocks]
+    for a, block, rho, state in zip(arrays, blocks, radii, states):
+        path, read = squared_iterate_radius(a, spectral.DEFAULT_TOL, SQUARINGS)
+        if path == "closed":
+            assert rho.hex() == read.hex()
+        elif path == "open":
+            v, lo, hi = read
+            assert (state[4], state[6]) == (2**SQUARINGS, SQUARINGS)
+            assert state[1].tobytes() == v.tobytes() and (state[2], state[3]) == (lo, hi)
+        else:
+            assert state[6] == 0  # no squaring: from 1/m by power steps
+            assert _key(rho) == _key(_radii_or_errors([block], _SQUARE_MAX_DIM=0)[0][0])
+        if isinstance(rho, float):
+            _assert_within_closing_width(rho, a)
+
+
+class TestSquaringCut:
+    """Which blocks are read at their squared iterate, and which take power steps."""
+
+    @pytest.fixture
+    def squared(self, monkeypatch):
+        """Record the dimension of every stack `_squared` reads."""
+        dims = []
+        inner = spectral._squared
+        monkeypatch.setattr(
+            spectral, "_squared", lambda b, *args: dims.append(b.shape[-1]) or inner(b, *args)
+        )
+        return dims
+
+    @pytest.mark.parametrize("m", [2, spectral._SQUARE_MAX_DIM, spectral._SQUARE_MAX_DIM + 1])
+    def test_dense_blocks_within_the_cut_square(self, m, squared):
+        a = _square_block(np.random.default_rng(m), "dense", m)
+        rho = spectral_radius_irreducible(a)
+        assert squared == ([m] if m <= spectral._SQUARE_MAX_DIM else [])
+        _assert_within_closing_width(rho, a)
+
+    def test_csr_blocks_do_not_square(self, squared):
+        spectral_radius_irreducible(_sparse_irreducible(np.random.default_rng(3), 20))
+        assert squared == []
+
+    def test_no_squaring_where_noda_cannot_take_over(self, monkeypatch, squared):
+        # a budget of MAX_ITERATIONS steps leaves Noda nothing, so the
+        # block takes its power steps as it did before the squaring
+        monkeypatch.setattr(spectral, "MAX_ITERATIONS", 1000)
+        a = _square_block(np.random.default_rng(5), "dense", 6)
+        rho = spectral_radius_irreducible(a)
+        assert squared == []
+        reference = power_iteration_radius(NonnegMatrix.from_dense(a), spectral.DEFAULT_TOL, 1000)
+        assert rho.hex() == reference.hex()
+
+
+def _radii_or_errors(blocks, **patches):
+    """Per block its radius or the NoConvergence message it raises, and its state, by `_perron_radii`."""
+    states = []
+    finish = spectral._finish
+
+    def spy(state, e):
+        states.append(state)
+        try:
+            return finish(state, e)
+        except NoConvergence as error:
+            return str(error)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_finish", spy)
+        for name, value in patches.items():
+            mp.setattr(spectral, name, value)
+        return spectral._perron_radii(blocks), states
+
+
+def _key(radius):
+    """A radius by its hex digits, or a NoConvergence message as it is."""
+    return radius.hex() if isinstance(radius, float) else radius
 
 
 def _states_after(blocks, budget):
@@ -558,7 +717,10 @@ CLOSING_BLOCKS = {
 def test_blocks_close_at_the_step_a_per_step_read_closes_them(group):
     # the brackets of several steps are read at once; a block must still
     # close at its first closing step, with that step's midpoint, and stay
-    # open one step before it, whatever read the step falls in
+    # open one step before it, whatever read the step falls in.  Budgets
+    # below 1000 steps leave Noda nothing, so no block squares; at the
+    # full budget a squaring cut of 0 nodes keeps the dense blocks on the
+    # power steps
     blocks = [_mixed_block(np.random.default_rng(seed), kind) for kind, seed, _ in group]
     closes = [power_iteration_close(block, spectral.DEFAULT_TOL, 1000) for block in blocks]
     assert [step for _, step in closes] == [step for _, _, step in group]
@@ -571,7 +733,7 @@ def test_blocks_close_at_the_step_a_per_step_read_closes_them(group):
                 assert state.hex() == rho.hex()
             else:
                 assert state == ("open", budget)
-    radii, exits = _radii_and_exits(blocks)  # the full budget, with the stall rule on
+    radii, exits = _radii_and_exits(blocks, _SQUARE_MAX_DIM=0)  # the full budget, stall rule on
     assert exits == [None] * len(blocks)
     assert [r.hex() for r in radii] == [rho.hex() for rho, _ in closes]
 
@@ -620,13 +782,28 @@ class TestStallExit:
         return steps
 
     @pytest.mark.parametrize("s", STICKY_SWITCHES)
-    def test_hadamard_square_hands_over_after_two_windows(self, s, noda_steps):
+    def test_hadamard_square_hands_over_after_two_windows(self, s, noda_steps, loop_only):
         spectral_radius_irreducible(_sticky(s) ** 2)
         assert noda_steps == [2 * spectral._WINDOW]
 
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_hadamard_square_hands_over_at_its_squared_iterate(self, s, noda_steps, monkeypatch):
+        # within the squaring cut the block takes no power step: it is
+        # read once, at its power iterate 2^9, and handed over from there
+        squarings = []
+        noda = spectral._noda
+        monkeypatch.setattr(
+            spectral, "_noda", lambda *args: squarings.append(args[6]) or noda(*args)
+        )
+        spectral_radius_irreducible(_sticky(s) ** 2)
+        assert noda_steps == [2**SQUARINGS]
+        assert squarings == [SQUARINGS]
+
     @pytest.mark.parametrize("alpha", [2, 3])
     @pytest.mark.parametrize("s", STICKY_SWITCHES)
-    def test_bsc_sticky_system_hands_over_within_four_windows(self, s, alpha, noda_steps):
+    def test_bsc_sticky_system_hands_over_within_four_windows(
+        self, s, alpha, noda_steps, loop_only
+    ):
         # the fast modes of these blocks die out first and leave a plateau
         # (after about 100 steps at s = 1e-8), which the window compares
         # see one window later
@@ -636,6 +813,17 @@ class TestStallExit:
         entropy_rate(hmm, alpha)  # on the lumped matrix
         assert len(noda_steps) == 2
         assert max(noda_steps) <= 4 * spectral._WINDOW
+
+    @pytest.mark.parametrize("alpha", [2, 3])
+    @pytest.mark.parametrize("s", STICKY_SWITCHES)
+    def test_bsc_sticky_system_hands_over_at_its_squared_iterate(self, s, alpha, noda_steps):
+        # A and the lumped matrix are dense and within the squaring cut
+        hmm = bsc_hmm(validate_chain(_sticky(s), [0.5, 0.5]), 0.1)
+        cs = collision_system(hmm, alpha)
+        assert cs.matrix.dim <= spectral._SQUARE_MAX_DIM
+        growth_rate(cs.matrix, cs.initial)
+        entropy_rate(hmm, alpha)
+        assert noda_steps == [2**SQUARINGS] * 2
 
     def test_no_early_exit_when_the_budget_leaves_noda_nothing(self, monkeypatch):
         # a cap of 1000 power steps leaves no solve, so all 1000 steps run
@@ -647,10 +835,18 @@ class TestStallExit:
         lo, hi = _power_bracket(NEAR_REDUCIBLE + c * np.eye(2), 1000)
         assert f"[{lo - c:.17g}, {hi - c:.17g}]" in str(info.value)
 
-    def test_noda_failure_names_the_power_steps_run(self, monkeypatch):
+    def test_noda_failure_names_the_power_steps_run(self, monkeypatch, loop_only):
         # two windows of power steps, then one solve where two are needed
         monkeypatch.setattr(spectral, "_NODA_SOLVES", 1)
         with pytest.raises(NoConvergence, match=r"Noda .* after 64 power steps and 1 solve \("):
+            spectral_radius_irreducible(_sticky(1e-6) ** 2)
+
+    def test_noda_failure_names_the_squarings_run(self, monkeypatch):
+        # within the squaring cut: 9 squarings, then one solve where two are needed
+        monkeypatch.setattr(spectral, "_NODA_SOLVES", 1)
+        with pytest.raises(
+            NoConvergence, match=r"Noda .* after 9 squarings \(power iterate 512\) and 1 solve \("
+        ):
             spectral_radius_irreducible(_sticky(1e-6) ** 2)
 
 
