@@ -3,10 +3,13 @@
 Subcommands: entropy, rate, components, oracle.  Each invocation reads a
 model file, runs one computation, writes a versioned JSON report to
 stdout (floats at 12 significant digits, fixed field order) and a short
-human summary to stderr.  Exit codes: 0 ok, 1 parse/validation error, 2
-usage error (argparse's own), 3 size guard (a build predicted past the
-byte budget of `tensor`, or an order above 64), so a script can tell a
-model too large from a wrong command line.  Each subcommand takes only
+human summary to stderr.  The report is written by `_json` in one walk
+of the document, rounding floats as it goes; its text is byte for byte
+json.dumps(..., indent=2) of the rounded document, whose indenting runs
+json's pure-Python encoder element by element.  Exit codes: 0 ok, 1
+parse/validation error, 2 usage error (argparse's own), 3 size guard (a
+build predicted past the byte budget of `tensor`, or an order above
+64), so a script can tell a model too large from a wrong command line.  Each subcommand takes only
 the options it reads: no size option, since the budget is fixed, and no
 radius tolerance, since every radius closes at spectral.DEFAULT_TOL.
 `components` reports the analysis `rate` computes (`entropy._growth`),
@@ -38,24 +41,70 @@ from .tensor import CollisionNodes, collision_system
 
 REPORT_VERSION = 1
 
+_STRING = json.encoder.encode_basestring_ascii
 
-def _fmt(value):
-    """Round floats to 12 significant digits, recursively; JSON-safe infinities."""
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return float(f"{value:.12g}")
+
+def _number(x: float) -> str:
+    """A float at 12 significant digits; infinities and nan as JSON strings."""
+    if math.isfinite(x):
+        return float.__repr__(float(f"{x:.12g}"))
+    if math.isnan(x):
+        return '"nan"'
+    return '"inf"' if x > 0 else '"-inf"'
+
+
+# The scalar types a report holds, matched exactly, and how json writes them.
+_SCALARS = {
+    str: _STRING,
+    int: int.__repr__,
+    float: _number,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """JSON text of a report document: json.dumps(..., indent=2) of it rounded.
+
+    Floats are rounded as `_number` writes them; dicts (str keys), lists
+    and tuples nest; str, int, bool and None are written as json writes
+    them.  pad is the newline and indent of the line value starts on.
+    Types are matched exactly first, and subclasses by isinstance, as
+    json matches them; a list of one scalar type is written by one join.
+    Anything else is a TypeError, as it is to json.
+    """
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = pad + "  "
+    sep = "," + inner
     if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        keys = map(_STRING, value)  # a TypeError on a key that is no str
+        body = sep.join([k + ": " + _json(v, inner) for k, v in zip(keys, value.values())])
+        return "{" + inner + body + pad + "}"
     if isinstance(value, (list, tuple)):
-        return [_fmt(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        write = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        if write is not None:
+            body = sep.join(map(write, value))
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return "[" + inner + body + pad + "]"
+    if isinstance(value, str):
+        return _STRING(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _number(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(doc: dict, summary: str) -> None:
-    sys.stdout.write(json.dumps(_fmt(doc), indent=2) + "\n")
+    sys.stdout.write(_json(doc) + "\n")
     sys.stderr.write(summary + "\n")
 
 

@@ -191,10 +191,16 @@ def _sweep(step, n: int, levels: int, cost: int, start: int = 0, absent=None) ->
 
 
 def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> frozenset[int]:
-    """Component ids reachable (reflexively) from the support of u."""
+    """Component ids reachable (reflexively) from the support of u.
+
+    One component is reachable exactly when u has mass, which is read
+    from u alone, with no gather through component_of.
+    """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != len(decomp.component_of):
         raise DimensionMismatch("weight vector length does not match decomposition")
+    if decomp.n_components == 1:
+        return frozenset((0,)) if (u > 0).any() else frozenset()
     succ: dict[int, list[int]] = {}
     for a, b in decomp.dag_edges:
         succ.setdefault(a, []).append(b)

@@ -95,7 +95,10 @@ def _rate_report(
     dominant_members = None
     if ga.dominant_component is not None:
         members = ga.decomposition.components[ga.dominant_component]
-        dominant_members = tuple(labels[i] for i in members)
+        if len(members) == len(labels):  # all of A, as for every irreducible A
+            dominant_members = tuple(labels)
+        else:
+            dominant_members = tuple(labels[i] for i in members)
     return EntropyReport(
         order=order,
         kind="rate",

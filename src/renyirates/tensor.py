@@ -46,8 +46,11 @@ decide whether A is one component; when it is, its rate is rho(K~), and
 no node needs a row of K~.  K~ enumerates no more successor entries than
 A stores (`_lumped_count`), so that path, which never builds A, is
 always taken; only K~'s listing of every multiset of X can be refused
-where A would fit.  `collision_nodes` lists A's nodes, labels and nu
-without A's entries.
+where A would fit.  `collision_nodes` lists A's nodes and nu without
+A's entries.  Their labels are named symbol by symbol from the states
+that can emit it, by string concatenation, with no ranking of the
+nodes' hidden tuples: A's build alone ranks them
+(`CollisionNodes._tuples`).
 Otherwise A is built and each component's radius taken from its own
 block.
 
@@ -106,18 +109,17 @@ class CollisionNodes:
     """The nodes of A and their initial weights nu, without A's entries.
 
     Node i is the hidden tuple of rank hidden[i] in X^alpha (lexicographic
-    order) emitting node_symbols[i]; nodes are in A's order.  candidates
-    holds, for each symbol z, the states S_z that can emit it, the node of
-    each candidate tuple of S_z^alpha by its rank (or -1) and the
-    candidate's emission product: what the collision build reads.
+    order); nodes are in A's order.  candidates holds, for each symbol z,
+    in order: z, the states S_z that can emit it, the node of each
+    candidate tuple of S_z^alpha by its rank (or -1) and the candidate's
+    emission product: what the collision build and the labels read.
     """
 
     order: int
     hidden: np.ndarray
-    node_symbols: tuple[str, ...]
     initial: np.ndarray
     states: tuple[str, ...]
-    candidates: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    candidates: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray], ...]
 
     @property
     def dimension(self) -> int:
@@ -126,16 +128,32 @@ class CollisionNodes:
     @cached_property
     def _tuples(self) -> tuple[np.ndarray, np.ndarray]:
         """A's distinct hidden tuples, one row of state digits each in rank
-        order, and each node's row among them: what labels and A both read."""
+        order, and each node's row among them: what A's build reads."""
         tuples, node_tuple = np.unique(self.hidden, return_inverse=True)
         digits = np.stack(np.unravel_index(tuples, (len(self.states),) * self.order), axis=1)
         return digits, node_tuple
 
     def labels(self) -> tuple[str, ...]:
-        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol."""
-        digits, node_tuple = self._tuples
-        names = [",".join(self.states[i] for i in tup) for tup in digits.tolist()]
-        return tuple(names[t] + "|" + z for t, z in zip(node_tuple.tolist(), self.node_symbols))
+        """Node labels "x1,...,xa|z": the hidden tuple, then the symbol.
+
+        Each symbol's candidates are named in lexicographic order by
+        list comprehensions of string concatenation, one level a
+        coordinate: the tuples of S_z^(alpha-1), then each of them with
+        each last state and z.  Only the candidates that are nodes are
+        kept.
+        """
+        # every candidate is a node unless an emission product underflowed
+        every = sum(node.size for _, _, node, _ in self.candidates) == self.dimension
+        labels = []
+        for z, s, node, _ in self.candidates:
+            names = [self.states[x] for x in s.tolist()]
+            heads = names
+            for _ in range(self.order - 2):
+                heads = [h + "," + x for h in heads for x in names]
+            tails = ["," + x + "|" + z for x in names]
+            named = [h + t for h in heads for t in tails]
+            labels += named if every else [named[k] for k in np.flatnonzero(node >= 0).tolist()]
+        return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -214,10 +232,13 @@ def _check_nodes(hmm: HiddenMarkovModel, alpha: int) -> None:
     """Refuse A's node listing, with the labels every rate reads, when over budget.
 
     Each candidate tuple of `_candidates` is charged 224 + 16 alpha bytes
-    and twice its label's length: about 64 for `collision_nodes` and the
-    rest for `CollisionNodes.labels` (measured with one-character names:
-    60-78 and 224-496 bytes a node at alpha = 4-20).  Hidden tuples are
-    ranked in X^alpha as intp, so an X^alpha past intp is refused too.
+    and twice its label's length, for `collision_nodes` and
+    `CollisionNodes.labels` together.  Measured peaks (tracemalloc, one
+    symbol emitted by every state, 4096 to 1M nodes) stay at 31-46 % of
+    that charge at alpha = 2-20: the listing 48-61 bytes a node, and with
+    the labels 112-194 bytes a node with one-character names and 133-407
+    with eight-character ones.  Hidden tuples are ranked in X^alpha as
+    intp, so an X^alpha past intp is refused too.
     """
     nx = hmm.n_states
     if nx**alpha > np.iinfo(np.intp).max:
@@ -398,7 +419,7 @@ def collision_system(
     # every node of its tuple into A.
     blocks = [
         _symbol_columns(_columns(p, s), digits, node, w)
-        for s, node, w in nodes.candidates
+        for _, s, node, w in nodes.candidates
         if s.size
     ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
@@ -433,23 +454,21 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     alpha = _order(alpha)
     _check_nodes(hmm, alpha)
     nx = hmm.n_states
-    candidates, hidden, node_symbols, nu = [], [], [], []
+    candidates, hidden, nu = [], [], []
     dim = 0
-    for z, (s, w) in enumerate(_emission_products(hmm.emission, alpha)):
+    for z, (s, w) in zip(hmm.observations, _emission_products(hmm.emission, alpha)):
         kept = np.flatnonzero(w > 0)
         node = np.full(w.size, -1, dtype=np.intp)
         node[kept] = dim + np.arange(kept.size)
         dim += kept.size
-        candidates.append((s, node, w))
+        candidates.append((z, s, node, w))
         hidden.append(reduce(lambda rank, x: np.add.outer(rank * nx, x), [s] * alpha).ravel()[kept])
-        node_symbols += [hmm.observations[z]] * kept.size
         nu.append(reduce(np.multiply.outer, [hmm.chain.initial[s]] * alpha).ravel()[kept] * w[kept])
     nu = np.concatenate(nu)
     nu.setflags(write=False)
     return CollisionNodes(
         order=alpha,
         hidden=np.concatenate(hidden),
-        node_symbols=tuple(node_symbols),
         initial=nu,
         states=hmm.chain.states,
         candidates=tuple(candidates),

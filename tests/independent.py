@@ -44,6 +44,10 @@ checks:
   squarings, each rescaled by its largest entry; it checks, float for
   float, the radius the package reads at that iterate, the open bracket
   it hands over from there, and which blocks it leaves to power steps.
+- ``rounded_document`` rounds a report document's floats to 12
+  significant digits and writes infinities and nan as strings, the way
+  the CLI once prepared every report for ``json.dumps(..., indent=2)``;
+  that dump checks the CLI's own JSON writer byte for byte.
 - ``m_matrix_solve`` solves an M-matrix system given in the triplet form
   Noda's solves take, by Gaussian elimination on exact rationals; it
   checks each entry of the package's subtraction-free solve.
@@ -410,3 +414,18 @@ def m_matrix_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> list[Fraction
     for k in reversed(range(m)):
         z[k] = (rhs[k] - sum(rows[k][j] * z[j] for j in range(k + 1, m))) / rows[k][k]
     return z
+
+
+def rounded_document(value):
+    """Round floats to 12 significant digits, recursively; JSON-safe infinities."""
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: rounded_document(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [rounded_document(v) for v in value]
+    return value

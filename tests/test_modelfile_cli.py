@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renyirates import (
     HiddenMarkovModel,
@@ -16,9 +18,12 @@ from renyirates import (
     bsc_hmm,
     cli,
     entropy,
+    entropy_rate,
     identity_observation,
     markov_rate,
     tensor,
+    validate_chain,
+    validate_hmm,
 )
 from renyirates.cli import main
 from renyirates.errors import ModelFormatError
@@ -27,6 +32,46 @@ from renyirates.oracle import brute_force_collision
 from renyirates.random_models import random_hmm
 
 from conftest import FIXTURES
+from independent import restricted_kronecker_power, rounded_document
+
+
+class _Str(str):
+    def __str__(self):
+        return "not the text"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the number"
+
+    __str__ = __repr__
+
+
+_AWKWARD = ['', '"', "\\", 'a"b\\c', "\x00", "\x1f\t\n", "\u00e9\u20ac", "\U0001f600", "\ud800"]
+_scalars = st.one_of(
+    st.text(),
+    st.sampled_from(_AWKWARD),
+    st.text().map(_Str),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(_Int),
+    st.floats(),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 1e300, 0.1 + 0.2]),
+    st.floats().map(np.float64),
+    st.none(),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.one_of(st.text(), st.sampled_from(_AWKWARD)), max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.lists(st.floats(), max_size=5),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(_AWKWARD), st.text().map(_Str)), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +337,36 @@ class TestCmdComponents:
         assert dims == [dimension] * 3
         assert len(doc["nodes"]) == dimension
 
+    @pytest.mark.parametrize("path_taken", ["lumped", "collision"])
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_awkward_names_label_nodes_as_the_reference_does(self, capsys, tmp_path, path_taken, order):
+        # separators, quotes, backslashes, non-ASCII text and trailing NULs,
+        # which numpy's U dtype would drop ("n" and "n\x00" are two states)
+        states = ["n", "n\x00", 'a,b|"\\', "\u00e9\u20ac\U0001f600"]
+        observations = ["z", "z\x00", '|,"\\\u00df']
+        if path_taken == "lumped":  # dense, so A is irreducible
+            model = random_hmm(np.random.default_rng(order), 4, 3)
+            p, e = model.chain.transition, model.emission
+        else:  # reducible, and "n\x00" emits "z" with an emission product that underflows
+            p = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.0, 1.0]]
+            e = [[0.5, 0.5, 0.0], [1e-200, 0.5, 0.5], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]]
+        hmm = validate_hmm(validate_chain(p, np.full(4, 0.25), states=states), e, observations)
+        labels = restricted_kronecker_power(hmm, order)[3]
+        assert tensor.collision_nodes(hmm, order).labels() == labels
+        assert (tensor.irreducible(hmm, order) is True) == (path_taken == "lumped")
+        path = tmp_path / "awkward.model"
+        path.write_text(json.dumps(serialize_model(hmm)))
+        code, rate, _ = run_cli(capsys, "rate", path, "--order", str(order))
+        assert code == 0
+        code, comps, _ = run_cli(capsys, "components", path, "--order", str(order))
+        assert code == 0
+        assert comps["nodes"] == list(labels)
+        rep = entropy_rate(hmm, order)
+        assert rate["dominant_members"] == list(rep.dominant_members)
+        dominant = comps["components"][rate["dominant_component"]]["members"]
+        assert dominant == rate["dominant_members"]
+        assert set(dominant) <= set(labels)
+
     def test_deterministic_observation_rates_from_the_collision_system(self, capsys, tmp_path):
         # dense 44 states observed in 11 groups of 4 at order 3: A is
         # irreducible and stores 495,616 entries, and the lumped build, one
@@ -487,7 +562,19 @@ class TestCliContract:
 
     def test_non_finite_floats_are_written_as_strings(self):
         doc = {"value": math.inf, "values": [-math.inf, math.nan, 0.1 + 0.2]}
-        assert cli._fmt(doc) == {"value": "inf", "values": ["-inf", "nan", 0.3]}
+        assert json.loads(cli._json(doc)) == {"value": "inf", "values": ["-inf", "nan", 0.3]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents)
+    def test_writer_matches_json_dumps_of_the_rounded_document(self, doc):
+        assert cli._json(doc) == json.dumps(rounded_document(doc), indent=2)
+
+    @pytest.mark.parametrize("value", [np.int64(1), np.float32(0.5), {(1, 2): 0}, {"a": [object()]}])
+    def test_writer_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(rounded_document(value), indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)
 
     @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
     def test_nan_model_exits_with_validation_message(self, capsys, tmp_path, command):

@@ -221,7 +221,8 @@ def test_dimension_where_underflow_depends_on_factor_order():
 
 
 def test_nodes_rank_their_hidden_tuples_once(monkeypatch):
-    # A's build and the labels read one ranking of A's distinct hidden tuples
+    # A's build reads one ranking of A's distinct hidden tuples, and the
+    # labels, named from each symbol's candidates, read none
     hmm = load_model(FIXTURES / "fig2.model")
     nodes = tensor.collision_nodes(hmm, 3)
     ranked, unique = [], np.unique
