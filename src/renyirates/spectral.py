@@ -27,16 +27,17 @@ and only up to 3300 nodes (about 87 MB dense).
 Power iteration needs about 1/gap steps, so it stalls on nearly
 decoupled blocks (sticky regimes, small-noise channels).  A block whose
 bracket is still open after max(1000, m) steps hands over to Noda's
-inverse iteration, which closes it in a few subtraction-free solves
-(at most 64).  A block that cannot close within those steps hands over
-sooner: every 32 steps its bracket width is compared with the width 32
-steps before, and when that contraction, kept up, would leave the
-bracket open, the block hands over at once (sticky 2-state chains after
-64 steps past the squaring cut below).  A sparse block past 3300 nodes,
-too large to densify for Noda, keeps power iteration for 10^5 steps and
-can still raise NoConvergence when it is near-degenerate (a sparse LU
-would densify it through fill-in).  A radius is the midpoint of a
-closed bracket, never of an open one.
+inverse iteration, which closes it in a few solves (at most 64), each
+one LAPACK solve of the system scaled by the iterate, so that it keeps
+the iterate's small entries.  A block that cannot close within those
+steps hands over sooner: every 32 steps its bracket width is compared
+with the width 32 steps before, and when that contraction, kept up,
+would leave the bracket open, the block hands over at once (sticky
+2-state chains after 64 steps past the squaring cut below).  A sparse
+block past 3300 nodes, too large to densify for Noda, keeps power
+iteration for 10^5 steps and can still raise NoConvergence when it is
+near-degenerate (a sparse LU would densify it through fill-in).  A
+radius is the midpoint of a closed bracket, never of an open one.
 
 A dense block of at most 32 nodes takes no power step: B^512 1, the
 iterate of 512 steps (512 the largest power of two within its 1000), is
@@ -157,12 +158,10 @@ _READ = 8
 # blocks of 8-32 nodes that close in one read; from 40 nodes those lose
 # 1.4-2.2 times.
 _SQUARE_MAX_DIM = 32
-# Noda's solves a block gets: no hand-over of the tests or the benchmark
-# needs more than 16, and a 1200-node sticky ring 32.
+# Noda's solves a block gets.  Hand-overs that close take at most 3 in the
+# benchmark, 13 in the tests' fixed cases, 32 on a 1200-node sticky ring
+# and up to 46 on the random blocks of the property tests.
 _NODA_SOLVES = 64
-# The subtraction-free solve eliminates this many columns a panel, then
-# updates the trailing block by one matmul (`_triplet_solve`).
-_PANEL = 32
 # Dense blocks of one size iterate in stacks of at most this many bytes;
 # with the blocks held until their stack is full, twice this at most.  A
 # read's iterates, products and brackets hold at most this many more.
@@ -198,11 +197,11 @@ def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray) -> float:
     otherwise, whatever A's form (`_operand`).  A dense B of at most 32
     nodes reads its bracket once instead, at the iterate of 512 steps
     reached by 9 squarings (`_squared`), and takes the steps only when
-    that iterate underflowed.  A block
-    still open after max(1000, m) steps, or seen unable to close in them,
-    or still open at its squared iterate, continues with at most 64 Noda
-    solves (`_noda`); a CSR block of more
-    than 3300 nodes keeps power iteration for 10^5 steps instead.
+    that iterate underflowed.  A block still open after max(1000, m)
+    steps, or seen unable to close in them, or still open at its squared
+    iterate, continues with at most 64 Noda solves (`_noda`), each one
+    LAPACK solve scaled by the iterate; a CSR block of more than 3300
+    nodes keeps power iteration for 10^5 steps instead.
     Returns the midpoint of a closed bracket or raises NoConvergence,
     whose message names the phase and gives A's bracket.  The block runs
     alone through the power loop that `growth_rate` runs on all its
@@ -531,9 +530,17 @@ def _finish(state, e: int) -> float:
         if sparse.issparse(b) and m > _DENSE_MAX_DIM
         else ""
     )
-    raise NoConvergence(
-        f"power iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
-        f"{math.ldexp(hi - c, e):.17g}] after {ran} steps (relative tolerance {DEFAULT_TOL}){why}"
+    raise _left_open("power iteration", lo, hi, c, e, f"{ran} steps", why)
+
+
+def _left_open(phase: str, lo, hi, c, e: int, after: str, why: str = "") -> NoConvergence:
+    """The error for an open bracket [lo, hi] of 2^-e A + cI, given as A's, 2^e [lo - c, hi - c].
+
+    `phase` left it open after `after`; `why` follows the tolerance.
+    """
+    return NoConvergence(
+        f"{phase} left the radius in [{math.ldexp(lo - c, e):.17g}, "
+        f"{math.ldexp(hi - c, e):.17g}] after {after} (relative tolerance {DEFAULT_TOL}){why}"
     )
 
 
@@ -544,8 +551,9 @@ def _noda(
 
     Noda's iteration (T. Noda, Numer. Math. 17, 1971; L. Elsner, Linear
     Algebra Appl. 15, 1976): solve (theta I - b) z = v with the shift theta
-    just above the upper Collatz-Wielandt bound, subtraction-free
-    (`_triplet_solve`), and take v = z / sum(z).  The bracket is re-read
+    just above the upper Collatz-Wielandt bound, by one LAPACK solve of the
+    system scaled by v (`_scaled_solve`), and take v = z / sum(z).  The
+    solve only proposes the next vector: the bracket is re-read
     from the ratios (b v) / v rather than from Noda's update
     theta - min(v / z), which loses the lower bound when the shift lands
     on the root in floating point.  The bracket closes at `_width`, as in
@@ -561,7 +569,7 @@ def _noda(
         # the rounding floor of `_width`, keep the shift above it.  A ratio
         # past theta counts as theta: b's diagonal moves by its rounding.
         theta = hi * (1.0 + m * _EPS)
-        z = _triplet_solve(b, v, v * np.maximum(theta - ratios, 0.0))
+        z = _scaled_solve(b, v, v * np.maximum(theta - ratios, 0.0))
         if z is None:
             stop = f"a zero or non-finite pivot in solve {solve}"
             break
@@ -576,49 +584,28 @@ def _noda(
     else:
         stop = "1 solve" if _NODA_SOLVES == 1 else f"{_NODA_SOLVES} solves"
     before = f"{squarings} squarings (power iterate {ran})" if squarings else f"{ran} power steps"
-    raise NoConvergence(
-        f"Noda inverse iteration left the radius in [{math.ldexp(lo - c, e):.17g}, "
-        f"{math.ldexp(hi - c, e):.17g}] after {before} and {stop} "
-        f"(relative tolerance {DEFAULT_TOL})"
-    )
+    raise _left_open("Noda inverse iteration", lo, hi, c, e, f"{before} and {stop}")
 
 
-def _triplet_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+def _scaled_solve(b: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
     """z with M z = v for the M-matrix M = theta I - b given by b and u = M v >= 0, v > 0.
 
-    None when a pivot is zero or not finite.  Gaussian elimination runs on
-    the triplet form of N = M diag(v) (A. S. Alfa, J. Xue & Q. Ye, Math.
-    Comp. 71, 2002): the magnitudes b_ij v_j of its off-diagonal entries
-    and its row sums u, eliminated with v as two more columns, each pivot
-    rebuilt as its row's u plus the entries right of it (W. K. Grassmann,
-    M. I. Taksar & D. P. Heyman, Oper. Res. 33, 1985).  Every step adds
-    non-negative terms, so each entry of z keeps its relative digits,
-    where a LAPACK solve is accurate only in norm.  Panels of _PANEL
-    columns each end in one matmul on the trailing block.
+    One `np.linalg.solve` of D^-1 M D y = 1, D = diag(v), and z = v y;
+    None when LAPACK finds it singular or y is not finite.  The scaled
+    diagonal u_i / v_i + sum_{j != i} b_ij v_j / v_i takes no
+    subtraction.  Scaled by v, y is nearly constant near convergence, so
+    a solve accurate in norm keeps every entry of z, however small.
     """
-    m = len(v)
-    # the magnitudes of N's off-diagonal entries (the diagonal is never
-    # read), then u and v; below a panel, its columns take the multipliers
-    t = np.empty((m, m + 2))
-    np.multiply(b, v, out=t[:, :m])
-    t[:, m], t[:, m + 1] = u, v
-    pivots = np.empty(m)
-    for start in range(0, m, _PANEL):
-        end = min(start + _PANEL, m)
-        for k in range(start, end):
-            pivot = t[k, k + 1 : m + 1].sum()
-            if not 0.0 < pivot < math.inf:
-                return None
-            pivots[k] = pivot
-            f = t[k + 1 :, k] / pivot
-            t[k + 1 : end, k + 1 :] += f[: end - k - 1, None] * t[k, k + 1 :]
-            t[end:, k + 1 : end] += f[end - k - 1 :, None] * t[k, k + 1 : end]
-            t[end:, k] = f[end - k - 1 :]
-        t[end:, end:] += t[end:, start:end] @ t[start:end, end:]
-    y = np.empty(m)
-    for k in range(m - 1, -1, -1):
-        y[k] = (t[k, m + 1] + t[k, k + 1 : m] @ y[k + 1 :]) / pivots[k]
-    return v * y
+    s = b * v / v[:, None]
+    np.fill_diagonal(s, 0.0)
+    diagonal = u / v + s.sum(axis=1)
+    np.negative(s, out=s)
+    np.fill_diagonal(s, diagonal)
+    try:
+        y = np.linalg.solve(s, np.ones(len(v)))
+    except np.linalg.LinAlgError:
+        return None
+    return v * y if np.isfinite(y).all() else None
 
 
 def growth_rate(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:

@@ -232,13 +232,17 @@ def _check_nodes(hmm: HiddenMarkovModel, alpha: int) -> None:
     """Refuse A's node listing, with the labels every rate reads, when over budget.
 
     Each candidate tuple of `_candidates` is charged 224 + 16 alpha bytes
-    and twice its label's length, for `collision_nodes` and
+    and its label's length at 2 bytes a character, or 4 when a state or
+    observation name holds a code point above U+FFFF, which CPython then
+    stores at 4 bytes a character, for `collision_nodes` and
     `CollisionNodes.labels` together.  Measured peaks (tracemalloc, one
     symbol emitted by every state, 4096 to 1M nodes) stay at 31-46 % of
     that charge at alpha = 2-20: the listing 48-61 bytes a node, and with
     the labels 112-194 bytes a node with one-character names and 133-407
-    with eight-character ones.  Hidden tuples are ranked in X^alpha as
-    intp, so an X^alpha past intp is refused too.
+    with eight-character ones; with 30-character names of U+1F600..
+    characters, 504, 634 and 1113 bytes a node at alpha = 2, 3 and 6,
+    against charges of 624, 764 and 1184.  Hidden tuples are ranked in
+    X^alpha as intp, so an X^alpha past intp is refused too.
     """
     nx = hmm.n_states
     if nx**alpha > np.iinfo(np.intp).max:
@@ -246,8 +250,9 @@ def _check_nodes(hmm: HiddenMarkovModel, alpha: int) -> None:
             f"{nx}^{alpha} hidden tuples overflow the node listing's int64 ranks"
         )
     label = alpha * (max(map(len, hmm.chain.states)) + 1) + max(map(len, hmm.observations))
+    width = 4 if max("".join(hmm.chain.states + hmm.observations), default="") > "\uffff" else 2
     count = _candidates(hmm.emission > 0, alpha)
-    _check_build_bytes("collision nodes would list {} tuples", count, 224 + 16 * alpha + 2 * label)
+    _check_build_bytes("collision nodes would list {} tuples", count, 224 + 16 * alpha + width * label)
 
 
 def _check_lumped(hmm: HiddenMarkovModel, alpha: int) -> np.ndarray:

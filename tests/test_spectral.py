@@ -359,12 +359,10 @@ class TestNodaHandOver:
         assert abs(rho - exact_perron_root(ring.csr.toarray())) <= 1e-12
 
     def test_ring_whose_small_entries_a_lapack_solve_lost(self, noda_brackets):
-        # a 10-node ring linked by about 1e-4: with a LAPACK solve its lower
-        # bound stayed 4e-14 below the root for 99,000 solves
-        rng = np.random.default_rng(8367)
-        a = np.diag(0.5 + 0.3 * rng.random(10))
-        i = np.arange(10)
-        a[i, (i + 1) % 10] += 10.0 ** -int(rng.integers(2, 6)) * rng.uniform(0.2, 1, 10)
+        # a 10-node ring linked by about 1e-4: with an unscaled LAPACK solve
+        # of M z = v its lower bound stayed 4e-14 below the root for 99,000
+        # solves
+        a = _linked_ring(8367)
         rho = spectral_radius_irreducible(a)
         assert len(noda_brackets) == 1
         _assert_within_closing_width(rho, a)
@@ -372,7 +370,8 @@ class TestNodaHandOver:
     def test_hmm_rate_whose_small_entries_a_lapack_solve_lost(self, monkeypatch, noda_brackets):
         # draw 160 of a random-HMM corpus: 6 states, 3 symbols, order 3.  Its
         # rate runs on the 41-node lumped K~, and growth_rate on the built
-        # 153-node A; with a LAPACK solve both stalled for 99,000 solves
+        # 153-node A; with an unscaled LAPACK solve of M z = v both stalled
+        # for 99,000 solves
         rng = np.random.default_rng(2026)
         for _ in range(161):
             nx, nz, alpha = (int(rng.integers(*bounds)) for bounds in ((2, 7), (1, 4), (2, 4)))
@@ -393,8 +392,8 @@ class TestNodaHandOver:
         # a singular M (u = 0) leaves a zero last pivot, and Noda names the
         # solve that met one
         v = np.array([0.5, 0.5])
-        assert spectral._triplet_solve(_sticky(1e-6) ** 2, v, np.zeros(2)) is None
-        monkeypatch.setattr(spectral, "_triplet_solve", lambda *args: None)
+        assert spectral._scaled_solve(_sticky(1e-6) ** 2, v, np.zeros(2)) is None
+        monkeypatch.setattr(spectral, "_scaled_solve", lambda *args: None)
         with pytest.raises(NoConvergence, match=r"Noda .* a zero or non-finite pivot in solve 1 \("):
             spectral_radius_irreducible(_sticky(1e-6) ** 2)
 
@@ -410,6 +409,26 @@ class TestNodaHandOver:
         c = _shift(ring.csr)
         lo, hi = _power_bracket(ring.csr + c * sparse.eye_array(3301, format="csr"), 3400)
         assert f"[{lo - c:.17g}, {hi - c:.17g}]" in str(info.value)
+
+
+def _linked_ring(seed):
+    """A 10-node ring, diag(0.5 + 0.3 U) linked by 10^-k U(0.2, 1) on (i, i + 1 mod 10), k in 2-5.
+
+    Held in CSR (20 of 100 entries stored); power iteration stalls on
+    its small links, and Noda closes it.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.diag(0.5 + 0.3 * rng.random(10))
+    i = np.arange(10)
+    a[i, (i + 1) % 10] += 10.0 ** -int(rng.integers(2, 6)) * rng.uniform(0.2, 1, 10)
+    return a
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_linked_ring_radii_lie_within_their_closing_width(seed):
+    a = _linked_ring(seed)
+    _assert_within_closing_width(spectral_radius_irreducible(a), a)
 
 
 def _assert_within_closing_width(rho, a):
@@ -444,10 +463,10 @@ def _nearly_decoupled_triplet(rng):
 @pytest.mark.parametrize("seed", range(40))
 def test_triplet_solve_keeps_every_entrys_digits(seed):
     # every entry of z, however small, lies within a few ulps of the exact
-    # solution; a LAPACK solve of these systems, accurate only in norm, is
-    # off by up to 1e13 ulps in the small entries
+    # solution; an unscaled LAPACK solve of M z = v, accurate only in norm,
+    # is off by up to 1e13 ulps in the small entries
     b, v, u = _nearly_decoupled_triplet(np.random.default_rng(seed))
-    z = spectral._triplet_solve(b, v, u)
+    z = spectral._scaled_solve(b, v, u)
     for got, exact in zip(z.tolist(), m_matrix_solve(b, v, u)):
         assert abs(Fraction(got) - exact) <= 4 * spectral._EPS * exact
 

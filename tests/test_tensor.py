@@ -379,6 +379,23 @@ class TestListingBudgets:
         monkeypatch.setattr(tensor, "_BUILD_BYTES", predicted - 1)
         _refused_at_once(lambda: tensor.collision_nodes(hmm, 4), "collision nodes would list 1 tuples")
 
+    def test_astral_names_are_charged_four_bytes_a_character(self, monkeypatch):
+        # CPython stores a name with a code point above U+FFFF at 4 bytes a
+        # character, so a budget between the 2- and 4-byte charges admits
+        # ASCII names and refuses astral ones of the same length
+        def model(letter):
+            states = [letter * 29 + str(i) for i in range(3)]
+            chain = validate_chain(np.full((3, 3), 1 / 3), np.full(3, 1 / 3), states=states)
+            return deterministic_observation(chain, {s: letter * 30 for s in states})
+
+        label = 2 * (30 + 1) + 30
+        monkeypatch.setattr(tensor, "_BUILD_BYTES", 9 * (224 + 16 * 2 + 2 * label))
+        assert 9 * (224 + 16 * 2 + 4 * label) > tensor._BUILD_BYTES
+        assert len(tensor.collision_nodes(model("s"), 2).labels()) == 9
+        astral = model("\U0001f600")
+        assert len(astral.chain.states[0]) == len(astral.observations[0]) == 30
+        _refused_at_once(lambda: tensor.collision_nodes(astral, 2), "collision nodes would list 9 tuples")
+
     def test_multiset_listing(self):
         # 60 states, each its own symbol, at alpha = 8: A has 60 nodes and
         # K~ 60 rows, but C(67, 8) = 6.7e9 multisets would be listed, each
