@@ -24,18 +24,10 @@ def _sparse_stochastic(rng: np.random.Generator, n: int, m: int, sparsity: float
     return a
 
 
-def random_chain(
-    rng: np.random.Generator,
-    n_states: int,
-    sparsity: float = 0.0,
-    full_support_initial: bool = True,
-) -> MarkovChain:
+def random_chain(rng: np.random.Generator, n_states: int, sparsity: float = 0.0) -> MarkovChain:
     p = _sparse_stochastic(rng, n_states, n_states, sparsity)
-    if full_support_initial:
-        pi = rng.dirichlet(np.ones(n_states)) + 1e-3
-        pi /= pi.sum()
-    else:
-        pi = _sparse_stochastic(rng, 1, n_states, sparsity)[0]
+    pi = rng.dirichlet(np.ones(n_states)) + 1e-3
+    pi /= pi.sum()
     return validate_chain(p, pi)
 
 

@@ -52,20 +52,16 @@ a sticky chain's hand-over.
 `growth_rate` hands an A that `components._strongly_connected`, or
 else Tarjan's pass, shows to be one component to `irreducible_growth`
 uncut, and otherwise takes all the radii of a call in one pass, cut
-from A in one pass too (`_radius_blocks`).  Every power step runs in
-one loop, `_power`.  It iterates one CSR block, or dense blocks of one
-size in lockstep as one (k, m, m) stack, a lone dense block as a stack
-of one; a stack within the squaring cut is squared as one, slice by
-slice (`_squared`), and only its slices whose iterate underflowed take
-steps.
-A step is only its product, whose slices run the same gemv as a lone
-block, a row sum and a division; the steps leave their products and
-iterates in a small buffer, and the Collatz-Wielandt brackets of eight
-steps are read at once.  A block's radius comes from the first step
-whose bracket closes, so each block closes or stalls at the same step
-with the same float as alone and read step by step, at the interpreter
-cost of one block.  A block leaves the stack at the end of the read in
-which it closes or stalls.  A 1x1 block is its entry, with no iteration.
+from A in one pass too (`_radius_blocks`).  Dense blocks of one size
+within the squaring cut are squared as one (k, m, m) stack, slice by
+slice (`_squared`).  Every other block, and each slice whose squared
+iterate underflowed, takes its power steps alone, in one loop
+(`_stepped`).  A step is only its product, a gemv or a CSR product, a
+sum and a division; the steps leave their products and iterates in a
+small buffer, and the Collatz-Wielandt brackets of eight steps are read
+at once.  A block's radius comes from the first step whose bracket
+closes, so it closes or stalls at the same step with the same float as
+read step by step.  A 1x1 block is its entry, with no iteration.
 
 `irreducible_growth` alone builds the decomposition of one component of
 all A's nodes, whose radius is the Perron root of a matrix with A's
@@ -144,7 +140,7 @@ _DENSE_MAX_DIM = 3300
 # them (`_squared`).
 _POWER_STEPS = 1000
 _WINDOW = 32
-# Power steps read their brackets this many at a time (`_power`).  A read
+# Power steps read their brackets this many at a time (`_stepped`).  A read
 # costs about a dozen numpy calls whatever its length, against 3 a step,
 # and a block that closes on a read's first step runs at most 7 steps
 # past it.  8 divides _WINDOW, so no read is cut short by a window mark.
@@ -162,9 +158,10 @@ _SQUARE_MAX_DIM = 32
 # benchmark, 13 in the tests' fixed cases, 32 on a 1200-node sticky ring
 # and up to 46 on the random blocks of the property tests.
 _NODA_SOLVES = 64
-# Dense blocks of one size iterate in stacks of at most this many bytes;
-# with the blocks held until their stack is full, twice this at most.  A
-# read's iterates, products and brackets hold at most this many more.
+# Dense blocks of one size within the squaring cut are squared in stacks
+# of at most this many bytes; with the blocks held until their stack is
+# full, twice this at most.  A read of power steps holds its iterates,
+# products and brackets in at most this many more.
 _STACK_BYTES = 2**22
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -204,8 +201,8 @@ def spectral_radius_irreducible(a: NonnegMatrix | np.ndarray) -> float:
     nodes keeps power iteration for 10^5 steps instead.
     Returns the midpoint of a closed bracket or raises NoConvergence,
     whose message names the phase and gives A's bracket.  The block runs
-    alone through the power loop that `growth_rate` runs on all its
-    blocks at once.
+    through the pass that `growth_rate` runs on all its blocks at once
+    (`_perron_radii`).
     """
     return _perron_radii([_operand(a)])[0]
 
@@ -218,13 +215,13 @@ def _perron_radii(blocks: list[NonnegMatrix | np.ndarray]) -> list[float]:
     A 1x1 block is its entry, and a 0x0 block is refused with
     DimensionMismatch.  Every larger block is scaled and shifted
     by its own 2^-e and c (`_scale`), one per slice of a stack, and
-    handed to `_power`: a CSR block alone, and dense blocks of one size
-    in list order as (k, m, m) stacks of at most 4 MB, each run once
-    full, a dense block with no other of its size as a stack of one; a
-    stack within the squaring cut is squared first (`_squared`).  Each
-    radius is the float its block gives alone.  Blocks still open after
-    their power steps or their squared iterate, or stalled, finish in
-    list order, so the NoConvergence raised is the first failing block's.
+    handed to `_power`: a CSR block alone, a dense block past the
+    squaring cut alone as a stack of one, and dense blocks within the
+    cut of one size in list order as (k, m, m) stacks of at most 4 MB,
+    each run once full.  Each radius is the float its block gives alone.
+    Blocks still open after their power steps or their squared iterate,
+    or stalled, finish in list order, so the NoConvergence raised is the
+    first failing block's.
     """
     # per block: its radius, or (B, v, lo, hi, ran, c, squarings) once its
     # power steps are spent, it stalls, or its squared iterate leaves the
@@ -259,7 +256,7 @@ def _perron_radii(blocks: list[NonnegMatrix | np.ndarray]) -> list[float]:
         else:
             exponents[i], c = _scale(b)
             groups.setdefault(m, []).append((i, b, c))
-            if len(groups[m]) == max(1, _STACK_BYTES // (8 * m * m)):
+            if m > _SQUARE_MAX_DIM or len(groups[m]) == _STACK_BYTES // (8 * m * m):
                 run(groups[m])
     for members in groups.values():
         if members:
@@ -344,105 +341,76 @@ def _power_steps(b) -> tuple[int, bool]:
 
 
 def _power(b, rows: list[int], states: list, c: np.ndarray) -> None:
-    """Power steps on shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
+    """Radii of shifted blocks b = A + cI: one CSR block, or a (k, m, m) dense stack.
 
     rows numbers the blocks and c holds their shifts, one per slice (a
     CSR block is one slice).  A dense stack of at most _SQUARE_MAX_DIM
     nodes whose open brackets Noda can take over (`_power_steps`) is read
-    once at its squared iterate first (`_squared`), and only its slices
-    whose iterate underflowed take the steps, from 1/m as every block
-    does.  A step is only its product, its sum and a
-    division, v <- b v / sum(b v): one block takes a gemv or a CSR
-    product on its (m,) iterate, a stack one `np.matmul` whose slices run
-    the gemv of a lone block and a sum per slice.  The steps of a read,
-    at most `_READ` and never past a `_WINDOW` mark, leave their products
-    and iterates in a buffer allocated once.  The read then forms the
-    Collatz-Wielandt ratios of all its steps at once, over the products,
-    and their bracket [lo, hi] per step and slice, in at most
-    _STACK_BYTES.  A bracket closes at `_width`: DEFAULT_TOL relative to
-    A's upper bound hi - c, or the rounding floor m eps hi if that is
-    wider, and a slice's radius is the midpoint, less c, of its first
-    closed bracket.  Where Noda takes over (`_power_steps`), the stall
-    rule (`_slow`) reads each open slice alone at a mark, and a slice it
-    flags stalls there.  So each block closes or stalls at the step, and
-    with the float, it would alone with its bracket read after every
-    step.  states[rows[j]] gets slice j's radius once its bracket closes,
-    else (B, v, lo, hi, steps run, c, 0) once its power steps are spent
-    or it stalls.  A closed or stalled slice leaves the stack at the end
-    of its read.
+    once at its squared iterate (`_squared`); every other block, and each
+    slice whose squared iterate underflowed, takes its power steps alone
+    (`_stepped`).  states[rows[j]] gets slice j's radius or its open
+    state.  A slice of a larger stack steps as a copy, so a block handed
+    over keeps no view of its stack.
     """
     steps, may_stall = _power_steps(b)
     dense = not sparse.issparse(b)
+    left = range(len(rows))
     if dense and may_stall and b.shape[-1] <= _SQUARE_MAX_DIM:
-        left = _squared(b, rows, states, c, steps.bit_length() - 1)
-        if not left.size:
-            return
-        b, c, rows = b[left], c[left], [rows[j] for j in left.tolist()]
-    k, m = len(rows), b.shape[-1]
-    # per slice: its iterate and bracket, its block, and its bracket width
-    # at the last window mark
-    v, lo, hi = np.full((k, m), 1.0 / m), np.full(k, -math.inf), np.full(k, math.inf)
-    rows, last = np.array(rows), hi
+        left = _squared(b, rows, states, c, steps.bit_length() - 1).tolist()
+    for j in left:
+        one = b if not dense else b[0] if len(b) == 1 else b[j].copy()
+        states[rows[j]] = _stepped(one, c[j])
+
+
+def _stepped(b, c) -> float | tuple:
+    """Power steps from 1/m on one shifted block b = A + cI, CSR or a dense (m, m) array.
+
+    A step is only its product, its sum and a division, v <- b v / sum(b v):
+    a gemv or a CSR product on the (m,) iterate.  The steps of a read, at
+    most `_READ` and never past a `_WINDOW` mark, leave their products
+    and iterates in a buffer allocated once.  The read then forms the
+    Collatz-Wielandt ratios of all its steps at once, over the products,
+    and their bracket [lo, hi] per step.  A bracket closes at `_width`:
+    DEFAULT_TOL relative to A's upper bound hi - c, or the rounding floor
+    m eps hi if that is wider.  Where Noda takes over (`_power_steps`),
+    the stall rule (`_slow`) reads the bracket at each mark.  So the
+    block closes or stalls at the step, and with the float, it would with
+    its bracket read after every step.  Returns the midpoint, less c, of
+    the first closed bracket, else (B, v, lo, hi, steps run, c, 0) once
+    the power steps are spent or the block stalls.
+    """
+    steps, may_stall = _power_steps(b)
+    dense = not sparse.issparse(b)
+    m = b.shape[-1]
     # a read's r + 1 iterates and r products (then their ratios), and the
-    # brackets read from them, about 6 r k floats, hold at most
-    # _STACK_BYTES; the slices left use the first k of each
-    fits = max(1, min(_READ, (_STACK_BYTES // (8 * k) - m) // (2 * m + 6)))
-    x, w = np.empty((fits + 1, k, m)), np.empty((fits, k, m))
-
-    def views(k: int) -> tuple[list, list, list, list]:
-        """Each step's iterate and product as views: (k, m) rows, then the
-        (k, m, 1) columns a stack's product takes, or one block's (m,) rows."""
-        xk, wk = x[:, :k], w[:, :k]
-        xs, ws = (xk[..., None], wk[..., None]) if k > 1 else (xk[:, 0], wk[:, 0])
-        return list(xk), list(wk), list(xs), list(ws)
-
-    xk, wk, xs, ws = views(k)
-    one = b[0] if dense else b
-    ran = 0
+    # brackets read from them, hold at most _STACK_BYTES
+    fits = max(1, min(_READ, (_STACK_BYTES // 8 - m) // (2 * m + 6)))
+    x, w = np.empty((fits + 1, m)), np.empty((fits, m))
+    x[0] = 1.0 / m
+    lo, hi, ran = -math.inf, math.inf, 0
+    last = hi  # the bracket width at the last window mark
     while ran < steps:
         r = min(fits, steps - ran, _WINDOW - ran % _WINDOW)
-        xk[0][...] = v
         for i in range(r):
-            if k > 1:  # one gemv a slice, then each slice's sum
-                np.matmul(b, xs[i], out=ws[i])
-                np.divide(wk[i], np.add.reduce(wk[i], axis=1, keepdims=True), out=xk[i + 1])
-                continue
-            if dense:  # one block: a gemv or a CSR product, then its sum
-                np.matmul(one, xs[i], out=ws[i])
+            if dense:
+                np.matmul(b, x[i], out=w[i])
             else:
-                ws[i][...] = one @ xs[i]
-            np.divide(ws[i], np.add.reduce(ws[i]), out=xs[i + 1])
+                w[i] = b @ x[i]
+            np.divide(w[i], np.add.reduce(w[i]), out=x[i + 1])
         ran += r
-        ratios = np.divide(w[:r, :k], x[:r, :k], out=w[:r, :k])
-        lows, highs = np.minimum.reduce(ratios, axis=2), np.maximum.reduce(ratios, axis=2)
+        ratios = np.divide(w[:r], x[:r], out=w[:r])
+        lows, highs = np.minimum.reduce(ratios, axis=1), np.maximum.reduce(ratios, axis=1)
         target = _width(highs, c, m)
         closing = highs - lows <= target
-        v, lo, hi = xk[r], lows[-1], highs[-1]
-        closed = closing.any(axis=0)
-        leaving = closed.any()
-        if leaving:
-            for j in np.flatnonzero(closed).tolist():
-                i = int(closing[:, j].argmax())
-                states[rows[j]] = float((lows[i, j] + highs[i, j]) / 2.0 - c[j])
-            if closed.all():
-                return
+        if closing.any():
+            i = int(closing.argmax())
+            return float((lows[i] + highs[i]) / 2.0 - c)
+        x[0], lo, hi = x[r], lows[-1], highs[-1]
         if may_stall and ran % _WINDOW == 0:
-            slow = _slow(hi - lo, last, steps - ran, target[-1]) & ~closed
+            if _slow(hi - lo, last, steps - ran, target[-1]):
+                break
             last = hi - lo
-            for j in np.flatnonzero(slow).tolist():
-                states[rows[j]] = _handed_over(b, j, v, lo, hi, ran, c)
-                closed[j] = leaving = True
-        if leaving:
-            kept = np.flatnonzero(~closed)
-            k = kept.size
-            if not k:
-                return
-            b = b[kept] if dense else b
-            c, v, lo, hi, rows, last = (a[kept] for a in (c, v, lo, hi, rows, last))
-            xk, wk, xs, ws = views(k)
-            one = b[0] if dense else b
-    for j in range(k):
-        states[rows[j]] = _handed_over(b, j, v, lo, hi, steps, c)
+    return (b, x[0].copy(), lo, hi, ran, c, 0)
 
 
 def _squared(b: np.ndarray, rows: list[int], states: list, c, squarings: int) -> np.ndarray:
@@ -452,7 +420,7 @@ def _squared(b: np.ndarray, rows: list[int], states: list, c, squarings: int) ->
     sums of B squared J times, each square rescaled by its own largest
     entry per slice, and its Collatz-Wielandt bracket (B v) / v is read
     once, against B itself, so it bounds the root whatever rounding v
-    took; it closes at `_width`, as in `_power`.  states[rows[j]] gets a
+    took; it closes at `_width`, as in `_stepped`.  states[rows[j]] gets a
     closed slice's midpoint less c, or (B, v, lo, hi, 2^J, c, J) for Noda.
     Each slice runs the gemm, gemv and reductions its block runs alone.
     Returns the positions of the slices whose iterate has a zero,
@@ -473,20 +441,9 @@ def _squared(b: np.ndarray, rows: list[int], states: list, c, squarings: int) ->
     for j in np.flatnonzero(usable).tolist():
         if closed[j]:
             states[rows[j]] = float((lo[j] + hi[j]) / 2.0 - c[j])
-        else:
-            states[rows[j]] = _handed_over(b, j, v, lo, hi, 1 << squarings, c, squarings)
+        else:  # a copy frees the rest of the stack
+            states[rows[j]] = (b[j].copy(), v[j].copy(), lo[j], hi[j], 1 << squarings, c[j], squarings)
     return np.flatnonzero(~usable)
-
-
-def _handed_over(b, j: int, v, lo, hi, ran: int, c, squarings: int = 0) -> tuple:
-    """Slice j's open state (B, v, lo, hi, ran, c, squarings), B a CSR block or a dense (m, m) array.
-
-    v is B's power iterate `ran`, reached by `squarings` squarings, or by
-    `ran` power steps when that is 0.
-    """
-    if not sparse.issparse(b):
-        b = b[j] if len(b) == 1 else b[j].copy()  # a copy frees the rest of the stack
-    return (b, v[j].copy(), lo[j], hi[j], ran, c[j], squarings)
 
 
 def _slow(width, last, left: int, target):
@@ -494,9 +451,9 @@ def _slow(width, last, left: int, target):
 
     True when the width did not shrink over the window, or when shrinking
     by the same factor in each window the `left` steps start still leaves
-    it above `target`, the width it closes at (`_width`).  Takes floats
-    or arrays alike and uses only products, so a slice of a lockstep
-    stack gets the answer its block gets alone.
+    it above `target`, the width it closes at (`_width`).  The factor
+    over all those windows is formed by repeated squaring, with products
+    only; the stall steps the tests pin rest on these products.
     """
     ratio = np.minimum(width / last, 1.0)
     final = width

@@ -164,10 +164,6 @@ class CollisionSystem:
     nodes: CollisionNodes
 
     @property
-    def order(self) -> int:
-        return self.nodes.order
-
-    @property
     def initial(self) -> np.ndarray:
         return self.nodes.initial
 

@@ -35,10 +35,9 @@ checks:
   shifted by a quarter of its largest row sum, with the relative stop
   and its rounding floor, no stall exit and no hand-over, reading the
   bracket after every step; it checks, float for float, every radius
-  the package closes by power iteration, whether its block iterated
-  alone or in a lockstep stack.  ``power_iteration_close`` also gives
-  the step that closed the bracket, which the package's reads of
-  several steps at once must meet.
+  the package closes by power iteration.  ``power_iteration_close``
+  also gives the step that closed the bracket, which the package's
+  reads of several steps at once must meet.
 - ``squared_iterate_radius`` reads the Collatz-Wielandt bracket once, at
   the power iterate 2^J of a dense block shifted as above, reached by J
   squarings, each rescaled by its largest entry; it checks, float for

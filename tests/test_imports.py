@@ -104,7 +104,7 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     # dense 16-state chain's Hadamard power is irreducible, so growth_rate's
     # sweeps hand it to irreducible_growth uncut (the BSC system's rate takes
     # the lumped matrix and never builds A); the block chain's eight 2-node
-    # blocks iterate in one lockstep stack
+    # blocks are squared as one stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"

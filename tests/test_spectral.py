@@ -514,11 +514,11 @@ def _radii_and_exits(blocks, **patches):
 @given(st.integers(0, 2**32 - 1), st.integers(1, 8))
 @settings(max_examples=20, deadline=None)
 def test_stall_exit_leaves_closing_radii_alone(seed, count):
-    # dense blocks of one size iterate in lockstep, beside CSR blocks; a
-    # window longer than any budget switches the stall exit off.  Every
-    # block closes; one that power iteration closes keeps the float it has
-    # with the stall exit off, and one handed over to Noda lies within
-    # its closing width of the exact root
+    # dense blocks of one size, beside CSR blocks, each take their power
+    # steps alone; a window longer than any budget switches the stall
+    # exit off.  Every block closes; one that power iteration closes
+    # keeps the float it has with the stall exit off, and one handed
+    # over to Noda lies within its closing width of the exact root
     rng = np.random.default_rng(seed)
     blocks = [_stall_block(rng) for _ in range(count)]
     radii, exits = _radii_and_exits(blocks)
@@ -553,10 +553,10 @@ def _mixed_block(rng, kind):
 )
 @settings(max_examples=30, deadline=None)
 def test_radii_match_plain_power_iteration(seed, kinds):
-    # CSR blocks iterate alone, dense blocks of one size in lockstep
-    # stacks, sticky ones among them hand over to Noda, and a 1x1 block is
-    # its entry; plain power iteration on each block alone is the
-    # reference for every radius that closes without a hand-over
+    # every block takes its power steps alone, sticky ones among them
+    # hand over to Noda, and a 1x1 block is its entry; plain power
+    # iteration on each block is the reference for every radius that
+    # closes without a hand-over
     # (with a squaring cut of 0 nodes, so the dense blocks take power
     # steps too; `test_small_dense_blocks_read_their_squared_iterate`
     # checks them within the cut)
@@ -718,8 +718,8 @@ def _states_after(blocks, budget):
 
 # (kind, seed) of `_mixed_block`s whose bracket, read after every step,
 # first closes at the given step: the first step of a read of _READ = 8,
-# its last, a _WINDOW mark (32), and the dense 3-node blocks of one
-# stack, which close in the third, fourth and fifth reads
+# its last, a _WINDOW mark (32), and dense 3-node blocks of one size,
+# which close in the third, fourth and fifth reads
 CLOSING_BLOCKS = {
     "first-of-read": [("dense", 1, 25)],
     "last-of-read": [("dense", 64, 24)],
@@ -1183,14 +1183,20 @@ class TestGrowthRate:
         assert entropy_rate(hmm, alpha).rho_plus == radius
 
     @pytest.mark.parametrize(
-        "seed,sizes,sticky",
-        [pytest.param(seed, [1, 3, 1, 12, 40, 2, 1, 25], False, id=str(seed)) for seed in range(6)]
-        # 24 dense 4-node blocks and 6 dense 2-node blocks iterate in two
-        # lockstep stacks, beside three CSR blocks; the last 2-node block is
-        # a sticky chain's Hadamard square, which hands over to Noda
-        + [pytest.param(6, [4] * 24 + [40, 2, 2, 30, 2, 2, 40, 2, 2], True, id="lockstep")],
+        "seed,sizes,sticky,dense_max",
+        [
+            pytest.param(seed, [1, 3, 1, 12, 40, 2, 1, 25], False, 19, id=str(seed))
+            for seed in range(6)
+        ]
+        # 24 dense 4-node blocks and 6 dense 2-node blocks are squared in
+        # two stacks, beside three CSR blocks; the last 2-node block is a
+        # sticky chain's Hadamard square, which hands over to Noda
+        + [pytest.param(6, [4] * 24 + [40, 2, 2, 30, 2, 2, 40, 2, 2], True, 19, id="lockstep")]
+        # eight dense blocks of two sizes past the squaring cut, each of
+        # which takes its power steps alone
+        + [pytest.param(7, [36, 40] * 4, False, 40, id="dense-past-the-cut")],
     )
-    def test_block_slices_match_submatrix_radii(self, monkeypatch, seed, sizes, sticky):
+    def test_block_slices_match_submatrix_radii(self, monkeypatch, seed, sizes, sticky, dense_max):
         # growth_rate slices blocks out of one copy of A permuted into
         # component order; each radius must be the very float the block's
         # own principal submatrix gives
@@ -1200,8 +1206,9 @@ class TestGrowthRate:
         start = 0
         for k in sizes:
             idx = np.arange(start, start + k)
-            # dense and sparse blocks: a k-cycle plus entries of density 0.9 or 0.1
-            block = rng.random((k, k)) * (rng.random((k, k)) < (0.9 if k < 20 else 0.1))
+            # dense and sparse blocks: a k-cycle plus entries of density 0.9
+            # up to dense_max nodes, else 0.1
+            block = rng.random((k, k)) * (rng.random((k, k)) < (0.9 if k <= dense_max else 0.1))
             block[idx - start, (idx - start + 1) % k] += 0.5
             a[start : start + k, start : start + k] = block
             start += k
