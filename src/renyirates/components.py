@@ -13,17 +13,6 @@ first) is reversed, which gives a topological order of the condensation
 DAG.  Members of a component are listed in increasing index order.  The
 reachable set from a weight vector's support singles out the components
 that govern the growth of u^T A^n 1.
-
-`_strongly_connected` tells, without the pass, whether a graph is one
-component: two vectorised breadth-first sweeps from node 0, forward and
-backward, which give up once they have spent about the pass's cost (a
-long-diameter graph): (n + nnz) // 128 levels, 0 for small graphs.
-`spectral.growth_rate` asks it before the pass, and an A it shows to be
-one component never reaches the pass.  That serves irreducible systems
-that build A: Markov rates, and HMM rates where `tensor.irreducible` is
-undecided (see `entropy._growth`).  No call of the benchmark in `bench/`
-is one at seeds 1-3.  On a dense chain of 4M entries the pass takes
-377 ms and the sweeps 3.2 ms (one thread of a 2-core x86 box).
 """
 
 from __future__ import annotations
@@ -31,14 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionMismatch
 from .nonneg import NonnegMatrix
-
-# Tarjan's pass costs about as much for this many nodes or stored entries
-# as one level of a sweep (about 20 us on a 2-core x86 box).
-_LEVEL_COST = 128
 
 
 @dataclass(frozen=True)
@@ -59,8 +43,10 @@ def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
 
     Iterative Tarjan (R. Tarjan, SIAM J. Comput. 1, 1972) over the CSR
     arrays; the condensation edges come from the stored entries whose
-    endpoints lie in different components.  A one-component graph gets
-    the pass too; `spectral.growth_rate` tells those apart first.
+    endpoints lie in different components.  A rate asks
+    `tensor.irreducible` first, on P's pattern, whether A is one
+    component, and runs the pass only where that is undecided or A is
+    reducible (`entropy._growth`).
     """
     n = a.dim
     indptr = a.csr.indptr.tolist()
@@ -126,68 +112,6 @@ def strongly_connected_components(a: NonnegMatrix) -> ComponentDecomposition:
         component_of=tuple(comp_of.tolist()),
         dag_edges=frozenset(zip(src[cross].tolist(), dst[cross].tolist())),
     )
-
-
-def _strongly_connected(csr: sparse.csr_array) -> bool:
-    """Whether node 0 reaches every node and every node reaches node 0.
-
-    The forward sweep gathers, level by level, the CSR rows of the nodes
-    it reached last.  The backward sweep marks, level by level, the rows
-    with a positive product against the indicator of the columns it
-    reached last, one product with A a level, so no transposed copy is
-    formed.  csr is a NonnegMatrix's, whose stored entries are all
-    positive, so a product is positive exactly on the rows with a stored
-    entry there, and both sweeps see the graph Tarjan's pass sees.  A
-    gather costs about what Tarjan's pass spends on 128 nodes or entries,
-    a product that plus as much again for every 16384 stored entries;
-    both sweeps share a budget of (n + nnz) // 128 gathers, so a
-    long-diameter graph gives up after about Tarjan's own cost.  False
-    when a sweep misses a node or the budget runs out.
-    """
-    n, nnz = csr.shape[0], csr.nnz
-    indptr, indices = csr.indptr, csr.indices
-
-    def successors(frontier: np.ndarray) -> np.ndarray:
-        start = indptr[frontier]
-        size = indptr[frontier + 1] - start
-        offset = np.repeat(start - (np.cumsum(size) - size), size)
-        hit = np.zeros(n, dtype=bool)
-        hit[indices[offset + np.arange(offset.size)]] = True
-        return hit
-
-    def predecessors(frontier: np.ndarray) -> np.ndarray:
-        marked = np.zeros(n)
-        marked[frontier] = 1.0
-        return csr @ marked > 0
-
-    levels = _sweep(successors, n, (n + nnz) // _LEVEL_COST, 1)
-    return levels >= 0 and _sweep(predecessors, n, levels, 1 + nnz // _LEVEL_COST**2) >= 0
-
-
-def _sweep(step, n: int, levels: int, cost: int, start: int = 0, absent=None) -> int:
-    """Budget left once a breadth-first sweep from `start` reaches all n nodes.
-
-    step(frontier) marks the neighbours of the nodes first reached at the
-    level before; each level takes `cost` from `levels`.  Indices marked
-    in the boolean array `absent` are no nodes: they count as reached and
-    are never a frontier.  Returns -1 when the sweep stops short of a node
-    and -2 when the budget runs out first.
-    """
-    seen = np.zeros(n, dtype=bool) if absent is None else absent.copy()
-    seen[start] = True
-    frontier = np.array([start], dtype=np.intp)
-    reached = np.count_nonzero(seen)
-    while reached < n:
-        if frontier.size == 0:
-            return -1
-        if levels < cost:
-            return -2
-        levels -= cost
-        fresh = step(frontier) & ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-        reached += frontier.size
-    return levels
 
 
 def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> frozenset[int]:

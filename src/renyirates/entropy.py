@@ -18,9 +18,11 @@ a rate is refused only by a build its path runs; `entropy_rate`,
 it, so the report and the rate agree float for float.  A fully observed
 chain's system is the Hadamard power P^(o alpha), formed as a dense array
 (`_hadamard_system`): its finite lengths pass that array to the power
-sum, and its rates wrap it once in CSR for the component split.  A
-length-n realization uses exponent n - 1, validated against the
-brute-force oracle.  All values are in bits (log base 2).
+sum, its rate takes the radius on it when `tensor.irreducible` finds it
+irreducible on P's pattern, and any other chain's rate wraps it once in
+CSR for the component split.  A length-n realization uses exponent
+n - 1, validated against the brute-force oracle.  All values are in bits
+(log base 2).
 """
 
 from __future__ import annotations
@@ -123,23 +125,27 @@ def finite_length_entropy(hmm: HiddenMarkovModel, alpha: int, n: int) -> Entropy
 
 def _growth(
     model: MarkovChain | HiddenMarkovModel, alpha: float
-) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | CollisionNodes]:
+) -> tuple[float, GrowthAnalysis, tuple[str, ...], NonnegMatrix | np.ndarray | CollisionNodes]:
     """The rate's analysis: checked order, growth analysis, A's labels, and A or its nodes.
 
-    The one place that chooses a rate path.  A chain's A is P^(o alpha),
-    split into components.  An HMM's nodes, nu and labels are listed
+    The one place that chooses a rate path, asking `tensor.irreducible`
+    once whether A is one component.  A chain's A is P^(o alpha), a dense
+    array: when it is irreducible, its radius is taken on that array
+    (`irreducible_growth`), and otherwise it is wrapped in CSR and
+    `growth_rate` splits it.  An HMM's nodes, nu and labels are listed
     first by `tensor.collision_nodes`, since both paths need them.  A is
-    not built when `tensor.irreducible` finds it irreducible: the
-    analysis then has one component of all A's nodes, whose radius is
-    rho(K~) (`irreducible_growth`), reachable when nu has mass, and the
-    nodes are returned in A's place, for `collision_system` to build A
-    on.  Otherwise A is built on them and `growth_rate` splits it, each
-    radius taken from its own block of A.  The labels are A's, in A's
-    node order, on every path.  Each build checks itself, so a rate is
-    refused only by a build its path runs.
+    not built when it is irreducible: the analysis then has one
+    component of all A's nodes, whose radius is rho(K~), reachable when
+    nu has mass, and the nodes are returned in A's place, for
+    `collision_system` to build A on.  Otherwise A is built on them and
+    `growth_rate` splits it, each radius taken from its own block of A.
+    The labels are A's, in A's node order, on every path.  Each build
+    checks itself, so a rate is refused only by a build its path runs.
     """
     if isinstance(model, MarkovChain):
         alpha, a, u = _hadamard_system(model, alpha)
+        if irreducible(model, alpha):
+            return alpha, irreducible_growth(u, a), model.states, a
         a = NonnegMatrix.from_dense(a)
         return alpha, growth_rate(a, u), model.states, a
     alpha = _order(alpha)

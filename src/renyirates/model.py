@@ -69,9 +69,14 @@ def _validated_distribution(v: np.ndarray, what: str) -> np.ndarray:
 
 
 def _checked_labels(labels, n: int, what: str) -> tuple[str, ...]:
-    """n distinct string labels; "1" .. "n" when none are given."""
+    """n distinct string labels; "1" .. "n" when none are given.
+
+    A string is refused, not split into one label a character.
+    """
     if labels is None:
         return tuple(str(i + 1) for i in range(n))
+    if isinstance(labels, str):
+        raise InvalidLabel(f"{what} labels must be a sequence of strings, not {labels!r}")
     labels = tuple(labels)
     if len(labels) != n:
         raise DimensionMismatch(f"{len(labels)} {what} labels for {n} {what}s")

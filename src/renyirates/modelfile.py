@@ -5,7 +5,7 @@ Required keys: "format" (currently 1), "kind" ("markov" or "hmm"),
 "initial" (distribution over states).  HMM models additionally carry
 either an explicit channel ("observations" + "emission") or a
 deterministic "observation_map" from state label to symbol.  Unknown
-keys are rejected.
+keys are rejected, and so is a key repeated within one object.
 """
 
 from __future__ import annotations
@@ -97,9 +97,19 @@ def _reject_constant(name: str):
     raise ModelFormatError(f"non-finite number {name} in model file")
 
 
+def _unique_fields(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ModelFormatError(f"repeated field {repeated!r} in model file")
+    return doc
+
+
 def load_model(path: str | Path) -> MarkovChain | HiddenMarkovModel:
     try:
-        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        text = Path(path).read_text()
+        doc = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     return parse_model(doc)

@@ -49,14 +49,13 @@ blocks a power step is mostly interpreter cost, so 9 small matmuls
 replace the 32 to 72 steps a lumped HMM block takes and the 64 before
 a sticky chain's hand-over.
 
-`growth_rate` hands an A that `components._strongly_connected`, or
-else Tarjan's pass, shows to be one component to `irreducible_growth`
-uncut, and otherwise takes all the radii of a call in one pass, cut
-from A in one pass too (`_radius_blocks`).  Dense blocks of one size
-within the squaring cut are squared as one (k, m, m) stack, slice by
-slice (`_squared`).  Every other block, and each slice whose squared
-iterate underflowed, takes its power steps alone, in one loop
-(`_stepped`).  A step is only its product, a gemv or a CSR product, a
+`growth_rate` hands an A that Tarjan's pass finds to be one component
+to `irreducible_growth` uncut, and otherwise takes all the radii of a
+call in one pass, cut from A in one pass too (`_radius_blocks`).  Dense
+blocks of one size within the squaring cut are squared as one (k, m, m)
+stack, slice by slice (`_squared`).  Every other block, and each slice
+whose squared iterate underflowed, takes its power steps alone, in one
+loop (`_stepped`).  A step is only its product, a gemv or a CSR product, a
 sum and a division; the steps leave their products and iterates in a
 small buffer, and the Collatz-Wielandt brackets of eight steps are read
 at once.  A block's radius comes from the first step whose bracket
@@ -65,9 +64,11 @@ read step by step.  A 1x1 block is its entry, with no iteration.
 
 `irreducible_growth` alone builds the decomposition of one component of
 all A's nodes, whose radius is the Perron root of a matrix with A's
-root, iterated as given: A itself from `growth_rate`, or K lumped onto
-multisets of hidden states, K~, for an HMM whose A `tensor.irreducible`
-shows irreducible, and which never builds A.
+root, in the form `_operand` picks: A itself from `growth_rate`,
+P^(o alpha) for a fully observed chain that `tensor.irreducible` shows
+irreducible, held as CSR only when at most a quarter of its entries are
+stored, or K lumped onto multisets of hidden states, K~, for such an
+HMM, which never builds A.
 
 Finite lengths of an HMM run on K lumped onto multisets of hidden states
 (see `tensor`); a fully observed chain's run on P^(o alpha), passed as a
@@ -100,7 +101,6 @@ from scipy import sparse
 
 from .components import (
     ComponentDecomposition,
-    _strongly_connected,
     reachable_components,
     strongly_connected_components,
 )
@@ -569,15 +569,12 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
     """Exact growth rate of u^T A^n 1: the maximum radius over reachable components.
 
     u is checked against A first.  An A of more than one node that
-    `components._strongly_connected` shows to be one component goes to
-    `irreducible_growth` uncut, and so does one that Tarjan's pass finds
-    to be one (the sweeps have no budget on small graphs).  Otherwise
-    a singleton component's radius is its diagonal entry, and a
-    multi-node component's is the Perron root of its own block of A.
+    Tarjan's pass finds to be one component goes to `irreducible_growth`
+    uncut.  Otherwise a singleton component's radius is its diagonal
+    entry, and a multi-node component's is the Perron root of its own
+    block of A.
     """
     u = _checked_weights(u, a.dim)
-    if a.dim > 1 and _strongly_connected(a.csr):
-        return irreducible_growth(u, a)
     decomp = strongly_connected_components(a)
     if a.dim > 1 and decomp.n_components == 1:
         return irreducible_growth(u, a)
@@ -590,18 +587,20 @@ def growth_rate(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
     return _analysis(decomp, radii, u)
 
 
-def irreducible_growth(u: np.ndarray, k: NonnegMatrix) -> GrowthAnalysis:
+def irreducible_growth(u: np.ndarray, k: NonnegMatrix | np.ndarray) -> GrowthAnalysis:
     """The growth of an irreducible A of len(u) nodes from k, rho(k) = rho(A).
 
     The one place that builds A's decomposition of one component, as
-    Tarjan's pass gives it; its radius is k's Perron root, taken on k as
-    given.  The caller vouches for len(u), A's irreducibility and k's
-    root: k is A itself (`growth_rate`) or K~ (`tensor.irreducible`).
+    Tarjan's pass gives it; its radius is k's Perron root, taken on k in
+    the form `_operand` picks, so a dense k with at most a quarter of its
+    entries stored runs as CSR.  The caller vouches for len(u), A's
+    irreducibility and k's root: k is A itself (`growth_rate`), or
+    P^(o alpha) for a chain or K~ for an HMM (`tensor.irreducible`).
     """
     n = np.shape(u)[0]
     u = _checked_weights(u, n)
     decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
-    return _analysis(decomp, tuple(_perron_radii([k])), u)
+    return _analysis(decomp, tuple(_perron_radii([_operand(k)])), u)
 
 
 def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:

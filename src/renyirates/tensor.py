@@ -42,8 +42,9 @@ Permuting the coordinates can map one component of K onto another, so
 K~'s components are not A's (a 3-cycle observed through one symbol has
 3 at alpha = 2, K~ only 2).  But K's are: node (t, z) of A has the
 successors of t in K.  `irreducible` sweeps K's pattern over X^alpha to
-decide whether A is one component; when it is, its rate is rho(K~), and
-no node needs a row of K~.  K~ enumerates no more successor entries than
+decide whether A is one component (a fully observed chain's A, too, on
+P's own pattern); when it is, its rate is rho(K~), and no node needs a
+row of K~.  K~ enumerates no more successor entries than
 A stores (`_lumped_count`), so that path, which never builds A, is
 always taken; only K~'s listing of every multiset of X can be refused
 where A would fit.  `collision_nodes` lists A's nodes and nu without
@@ -73,9 +74,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .components import _LEVEL_COST, _sweep
 from .errors import DimensionOverflow
-from .model import HiddenMarkovModel, _hmm_order
+from .model import HiddenMarkovModel, MarkovChain, _chain_order, _hmm_order
 from .nonneg import NonnegMatrix, _csr_arrays
 
 # The byte budget of every build.  collision_system: 12 for each stored
@@ -96,11 +96,14 @@ _BUILD_BYTES = 2**30
 
 # `irreducible` trusts patterns while every product of alpha entries of P
 # and alpha of E is at least 2^-1000, far from underflow (2^-1022 is the
-# smallest normal double).  Its levels count as those of
-# `components._sweep` (about 20 us each), one more for every 2^16
-# multiply-adds, and the collision build it saves as 32 at least.
+# smallest normal double).  A level of its sweeps (`_sweep`) costs one
+# unit, about 20 us on a 2-core x86 box, one more for every 2^16
+# multiply-adds.  Tarjan's pass on A costs about a unit for every 128
+# nodes or stored entries, and an HMM's collision build, which the sweeps
+# save, 32 units at least.
 _SAFE_PRODUCT_LOG2 = -1000.0
 _PRODUCT_COST = 2**16
+_LEVEL_COST = 128
 _BUILD_LEVELS = 32
 
 
@@ -476,47 +479,66 @@ def collision_nodes(hmm: HiddenMarkovModel, alpha: int) -> CollisionNodes:
     )
 
 
-def irreducible(hmm: HiddenMarkovModel, alpha: int) -> bool | None:
+def irreducible(model: MarkovChain | HiddenMarkovModel, alpha: float) -> bool | None:
     """Whether the collision matrix A is irreducible, decided without building it.
 
-    Node (t, z) of A has the nodes of t's successors in K as its own, so
-    when K has more than one row, A is irreducible exactly when K is.  K's
-    reachability is swept matrix-free on a dense array over X^alpha, the
-    tensor-descriptor product of B. Fernandes, B. Plateau and W. J.
-    Stewart (J. ACM 45, 1998) on the pattern: one level is a mode product
-    with P's pattern along every axis (P's transposed pattern sweeping
-    backward), masked by w > 0.  Both sweeps start from the first tuple
-    with w > 0; A is irreducible when both reach every such tuple, and
-    reducible when one stops short.
+    A fully observed chain's A is P^(o alpha), which has P's pattern at
+    every order `entropy._hadamard_system` takes (it refuses one that
+    underflows a positive entry): every state is a node, and K is P.  An
+    HMM's node (t, z) of A has the nodes of t's successors in K as its
+    own, so when K has more than one row, A is irreducible exactly when
+    K is.  K's reachability is swept matrix-free on a dense array over
+    X^alpha, the tensor-descriptor product of B. Fernandes, B. Plateau
+    and W. J. Stewart (J. ACM 45, 1998) on the pattern: one level is a
+    mode product with P's pattern along every axis (P's transposed
+    pattern sweeping backward), masked by w > 0.  A chain's level is one
+    product with P itself, with no pattern copy: each term is an entry of
+    P times 1, so the product is positive exactly on the successors.
+    Both sweeps start from the first tuple with w > 0; A is irreducible
+    when both reach every such tuple, and reducible when one stops short.
 
-    None (undecided) when some product of alpha entries of P and alpha of
-    E could drop below 2^-1000, since the pattern stands for A only if no
-    product underflows; when K has at most one row; and once the sweeps
-    have spent about what the collision build and Tarjan's pass on A
-    would cost: the budget of `components._strongly_connected` on A's
-    nodes and entries, plus 32 levels for the build's fixed cost (about
-    0.7 ms).  A level costs one unit, about 20 us, plus one for every
-    2^16 multiply-adds of its products.  None too, before any array is
-    formed, when the sweep's arrays, 32 bytes a tuple of X^alpha, would
-    hold more than 1 GiB; the mask of tuples with w > 0 is built one
-    symbol at a time, within that.
+    None (undecided) when K has at most one row, and once the sweeps have
+    spent about what Tarjan's pass on A would cost: (n + nnz) // 128
+    levels for A's n nodes and nnz entries, plus, for an HMM, 32 levels
+    for the collision build's fixed cost (about 0.7 ms).  A level costs
+    one unit, about 20 us, plus one for every 2^16 multiply-adds of its
+    products.  For an HMM, None too when some product of alpha entries of
+    P and alpha of E could drop below 2^-1000, since the pattern stands
+    for A only if no product underflows; and, before any array is formed,
+    when the sweep's arrays, 32 bytes a tuple of X^alpha, would hold more
+    than 1 GiB; the mask of tuples with w > 0 is built one symbol at a
+    time, within that.
     """
+    if isinstance(model, MarkovChain):
+        _chain_order(alpha)
+        p = model.transition
+        levels = (len(p) + int(np.count_nonzero(p))) // _LEVEL_COST
+        return _one_component(p, 1, np.ones(len(p), dtype=bool), levels)
     alpha = _order(alpha)
-    e = hmm.emission
-    nx = hmm.n_states
-    if not _underflow_free(alpha, hmm.chain.transition, e) or 32 * nx**alpha > _BUILD_BYTES:
+    e = model.emission
+    nx = model.n_states
+    if not _underflow_free(alpha, model.chain.transition, e) or 32 * nx**alpha > _BUILD_BYTES:
         return None
-    pattern = hmm.chain.transition > 0
+    pattern = model.chain.transition > 0
     emits = e > 0
-    n = _candidates(emits, alpha)
-    levels = _BUILD_LEVELS + (n + _stored_entries(pattern, emits, alpha)) // _LEVEL_COST
-    cost = 1 + alpha * nx ** (alpha + 1) // _PRODUCT_COST
     nodes = np.zeros((nx,) * alpha, dtype=bool)
     for s in emits.T:
         nodes |= reduce(np.logical_and.outer, [s] * alpha)
-    nodes = nodes.ravel()
+    levels = (_candidates(emits, alpha) + _stored_entries(pattern, emits, alpha)) // _LEVEL_COST
+    return _one_component(pattern.astype(float), alpha, nodes.ravel(), _BUILD_LEVELS + levels)
+
+
+def _one_component(p: np.ndarray, alpha: int, nodes: np.ndarray, levels: int) -> bool | None:
+    """Whether p^(tensor alpha), restricted to the tuples marked in `nodes`, is one component.
+
+    The two sweeps of `irreducible` share `levels`, at 1 + alpha nx^(alpha+1)
+    // 2^16 units a level; None when fewer than two tuples are marked or
+    the budget runs out.
+    """
     if np.count_nonzero(nodes) < 2:
         return None
+    nx = len(p)
+    cost = 1 + alpha * nx ** (alpha + 1) // _PRODUCT_COST
 
     def image(step_pattern: np.ndarray):
         def step(frontier: np.ndarray) -> np.ndarray:
@@ -530,11 +552,36 @@ def irreducible(hmm: HiddenMarkovModel, alpha: int) -> bool | None:
         return step
 
     start, absent = int(np.argmax(nodes)), ~nodes
-    pattern = pattern.astype(float)
-    levels = _sweep(image(pattern), nodes.size, levels, cost, start, absent)
+    levels = _sweep(image(p), nodes.size, levels, cost, start, absent)
     if levels >= 0:
-        levels = _sweep(image(pattern.T), nodes.size, levels, cost, start, absent)
+        levels = _sweep(image(p.T), nodes.size, levels, cost, start, absent)
     return None if levels == -2 else levels >= 0
+
+
+def _sweep(step, n: int, levels: int, cost: int, start: int, absent: np.ndarray) -> int:
+    """Budget left once a breadth-first sweep from `start` reaches all n nodes.
+
+    step(frontier) marks the neighbours of the nodes first reached at the
+    level before; each level takes `cost` from `levels`.  Indices marked
+    in the boolean array `absent` are no nodes: they count as reached and
+    are never a frontier.  Returns -1 when the sweep stops short of a node
+    and -2 when the budget runs out first.
+    """
+    seen = absent.copy()
+    seen[start] = True
+    frontier = np.array([start], dtype=np.intp)
+    reached = np.count_nonzero(seen)
+    while reached < n:
+        if frontier.size == 0:
+            return -1
+        if levels < cost:
+            return -2
+        levels -= cost
+        fresh = step(frontier) & ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+        reached += frontier.size
+    return levels
 
 
 def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:

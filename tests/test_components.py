@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,17 +8,25 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from renyirates import (
+    MarkovChain,
     NonnegMatrix,
     collision_system,
-    components,
+    entropy,
     growth_rate,
     reachable_components,
     spectral,
     strongly_connected_components,
+    tensor,
+    validate_chain,
 )
 from renyirates.errors import DimensionMismatch
 from renyirates.modelfile import load_model
-from renyirates.random_models import random_hmm, random_nonneg_matrix, random_nonneg_vector
+from renyirates.random_models import (
+    random_chain,
+    random_hmm,
+    random_nonneg_matrix,
+    random_nonneg_vector,
+)
 from renyirates.spectral import GrowthAnalysis
 
 from conftest import FIXTURES, RESTRICTED_EXAMPLE
@@ -175,12 +182,6 @@ class TestSccAgainstReference:
         assert decomp.dag_edges == frozenset()
 
 
-def _tarjan_growth(a: NonnegMatrix, u: np.ndarray) -> GrowthAnalysis:
-    """`growth_rate` with the irreducible shortcut turned off: Tarjan's pass and `_radius_blocks`."""
-    with mock.patch.object(spectral, "_strongly_connected", return_value=False):
-        return growth_rate(a, u)
-
-
 def _assert_same_analysis(ga: GrowthAnalysis, expected: GrowthAnalysis) -> None:
     """Equal decompositions and reachable sets, and radii equal float for float."""
     assert ga.decomposition == expected.decomposition
@@ -190,114 +191,114 @@ def _assert_same_analysis(ga: GrowthAnalysis, expected: GrowthAnalysis) -> None:
     assert hexes == [r.hex() for r in (*expected.component_radii, expected.rho_plus)]
 
 
-def _ring(m: int) -> NonnegMatrix:
-    """m-node ring linked both ways, with self-loops: one component of diameter m // 2.
+def _ring_chain(m: int) -> MarkovChain:
+    """m-state ring moving either way or staying, each with probability 1/3:
+    one component of diameter m // 2, whose Perron vector is uniform."""
+    p, i = np.zeros((m, m)), np.arange(m)
+    p[i, i] = p[i, (i + 1) % m] = p[i, (i - 1) % m] = 1 / 3
+    return validate_chain(p, np.full(m, 1.0 / m))
 
-    The pattern of the sticky ring in test_spectral.py.
-    """
-    i = np.arange(m)
-    rows, cols = np.r_[i, i, (i + 1) % m], np.r_[i, (i + 1) % m, i]
-    return NonnegMatrix(sparse.coo_array((np.ones(3 * m), (rows, cols)), shape=(m, m)))
+
+def _random_chain(rng: np.random.Generator, kind: str) -> MarkovChain:
+    """A random chain of 1-120 states whose pattern is drawn by kind."""
+    n = int(rng.integers(1, 121))
+    zero_prob = 0.0 if kind == "dense" else float(rng.uniform(0.3, 0.99))
+    p = random_nonneg_matrix(rng, n, zero_prob=zero_prob)
+    if kind in ("cycle", "source", "subnormal"):  # a Hamiltonian cycle makes it irreducible
+        p[np.arange(n), (np.arange(n) + 1) % n] += 0.5
+    if kind == "source":  # state 0 reaches every state, none reaches it
+        p[0] += 0.5
+        p[:, 0] = 0.0
+    empty = np.flatnonzero(p.sum(axis=1) == 0)
+    p[empty, empty] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    if kind == "subnormal":  # positive entries far below the rounding of a row sum
+        tiny = (rng.random((n, n)) < 0.2) & (p == 0)
+        p[tiny] = rng.integers(1, 2**30, size=np.count_nonzero(tiny)) * 5e-324
+    pi = random_nonneg_vector(rng, n, zero_prob=0.5)
+    pi[rng.integers(n)] += 1.0
+    return validate_chain(p, pi / pi.sum())
 
 
 class TestIrreducibleShortcut:
-    """`growth_rate` hands an A that the sweeps show to be one component to
-    `irreducible_growth` uncut; Tarjan's pass and `_radius_blocks` take the rest."""
+    """A chain's rate asks `tensor.irreducible`, on P's pattern, whether
+    P^(o alpha) is one component: one that is goes to `irreducible_growth`
+    as the dense array it is, and the rest to Tarjan's pass in `growth_rate`."""
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from(["random", "cycle", "source", "collision"]),
+        st.sampled_from(["dense", "sparse", "cycle", "source", "subnormal"]),
     )
     @settings(max_examples=200, deadline=None)
     def test_decomposition_equals_tarjan(self, seed, kind):
         rng = np.random.default_rng(seed)
-        if kind == "collision":
-            nx, nz, alpha = (int(rng.integers(lo, hi)) for lo, hi in [(1, 5), (1, 4), (2, 4)])
-            hmm = random_hmm(rng, nx, nz, sparsity=float(rng.uniform(0, 0.6)))
-            cs = collision_system(hmm, alpha)
-            a, u = cs.matrix, cs.initial
-        else:
-            n = int(rng.integers(1, 61))
-            dense = random_nonneg_matrix(rng, n, zero_prob=float(rng.uniform(0.3, 0.99)))
-            if kind != "random":  # a Hamiltonian cycle makes it irreducible
-                dense[np.arange(n), (np.arange(n) + 1) % n] += 0.5
-            if kind == "source":  # node 0 reaches every node, none reaches it
-                dense[0] += 0.5
-                dense[:, 0] = 0.0
-            a = NonnegMatrix.from_dense(dense)
-            u = random_nonneg_vector(rng, n, zero_prob=0.5)
-        _assert_same_analysis(growth_rate(a, u), _tarjan_growth(a, u))
+        chain = _random_chain(rng, kind)
+        # an order below 1 keeps subnormal entries positive
+        alpha = float(rng.uniform(0.2, 0.9)) if kind == "subnormal" else float(rng.uniform(1.1, 3))
+        _, a, u = entropy._hadamard_system(chain, alpha)
+        expected = growth_rate(NonnegMatrix.from_dense(a), u)
+        decision = tensor.irreducible(chain, alpha)
+        if decision is not None:
+            assert decision == (expected.decomposition.n_components == 1)
+        _, ga, _, system = entropy._growth(chain, alpha)
+        assert isinstance(system, np.ndarray) == bool(decision)
+        _assert_same_analysis(ga, expected)
 
     @pytest.mark.parametrize("loop", [0.0, 0.7])
     def test_single_node(self, loop):
         a = NonnegMatrix.from_dense([[loop]])
-        _assert_same_analysis(growth_rate(a, [1.0]), _tarjan_growth(a, [1.0]))
+        _assert_same_analysis(growth_rate(a, [1.0]), spectral.irreducible_growth([1.0], a))
         assert strongly_connected_components(a).components == ((0,),)
+        assert tensor.irreducible(validate_chain([[1.0]], [1.0]), 2) is None
 
-    def test_irreducible_collision_system_takes_the_shortcut(self, monkeypatch):
-        cs = collision_system(random_hmm(np.random.default_rng(3), 5, 2), 2)
-        assert components._strongly_connected(cs.matrix.csr)
-        expected = _tarjan_growth(cs.matrix, cs.initial)
-        passes, cuts = [], []
-        monkeypatch.setattr(spectral, "strongly_connected_components", passes.append)
-        monkeypatch.setattr(spectral, "_radius_blocks", lambda *args: cuts.append(1))
-        ga = growth_rate(cs.matrix, cs.initial)
-        assert passes == cuts == []
-        assert ga.decomposition.components == (tuple(range(cs.dimension)),)
-        _assert_same_analysis(ga, expected)
+    @pytest.mark.parametrize("m", [255, 3301])
+    def test_long_ring_falls_back_within_the_level_bound(self, monkeypatch, m):
+        # a ring needs about m // 2 levels a sweep; both sweeps together get
+        # (n + nnz) // 128 units, at 1 + m^2 // 2^16 a level: 7 levels of 1
+        # unit at m = 255, and no level at m = 3301 (103 units, 167 a level)
+        # before Tarjan's pass takes over
+        chain = _ring_chain(m)
+        budget, cost = (m + 3 * m) // 128, 1 + m * m // 2**16
+        spent, passes = [], []
+        sweep, tarjan = tensor._sweep, spectral.strongly_connected_components
 
-    def test_long_ring_falls_back_within_the_level_bound(self, monkeypatch):
-        # the 3301-node ring needs about 1650 levels a sweep; both sweeps
-        # together get (n + nnz) // 128 of them before Tarjan takes over
-        ring = _ring(3301)
-        spent, decided, passes = [], [], []
-        sweep, shortcut = components._sweep, spectral._strongly_connected
-        tarjan = spectral.strongly_connected_components
+        def counted_sweep(step, n, levels, cost, *rest):
+            return sweep(lambda frontier: spent.append(cost) or step(frontier), n, levels, cost, *rest)
 
-        def counted_sweep(step, n, levels, cost):
-            return sweep(lambda frontier: spent.append(cost) or step(frontier), n, levels, cost)
-
-        monkeypatch.setattr(components, "_sweep", counted_sweep)
-        monkeypatch.setattr(
-            spectral, "_strongly_connected", lambda csr: decided.append(shortcut(csr)) or decided[-1]
-        )
+        monkeypatch.setattr(tensor, "_sweep", counted_sweep)
         monkeypatch.setattr(
             spectral, "strongly_connected_components", lambda a: passes.append(1) or tarjan(a)
         )
-        ga = growth_rate(ring, np.ones(ring.dim))
-        assert decided == [False]
-        assert sum(spent) == (ring.dim + ring.nnz) // 128 == 103
+        assert tensor.irreducible(chain, 2) is None
+        assert budget - cost < sum(spent) <= budget
+        _, ga, _, system = entropy._growth(chain, 2)
+        assert isinstance(system, NonnegMatrix)
         assert passes == [1]
-        assert ga.decomposition.components == (tuple(range(3301)),)
+        assert ga.decomposition.components == (tuple(range(m)),)
 
-    def test_irreducible_pass_peaks_below_the_build(self, monkeypatch):
-        # dense 4 states, 3 symbols, alpha = 4: 768 nodes, 589,824 entries;
-        # Tarjan's pass copied the CSR columns into a list and peaked at
-        # 26 MB, while the sweeps that decide growth_rate's path stay far below
-        hmm = random_hmm(np.random.default_rng(0), 4, 3)
-        decided, peaks = [], []
-        shortcut = spectral._strongly_connected
+    def test_dense_irreducible_chain_builds_no_csr(self, monkeypatch):
+        # 2000 dense states: P^(o 2) holds 32 MB; wrapping it in CSR and
+        # running Tarjan's pass on it had peaked at 137 MiB
+        chain = random_chain(np.random.default_rng(1), 2000)
+        _, a, u = entropy._hadamard_system(chain, 2)
+        expected = growth_rate(NonnegMatrix.from_dense(a), u)
+        del a
 
-        def measured(csr):
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            decided.append(shortcut(csr))
-            peaks.append(tracemalloc.get_traced_memory()[1] - held)
-            return decided[-1]
+        def refused(*args):
+            raise AssertionError("built A's CSR form or ran Tarjan's pass")
 
-        monkeypatch.setattr(spectral, "_strongly_connected", measured)
+        monkeypatch.setattr(NonnegMatrix, "from_dense", refused)
+        monkeypatch.setattr(spectral, "strongly_connected_components", refused)
         tracemalloc.start()
         try:
-            cs = collision_system(hmm, 4)
-            build_peak = tracemalloc.get_traced_memory()[1]
-            ga = growth_rate(cs.matrix, cs.initial)
+            held = tracemalloc.get_traced_memory()[0]
+            report = entropy.markov_rate(chain, 2)
+            peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert (cs.dimension, cs.matrix.nnz) == (768, 589824)
-        assert decided == [True]
-        assert ga.decomposition.n_components == 1
-        (scc_peak,) = peaks
-        assert scc_peak < build_peak, f"SCC {scc_peak / 2**20:.1f} MiB, build {build_peak / 2**20:.1f} MiB"
+        assert report.rho_plus.hex() == expected.rho_plus.hex()
+        assert report.component_radii == expected.component_radii
+        assert peak <= 2.5 * 8 * 2000**2, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestReachability:

@@ -101,10 +101,10 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     # each call builds a collision system (or, for an irreducible rate, the
     # lumped matrix), splits it into components and takes their radii; a
     # lazy import on that path would slip past the import-time check.  The
-    # dense 16-state chain's Hadamard power is irreducible, so growth_rate's
-    # sweeps hand it to irreducible_growth uncut (the BSC system's rate takes
-    # the lumped matrix and never builds A); the block chain's eight 2-node
-    # blocks are squared as one stack
+    # dense 16-state chain's Hadamard power is irreducible, so the sweep on
+    # P's pattern hands it to irreducible_growth as a dense array (the BSC
+    # system's rate takes the lumped matrix and never builds A); the block
+    # chain's eight 2-node blocks are squared as one stack
     src = str(Path(renyirates.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
@@ -121,23 +121,23 @@ def test_cli_rate_and_components_do_not_load_heavy_scipy_modules(tmp_path):
     ] + [["rate", str(dense), "--order", "2"]]
     probe = (
         "import contextlib, io, json, sys; import renyirates.cli\n"
-        "from renyirates import spectral\n"
-        "shortcut, power, decided, stacks = spectral._strongly_connected, spectral._power, [], []\n"
-        "spectral._strongly_connected = lambda csr: decided.append(shortcut(csr)) or decided[-1]\n"
+        "from renyirates import entropy, spectral\n"
+        "sweep, power, decided, stacks = entropy.irreducible, spectral._power, [], []\n"
+        "entropy.irreducible = lambda *a: decided.append(sweep(*a)) or decided[-1]\n"
         "spectral._power = lambda b, rows, *rest: stacks.append(len(rows)) or power(b, rows, *rest)\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    codes = [renyirates.cli.main(argv) for argv in {argvs!r}]\n"
-        "print(json.dumps([codes, out.getvalue().count('\\n'), any(decided), max(stacks), "
+        "print(json.dumps([codes, out.getvalue().count('\\n'), decided[-1], max(stacks), "
         f"[m for m in {HEAVY!r} if m in sys.modules]]))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    codes, lines, shortcut_taken, largest_stack, heavy = json.loads(out.stdout)
+    codes, lines, dense_decided, largest_stack, heavy = json.loads(out.stdout)
     assert codes == [0] * 7
     assert lines >= 7
-    assert shortcut_taken
+    assert dense_decided is True
     assert largest_stack == 8
     assert heavy == []
 

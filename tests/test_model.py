@@ -168,6 +168,13 @@ class TestLabels:
         with pytest.raises(InvalidLabel, match="strings"):
             deterministic_observation(example_chain, omap)
 
+    def test_string_is_not_a_sequence_of_labels(self, example_chain):
+        # a str iterates as one-character strings, which were taken as labels
+        with pytest.raises(InvalidLabel, match="state labels must be a sequence of strings, not 'abc'"):
+            validate_chain(P_EXAMPLE, PI_UNIFORM3, states="abc")
+        with pytest.raises(InvalidLabel, match="observation labels .* not 'xyz'"):
+            validate_hmm(example_chain, np.eye(3), observations="xyz")
+
     def test_label_count_still_checked(self, example_chain):
         with pytest.raises(DimensionMismatch):
             validate_chain(P_EXAMPLE, PI_UNIFORM3, states=["a", "b"])

@@ -108,6 +108,23 @@ class TestModelFile:
         with pytest.raises(ModelFormatError):
             parse_model(doc)
 
+    @pytest.mark.parametrize(
+        "name,old,new,field",
+        [
+            ("markov142.model", '\n}', ',\n  "initial": [1.0, 0.0, 0.0]\n}', "initial"),
+            ("markov142.model", '"kind"', '"format": 1, "kind"', "format"),
+            ("fig2.model", '"3": "a"}', '"3": "a", "1": "b"}', "1"),
+        ],
+    )
+    def test_repeated_field_rejected(self, tmp_path, name, old, new, field):
+        # json keeps the last of a repeated key: the file would load its second value
+        text = (FIXTURES / name).read_text()
+        path = tmp_path / "twice.model"
+        path.write_text(text.replace(old, new, 1))
+        assert path.read_text() != text
+        with pytest.raises(ModelFormatError, match=f"repeated field '{field}'"):
+            load_model(path)
+
     def test_bad_version_rejected(self):
         doc = json.loads((FIXTURES / "markov142.model").read_text())
         doc["format"] = 99
@@ -614,6 +631,17 @@ class TestCliContract:
         assert code == 1
         assert out is None
         assert err == "error: invalid hmm: observation map names no state: ['4', 'x']\n"
+
+    @pytest.mark.parametrize("command", ["rate", "components", "entropy", "oracle"])
+    def test_repeated_field_exits_1(self, capsys, tmp_path, command):
+        text = (FIXTURES / "markov142.model").read_text()
+        path = tmp_path / "twice.model"
+        path.write_text(text.replace("\n}", ',\n  "initial": [1.0, 0.0, 0.0]\n}', 1))
+        extra = ["--length", "3"] if command in ("entropy", "oracle") else []
+        code, out, err = run_cli(capsys, command, path, "--order", "2", *extra)
+        assert code == 1
+        assert out is None
+        assert err == "error: repeated field 'initial' in model file\n"
 
     @pytest.mark.parametrize("command", ["rate", "components", "entropy"])
     def test_non_number_entry_exits_1(self, capsys, tmp_path, command):

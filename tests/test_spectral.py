@@ -919,13 +919,12 @@ class TestInputChecks:
         ],
     )
     def test_growth_rate_checks_weights_before_the_shortcut(self, monkeypatch, u, error):
-        # a positive 16 x 16 A takes the shortcut (n + nnz = 272 buys the two
-        # levels its sweeps need), and irreducible_growth reads A's dimension
-        # off len(u), so u must be checked against A before any sweep or radius
+        # a positive 16 x 16 A is one component, and irreducible_growth reads
+        # A's dimension off len(u), so u must be checked against A before any
+        # pass or radius
         a = NonnegMatrix.from_dense(np.random.default_rng(5).uniform(0.1, 1.0, (16, 16)))
-        assert spectral._strongly_connected(a.csr)
         calls = []
-        for name in ("_strongly_connected", "strongly_connected_components", "_perron_radii"):
+        for name in ("strongly_connected_components", "_perron_radii"):
             monkeypatch.setattr(spectral, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(error, match="weight vector"):
             growth_rate(a, u)
@@ -1238,16 +1237,14 @@ class TestGrowthRate:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_one_component_found_by_tarjan_is_not_cut(self, monkeypatch, seed):
-        # a 2-4-node A gets no sweep budget, so Tarjan's pass finds its one
-        # component; its radius is then taken on A uncut, the very float
-        # its cut block gives
+        # Tarjan's pass finds a 2-4-node A's one component; its radius is
+        # then taken on A uncut, the very float its cut block gives
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 5))
         a = rng.random((m, m)) * (rng.random((m, m)) < 0.6)
         a[np.arange(m), np.roll(np.arange(m), -1)] += 0.5  # a cycle through every node
         a = NonnegMatrix.from_dense(a)
         u = random_nonneg_vector(rng, m)
-        assert not spectral._strongly_connected(a.csr)
         decomp = strongly_connected_components(a)
         cut = spectral._perron_radii(spectral._radius_blocks(a.csr, decomp))
         monkeypatch.setattr(spectral, "_radius_blocks", lambda *args: pytest.fail("cut A"))
