@@ -121,8 +121,11 @@ def reachable_components(decomp: ComponentDecomposition, u: np.ndarray) -> froze
     from u alone, with no gather through component_of.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != len(decomp.component_of):
-        raise DimensionMismatch("weight vector length does not match decomposition")
+    n = len(decomp.component_of)
+    if u.shape != (n,):
+        raise DimensionMismatch(
+            f"weight vector of shape {u.shape} does not match decomposition of {n} nodes"
+        )
     if decomp.n_components == 1:
         return frozenset((0,)) if (u > 0).any() else frozenset()
     succ: dict[int, list[int]] = {}

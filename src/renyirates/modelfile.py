@@ -34,7 +34,7 @@ _NUMBER = {int, float}  # JSON numbers; bool, a subclass of int, is not one
 def parse_model(doc: dict) -> MarkovChain | HiddenMarkovModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
+    if type(doc.get("format")) is not int or doc["format"] != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {doc.get('format')!r}")
     kind = doc.get("kind")
     if kind not in ("markov", "hmm"):

@@ -24,21 +24,24 @@ from .errors import DimensionMismatch, NegativeEntry, NonFiniteEntry
 class NonnegMatrix:
     """Square non-negative matrix; immutable after construction.
 
-    Takes any scipy sparse square matrix.  A `csr_array` with sorted
-    columns, no repeated entry and no stored zero is stored as given.
-    Other input is taken as a `csr_array`, and one with unsorted columns,
-    a repeated entry or a stored zero (-0.0 too) is stored as a copy with
-    repeated entries summed, then zeros dropped; the caller's arrays are
-    never written.
+    Takes any scipy sparse square matrix.  A float64 `csr_array` with
+    sorted columns, no repeated entry and no stored zero is stored as
+    given.  Other input is taken as a `csr_array`, one of another real
+    dtype (integer, boolean, float32) as a float64 copy, and one with
+    unsorted columns, a repeated entry or a stored zero (-0.0 too) is
+    stored as a copy with repeated entries summed, then zeros dropped; the
+    caller's arrays are never written.
     """
 
     csr: sparse.csr_array
 
     def __post_init__(self):
-        m, n = self.csr.shape
-        if m != n:
-            raise DimensionMismatch(f"matrix is {m}x{n}, expected square")
+        shape = self.csr.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DimensionMismatch(f"matrix has shape {shape}, expected square")
         c = self.csr if isinstance(self.csr, sparse.csr_array) else sparse.csr_array(self.csr)
+        if c.dtype != np.float64 and c.dtype.kind in "biuf":
+            c = c.astype(np.float64)
         _check_entries(c.data, "non-negative matrix")
         # scipy's canonical format allows stored zeros, so they are looked for too
         if not (c.has_canonical_format and c.data.all()):

@@ -597,7 +597,7 @@ def irreducible_growth(u: np.ndarray, k: NonnegMatrix | np.ndarray) -> GrowthAna
     irreducibility and k's root: k is A itself (`growth_rate`), or
     P^(o alpha) for a chain or K~ for an HMM (`tensor.irreducible`).
     """
-    n = np.shape(u)[0]
+    n = np.size(u)
     u = _checked_weights(u, n)
     decomp = ComponentDecomposition((tuple(range(n)),), (0,) * n, frozenset())
     return _analysis(decomp, tuple(_perron_radii([_operand(k)])), u)
@@ -605,8 +605,8 @@ def irreducible_growth(u: np.ndarray, k: NonnegMatrix | np.ndarray) -> GrowthAna
 
 def _checked_weights(u: np.ndarray, n: int) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != n:
-        raise DimensionMismatch("weight vector length does not match matrix dimension")
+    if u.shape != (n,):
+        raise DimensionMismatch(f"weight vector has shape {u.shape}, expected ({n},)")
     _check_entries(u, "weight vector")
     return u
 

@@ -129,12 +129,11 @@ class CollisionNodes:
         return self.hidden.size
 
     @cached_property
-    def _tuples(self) -> tuple[np.ndarray, np.ndarray]:
-        """A's distinct hidden tuples, one row of state digits each in rank
-        order, and each node's row among them: what A's build reads."""
+    def _tuples(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """A's distinct hidden tuples in rank order, one array of states per
+        place, and each node's tuple among them: what A's build reads."""
         tuples, node_tuple = np.unique(self.hidden, return_inverse=True)
-        digits = np.stack(np.unravel_index(tuples, (len(self.states),) * self.order), axis=1)
-        return digits, node_tuple
+        return np.unravel_index(tuples, (len(self.states),) * self.order), node_tuple
 
     def labels(self) -> tuple[str, ...]:
         """Node labels "x1,...,xa|z": the hidden tuple, then the symbol.
@@ -315,45 +314,34 @@ def _stored_entries(p, emits: np.ndarray, alpha: int) -> int:
     return sum(int(m) ** alpha for m in counts.ravel().tolist())
 
 
-def _successors(p: _Rows, tuples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Successor tuples of each row of `tuples` under the tensor power of p.
+def _successors(p: _Rows, places) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Successor tuples of a list of tuples under the tensor power of p.
 
     p holds CSR arrays (a `_Rows` or a scipy CSR array) with sorted column
-    indices, and `tuples` has one tuple of p's row indices per row.
-    Returns (rows, successors, values): entry k is the successor tuple
-    successors[k] of tuples[rows[k]], one column index of p per
-    coordinate, with value prod_j p[tuples[rows[k], j], successors[k, j]]
-    multiplied left to right.  Rows ascend and a row's successors are in
-    lexicographic order.  successors is Fortran-ordered, so each
-    coordinate's column is contiguous.  The entries number
-    sum_t prod_j deg(t_j), deg(x) the stored entries of p's row x.
+    indices.  `places` holds one array per place: the tuples' row indices
+    of p there.  Returns (rows, successors, values), successors one array
+    per place too, of p.indices' dtype: entry k is a successor of tuple
+    rows[k] with column successors[j][k] of p at place j, and value
+    prod_j p[places[j][rows[k]], successors[j][k]] multiplied left to
+    right.  Rows ascend and a row's successors are in lexicographic order.
+    Each place's states are carried forward as the enumeration goes: an
+    entry's children are contiguous, so the earlier places are repeated
+    once per child.  The entries number sum_t prod_j deg(t_j), deg(x) the
+    stored entries of p's row x.
     """
     degree = np.diff(p.indptr)
-    rows = np.arange(len(tuples))
-    values = np.ones(len(tuples))
-    digits, counts = [], []  # per coordinate: its entries' columns, its parents' child counts
-    for j in range(tuples.shape[1]):
-        state = tuples[rows, j]
+    rows = np.arange(len(places[0]))
+    values = np.ones(rows.size)
+    successors = []
+    for place in places:
+        state = place[rows]
         count = degree[state]
         first = np.cumsum(count) - count
         pos = np.repeat(p.indptr[state] - first, count) + np.arange(count.sum())
         rows = np.repeat(rows, count)
         values = np.repeat(values, count) * p.data[pos]
-        digits.append(p.indices[pos])
-        counts.append(count)
-    # an entry's children are contiguous, so each digit is repeated once
-    # per final entry below it; spans counts those, last coordinate first
-    successors = np.empty((len(digits), rows.size), dtype=p.indices.dtype)
-    spans = None  # one final entry per entry of the last coordinate
-    for j in range(len(digits) - 1, -1, -1):
-        successors[j] = digits[j] if spans is None else np.repeat(digits[j], spans)
-        if spans is None:
-            spans = counts[j]
-        elif j:
-            below = np.concatenate(([0], np.cumsum(spans)))
-            ends = np.cumsum(counts[j])
-            spans = below[ends] - below[ends - counts[j]]
-    return rows, successors.T, values
+        successors = [np.repeat(d, count) for d in successors] + [p.indices[pos]]
+    return rows, successors, values
 
 
 def _columns(p: _Rows, states: np.ndarray) -> _Rows:
@@ -371,20 +359,21 @@ def _columns(p: _Rows, states: np.ndarray) -> _Rows:
 
 
 def _symbol_columns(
-    p: _Rows, digits: np.ndarray, node: np.ndarray, w: np.ndarray
+    p: _Rows, places, node: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entries of B in one symbol z's columns: (rows, columns, values).
 
-    p holds P's columns of S_z, so successors come in digits local to S_z;
-    node maps a successor's rank in S_z^alpha to its node (or -1) and w
-    gives its emission product, 0 where it is no node.  Rows ascend and a
-    row's columns too.  Indices are int32: the byte budget of
-    `collision_system` keeps them far below 2^31.
+    places holds the tuples of B's rows, one array of states per place.  p
+    holds P's columns of S_z, so successors come in states local to S_z,
+    and their rank in S_z^alpha is folded place by place; node maps it to
+    the successor's node (or -1) and w gives its emission product, 0 where
+    it is no node.  Rows ascend and a row's columns too.  Indices are
+    int32: the byte budget of `collision_system` keeps them far below 2^31.
     """
-    rows, successors, values = _successors(p, digits)
-    rank = successors[:, 0].astype(np.intp)
-    for j in range(1, successors.shape[1]):
-        rank = rank * p.shape[1] + successors[:, j]
+    rows, successors, values = _successors(p, places)
+    rank = successors[0].astype(np.intp)
+    for d in successors[1:]:
+        rank = rank * p.shape[1] + d
     del successors
     values *= w[rank]
     kept = np.flatnonzero(values > 0)  # no node, or a product that underflows
@@ -416,19 +405,19 @@ def collision_system(
     _check_build_bytes("collision system would store {} entries", entries, 8 * alpha + 60)
     if nodes is None:
         nodes = collision_nodes(hmm, alpha)
-    digits, node_tuple = nodes._tuples
+    places, node_tuple = nodes._tuples
 
     # B[t, (t', z')], one symbol's columns at a time; symbols in order keep
     # every row sorted.  Each row of B is written once and gathered for
     # every node of its tuple into A.
     blocks = [
-        _symbol_columns(_columns(p, s), digits, node, w)
+        _symbol_columns(_columns(p, s), places, node, w)
         for _, s, node, w in nodes.candidates
         if s.size
     ]
     rows, cols, values = map(np.concatenate, zip(*blocks))
     del blocks
-    b = sparse.csr_array((values, (rows, cols)), shape=(len(digits), nodes.dimension))
+    b = sparse.csr_array((values, (rows, cols)), shape=(len(places[0]), nodes.dimension))
     del rows, cols, values
     return CollisionSystem(matrix=NonnegMatrix(b[node_tuple]), nodes=nodes)
 
@@ -659,11 +648,11 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
         if grid:
             successors = _grid(states.size, alpha)
         else:
-            rows, successors, values = _successors(ps, reps)
-            successors = successors.T
-        digits = list(successors if single else states[successors])
-        cols = index[_rank(_sorted_columns(digits), binom)]
-        del successors, digits
+            rows, successors, values = _successors(ps, reps.T)
+        if not single:  # S's local states as the model's
+            successors = [states[d] for d in successors]
+        cols = index[_rank(_sorted_columns(successors), binom)]
+        del successors  # the places are freed before the rows and values are gathered
         live = cols >= 0 if single else (cols >= 0) & (owner[cols] == i)  # w = 0 or not owned
         cols = cols[live]
         if grid:  # the grid's live columns in every row
@@ -690,11 +679,11 @@ def lumped_system(hmm: HiddenMarkovModel, alpha: int) -> LumpedSystem:
     return LumpedSystem(alpha, NonnegMatrix(k), u, dimension)
 
 
-def _grid(s: int, alpha: int) -> np.ndarray:
-    """The tuples of {0..s-1}^alpha in lexicographic order, one row per place:
+def _grid(s: int, alpha: int) -> list[np.ndarray]:
+    """The tuples of {0..s-1}^alpha in lexicographic order, one array per place:
     the successors `_successors` gives a row that is full on s columns."""
     k = np.arange(s**alpha)
-    return np.stack([k // s ** (alpha - 1 - j) % s for j in range(alpha)])
+    return [k // s ** (alpha - 1 - j) % s for j in range(alpha)]
 
 
 def _grid_products(p: np.ndarray, reps: np.ndarray) -> np.ndarray:
@@ -760,28 +749,28 @@ def _binomials(nx: int, alpha: int) -> np.ndarray:
     )
 
 
-def _rank(digits, binom: np.ndarray) -> np.ndarray:
+def _rank(places, binom: np.ndarray) -> np.ndarray:
     """Colexicographic rank of sorted tuples among the multisets of their size.
 
-    digits holds one array per place, the tuples' states there, and each
+    places holds one array per place, the tuples' states there, and each
     place's binomials are gathered at once.
     """
-    return sum(b[d] for b, d in zip(binom, digits))
+    return sum(b[d] for b, d in zip(binom, places))
 
 
-def _sorted_columns(digits: list[np.ndarray]) -> list[np.ndarray]:
-    """Each tuple's states in ascending order, with one array per place as `digits` holds them.
+def _sorted_columns(places: list[np.ndarray]) -> list[np.ndarray]:
+    """Each tuple's states in ascending order, with one array per place as `places` holds them.
 
     Compare-exchanges of whole places, in the order of an insertion
     sorting network: place j - 1 takes the minimum and j the maximum.
-    The arrays of `digits` are overwritten, and one spare array of a
+    The arrays of `places` are overwritten, and one spare array of a
     place's size is all the sort allocates.
     """
-    spare = np.empty_like(digits[0])
-    for i in range(1, len(digits)):
+    spare = np.empty_like(places[0])
+    for i in range(1, len(places)):
         for j in range(i, 0, -1):
-            a, b = digits[j - 1], digits[j]
+            a, b = places[j - 1], places[j]
             np.minimum(a, b, out=spare)
             np.maximum(a, b, out=b)
-            digits[j - 1], spare = spare, a
-    return digits
+            places[j - 1], spare = spare, a
+    return places

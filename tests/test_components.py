@@ -314,6 +314,14 @@ class TestReachability:
         with pytest.raises(DimensionMismatch, match="does not match decomposition"):
             reachable_components(decomp, np.ones(length))
 
+    @pytest.mark.parametrize(
+        "u", [np.ones((5, 1)), np.ones((1, 5)), 1.0], ids=["column", "row", "scalar"]
+    )
+    def test_weights_of_another_shape_rejected(self, u):
+        decomp = strongly_connected_components(A_EXAMPLE)
+        with pytest.raises(DimensionMismatch, match="weight vector of shape"):
+            reachable_components(decomp, u)
+
     def test_zero_vector_reaches_nothing(self):
         decomp = strongly_connected_components(A_EXAMPLE)
         assert reachable_components(decomp, np.zeros(5)) == frozenset()

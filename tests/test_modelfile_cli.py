@@ -125,11 +125,17 @@ class TestModelFile:
         with pytest.raises(ModelFormatError, match=f"repeated field '{field}'"):
             load_model(path)
 
-    def test_bad_version_rejected(self):
-        doc = json.loads((FIXTURES / "markov142.model").read_text())
-        doc["format"] = 99
-        with pytest.raises(ModelFormatError):
-            parse_model(doc)
+    # format is the JSON integer 1: true and 1.0 compare equal to it, and
+    # once loaded, so `renyirates rate` exited 0 on them
+    @pytest.mark.parametrize("version", ["99", "true", "1.0", '"1"'])
+    def test_bad_version_rejected(self, capsys, tmp_path, version):
+        text = (FIXTURES / "markov142.model").read_text().replace('"format": 1,', f'"format": {version},')
+        with pytest.raises(ModelFormatError, match="unsupported format version"):
+            parse_model(json.loads(text))
+        path = tmp_path / "bad.model"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "rate", path, "--order", "2")
+        assert code != 0 and out is None and "unsupported format version" in err
 
     def test_emission_on_markov_rejected(self):
         doc = json.loads((FIXTURES / "markov142.model").read_text())

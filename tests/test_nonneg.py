@@ -177,10 +177,27 @@ class TestConstructor:
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(expected, attr)), attr
 
-    @pytest.mark.parametrize("shape", [(2, 3), (3, 0)])
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 0), (2,)])
     def test_refuses_non_square(self, shape):
         with pytest.raises(DimensionMismatch, match="expected square"):
             NonnegMatrix(sparse.csr_array(shape))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint16, bool, np.float32])
+    def test_other_real_dtypes_are_stored_as_float64(self, dtype):
+        # integer and boolean input once crashed the radius, a one-component
+        # growth and the power sum with numpy's UFuncTypeError, and float32
+        # input ran them in float32
+        x = sparse.csr_array(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 0]], dtype=dtype))
+        given_data = x.data.copy()
+        m, expected = NonnegMatrix(x), NonnegMatrix.from_dense(x.toarray().astype(float))
+        assert x.data.dtype == dtype and x.data.tobytes() == given_data.tobytes()
+        for attr in ("data", "indices", "indptr"):
+            got, want = getattr(m.csr, attr), getattr(expected.csr, attr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+        u = np.array([1.0, 0.0, 2.0])
+        assert _radius_hex(m) == _radius_hex(expected)
+        assert _growth(m, u) == _growth(expected, u)
+        assert _power_sum_hex(m, u, 7) == _power_sum_hex(expected, u, 7)
 
     def test_builds_are_stored_as_given(self):
         # A, K~ and the CSR blocks cut from A are already in the one form

@@ -873,6 +873,11 @@ BAD_WEIGHTS = [
     pytest.param([math.nan, 1.0], NonFiniteEntry, id="nan"),
     pytest.param([math.inf, 1.0], NonFiniteEntry, id="inf"),
     pytest.param([-1.0, 1.0], NegativeEntry, id="negative"),
+    # a column once gave a rate on an irreducible A and raised numpy's
+    # matmul ValueError in the power sum; a scalar raised IndexError
+    pytest.param([[1.0], [1.0]], DimensionMismatch, id="column"),
+    pytest.param([[1.0, 1.0]], DimensionMismatch, id="row"),
+    pytest.param(1.0, DimensionMismatch, id="scalar"),
 ]
 
 BAD_ARRAYS = [

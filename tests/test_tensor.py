@@ -332,7 +332,7 @@ class TestLumpedBuildBudget:
         p = sparse.csr_array(random_chain(np.random.default_rng(nx), nx, sparsity=sparsity).transition)
         p.eliminate_zeros()
         reps = np.array(list(itertools.combinations_with_replacement(range(nx), alpha)))
-        rows, _, _ = tensor._successors(p, reps)
+        rows, _, _ = tensor._successors(p, reps.T)
         assert tensor._lumped_entries(np.diff(p.indptr).tolist(), alpha) == rows.size
 
 
@@ -457,27 +457,39 @@ class TestListingBudgets:
 
 class TestSuccessors:
     @pytest.mark.parametrize(
-        "nx,alpha,sparsity", [(4, 1, 0.3), (3, 2, 0.0), (5, 3, 0.6), (4, 4, 0.4), (3, 6, 0.5)]
+        "nx,alpha,sparsity",
+        [(4, 1, 0.3), (3, 2, 0.0), (5, 3, 0.6), (4, 4, 0.4), (3, 6, 0.5), (4, 8, None)],
     )
     def test_enumerates_the_tensor_power_in_order(self, nx, alpha, sparsity):
         # every successor tuple of every row, rows ascending and each row's
         # successors in lexicographic order, with the product of P's entries
-        # taken left to right
+        # taken left to right; places come as the rows of a transposed
+        # (T, alpha) view, as `lumped_system` gives them, and as
+        # np.unravel_index's tuple, as `collision_system` does
         rng = np.random.default_rng(alpha)
-        p = sparse.csr_array(random_chain(rng, nx, sparsity=sparsity).transition)
-        p.eliminate_zeros()
+        if sparsity is None:  # two entries a row, x and x + 1: earlier places repeat the most
+            x = np.arange(nx)
+            cols = np.stack([x, (x + 1) % nx], axis=1).ravel()
+            p = sparse.csr_array((rng.uniform(0.1, 1.0, 2 * nx), (np.repeat(x, 2), cols)), shape=(nx, nx))
+            p.sort_indices()
+        else:
+            p = sparse.csr_array(random_chain(rng, nx, sparsity=sparsity).transition)
+            p.eliminate_zeros()
         tuples = rng.integers(0, nx, size=(7, alpha))
-        rows, successors, values = tensor._successors(p, tuples)
         columns = [p.indices[p.indptr[x] : p.indptr[x + 1]].tolist() for x in range(nx)]
         expected = [
             (r, s, math.prod((p[x, y] for x, y in zip(t, s)), start=1.0))
             for r, t in enumerate(tuples.tolist())
             for s in itertools.product(*(columns[x] for x in t))
         ]
-        assert rows.tolist() == [r for r, _, _ in expected]
-        assert successors.dtype == p.indices.dtype
-        assert [tuple(s) for s in successors.tolist()] == [s for _, s, _ in expected]
-        assert values.tolist() == [v for _, _, v in expected]
+        shape = (nx,) * alpha
+        for places in (tuples.T, np.unravel_index(np.ravel_multi_index(tuples.T, shape), shape)):
+            rows, successors, values = tensor._successors(p, places)
+            assert rows.tolist() == [r for r, _, _ in expected]
+            assert len(successors) == alpha
+            assert all(d.dtype == p.indices.dtype and d.size == rows.size for d in successors)
+            assert list(zip(*(d.tolist() for d in successors))) == [s for _, s, _ in expected]
+            assert values.tolist() == [v for _, _, v in expected]
 
 
 class TestColumns:
